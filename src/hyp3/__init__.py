@@ -3,7 +3,7 @@ time-dependent coefficients: logarithmic/Levi condition evaluation, operator
 factorization identities, energy weights, and Fourier-mode growth experiments.
 """
 
-from .expr import Jet2, TimeFn, eval_jet2, parse_timefn
+from .expr import Jet2, TimeFn, parse_timefn
 from .operators import Operator2, Operator3
 
 __version__ = "0.1.0"
@@ -13,7 +13,6 @@ __all__ = [
     "TimeFn",
     "Operator2",
     "Operator3",
-    "eval_jet2",
     "parse_timefn",
     "__version__",
 ]

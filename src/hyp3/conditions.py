@@ -24,7 +24,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .cubic import delta1, delta1_dt, derivative_quadratic, discriminant, discriminant_dt, solve_cubic_real
+from .cubic import (
+    _SS2,
+    _SS3,
+    delta1,
+    delta1_dt,
+    derivative_quadratic,
+    discriminant,
+    discriminant_dt,
+    solve_cubic_real,
+)
 from .errors import OperatorSpecError
 from .operators import Operator2, Operator3, TauPoly
 from .quadrature import adaptive_gauss
@@ -37,7 +46,6 @@ __all__ = [
     "CaseReport",
     "condition_integrals",
     "condition_report",
-    "equivalent_forms",
     "log_fit",
     "pointwise_levi",
     "constant_coeff_check",
@@ -45,9 +53,6 @@ __all__ = [
     "oscillation_count",
     "default_ladder",
 ]
-
-_SS2 = ((0, 1), (1, 2), (2, 0))
-_SS3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 PRIMARY_KEYS = ("sep_drift", "vel_drift", "m_drift", "n_drift", "m_levi", "n_levi")
 
@@ -82,19 +87,12 @@ def default_ladder(lo: float = 2.0 ** 6, hi: float = 2.0 ** 14, steps: int = 9) 
 # Per-cell integrand
 
 
-def _integrand_values(op: Operator3, t: float, xi: np.ndarray,
-                      with_alternates: bool) -> np.ndarray:
-    c = op.principal(t, xi)
-    lower = op.lower_polys(t, xi)
-    mc = op.checked_m_poly(t, xi, principal=c, lower=lower)
-    nc = op.checked_n_poly(t, xi, principal=c, lower=lower)
-    aux = op.auxiliary(t, xi, principal=c)
-    lam = aux.lam.roots.r
-    ld1 = aux.lam.d1
-    ld2 = aux.lam.d2
-    mu = aux.mu
-    mu_d1 = aux.mu_d1
-
+def _primary_terms(lam, ld1, ld2, mc: TauPoly, nc: TauPoly, mu, mu_d1):
+    """The six primary integrands (in ``PRIMARY_KEYS`` order) at one time,
+    from the auxiliary roots ``lam`` with their first two time derivatives
+    and the auxiliary critical points ``mu`` with their first; also returns
+    |corrected order-1 symbol| at the two ``mu``, which the energy envelope
+    reuses."""
     sep = vel = 0.0
     for j, k in _SS2:
         sep += abs(ld1[j] - ld1[k]) / abs(lam[j] - lam[k])
@@ -108,12 +106,25 @@ def _integrand_values(op: Operator3, t: float, xi: np.ndarray,
 
     mu_gap = mu[1] - mu[0]
     n_drift = n_levi = 0.0
+    n_abs = []
     for j in (0, 1):
         nv, ndot = nc.along_root(mu[j], mu_d1[j])
         n_drift += abs(ndot) / (abs(nv) + 1.0)
         n_levi += math.sqrt(abs(nv) / mu_gap)
+        n_abs.append(abs(nv))
+    return [sep, vel, m_drift, n_drift, m_levi, n_levi], n_abs
 
-    out = [sep, vel, m_drift, n_drift, m_levi, n_levi]
+
+def _integrand_values(op: Operator3, t: float, xi: np.ndarray,
+                      with_alternates: bool) -> np.ndarray:
+    c = op.principal(t, xi)
+    lower = op.lower_polys(t, xi)
+    mc = op.checked_m_poly(t, xi, principal=c, lower=lower)
+    nc = op.checked_n_poly(t, xi, principal=c, lower=lower)
+    aux = op.auxiliary(t, xi, principal=c)
+    lam = aux.lam.roots.r
+    mu = aux.mu
+    out, _ = _primary_terms(lam, aux.lam.d1, aux.lam.d2, mc, nc, mu, aux.mu_d1)
     if not with_alternates:
         return np.array(out)
 
@@ -142,7 +153,7 @@ def _integrand_values(op: Operator3, t: float, xi: np.ndarray,
     }
     denoms = {
         "crit_gap_p1": crit_gap_p1,
-        "auxcrit_gap": mu_gap,
+        "auxcrit_gap": mu[1] - mu[0],
         "rms_gap_p1": rms_p1,
         "aux_rms_gap": aux_rms,
         "span_p1": span_p1,
@@ -166,9 +177,9 @@ class ConditionCell:
     rel_change: float
 
 
-def condition_integrals(op: Operator3, xi: np.ndarray, *, rel_tol: float = 1e-6,
-                        with_alternates: bool = True) -> ConditionCell:
-    """Integrate every condition integrand over [0, horizon].
+def condition_integrals(op: Operator3, xi: np.ndarray, *, rel_tol: float = 1e-6) -> ConditionCell:
+    """Integrate every condition integrand, primary and alternate, over
+    [0, horizon].
 
     All integrands share one symbol evaluation per quadrature node; the
     auxiliary-root denominators are bounded below uniformly, so the
@@ -177,19 +188,12 @@ def condition_integrals(op: Operator3, xi: np.ndarray, *, rel_tol: float = 1e-6,
     mag = float(np.linalg.norm(xi))
     if mag < 2.0:
         raise OperatorSpecError("condition integrals need |xi| >= 2")
-    res = adaptive_gauss(lambda t: _integrand_values(op, t, xi, with_alternates),
+    res = adaptive_gauss(lambda t: _integrand_values(op, t, xi, True),
                          0.0, op.horizon, rel_tol=rel_tol)
     vals = dict(zip(PRIMARY_KEYS, (float(x) for x in res.values[:len(PRIMARY_KEYS)])))
-    alts = dict(zip(ALTERNATE_KEYS, (float(x) for x in res.values[len(PRIMARY_KEYS):]))) \
-        if with_alternates else {}
+    alts = dict(zip(ALTERNATE_KEYS, (float(x) for x in res.values[len(PRIMARY_KEYS):])))
     return ConditionCell(mag, tuple(float(x) for x in np.atleast_1d(xi) / mag),
                          vals, alts, res.panels, res.rel_change)
-
-
-def equivalent_forms(op: Operator3, xi: np.ndarray, *, rel_tol: float = 1e-6) -> dict[str, float]:
-    """All interchangeable-form integrals at one frequency, keyed by the
-    numerator/denominator substitution they use."""
-    return dict(condition_integrals(op, xi, rel_tol=rel_tol).alternates)
 
 
 # --------------------------------------------------------------------------
@@ -210,7 +214,8 @@ def log_fit(rows: Sequence[tuple[float, float]]) -> LogFit:
     and increase monotonically. logarithmic: ratios vary by < 20%, or never
     rise above the first ratio by more than 20% (bounded integrals produce
     decaying ratio ladders). Anything else is inconclusive: finite ladders
-    witness trends, not asymptotics.
+    witness trends, not asymptotics. A non-finite ratio is inconclusive too:
+    the band tests above cannot see it.
     """
     if len(rows) < 5:
         raise ValueError("log_fit needs at least 5 ladder points")
@@ -219,6 +224,8 @@ def log_fit(rows: Sequence[tuple[float, float]]) -> LogFit:
         raise ValueError("log_fit needs the ladder to span at least 3 doublings")
     ratios = tuple(i / math.log1p(x) for x, i in rows)
     slope = max(ratios)
+    if not all(math.isfinite(r) for r in ratios):
+        return LogFit(slope, ratios, "inconclusive")
     if slope < 1e-9:
         return LogFit(slope, ratios, "logarithmic")
     last3 = ratios[-3:]
@@ -237,9 +244,6 @@ class ConditionReport:
     verdicts: dict[str, str]
     bands: dict[str, dict]
 
-    def verdict_summary(self) -> dict[str, str]:
-        return dict(self.verdicts)
-
 
 def _band(ratio_rows: list[float]) -> dict:
     finite = [r for r in ratio_rows if math.isfinite(r)]
@@ -255,27 +259,25 @@ def _band(ratio_rows: list[float]) -> dict:
 
 
 def condition_report(op: Operator3, ladder: Sequence[float] | None = None,
-                     direction: np.ndarray | None = None, *, rel_tol: float = 1e-6,
-                     with_alternates: bool = True) -> ConditionReport:
+                     direction: np.ndarray | None = None, *,
+                     rel_tol: float = 1e-6) -> ConditionReport:
     ladder = list(ladder) if ladder is not None else default_ladder()
     d = direction if direction is not None else np.eye(op.dim)[0]
-    cells = [condition_integrals(op, mag * d, rel_tol=rel_tol,
-                                 with_alternates=with_alternates) for mag in ladder]
+    cells = [condition_integrals(op, mag * d, rel_tol=rel_tol) for mag in ladder]
     fits = {key: log_fit([(c.xi_mag, c.values[key]) for c in cells]) for key in PRIMARY_KEYS}
     verdicts = {key: fits[key].verdict for key in PRIMARY_KEYS}
     bands = {}
-    if with_alternates:
-        for key in ALTERNATE_KEYS:
-            primary = ALTERNATE_PRIMARY[key]
-            ratios = []
-            for c in cells:
-                p = c.values.get(primary, c.alternates.get(primary, 0.0))
-                a = c.alternates[key]
-                if p > 1e-9:
-                    ratios.append(a / p)
-                else:
-                    ratios.append(1.0 if a <= 1e-9 else math.inf)
-            bands[key] = {"primary": primary, **_band(ratios)}
+    for key in ALTERNATE_KEYS:
+        primary = ALTERNATE_PRIMARY[key]
+        ratios = []
+        for c in cells:
+            p = c.values.get(primary, c.alternates.get(primary, 0.0))
+            a = c.alternates[key]
+            if p > 1e-9:
+                ratios.append(a / p)
+            else:
+                ratios.append(1.0 if a <= 1e-9 else math.inf)
+        bands[key] = {"primary": primary, **_band(ratios)}
     return ConditionReport(op.name, cells, fits, verdicts, bands)
 
 
@@ -292,25 +294,13 @@ class CaseReport:
     checks: dict[str, dict] = field(default_factory=dict)
 
 
-def _poly_scale(poly: TauPoly, tau: float, deriv: int = 0) -> float:
-    """Magnitude of the terms forming the polynomial (or its tau-derivative)
-    at tau: the natural scale for deciding whether its value is zero."""
+def _poly_scale(poly: TauPoly, tau: float) -> float:
+    """Magnitude of the terms forming the polynomial at tau: the natural
+    scale for deciding whether its value is zero. Vanishing tests at
+    (near-)multiple roots pass the root span as ``tau``, since such roots
+    carry an intrinsic sqrt(eps)-level location error amplified by the span."""
     acc = 1.0
     w = 1.0 + abs(tau)
-    for k, c in enumerate(poly.coeffs):
-        if deriv == 0:
-            acc += abs(c.v) * w ** k
-        elif k >= deriv:
-            acc += k * abs(c.v) * w ** (k - 1)
-    return acc
-
-
-def _poly_range_scale(poly: TauPoly, root_span: float) -> float:
-    """Scale of the polynomial over the whole root range; vanishing tests at
-    (near-)multiple roots compare against this, since such roots carry an
-    intrinsic sqrt(eps)-level location error amplified by the span."""
-    acc = 1.0
-    w = 1.0 + abs(root_span)
     for k, c in enumerate(poly.coeffs):
         acc += abs(c.v) * w ** k
     return acc
@@ -450,25 +440,33 @@ def pointwise_levi(op: Operator3, ladder: Sequence[float] | None = None,
             run_check("n_bound_n1", n_bound_n1)
 
     elif case == "II":
-        def double_pair(c, roots):
+        def double_pair(roots):
             gaps = (roots[1] - roots[0], roots[2] - roots[1])
             return (0, 1, 2) if gaps[0] <= gaps[1] else (1, 2, 0)
 
-        vanish = []
+        # the order-2 symbol must vanish on the double root, and so must the
+        # remainder of its division by (tau - double root)
+        vanish, rems = [], []
         for mag in ladder:
             xi = mag * d
-            worst = 0.0
+            worst_v = worst_r = 0.0
             for t in ts_base:
                 c = op.principal(float(t), xi)
                 mc = op.checked_m_poly(float(t), xi, principal=c)
                 tau = solve_cubic_real(c).r
-                j, _, _ = double_pair(c, tau)
-                worst = max(worst, abs(mc.value_at(tau[j]))
-                            / _poly_range_scale(mc, tau[2] - tau[0]))
-            vanish.append(worst)
+                j = double_pair(tau)[0]
+                scale = _poly_scale(mc, tau[2] - tau[0])
+                worst_v = max(worst_v, abs(mc.value_at(tau[j])) / scale)
+                worst_r = max(worst_r, abs(mc.divide_linear(tau[j])[1]) / scale)
+            vanish.append(worst_v)
+            rems.append(worst_r)
         report.checks["m_vanishes_on_double"] = {
             "max_rel": vanish,
             "verdict": "satisfied" if max(vanish) < 1e-6 else "violated",
+        }
+        report.checks["division_remainder"] = {
+            "max_rel": rems,
+            "verdict": "bounded" if max(rems) < 1e-6 else "reported",
         }
 
         def quotient_bound(xi):
@@ -476,7 +474,7 @@ def pointwise_levi(op: Operator3, ladder: Sequence[float] | None = None,
                 c = op.principal(t, xi)
                 mc = op.checked_m_poly(t, xi, principal=c)
                 tau = solve_cubic_real(c).r
-                j, _, simple = double_pair(c, tau)
+                j, _, simple = double_pair(tau)
                 q, _rem = mc.divide_linear(tau[j])
                 d1v = max(delta1(c), 0.0)
                 root_d1 = math.sqrt(d1v)
@@ -488,22 +486,6 @@ def pointwise_levi(op: Operator3, ladder: Sequence[float] | None = None,
                          _poly_scale(mc, tau[k]), s) for k in (j, simple)]
             return fn
         run_check("quotient_disc_bound", quotient_bound)
-
-        # division remainder must vanish when the double-root value does
-        rems = []
-        for mag in ladder:
-            xi = mag * d
-            worst = 0.0
-            for t in ts_base:
-                c = op.principal(float(t), xi)
-                mc = op.checked_m_poly(float(t), xi, principal=c)
-                tau = solve_cubic_real(c).r
-                j = 0 if tau[1] - tau[0] <= tau[2] - tau[1] else 1
-                _, rem = mc.divide_linear(tau[j])
-                worst = max(worst, abs(rem) / _poly_range_scale(mc, tau[2] - tau[0]))
-            rems.append(worst)
-        report.checks["division_remainder"] = {"max_rel": rems,
-                                               "verdict": "bounded" if max(rems) < 1e-6 else "reported"}
 
     else:  # case III: a single clustered triple root everywhere
         def charconst(xi):

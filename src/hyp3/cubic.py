@@ -34,6 +34,11 @@ SIMPLE_ROOT_REL_GAP = 1e-6
 #: roots closer than this times (1 + spectral radius) cluster together
 CLUSTER_REL_GAP = 1e-6
 
+#: root-index pairs and triples in cyclic order, for symmetric sums over
+#: root gaps and Lagrange denominators
+_SS2 = ((0, 1), (1, 2), (2, 0))
+_SS3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
 
 @dataclass(frozen=True)
 class CubicJet:
@@ -77,13 +82,6 @@ class SortedRoots:
 
     r: tuple[float, float, float]
     clusters: tuple[tuple[int, ...], ...]
-
-    def min_gap(self) -> float:
-        r = self.r
-        return min(r[1] - r[0], r[2] - r[1])
-
-    def spread(self) -> float:
-        return self.r[2] - self.r[0]
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,8 @@ class NearMultipleRoot(Exception):
 
 
 class QuadratureError(Exception):
-    """Adaptive quadrature hit the panel cap before converging."""
+    """Adaptive quadrature hit the panel cap before converging, or met a
+    non-finite integrand value."""
 
     def __init__(self, achieved: float, requested: float, panels: int):
         self.achieved = achieved

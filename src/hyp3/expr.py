@@ -29,7 +29,7 @@ from typing import Union
 
 from .errors import ExprDomainError, ExprSyntaxError, UnknownIdentifierError
 
-__all__ = ["Jet2", "TimeFn", "parse_timefn", "eval_jet2"]
+__all__ = ["Jet2", "TimeFn", "parse_timefn"]
 
 _FUNCS = ("sin", "cos", "exp", "log")
 
@@ -85,7 +85,7 @@ class Jet2:
 
     ``d3`` is populated for principal-part coefficients, whose third
     derivative feeds the time derivative of the corrected first-order
-    symbol; it is ``None`` for jets produced by :func:`eval_jet2`.
+    symbol; it is ``None`` for jets of ``TimeFn.jet2`` at the default order.
     """
 
     v: complex
@@ -263,8 +263,10 @@ def _fmt_num(v: float) -> str:
 
 def _print(node: Node) -> str:
     if isinstance(node, Num):
-        # negative literals only re-parse as literals behind parentheses
-        return f"(-{_fmt_num(-node.value)})" if node.value < 0 else _fmt_num(node.value)
+        # negative literals (-0 included) only re-parse as literals behind
+        # parentheses
+        neg = math.copysign(1.0, node.value) < 0
+        return f"(-{_fmt_num(-node.value)})" if neg else _fmt_num(node.value)
     if isinstance(node, Imag):
         return "i"
     if isinstance(node, TimeVar):
@@ -521,8 +523,3 @@ def parse_timefn(text: str) -> TimeFn:
     globally smooth coefficients.
     """
     return TimeFn.from_ast(_Parser(text).parse())
-
-
-def eval_jet2(f: TimeFn, t: float) -> Jet2:
-    """(f(t), f'(t), f''(t)) by exact second-order jet propagation."""
-    return f.jet2(t)

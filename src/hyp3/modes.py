@@ -17,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .conditions import _primary_terms
 from .errors import NearMultipleRoot
 from .operators import Operator3, regularized_cubic
-from .cubic import quad_root_jets, root_jets, solve_cubic_real
+from .cubic import _SS2, quad_root_jets, root_jets, solve_cubic_real
 
 __all__ = [
     "ModeSolution",
@@ -33,9 +34,6 @@ __all__ = [
     "calibrate_eta",
     "growth_experiment",
 ]
-
-_SS2 = ((0, 1), (1, 2), (2, 0))
-_SS3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 #: canonical initial-data bases for experiments
 CANONICAL_INITS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
@@ -89,9 +87,7 @@ class ModeSolution:
     def residual(self) -> float:
         """Relative residual of the full equation with v''' re-derived by
         fourth-order finite differences from the v'' trace."""
-        h = self.grid_step()
-        fd = (-self.v2[4:] + 8.0 * self.v2[3:-1] - 8.0 * self.v2[1:-3] + self.v2[:-4]) / (12.0 * h)
-        res = fd - self.v3[2:-2]
+        res = _fd(self.v2, self.grid_step())[2:-2] - self.v3[2:-2]
         return float(np.max(np.abs(res)) / max(np.max(np.abs(self.v2)), 1e-300))
 
 
@@ -365,30 +361,13 @@ def _energy_weights(op: Operator3, sol: ModeSolution):
         lower = op.lower_polys(tf, sol.xi)
         mc = op.checked_m_poly(tf, sol.xi, principal=c, lower=lower)
         nc = op.checked_n_poly(tf, sol.xi, principal=c, lower=lower)
-        tau = ft.tau[:, i]
-        td1 = ft.tau_d1[:, i]
-        td2 = ft.tau_d2[:, i]
-
-        g_gap = sum(abs(td1[j] - td1[h]) / abs(tau[j] - tau[h]) for j, h in _SS2)
-        g_vel = sum(abs(td2[j] - td2[h]) / (abs(td1[j] - td1[h]) + 1.0) for j, h in _SS2)
-
-        g_m = g_lagr = 0.0
-        for j, h, l in _SS3:
-            mv, mdot = mc.along_root(tau[j], td1[j])
-            g_m += abs(mdot) / (abs(mv) + 1.0)
-            g_lagr += abs(mv) / (abs(tau[j] - tau[h]) * abs(tau[j] - tau[l]))
-
         sig, sig_d1 = quad_root_jets(regularized_cubic(c, 1.0))
+        terms, n_abs = _primary_terms(ft.tau[:, i], ft.tau_d1[:, i], ft.tau_d2[:, i],
+                                      mc, nc, sig, sig_d1)
         sgap = sig[1] - sig[0]
-        g_n = g_sqrt = h_sqrt = 0.0
-        for j in (0, 1):
-            nv, ndot = nc.along_root(sig[j], sig_d1[j])
-            g_n += abs(ndot) / (abs(nv) + 1.0)
-            g_sqrt += math.sqrt(abs(nv) / sgap)
-            h_sqrt += math.sqrt((abs(nv) + 1.0) / sgap)
-
-        K[i] = g_gap + g_vel + g_m + g_n + g_lagr + g_sqrt + logxi
-        H[i] = 1.0 + g_gap + g_lagr + h_sqrt
+        # K is the sum of the six condition integrands plus log|xi|
+        K[i] = sum(terms) + logxi
+        H[i] = 1.0 + terms[0] + terms[4] + sum(math.sqrt((a + 1.0) / sgap) for a in n_abs)
 
         pair_sq[i] = sum(abs(ft.pair_sym[(j, h)][i]) ** 2 for j, h in _SS2)
         factor_sq[i] = sum(abs(ft.lv[j][i]) ** 2 for j in range(3))

@@ -78,10 +78,7 @@ class SymbolJet:
 
     value: complex
     d_t: complex
-    d_tt: complex
     d_tau: complex
-    d_tau2: complex
-    d_t_d_tau: complex
 
 
 @dataclass(frozen=True)
@@ -96,28 +93,18 @@ class TauPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def values(self, derivative: int = 0) -> tuple[complex, ...]:
-        if derivative == 0:
-            return tuple(c.v for c in self.coeffs)
-        if derivative == 1:
-            return tuple(c.d1 for c in self.coeffs)
-        return tuple(c.d2 for c in self.coeffs)
+    def values(self) -> tuple[complex, ...]:
+        return tuple(c.v for c in self.coeffs)
 
     def at(self, tau: complex) -> SymbolJet:
-        v = dt = dtt = 0.0
-        dtau = dtdtau = 0.0
-        dtau2 = 0.0
+        v = dt = dtau = 0.0
         for k in range(self.degree(), -1, -1):
             c = self.coeffs[k]
             v = v * tau + c.v
             dt = dt * tau + c.d1
-            dtt = dtt * tau + c.d2
             if k >= 1:
                 dtau = dtau * tau + k * c.v
-                dtdtau = dtdtau * tau + k * c.d1
-            if k >= 2:
-                dtau2 = dtau2 * tau + k * (k - 1) * c.v
-        return SymbolJet(v, dt, dtt, dtau, dtau2, dtdtau)
+        return SymbolJet(v, dt, dtau)
 
     def value_at(self, tau: complex) -> complex:
         v = 0.0
@@ -140,9 +127,6 @@ class TauPoly:
             q[k] = acc
             acc = vals[k] + r * acc
         return tuple(q), acc
-
-    def scaled(self, s: complex) -> "TauPoly":
-        return TauPoly(tuple(c.scaled(s) for c in self.coeffs), self.order)
 
 
 def _shift2_weak(j: Jet2) -> Jet2:
@@ -243,12 +227,6 @@ class Operator3:
                 p = p + fn.jet2(t, order=2)
         return TauPoly(tuple(m), 2), TauPoly(tuple(n), 1), p
 
-    def lower_at(self, t: float, tau: complex, xi: np.ndarray):
-        """Spec surface: both lower symbols and the zeroth coefficient at a
-        point of (t, tau, xi) space."""
-        mp, np_, p = self.lower_polys(t, xi)
-        return mp.at(tau), np_.at(tau), p.v
-
     # -- corrected symbols ----------------------------------------------------
 
     def checked_m_poly(self, t: float, xi: np.ndarray,
@@ -273,12 +251,6 @@ class Operator3:
         n1 = n.coeffs[1] - m.coeffs[2].shifted()
         return TauPoly((n0, n1), 1)
 
-    def checked_m_at(self, t: float, tau: complex, xi: np.ndarray) -> SymbolJet:
-        return self.checked_m_poly(t, xi).at(tau)
-
-    def checked_n_at(self, t: float, tau: complex, xi: np.ndarray) -> SymbolJet:
-        return self.checked_n_poly(t, xi).at(tau)
-
     # -- regularization --------------------------------------------------------
 
     def regularized(self, t: float, xi: np.ndarray, eps: float,
@@ -294,7 +266,7 @@ class Operator3:
             jets = root_jets(reg, roots)
         else:
             jets = RootJet(roots, (_NAN,) * 3, (_NAN,) * 3)
-        return RegularizedCubic(reg, math.sqrt(e2), jets)
+        return RegularizedCubic(reg, jets)
 
     def auxiliary(self, t: float, xi: np.ndarray,
                   principal: CubicJet | None = None) -> "AuxiliaryRoots":
@@ -310,7 +282,6 @@ class Operator3:
 @dataclass(frozen=True)
 class RegularizedCubic:
     cubic: CubicJet
-    eps_xi: float
     roots: RootJet
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -75,7 +76,8 @@ def adaptive_gauss(f: Callable[[float], np.ndarray], a: float, b: float, *,
     (components below 1e-12 compare absolutely).
 
     Raises :class:`QuadratureError` with the achieved tolerance if the leaf
-    cap is hit first.
+    cap is hit first, and at once when an integrand value is not finite,
+    since refinement cannot remove it.
     """
     width = (b - a) / INITIAL_PANELS
     intervals = [_Interval(f, a + k * width, a + (k + 1) * width)
@@ -99,8 +101,8 @@ def adaptive_gauss(f: Callable[[float], np.ndarray], a: float, b: float, *,
         return float(np.max(err_sum / scale))
 
     rel = achieved()
-    while rel >= rel_tol:
-        if panels + 1 > max_panels:
+    while not rel < rel_tol:
+        if panels + 1 > max_panels or not math.isfinite(rel):
             raise QuadratureError(rel, rel_tol, panels)
         _, _, worst = heapq.heappop(heap)
         mid = 0.5 * (worst.lo + worst.hi)

@@ -1,14 +1,22 @@
 import json
+import math
 
 import pytest
 
 from hyp3.cli import main
 
 
+def _strict_loads(text):
+    """json.loads that rejects the non-standard Infinity/NaN literals."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
 def _run(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr().out
-    return rc, (json.loads(out) if out.strip() else None)
+    return rc, (_strict_loads(out) if out.strip() else None)
 
 
 def test_identities_pass_and_report(capsys):
@@ -53,6 +61,40 @@ def test_check_single_battery_member(capsys):
     assert op["case_report"]["case"] == "III"
     assert op["constant_coeff"]["decomposition_verdict"] == "unbounded"
     assert doc["pass"] is True
+
+
+def test_check_document_with_infinities_is_strict_json(tmp_path, capsys):
+    main(["check", "--battery", "triple_plus_dx", "--xi-min", "64", "--xi-max", "2048",
+          "--xi-steps", "6", "--out", str(tmp_path)])
+    capsys.readouterr()
+    doc = _strict_loads((tmp_path / "conditions.json").read_text())
+    rows = doc["operators"]["triple_plus_dx"]["constant_coeff"]["rows"]
+    assert [r["m_max"] for r in rows] == ["inf"] * 6
+
+
+def test_battery_full_writes_one_modes_document(tmp_path, monkeypatch, capsys):
+    from hyp3 import cli
+    from hyp3.battery import battery_member, battery_names
+    from hyp3.modes import GrowthFit
+
+    def fake_growth(op, ladder, direction, grid_points):
+        # every member meets its declaration except triple_plus_dxx
+        m = battery_member(op.name)
+        model = "polynomial" if op.name == "triple_plus_dxx" else m.expected_growth
+        return GrowthFit([], model, m.expected_kappa or 1.0, 1.0, 0.0, math.nan)
+
+    monkeypatch.setattr(cli, "cmd_check", lambda args: cli.EXIT_OK)
+    monkeypatch.setattr(cli, "growth_experiment", fake_growth)
+    gated = {n for n in battery_names(order=3) if battery_member(n).expected_growth}
+    assert len(gated) == 6
+    assert main(["battery", "--full", "--out", str(tmp_path)]) == 1
+    doc = _strict_loads((tmp_path / "modes.json").read_text())
+    assert set(doc["operators"]) == gated
+    # a member's mismatches are its own, even under a name it prefixes
+    assert doc["operators"]["triple_plus_dx"]["mismatches"] == []
+    assert len(doc["operators"]["triple_plus_dxx"]["mismatches"]) == 1
+    rc, doc = _run(capsys, "battery", "--full")  # one document on stdout
+    assert rc == 1 and set(doc["operators"]) == gated
 
 
 def test_check_operator_file(tmp_path, capsys):

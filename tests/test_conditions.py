@@ -14,7 +14,7 @@ from hyp3.conditions import (
     second_order_check,
     second_order_report,
 )
-from hyp3.errors import OperatorSpecError
+from hyp3.errors import OperatorSpecError, QuadratureError
 from hyp3.expr import parse_timefn as P
 from hyp3.operators import Operator2, Operator3
 
@@ -108,6 +108,15 @@ def test_quadrature_refinement_stability():
         assert abs(va - vb) <= 1e-6 * max(abs(vb), 1e-9)
 
 
+def test_quadrature_non_finite_integrand_is_an_error():
+    from hyp3.quadrature import INITIAL_PANELS, adaptive_gauss
+    with pytest.raises(QuadratureError) as exc:
+        adaptive_gauss(lambda t: [math.nan if t < 0.5 else 1.0, 1.0], 0.0, 1.0)
+    assert exc.value.panels == INITIAL_PANELS  # raised before any refinement
+    with pytest.raises(QuadratureError):
+        adaptive_gauss(lambda t: [math.inf if t < 0.5 else 1.0, 1.0], 0.0, 1.0)
+
+
 def test_scaling_covariance_of_levi_integrals():
     # constant principal part, time-dependent lower order: scaling the lower
     # order by kappa scales the order-2 integral by |kappa| and the order-1
@@ -149,6 +158,13 @@ def test_log_fit_bounded_integral_counts_as_logarithmic():
     assert log_fit(rows).verdict == "logarithmic"
 
 
+@pytest.mark.parametrize("cell, value", [(3, math.nan), (-1, math.inf)])
+def test_log_fit_non_finite_cell_is_inconclusive(cell, value):
+    rows = [(2.0 ** k, 5.0 * math.log1p(2.0 ** k)) for k in range(6, 15)]
+    rows[cell] = (rows[cell][0], value)
+    assert log_fit(rows).verdict == "inconclusive"
+
+
 def test_log_fit_insufficient_ladder():
     with pytest.raises(ValueError):
         log_fit([(64.0, 1.0)] * 4)
@@ -168,8 +184,8 @@ def test_equivalent_forms_zero_for_strict_constant():
 
 
 def test_equivalent_forms_surface():
-    from hyp3.conditions import ALTERNATE_KEYS, equivalent_forms
-    forms = equivalent_forms(TRIPLE_DX, np.array([256.0]))
+    from hyp3.conditions import ALTERNATE_KEYS
+    forms = condition_integrals(TRIPLE_DX, np.array([256.0])).alternates
     assert set(forms) == set(ALTERNATE_KEYS)
     assert forms["n_levi_crit"] > 0
 

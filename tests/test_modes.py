@@ -90,6 +90,15 @@ def test_energy_constant_strict_single_mode():
     assert np.all(tr.E > 0)
 
 
+def test_energy_weight_is_condition_integrand_sum_plus_log_xi():
+    from hyp3.conditions import _integrand_values
+    xi = 256.0
+    sol = solve_mode(STRICT_SIN, np.array([xi]), grid_points=64)
+    tr = energy_trace(STRICT_SIN, sol, eta=1.0)
+    for t, k in zip(sol.t, tr.K):
+        assert sum(_integrand_values(STRICT_SIN, float(t), sol.xi, False)) + math.log(xi) == k
+
+
 def test_energy_zero_solution():
     sol = solve_mode(WAVE, np.array([8.0]), init=(1, 0, 0), grid_points=128)
     sol.v[:] = 0

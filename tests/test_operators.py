@@ -47,7 +47,7 @@ def test_lower_symbols_constant_coefficients_have_zero_drift():
     assert all(c.d1 == 0 and c.d2 == 0 for c in m.coeffs)
     assert all(c.d1 == 0 for c in n.coeffs)
     s = m.at(1.7)
-    assert s.d_t == 0 and s.d_tt == 0
+    assert s.d_t == 0
 
 
 def test_lower_symbols_values():
@@ -204,7 +204,7 @@ def test_symbol_jets_linear_in_coefficients():
     scaled = {k: f"2.5*({v})" for k, v in base.items()}
     m1 = _op("a", base).lower_polys(0.6, np.array([3.0]))[0].at(1.1)
     m2 = _op("b", scaled).lower_polys(0.6, np.array([3.0]))[0].at(1.1)
-    for f in ("value", "d_t", "d_tt", "d_tau", "d_tau2", "d_t_d_tau"):
+    for f in ("value", "d_t", "d_tau"):
         assert abs(getattr(m2, f) - 2.5 * getattr(m1, f)) < 1e-12 * max(1, abs(getattr(m2, f)))
 
 
