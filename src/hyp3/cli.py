@@ -28,7 +28,7 @@ from .conditions import (
     pointwise_levi,
     second_order_report,
     PRIMARY_KEYS,
-    _integrand_values,
+    _primary_terms,
 )
 from .errors import (
     ExprError,
@@ -40,7 +40,7 @@ from .errors import (
 from .identities import run_algebraic_suite
 from .modes import calibrate_eta, energy_trace, growth_experiment, identity_residuals, solve_mode
 from .opfile import load_operator
-from .operators import Operator2, Operator3, hyperbolicity_scan
+from .operators import Operator2, Operator3, hyperbolicity_scan, symbol_grid
 
 TRAJECTORY_TOL = 1e-6
 
@@ -167,11 +167,12 @@ def _conditions_doc_one(op, member, args) -> tuple[dict, list[str]]:
                 mismatches.append(f"{op.name}: {key}: expected {want}, got {got}")
         if member.expected_case is not None and case.case != member.expected_case:
             mismatches.append(f"{op.name}: case: expected {member.expected_case}, got {case.case}")
-        if member.expected_decomposition is not None:
-            got = doc["constant_coeff"]["decomposition_verdict"]
-            if got != member.expected_decomposition:
-                mismatches.append(f"{op.name}: decomposition: expected "
-                                  f"{member.expected_decomposition}, got {got}")
+        for label, key, want in (("decomposition", "decomposition_verdict",
+                                  member.expected_decomposition),
+                                 ("forbidden zone", "im_verdict", member.expected_im)):
+            if want is not None and doc["constant_coeff"][key] != want:
+                mismatches.append(f"{op.name}: {label}: expected {want}, "
+                                  f"got {doc['constant_coeff'][key]}")
         band_fail = [k for k, b in rep.bands.items() if not b["stable"]]
         if band_fail:
             mismatches.append(f"{op.name}: unstable equivalence bands: {', '.join(band_fail)}")
@@ -190,11 +191,10 @@ def _write_condition_tables(op, args) -> None:
     ts = np.linspace(0.0, op.horizon, nt)
     lines = ["xi\tcondition\tt\tvalue"]
     for mag in ladder:
-        xi = mag * direction
-        for t in ts:
-            vals = _integrand_values(op, float(t), xi, False)
-            for key, v in zip(PRIMARY_KEYS, vals):
-                lines.append(f"{mag!r}\t{key}\t{float(t)!r}\t{float(v)!r}")
+        terms, _ = _primary_terms(symbol_grid(op, ts, mag * direction))
+        for i, t in enumerate(ts):
+            for key, v in zip(PRIMARY_KEYS, terms):
+                lines.append(f"{mag!r}\t{key}\t{float(t)!r}\t{float(v[i])!r}")
     (out / f"integrands_{op.name}.tsv").write_text("\n".join(lines) + "\n")
 
 
@@ -321,7 +321,7 @@ def cmd_identities(args) -> int:
             op = member.op
             xi = np.array([64.0] + [0.0] * (op.dim - 1))
             sol = solve_mode(op, xi, grid_points=4096)
-            res = identity_residuals(op, sol, eps=1.0 / 64.0)
+            res = identity_residuals(op, sol)
             doc["trajectory"][name] = {
                 k: {"max_residual": v, "tolerance": TRAJECTORY_TOL,
                     "pass": bool(v <= TRAJECTORY_TOL)}

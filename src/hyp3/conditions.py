@@ -24,18 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .cubic import (
-    _SS2,
-    _SS3,
-    delta1,
-    delta1_dt,
-    derivative_quadratic,
-    discriminant,
-    discriminant_dt,
-    solve_cubic_real,
-)
+from .cubic import _SS2, _SS3, delta1, delta1_dt, discriminant, discriminant_dt, solve_cubic_real
 from .errors import OperatorSpecError
-from .operators import Operator2, Operator3, TauPoly
+from .operators import Operator2, Operator3, Symbols, TauPoly, _symbols_at, symbol_grid
 from .quadrature import adaptive_gauss
 
 __all__ = [
@@ -87,12 +78,13 @@ def default_ladder(lo: float = 2.0 ** 6, hi: float = 2.0 ** 14, steps: int = 9) 
 # Per-cell integrand
 
 
-def _primary_terms(lam, ld1, ld2, mc: TauPoly, nc: TauPoly, mu, mu_d1):
-    """The six primary integrands (in ``PRIMARY_KEYS`` order) at one time,
-    from the auxiliary roots ``lam`` with their first two time derivatives
-    and the auxiliary critical points ``mu`` with their first; also returns
-    |corrected order-1 symbol| at the two ``mu``, which the energy envelope
-    reuses."""
+def _primary_terms(s: Symbols):
+    """The six primary integrands (in ``PRIMARY_KEYS`` order), at one time
+    or pointwise on a grid, from the auxiliary roots with their first two
+    time derivatives and the auxiliary critical points ``mu`` with their
+    first; also returns |corrected order-1 symbol| at the two ``mu``, which
+    the energy envelope reuses."""
+    lam, ld1, ld2, mc, nc, mu, mu_d1 = s.lam, s.lam_d1, s.lam_d2, s.mc, s.nc, s.mu, s.mu_d1
     sep = vel = 0.0
     for j, k in _SS2:
         sep += abs(ld1[j] - ld1[k]) / abs(lam[j] - lam[k])
@@ -110,30 +102,21 @@ def _primary_terms(lam, ld1, ld2, mc: TauPoly, nc: TauPoly, mu, mu_d1):
     for j in (0, 1):
         nv, ndot = nc.along_root(mu[j], mu_d1[j])
         n_drift += abs(ndot) / (abs(nv) + 1.0)
-        n_levi += math.sqrt(abs(nv) / mu_gap)
+        n_levi += np.sqrt(abs(nv) / mu_gap)
         n_abs.append(abs(nv))
     return [sep, vel, m_drift, n_drift, m_levi, n_levi], n_abs
 
 
-def _integrand_values(op: Operator3, t: float, xi: np.ndarray,
-                      with_alternates: bool) -> np.ndarray:
-    c = op.principal(t, xi)
-    lower = op.lower_polys(t, xi)
-    mc = op.checked_m_poly(t, xi, principal=c, lower=lower)
-    nc = op.checked_n_poly(t, xi, principal=c, lower=lower)
-    aux = op.auxiliary(t, xi, principal=c)
-    lam = aux.lam.roots.r
-    mu = aux.mu
-    out, _ = _primary_terms(lam, aux.lam.d1, aux.lam.d2, mc, nc, mu, aux.mu_d1)
-    if not with_alternates:
-        return np.array(out)
-
-    tau = solve_cubic_real(c).r
-    s1, s2, _, _ = derivative_quadratic(c)
+def _integrand_values(op: Operator3, t: float, xi: np.ndarray) -> np.ndarray:
+    """Every condition integrand, primary then alternate, at one time."""
+    s = _symbols_at(op, t, xi)
+    out, _ = _primary_terms(s)
+    c, mc, nc, tau, lam, mu = s.c, s.mc, s.nc, s.tau, s.lam, s.mu
+    s1, s2 = s.crit
     span_p1 = tau[2] - tau[0] + 1.0
     crit_gap_p1 = s2 - s1 + 1.0
     rms_p1 = math.sqrt(max(delta1(c), 0.0)) + 1.0
-    aux_rms = math.sqrt(max(delta1(aux.reg.cubic), 0.0))
+    aux_rms = math.sqrt(max(delta1(s.reg), 0.0))
     aux_span = lam[2] - lam[0]
 
     m_levi_roots = 0.0
@@ -188,7 +171,7 @@ def condition_integrals(op: Operator3, xi: np.ndarray, *, rel_tol: float = 1e-6)
     mag = float(np.linalg.norm(xi))
     if mag < 2.0:
         raise OperatorSpecError("condition integrals need |xi| >= 2")
-    res = adaptive_gauss(lambda t: _integrand_values(op, t, xi, True),
+    res = adaptive_gauss(lambda t: _integrand_values(op, t, xi),
                          0.0, op.horizon, rel_tol=rel_tol)
     vals = dict(zip(PRIMARY_KEYS, (float(x) for x in res.values[:len(PRIMARY_KEYS)])))
     alts = dict(zip(ALTERNATE_KEYS, (float(x) for x in res.values[len(PRIMARY_KEYS):])))
@@ -223,7 +206,7 @@ def log_fit(rows: Sequence[tuple[float, float]]) -> LogFit:
     if max(xs) / min(xs) < 8.0 * (1.0 - 1e-9):
         raise ValueError("log_fit needs the ladder to span at least 3 doublings")
     ratios = tuple(i / math.log1p(x) for x, i in rows)
-    slope = max(ratios)
+    slope = float(np.max(ratios))  # NaN if any ratio is NaN
     if not all(math.isfinite(r) for r in ratios):
         return LogFit(slope, ratios, "inconclusive")
     if slope < 1e-9:
@@ -306,22 +289,33 @@ def _poly_scale(poly: TauPoly, tau: float) -> float:
     return acc
 
 
-def _grid_sup(fn, ts, skip_floor: float = 1e-12):
-    """Supremum of num/den over grid points and branches. Branches where
-    both sides vanish (relative to their scales) are skipped; a vanishing
-    denominator against a live numerator is an immediate +inf."""
+def _guarded_ratio(num, den, tiny: float):
+    """Pointwise num / den for num, den >= 0. Where den vanishes (<= tiny)
+    the ratio is 0 if num vanishes too and +inf otherwise."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den <= tiny, np.where(num <= tiny, 0.0, math.inf), num / den)
+
+
+def _grid_sup(branches, skip_floor: float = 1e-12) -> float:
+    """Supremum of num/den over grid points and branches, each branch a
+    tuple (num, den, num scale, den scale) of arrays over the grid. Points
+    where both sides vanish (relative to their scales) are skipped; a
+    vanishing denominator against a live numerator makes the supremum +inf,
+    and a NaN ratio makes it NaN."""
     sup = 0.0
-    for t in ts:
-        for num, den, nscale, dscale in fn(float(t)):
-            if den <= skip_floor * dscale:
-                if num <= skip_floor * nscale:
-                    continue
-                return math.inf
-            sup = max(sup, num / den)
-    return sup
+    for num, den, nscale, dscale in branches:
+        num, den, nscale, dscale = np.broadcast_arrays(num, den, nscale, dscale)
+        dead = den <= skip_floor * dscale
+        if np.any(dead & ~(num <= skip_floor * nscale)):
+            return math.inf
+        with np.errstate(invalid="ignore"):
+            sup = np.max(num[~dead] / den[~dead], initial=sup)
+    return float(sup)
 
 
 def _sup_verdict(base_sups: list[float], fine_sups: list[float]) -> str:
+    if any(math.isnan(s) for s in base_sups + fine_sups):
+        return "inconclusive"
     if any(math.isinf(s) for s in base_sups + fine_sups):
         return "unbounded-trend"
     worst_ratio = max((f / b if b > 1e-12 else (math.inf if f > 1e-9 else 1.0))
@@ -337,6 +331,50 @@ def _sup_verdict(base_sups: list[float], fine_sups: list[float]) -> str:
     return "bounded"
 
 
+def _double_root(tau):
+    """(double root, simple root) of a near-double root triple, pointwise:
+    the closer pair is the double one."""
+    first = tau[1] - tau[0] <= tau[2] - tau[1]
+    return np.where(first, tau[0], tau[1]), np.where(first, tau[2], tau[0])
+
+
+def _sup_branches(case: str, g: Symbols, one_dim: bool):
+    """Yield (name, branches) for each grid-supremum check that applies to
+    degeneracy case I or II on the symbol grid ``g``; a branch is a tuple
+    (num, den, num scale, den scale) of arrays over the grid."""
+    c, mc, nc, tau, t = g.c, g.mc, g.nc, g.tau, g.t
+    s = c.coeff_scale()
+    if case == "II":
+        dbl, simple = _double_root(tau)
+        q, _rem = mc.divide_linear(dbl)
+        root_d1 = np.sqrt(np.maximum(delta1(c), 0.0))
+        rhs = root_d1 + _guarded_ratio(abs(delta1_dt(c)), 2.0 * root_d1, 0.0)
+        yield "quotient_disc_bound", [(abs(q[0] + q[1] * r), rhs, _poly_scale(mc, r), s)
+                                      for r in (dbl, simple)]
+        return
+
+    root_disc = np.sqrt(np.maximum(discriminant(c), 0.0))
+    rhs_m = root_disc + _guarded_ratio(abs(discriminant_dt(c)), 2.0 * root_disc, 0.0)
+    yield "m_disc_bound", [(abs(tau[k] - tau[l]) * abs(mc.value_at(tau[j])), rhs_m,
+                            (1.0 + abs(tau[k] - tau[l])) * _poly_scale(mc, tau[j]), s ** 2)
+                           for j, k, l in _SS3]
+    gap_sq = g.crit_gap_sq
+    gap = np.sqrt(np.maximum(gap_sq, 0.0))
+    dgap_sq = (8.0 / 9.0) * c.a1.v.real * c.a1.d1.real - (4.0 / 3.0) * c.a2.d1.real
+    rhs_n = gap + _guarded_ratio(dgap_sq ** 2, gap_sq ** 1.5, 0.0)
+    yield "n_disc_bound", [(abs(nc.value_at(x)), rhs_n, _poly_scale(nc, x), 1.0 + gap)
+                           for x in g.crit]
+    if one_dim:
+        yield "m_bound_n1", [
+            (abs(t) * abs(mc.value_at(tau[j])), abs(tau[j] - tau[k]) * abs(tau[j] - tau[l]),
+             (1.0 + abs(t)) * _poly_scale(mc, tau[j]),
+             (1.0 + abs(tau[j] - tau[k])) * (1.0 + abs(tau[j] - tau[l])))
+            for j, k, l in _SS3]
+        yield "n_bound_n1", [(t * t * abs(nc.value_at(x)), gap,
+                              (1.0 + t * t) * _poly_scale(nc, x), 1.0 + gap)
+                             for x in g.crit]
+
+
 def pointwise_levi(op: Operator3, ladder: Sequence[float] | None = None,
                    direction: np.ndarray | None = None, *, nt: int = 256,
                    refine: int = 4) -> CaseReport:
@@ -347,18 +385,12 @@ def pointwise_levi(op: Operator3, ladder: Sequence[float] | None = None,
     d = direction if direction is not None else np.eye(op.dim)[0]
     ts_base = np.linspace(0.0, op.horizon, nt)
     ts_fine = np.linspace(0.0, op.horizon, nt * refine)
+    base = [symbol_grid(op, ts_base, mag * d) for mag in ladder]
 
     # -- case classification: grid max of the two discriminants, relative to
     # their natural polynomial scales
-    disc_rel = 0.0
-    d1_rel = 0.0
-    for mag in ladder:
-        xi = mag * d
-        for t in ts_base:
-            c = op.principal(float(t), xi)
-            s = c.coeff_scale()
-            disc_rel = max(disc_rel, abs(discriminant(c)) / s ** 4)
-            d1_rel = max(d1_rel, abs(delta1(c)) / s ** 2)
+    disc_rel = max(float(np.max(abs(discriminant(g.c)) / g.c.coeff_scale() ** 4)) for g in base)
+    d1_rel = max(float(np.max(abs(delta1(g.c)) / g.c.coeff_scale() ** 2)) for g in base)
     dead_lo, dead_hi = 1e-10, 1e-7
     ambiguous = dead_lo <= disc_rel < dead_hi or dead_lo <= d1_rel < dead_hi
     disc_zero = disc_rel < dead_hi
@@ -366,100 +398,31 @@ def pointwise_levi(op: Operator3, ladder: Sequence[float] | None = None,
     case = "I" if not disc_zero else ("II" if not d1_zero else "III")
     report = CaseReport(case, ambiguous, disc_rel, d1_rel)
 
-    def run_check(name, make_fn, per_xi_scale=None):
-        base, fine = [], []
-        for mag in ladder:
-            xi = mag * d
-            fn = make_fn(xi)
-            base.append(_grid_sup(fn, ts_base))
-            fine.append(_grid_sup(fn, ts_fine))
-        report.checks[name] = {
-            "sup_base": base, "sup_fine": fine,
-            "verdict": _sup_verdict(base, fine),
-        }
+    if case == "III":  # a single clustered triple root everywhere
+        parts = []
+        for g in base:
+            r1 = -g.c.a1.v.real / 3.0
+            s = g.c.coeff_scale()
+            sj = g.mc.at(r1)
+            parts.append([float(np.max(abs(x) / s))
+                          for x in (sj.value, sj.d_tau, g.nc.value_at(r1))])
+        for i, nm in enumerate(("m_at_root", "dm_at_root", "n_at_root")):
+            vals = [row[i] for row in parts]
+            report.checks[f"triple_root_compat/{nm}"] = {
+                "max_rel": vals,
+                "verdict": "satisfied" if max(vals) < 1e-8 else "violated",
+            }
+        return report
 
-    if case == "I":
-        def m_disc_bound(xi):
-            def fn(t):
-                c = op.principal(t, xi)
-                mc = op.checked_m_poly(t, xi, principal=c)
-                tau = solve_cubic_real(c).r
-                disc = max(discriminant(c), 0.0)
-                root_disc = math.sqrt(disc)
-                ddt = discriminant_dt(c)
-                rhs = root_disc + (abs(ddt) / (2.0 * root_disc) if root_disc > 0 else
-                                   (0.0 if ddt == 0.0 else math.inf))
-                s = c.coeff_scale()
-                return [(abs(tau[k] - tau[l]) * abs(mc.value_at(tau[j])), rhs,
-                         (1.0 + abs(tau[k] - tau[l])) * _poly_scale(mc, tau[j]), s ** 2)
-                        for j, k, l in _SS3]
-            return fn
-        run_check("m_disc_bound", m_disc_bound)
-
-        def n_disc_bound(xi):
-            def fn(t):
-                c = op.principal(t, xi)
-                nc = op.checked_n_poly(t, xi, principal=c)
-                s1, s2, _, gap_sq = derivative_quadratic(c)
-                gap = math.sqrt(max(gap_sq, 0.0))
-                dgap_sq = (8.0 / 9.0) * c.a1.v.real * c.a1.d1.real \
-                    - (4.0 / 3.0) * c.a2.d1.real
-                rhs = gap + ((dgap_sq ** 2) / gap_sq ** 1.5 if gap_sq > 0 else
-                             (0.0 if dgap_sq == 0.0 else math.inf))
-                return [(abs(nc.value_at(s)), rhs, _poly_scale(nc, s), 1.0 + gap)
-                        for s in (s1, s2)]
-            return fn
-        run_check("n_disc_bound", n_disc_bound)
-
-        if op.dim == 1:
-            def m_bound_n1(xi):
-                def fn(t):
-                    c = op.principal(t, xi)
-                    mc = op.checked_m_poly(t, xi, principal=c)
-                    tau = solve_cubic_real(c).r
-                    out = []
-                    for j, k, l in _SS3:
-                        num = abs(t) * abs(mc.value_at(tau[j]))
-                        den = abs(tau[j] - tau[k]) * abs(tau[j] - tau[l])
-                        out.append((num, den, (1.0 + abs(t)) * _poly_scale(mc, tau[j]),
-                                    (1.0 + abs(tau[j] - tau[k])) * (1.0 + abs(tau[j] - tau[l]))))
-                    return out
-                return fn
-            run_check("m_bound_n1", m_bound_n1)
-
-            def n_bound_n1(xi):
-                def fn(t):
-                    c = op.principal(t, xi)
-                    nc = op.checked_n_poly(t, xi, principal=c)
-                    s1, s2, _, gap_sq = derivative_quadratic(c)
-                    gap = math.sqrt(max(gap_sq, 0.0))
-                    return [(t * t * abs(nc.value_at(s)), gap,
-                             (1.0 + t * t) * _poly_scale(nc, s), 1.0 + gap)
-                            for s in (s1, s2)]
-                return fn
-            run_check("n_bound_n1", n_bound_n1)
-
-    elif case == "II":
-        def double_pair(roots):
-            gaps = (roots[1] - roots[0], roots[2] - roots[1])
-            return (0, 1, 2) if gaps[0] <= gaps[1] else (1, 2, 0)
-
+    if case == "II":
         # the order-2 symbol must vanish on the double root, and so must the
         # remainder of its division by (tau - double root)
         vanish, rems = [], []
-        for mag in ladder:
-            xi = mag * d
-            worst_v = worst_r = 0.0
-            for t in ts_base:
-                c = op.principal(float(t), xi)
-                mc = op.checked_m_poly(float(t), xi, principal=c)
-                tau = solve_cubic_real(c).r
-                j = double_pair(tau)[0]
-                scale = _poly_scale(mc, tau[2] - tau[0])
-                worst_v = max(worst_v, abs(mc.value_at(tau[j])) / scale)
-                worst_r = max(worst_r, abs(mc.divide_linear(tau[j])[1]) / scale)
-            vanish.append(worst_v)
-            rems.append(worst_r)
+        for g in base:
+            dbl, _ = _double_root(g.tau)
+            scale = _poly_scale(g.mc, g.tau[2] - g.tau[0])
+            vanish.append(float(np.max(abs(g.mc.value_at(dbl)) / scale)))
+            rems.append(float(np.max(abs(g.mc.divide_linear(dbl)[1]) / scale)))
         report.checks["m_vanishes_on_double"] = {
             "max_rel": vanish,
             "verdict": "satisfied" if max(vanish) < 1e-6 else "violated",
@@ -469,47 +432,21 @@ def pointwise_levi(op: Operator3, ladder: Sequence[float] | None = None,
             "verdict": "bounded" if max(rems) < 1e-6 else "reported",
         }
 
-        def quotient_bound(xi):
-            def fn(t):
-                c = op.principal(t, xi)
-                mc = op.checked_m_poly(t, xi, principal=c)
-                tau = solve_cubic_real(c).r
-                j, _, simple = double_pair(tau)
-                q, _rem = mc.divide_linear(tau[j])
-                d1v = max(delta1(c), 0.0)
-                root_d1 = math.sqrt(d1v)
-                dd1 = delta1_dt(c)
-                rhs = root_d1 + (abs(dd1) / (2.0 * root_d1) if root_d1 > 0 else
-                                 (0.0 if dd1 == 0.0 else math.inf))
-                s = c.coeff_scale()
-                return [(abs(q[0] + q[1] * tau[k]), rhs,
-                         _poly_scale(mc, tau[k]), s) for k in (j, simple)]
-            return fn
-        run_check("quotient_disc_bound", quotient_bound)
+    def grid_sups(grids) -> dict[str, list[float]]:
+        sups: dict[str, list[float]] = {}
+        for g in grids:
+            for name, branches in _sup_branches(case, g, op.dim == 1):
+                sups.setdefault(name, []).append(_grid_sup(branches))
+        return sups
 
-    else:  # case III: a single clustered triple root everywhere
-        def charconst(xi):
-            sups = [0.0, 0.0, 0.0]
-            for t in ts_base:
-                c = op.principal(float(t), xi)
-                mc = op.checked_m_poly(float(t), xi, principal=c)
-                nc = op.checked_n_poly(float(t), xi, principal=c)
-                r1 = -c.a1.v.real / 3.0
-                s = c.coeff_scale()
-                sj = mc.at(r1)
-                sups[0] = max(sups[0], abs(sj.value) / s)
-                sups[1] = max(sups[1], abs(sj.d_tau) / s)
-                sups[2] = max(sups[2], abs(nc.value_at(r1)) / s)
-            return sups
-        parts = np.array([charconst(mag * d) for mag in ladder])
-        names = ("m_at_root", "dm_at_root", "n_at_root")
-        for i, nm in enumerate(names):
-            vals = [float(x) for x in parts[:, i]]
-            report.checks[f"triple_root_compat/{nm}"] = {
-                "max_rel": vals,
-                "verdict": "satisfied" if max(vals) < 1e-8 else "violated",
-            }
-
+    sup_base = grid_sups(base)
+    del base  # each fine grid is built, used and dropped in turn
+    sup_fine = grid_sups(symbol_grid(op, ts_fine, mag * d) for mag in ladder)
+    for name, b in sup_base.items():
+        report.checks[name] = {
+            "sup_base": b, "sup_fine": sup_fine[name],
+            "verdict": _sup_verdict(b, sup_fine[name]),
+        }
     return report
 
 
@@ -548,36 +485,20 @@ def constant_coeff_check(op: Operator3, ladder: Sequence[float] | None = None,
 
     rows = []
     for mag in ladder:
-        xi = mag * d
-        c = op.principal(t0, xi)
-        m, n, p = op.lower_polys(t0, xi)
-        tau = solve_cubic_real(c).r
-        s1, s2, _, _ = derivative_quadratic(c)
-        scale = c.coeff_scale()
-        tiny = 1e-12 * scale
-
-        ell = []
-        for j, k, l in _SS3:
-            den = (tau[j] - tau[k]) * (tau[j] - tau[l])
-            num = m.value_at(tau[j])
-            ell.append(math.inf if abs(den) <= tiny and abs(num) > tiny
-                       else (0.0 if abs(den) <= tiny else abs(num / den)))
-        msplit = []
-        for sa, sb in ((s1, s2), (s2, s1)):
-            den = sa - sb
-            num = n.value_at(sa)
-            msplit.append(math.inf if abs(den) <= tiny and abs(num) > tiny
-                          else (0.0 if abs(den) <= tiny else abs(num / den)))
-
-        roots = _roots_full_cubic(
-            complex(c.a1.v) + m.coeffs[2].v,
-            complex(c.a2.v) + m.coeffs[1].v + n.coeffs[1].v,
-            complex(c.a3.v) + m.coeffs[0].v + n.coeffs[0].v + p.v,
-        )
+        g = symbol_grid(op, [t0], mag * d)
+        c, m, n, tau, (s1, s2) = g.c, g.m, g.n, g.tau, g.crit
+        tiny = 1e-12 * c.coeff_scale()
+        ell = [_guarded_ratio(abs(m.value_at(tau[j])), abs((tau[j] - tau[k]) * (tau[j] - tau[l])),
+                              tiny) for j, k, l in _SS3]
+        msplit = [_guarded_ratio(abs(n.value_at(sa)), abs(sa - sb), tiny)
+                  for sa, sb in ((s1, s2), (s2, s1))]
+        full = (c.a1.v + m.coeffs[2].v, c.a2.v + m.coeffs[1].v + n.coeffs[1].v,
+                c.a3.v + m.coeffs[0].v + n.coeffs[0].v + g.p.v)
+        roots = _roots_full_cubic(*(complex(x[0]) for x in full))
         rows.append({
             "xi": mag,
-            "ell_max": max(ell),
-            "m_max": max(msplit),
+            "ell_max": float(np.max(ell)),
+            "m_max": float(np.max(msplit)),
             "im_sup": float(np.max(np.abs(roots.imag))),
         })
 
@@ -659,21 +580,11 @@ def oscillation_count(op: Operator3, xi: np.ndarray, target: str = "gap",
     """
     if target not in ("gap", "m_at_aux", "n_at_auxcrit"):
         raise ValueError(f"unknown oscillation target {target!r}")
-    ts = np.linspace(0.0, op.horizon, nt)
-    traces: dict[str, list[float]] = {}
-    for t in ts:
-        c = op.principal(float(t), xi)
-        aux = op.auxiliary(float(t), xi, principal=c)
-        lam = aux.lam.roots.r
-        if target == "gap":
-            for j, k in _SS2:
-                traces.setdefault(f"gap[{j}{k}]", []).append(abs(lam[j] - lam[k]))
-        elif target == "m_at_aux":
-            mc = op.checked_m_poly(float(t), xi, principal=c)
-            for j in range(3):
-                traces.setdefault(f"m_at_aux[{j}]", []).append(abs(mc.value_at(lam[j])))
-        else:
-            nc = op.checked_n_poly(float(t), xi, principal=c)
-            for j in (0, 1):
-                traces.setdefault(f"n_at_auxcrit[{j}]", []).append(abs(nc.value_at(aux.mu[j])))
-    return {name: _count_extrema(np.array(vals)) for name, vals in traces.items()}
+    g = symbol_grid(op, np.linspace(0.0, op.horizon, nt), xi)
+    if target == "gap":
+        traces = {f"gap[{j}{k}]": abs(g.lam[j] - g.lam[k]) for j, k in _SS2}
+    elif target == "m_at_aux":
+        traces = {f"m_at_aux[{j}]": abs(g.mc.value_at(g.lam[j])) for j in range(3)}
+    else:
+        traces = {f"n_at_auxcrit[{j}]": abs(g.nc.value_at(g.mu[j])) for j in (0, 1)}
+    return {name: _count_extrema(vals) for name, vals in traces.items()}

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import HyperbolicityViolation, NearMultipleRoot
 from .expr import Jet2
 
@@ -42,14 +44,18 @@ _SS3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 @dataclass(frozen=True)
 class CubicJet:
-    """Monic real cubic r^3 + a1 r^2 + a2 r + a3 with time-jet coefficients."""
+    """Monic real cubic r^3 + a1 r^2 + a2 r + a3 with time-jet coefficients.
+
+    The jets may hold arrays (one entry per grid point, see
+    :func:`hyp3.operators.symbol_grid`); every method then works pointwise.
+    """
 
     a1: Jet2
     a2: Jet2
     a3: Jet2
 
     def coeff_scale(self) -> float:
-        return 1.0 + max(abs(self.a1.v), abs(self.a2.v), abs(self.a3.v))
+        return 1.0 + np.maximum(np.maximum(abs(self.a1.v), abs(self.a2.v)), abs(self.a3.v))
 
     def value(self, r: float) -> float:
         return ((r + self.a1.v.real) * r + self.a2.v.real) * r + self.a3.v.real
@@ -220,30 +226,33 @@ def quad_root_jets(c: CubicJet, tol: float = HYPERBOLICITY_TOL):
     return (s1, s2), (out[0], out[1])
 
 
-def root_jets(c: CubicJet, roots: SortedRoots) -> RootJet:
-    """First and second root time-derivatives by implicit differentiation.
+def _simple_root_gap(r):
+    """Smallest gap of the ascending roots ``r`` and the simple-root
+    threshold it must exceed for :func:`_root_derivatives` to be defined.
+    ``r`` holds three floats, or three arrays (pointwise results)."""
+    rstar = 1.0 + np.maximum(np.maximum(abs(r[0]), abs(r[1])), abs(r[2]))
+    return np.minimum(r[1] - r[0], r[2] - r[1]), SIMPLE_ROOT_REL_GAP * rstar
 
-    d1[j] = -L_t / L_r at the root; d2[j] = psi / L_r^3 with
+
+def _root_derivatives(c: CubicJet, r):
+    """First and second time derivatives of the simple root ``r`` of ``c``
+    by implicit differentiation: d1 = -L_t / L_r and d2 = psi / L_r^3 with
     psi = 2 L_tr L_t L_r - L_rr L_t^2 - L_tt L_r^2, every coefficient
-    derivative drawn from the stored jets. Only defined while all pairwise
-    gaps exceed the simple-root threshold.
-    """
-    rstar = 1.0 + max(abs(x) for x in roots.r)
-    thr = SIMPLE_ROOT_REL_GAP * rstar
-    gaps = (roots.r[1] - roots.r[0], roots.r[2] - roots.r[1])
-    if min(gaps) <= thr:
-        raise NearMultipleRoot(min(gaps), thr)
+    derivative drawn from the stored jets. Works pointwise on arrays."""
+    l_r = c.dtau(r)
+    l_t = c.dt(r)
+    l_tt = c.dtt(r)
+    l_tr = 2.0 * c.a1.d1.real * r + c.a2.d1.real
+    l_rr = 6.0 * r + 2.0 * c.a1.v.real
+    psi = 2.0 * l_tr * l_t * l_r - l_rr * l_t * l_t - l_tt * l_r * l_r
+    return -l_t / l_r, psi / l_r ** 3
 
-    a1, a2 = c.a1, c.a2
-    d1 = []
-    d2 = []
-    for r in roots.r:
-        l_r = c.dtau(r)
-        l_t = c.dt(r)
-        l_tt = c.dtt(r)
-        l_tr = 2.0 * a1.d1.real * r + a2.d1.real
-        l_rr = 6.0 * r + 2.0 * a1.v.real
-        d1.append(-l_t / l_r)
-        psi = 2.0 * l_tr * l_t * l_r - l_rr * l_t * l_t - l_tt * l_r * l_r
-        d2.append(psi / l_r ** 3)
-    return RootJet(roots, tuple(d1), tuple(d2))
+
+def root_jets(c: CubicJet, roots: SortedRoots) -> RootJet:
+    """First and second root time-derivatives (:func:`_root_derivatives`);
+    only defined while all pairwise gaps exceed the simple-root threshold."""
+    gap, thr = _simple_root_gap(roots.r)
+    if gap <= thr:
+        raise NearMultipleRoot(float(gap), float(thr))
+    d1, d2 = zip(*(_root_derivatives(c, r) for r in roots.r))
+    return RootJet(roots, d1, d2)

@@ -81,7 +81,8 @@ Node = Union[Num, Imag, TimeVar, BinOp, Pow, Call]
 
 @dataclass(frozen=True)
 class Jet2:
-    """Value and first two time derivatives at a point.
+    """Value and first two time derivatives at a point (arrays of them, one
+    entry per time, on a :func:`hyp3.operators.symbol_grid`).
 
     ``d3`` is populated for principal-part coefficients, whose third
     derivative feeds the time derivative of the corrected first-order

@@ -18,9 +18,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .conditions import _primary_terms
-from .errors import NearMultipleRoot
-from .operators import Operator3, regularized_cubic
-from .cubic import _SS2, quad_root_jets, root_jets, solve_cubic_real
+from .cubic import _SS2, _root_derivatives, _simple_root_gap
+from .cubic import solve_cubic_real  # noqa: F401  (a binding perfbench/tests checks)
+from .operators import Operator3, Symbols, symbol_grid
 
 __all__ = [
     "ModeSolution",
@@ -145,7 +145,6 @@ class FactorTraces:
     """First-order factors, their symmetrized pair/triple combinations, and
     the symmetric-function data of the (regularized) roots on the grid."""
 
-    eps: float
     tau: np.ndarray      # (3, N) regularized roots
     tau_d1: np.ndarray
     tau_d2: np.ndarray
@@ -156,36 +155,29 @@ class FactorTraces:
     mask: np.ndarray     # grid points with valid root jets
 
 
-def factor_apply(op: Operator3, sol: ModeSolution, eps: float) -> FactorTraces:
-    """Apply the factor operators along the trajectory.
+def factor_apply(op: Operator3, sol: ModeSolution) -> FactorTraces:
+    """Apply the factor operators of the unit-regularized roots along the
+    trajectory; those roots are uniformly separated, so the mask is
+    everywhere true."""
+    return _regularized_factors(symbol_grid(op, sol.t, sol.xi), sol)
 
-    With ``eps > 0`` the regularized roots are uniformly separated and the
-    mask is everywhere true; with ``eps = 0`` grid points where the plain
-    roots nearly collide are masked out (their jets are not defined).
-    """
-    n = len(sol.t)
-    tau = np.empty((3, n))
-    d1 = np.full((3, n), np.nan)
-    d2 = np.full((3, n), np.nan)
-    mask = np.ones(n, dtype=bool)
-    for i, t in enumerate(sol.t):
-        c = op.principal(float(t), sol.xi)
-        if eps > 0:
-            reg = op.regularized(float(t), sol.xi, eps, principal=c)
-            rj = reg.roots
-            tau[:, i] = rj.roots.r
-            d1[:, i] = rj.d1
-            d2[:, i] = rj.d2
-        else:
-            roots = solve_cubic_real(c)
-            tau[:, i] = roots.r
-            try:
-                rj = root_jets(c, roots)
-                d1[:, i] = rj.d1
-                d2[:, i] = rj.d2
-            except NearMultipleRoot:
-                mask[i] = False
 
+def _regularized_factors(g: Symbols, sol: ModeSolution) -> FactorTraces:
+    return _factor_traces(sol, g.lam, g.lam_d1, g.lam_d2, np.ones(len(sol.t), dtype=bool))
+
+
+def _plain_factors(g: Symbols, sol: ModeSolution) -> FactorTraces:
+    """Factor traces of the plain roots. Grid points where they nearly
+    collide are masked out: their jets are not defined."""
+    gap, thr = _simple_root_gap(g.tau)
+    mask = ~(gap <= thr)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d1, d2 = (np.where(mask, np.array(d), np.nan)
+                  for d in zip(*(_root_derivatives(g.c, r) for r in g.tau)))
+    return _factor_traces(sol, g.tau, d1, d2, mask)
+
+
+def _factor_traces(sol: ModeSolution, tau, d1, d2, mask) -> FactorTraces:
     v, v1, v2, v3 = sol.v, sol.v1, sol.v2, sol.v3
     lv = np.array([v1 - 1j * tau[j] * v for j in range(3)])
     pair = {}
@@ -204,7 +196,7 @@ def factor_apply(op: Operator3, sol: ModeSolution, eps: float) -> FactorTraces:
              + d1[2] * tau[0] + tau[2] * d1[0])
     triple = (v3 - 1j * e1 * v2 - (e2 + 1j * e1_d1) * v1
               + (1j * e3 - 0.5 * e2_d1 - (1j / 3.0) * e1_d2) * v)
-    return FactorTraces(eps, tau, d1, d2, lv, pair, pair_sym, triple, mask)
+    return FactorTraces(tau, d1, d2, lv, pair, pair_sym, triple, mask)
 
 
 def _compose_pair(ft: FactorTraces, sol: ModeSolution, j: int, h: int) -> np.ndarray:
@@ -235,12 +227,13 @@ def _rel_residual(res: np.ndarray, scale: np.ndarray, mask: np.ndarray) -> float
     return float(np.max(np.abs(res[good])) / max(float(np.max(np.abs(scale[good]))), 1e-300))
 
 
-def identity_residuals(op: Operator3, sol: ModeSolution, eps: float) -> dict[str, float]:
+def identity_residuals(op: Operator3, sol: ModeSolution) -> dict[str, float]:
     """Relative residuals of the factorization identities along one
     trajectory; compositions go through finite differences, the right-hand
     sides through root jets and symbol jets (independent routes)."""
-    ft = factor_apply(op, sol, eps)
-    ft0 = factor_apply(op, sol, 0.0)
+    g = symbol_grid(op, sol.t, sol.xi)
+    ft = _regularized_factors(g, sol)
+    ft0 = _plain_factors(g, sol)
     n = len(sol.t)
     interior = np.zeros(n, dtype=bool)
     interior[4:-4] = True  # two FD layers
@@ -265,12 +258,12 @@ def identity_residuals(op: Operator3, sol: ModeSolution, eps: float) -> dict[str
     out["triple_commutator"] = _rel_residual(lhs - rhs, ft.triple, interior)
 
     # regularized-shift identity: the eps-triple exceeds the plain triple by
-    # exactly 2 eps^2 |xi|^2 times the sum of the eps-factors (the shift acts
-    # with a + in the factor-operator world: substituting the imaginary root
-    # convention flips the sign of the second root-variable derivative)
-    e2xi2 = (eps * float(np.linalg.norm(sol.xi))) ** 2
-    shift = ft.triple - ft0.triple - 2.0 * e2xi2 * ft.lv.sum(axis=0)
-    scale = np.abs(ft.triple) + 2.0 * e2xi2 * np.abs(ft.lv).sum(axis=0) + np.abs(ft0.triple)
+    # exactly 2 eps^2 |xi|^2 (= 2 for the unit regularization) times the sum
+    # of the eps-factors (the shift acts with a + in the factor-operator
+    # world: substituting the imaginary root convention flips the sign of
+    # the second root-variable derivative)
+    shift = ft.triple - ft0.triple - 2.0 * ft.lv.sum(axis=0)
+    scale = np.abs(ft.triple) + 2.0 * np.abs(ft.lv).sum(axis=0) + np.abs(ft0.triple)
     out["reg_vs_plain_factor"] = _rel_residual(shift, scale, interior & ft0.mask)
 
     # symmetrized plain triple vs the symbol route
@@ -279,28 +272,18 @@ def identity_residuals(op: Operator3, sol: ModeSolution, eps: float) -> dict[str
     for p in perms:
         avg += _compose_triple(ft0, sol, *p)
     avg /= 6.0
-    sym = np.zeros(n, dtype=complex)
-    m_tilde = np.zeros(n, dtype=complex)
-    n_check = np.zeros(n, dtype=complex)
-    raw = np.zeros(n, dtype=complex)
-    pv = np.zeros(n, dtype=complex)
-    for i, t in enumerate(sol.t):
-        c = op.principal(float(t), sol.xi)
-        lower = op.lower_polys(float(t), sol.xi)
-        mc = op.checked_m_poly(float(t), sol.xi, principal=c, lower=lower)
-        nc = op.checked_n_poly(float(t), sol.xi, principal=c, lower=lower)
-        derivs = (v[i], v1[i], v2[i], v3[i])
-        sym[i] = (_apply_symbol((c.a3.v, c.a2.v, c.a1.v, 1.0), 3, derivs)
-                  + 0.5 * _apply_symbol((c.a2.d1, 2.0 * c.a1.d1), 2, derivs)
-                  + (1.0 / 6.0) * _apply_symbol((2.0 * c.a1.d2,), 1, derivs))
-        m_tilde[i] = (_apply_symbol(mc.values(), 2, derivs)
-                      + 0.5 * _apply_symbol((mc.coeffs[1].d1, 2.0 * mc.coeffs[2].d1), 1, derivs))
-        n_check[i] = _apply_symbol(nc.values(), 1, derivs)
-        mp, npoly, p = lower
-        raw[i] = (_apply_symbol((c.a3.v, c.a2.v, c.a1.v, 1.0), 3, derivs)
-                  + _apply_symbol(mp.values(), 2, derivs)
-                  + _apply_symbol(npoly.values(), 1, derivs))
-        pv[i] = p.v * v[i]
+    c, mc, nc = g.c, g.mc, g.nc
+    derivs = (v, v1, v2, v3)
+    sym = (_apply_symbol((c.a3.v, c.a2.v, c.a1.v, 1.0), 3, derivs)
+           + 0.5 * _apply_symbol((c.a2.d1, 2.0 * c.a1.d1), 2, derivs)
+           + (1.0 / 6.0) * _apply_symbol((2.0 * c.a1.d2,), 1, derivs))
+    m_tilde = (_apply_symbol(mc.values(), 2, derivs)
+               + 0.5 * _apply_symbol((mc.coeffs[1].d1, 2.0 * mc.coeffs[2].d1), 1, derivs))
+    n_check = _apply_symbol(nc.values(), 1, derivs)
+    raw = (_apply_symbol((c.a3.v, c.a2.v, c.a1.v, 1.0), 3, derivs)
+           + _apply_symbol(g.m.values(), 2, derivs)
+           + _apply_symbol(g.n.values(), 1, derivs))
+    pv = g.p.v * v
     out["factor_avg_vs_symbols"] = _rel_residual(avg - sym, sym, interior & ft0.mask)
 
     # the assembled full operator may vanish identically (zero forcing, zero
@@ -345,32 +328,15 @@ class EnergyTrace:
 def _energy_weights(op: Operator3, sol: ModeSolution):
     """Per-grid-point weight integrand K, envelope H, and the squared
     component groups of the energy."""
-    n = len(sol.t)
-    xi_mag = float(np.linalg.norm(sol.xi))
-    eps = 1.0 / xi_mag
-    K = np.empty(n)
-    H = np.empty(n)
-    pair_sq = np.empty(n)
-    factor_sq = np.empty(n)
-    logxi = math.log(xi_mag)
-
-    ft = factor_apply(op, sol, eps)
-    for i, t in enumerate(sol.t):
-        tf = float(t)
-        c = op.principal(tf, sol.xi)
-        lower = op.lower_polys(tf, sol.xi)
-        mc = op.checked_m_poly(tf, sol.xi, principal=c, lower=lower)
-        nc = op.checked_n_poly(tf, sol.xi, principal=c, lower=lower)
-        sig, sig_d1 = quad_root_jets(regularized_cubic(c, 1.0))
-        terms, n_abs = _primary_terms(ft.tau[:, i], ft.tau_d1[:, i], ft.tau_d2[:, i],
-                                      mc, nc, sig, sig_d1)
-        sgap = sig[1] - sig[0]
-        # K is the sum of the six condition integrands plus log|xi|
-        K[i] = sum(terms) + logxi
-        H[i] = 1.0 + terms[0] + terms[4] + sum(math.sqrt((a + 1.0) / sgap) for a in n_abs)
-
-        pair_sq[i] = sum(abs(ft.pair_sym[(j, h)][i]) ** 2 for j, h in _SS2)
-        factor_sq[i] = sum(abs(ft.lv[j][i]) ** 2 for j in range(3))
+    g = symbol_grid(op, sol.t, sol.xi)
+    ft = _regularized_factors(g, sol)
+    terms, n_abs = _primary_terms(g)
+    sgap = g.mu[1] - g.mu[0]
+    # K is the sum of the six condition integrands plus log|xi|
+    K = sum(terms) + math.log(float(np.linalg.norm(sol.xi)))
+    H = 1.0 + terms[0] + terms[4] + sum(np.sqrt((a + 1.0) / sgap) for a in n_abs)
+    pair_sq = sum(np.abs(ft.pair_sym[p]) ** 2 for p in _SS2)
+    factor_sq = sum(np.abs(ft.lv[j]) ** 2 for j in range(3))
     return K, H, pair_sq, factor_sq
 
 

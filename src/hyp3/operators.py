@@ -16,7 +16,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .cubic import CubicJet, RootJet, quad_root_jets, root_jets, solve_cubic_real
+from .cubic import (CubicJet, RootJet, derivative_quadratic, quad_root_jets, root_jets,
+                    solve_cubic_real)
 from .errors import HyperbolicityViolation, OperatorSpecError
 from .expr import Jet2, TimeFn
 
@@ -27,6 +28,8 @@ __all__ = [
     "SymbolJet",
     "RegularizedCubic",
     "AuxiliaryRoots",
+    "Symbols",
+    "symbol_grid",
     "validation_ladder",
     "directions",
     "measure_separation",
@@ -85,7 +88,8 @@ class SymbolJet:
 class TauPoly:
     """Polynomial in the root variable, coefficients ascending, each a time
     jet; ``order`` is the homogeneous symbol order (tau-power j pairs with
-    ``i^(order-j)`` on mode-equation assembly)."""
+    ``i^(order-j)`` on mode-equation assembly). With array jets (a
+    :func:`symbol_grid`) every method works pointwise."""
 
     coeffs: tuple[Jet2, ...]
     order: int
@@ -138,6 +142,28 @@ def _shift2_weak(j: Jet2) -> Jet2:
 def regularized_cubic(c: CubicJet, e2: float) -> CubicJet:
     """Coefficient jets of the shifted cubic L - e2 * d_tau^2 L."""
     return CubicJet(c.a1, c.a2.plus_const(-6.0 * e2), c.a3 - c.a1.scaled(2.0 * e2))
+
+
+def _corrected(c: CubicJet, m: TauPoly, n: TauPoly) -> tuple[TauPoly, TauPoly]:
+    """The order-2 symbol minus half the mixed (t, tau) derivative of the
+    principal symbol, and the order-1 symbol corrected by the order-2 and
+    principal drifts."""
+    mc = TauPoly((m.coeffs[0] - c.a2.shifted().scaled(0.5),
+                  m.coeffs[1] - c.a1.shifted(), m.coeffs[2]), 2)
+    nc = TauPoly((n.coeffs[0] - m.coeffs[1].shifted().scaled(0.5)
+                  + _shift2_weak(c.a1).scaled(1.0 / 6.0),
+                  n.coeffs[1] - m.coeffs[2].shifted()), 1)
+    return mc, nc
+
+
+def _unit_regularized(c: CubicJet):
+    """The unit-regularized cubic L - d_tau^2 L (eps |xi| = 1), the jets of
+    its roots, and its critical points with their first time derivatives.
+    Pairwise gaps are bounded below uniformly in (t, xi)."""
+    reg = regularized_cubic(c, 1.0)
+    lam = root_jets(reg, solve_cubic_real(reg))
+    mu, mu_d1 = quad_root_jets(reg)
+    return reg, lam, mu, mu_d1
 
 
 # --------------------------------------------------------------------------
@@ -229,54 +255,28 @@ class Operator3:
 
     # -- corrected symbols ----------------------------------------------------
 
-    def checked_m_poly(self, t: float, xi: np.ndarray,
-                       principal: CubicJet | None = None,
-                       lower: tuple[TauPoly, TauPoly, Jet2] | None = None) -> TauPoly:
+    def checked_m_poly(self, t: float, xi: np.ndarray) -> TauPoly:
         """Order-2 symbol minus half the mixed (t, tau) derivative of the
         principal symbol."""
-        c = principal if principal is not None else self.principal(t, xi)
-        m = (lower if lower is not None else self.lower_polys(t, xi))[0]
-        c0 = m.coeffs[0] - c.a2.shifted().scaled(0.5)
-        c1 = m.coeffs[1] - c.a1.shifted()
-        return TauPoly((c0, c1, m.coeffs[2]), 2)
+        return _corrected(self.principal(t, xi), *self.lower_polys(t, xi)[:2])[0]
 
-    def checked_n_poly(self, t: float, xi: np.ndarray,
-                       principal: CubicJet | None = None,
-                       lower: tuple[TauPoly, TauPoly, Jet2] | None = None) -> TauPoly:
+    def checked_n_poly(self, t: float, xi: np.ndarray) -> TauPoly:
         """Order-1 symbol corrected by the order-2 and principal drifts."""
-        c = principal if principal is not None else self.principal(t, xi)
-        m, n, _ = lower if lower is not None else self.lower_polys(t, xi)
-        n0 = n.coeffs[0] - m.coeffs[1].shifted().scaled(0.5) \
-            + _shift2_weak(c.a1).scaled(1.0 / 6.0)
-        n1 = n.coeffs[1] - m.coeffs[2].shifted()
-        return TauPoly((n0, n1), 1)
+        return _corrected(self.principal(t, xi), *self.lower_polys(t, xi)[:2])[1]
 
     # -- regularization --------------------------------------------------------
 
-    def regularized(self, t: float, xi: np.ndarray, eps: float,
-                    principal: CubicJet | None = None,
-                    with_jets: bool = True) -> "RegularizedCubic":
+    def regularized(self, t: float, xi: np.ndarray, eps: float) -> "RegularizedCubic":
         """Principal cubic minus (eps |xi|)^2 times its second root-variable
         derivative; roots are uniformly separated simple perturbations."""
-        c = principal if principal is not None else self.principal(t, xi)
         e2 = (eps * float(np.linalg.norm(xi))) ** 2
-        reg = regularized_cubic(c, e2)
-        roots = solve_cubic_real(reg)
-        if with_jets:
-            jets = root_jets(reg, roots)
-        else:
-            jets = RootJet(roots, (_NAN,) * 3, (_NAN,) * 3)
-        return RegularizedCubic(reg, jets)
+        reg = regularized_cubic(self.principal(t, xi), e2)
+        return RegularizedCubic(reg, root_jets(reg, solve_cubic_real(reg)))
 
-    def auxiliary(self, t: float, xi: np.ndarray,
-                  principal: CubicJet | None = None) -> "AuxiliaryRoots":
+    def auxiliary(self, t: float, xi: np.ndarray) -> "AuxiliaryRoots":
         """Roots of the unit-regularized cubic and of its derivative
-        quadratic, with first (and for the cubic, second) time derivatives.
-        Pairwise gaps are bounded below uniformly in (t, xi)."""
-        eps = 1.0 / float(np.linalg.norm(xi))
-        reg = self.regularized(t, xi, eps, principal=principal)
-        mu, mu_d1 = quad_root_jets(reg.cubic)
-        return AuxiliaryRoots(reg, reg.roots, mu, mu_d1)
+        quadratic, with first (and for the cubic, second) time derivatives."""
+        return AuxiliaryRoots(*_unit_regularized(self.principal(t, xi)))
 
 
 @dataclass(frozen=True)
@@ -287,10 +287,101 @@ class RegularizedCubic:
 
 @dataclass(frozen=True)
 class AuxiliaryRoots:
-    reg: RegularizedCubic
+    reg: CubicJet
     lam: RootJet
     mu: tuple[float, float]
     mu_d1: tuple[float, float]
+
+
+# --------------------------------------------------------------------------
+# Symbols on a time grid
+
+
+@dataclass
+class Symbols:
+    """Every symbol the diagnostics read, at one frequency: at one time
+    (scalar fields) or on a time grid (:func:`symbol_grid`: array fields,
+    root fields of shape (k, N))."""
+
+    t: float
+    c: CubicJet          # principal cubic
+    m: TauPoly           # order-2 symbol
+    n: TauPoly           # order-1 symbol
+    p: Jet2              # zeroth-order coefficient
+    mc: TauPoly          # corrected order-2 symbol
+    nc: TauPoly          # corrected order-1 symbol
+    reg: CubicJet        # unit-regularized cubic
+    tau: tuple           # sorted roots of c
+    crit: tuple          # critical points s1 <= s2 of c
+    crit_gap_sq: float   # (s2 - s1)^2, from the derivative discriminant
+    lam: tuple           # sorted roots of reg and their first two time derivatives
+    lam_d1: tuple
+    lam_d2: tuple
+    mu: tuple            # critical points of reg and their first time derivatives
+    mu_d1: tuple
+
+
+def _symbols_at(op: Operator3, t: float, xi: np.ndarray) -> Symbols:
+    """The symbols at one time: each coefficient jet is evaluated once, and
+    the principal, lower, corrected and root data all derive from it."""
+    c = op.principal(t, xi)
+    m, n, p = op.lower_polys(t, xi)
+    mc, nc = _corrected(c, m, n)
+    reg, lam, mu, mu_d1 = _unit_regularized(c)
+    tau = solve_cubic_real(c).r
+    s1, s2, _, gap_sq = derivative_quadratic(c)
+    return Symbols(t, c, m, n, p, mc, nc, reg, tau, (s1, s2), gap_sq,
+                   lam.roots.r, lam.d1, lam.d2, mu, mu_d1)
+
+
+def _column(s: Symbols) -> list:
+    """The scalars of one point's symbols, in :class:`Symbols` field order
+    (each jet as value, d1, d2); :func:`_stacked` reads them back."""
+    jets = (s.c.a1, s.c.a2, s.c.a3, *s.m.coeffs, *s.n.coeffs, s.p, *s.mc.coeffs,
+            *s.nc.coeffs, s.reg.a1, s.reg.a2, s.reg.a3)
+    return ([x for j in jets for x in (j.v, j.d1, j.d2)]
+            + [*s.tau, *s.crit, s.crit_gap_sq, *s.lam, *s.lam_d1, *s.lam_d2, *s.mu, *s.mu_d1])
+
+
+def _stacked(ts: np.ndarray, buf: np.ndarray) -> Symbols:
+    """:class:`Symbols` over views of ``buf``, whose columns are
+    :func:`_column` lists; a jet row that is real everywhere comes out real."""
+    pos = 0
+
+    def take(k):
+        nonlocal pos
+        pos += k
+        return buf[pos - k:pos]
+
+    def jets(k):
+        return tuple(Jet2(*(r if r.imag.any() else r.real for r in take(3))) for _ in range(k))
+
+    c = CubicJet(*jets(3))
+    m, n, (p,) = TauPoly(jets(3), 2), TauPoly(jets(2), 1), jets(1)
+    mc, nc = TauPoly(jets(3), 2), TauPoly(jets(2), 1)
+    reg = CubicJet(*jets(3))
+    tau, crit, gap_sq = take(3).real, take(2).real, take(1)[0].real
+    lam, lam_d1, lam_d2 = take(3).real, take(3).real, take(3).real
+    mu, mu_d1 = take(2).real, take(2).real
+    return Symbols(ts, c, m, n, p, mc, nc, reg, tau, crit, gap_sq,
+                   lam, lam_d1, lam_d2, mu, mu_d1)
+
+
+def symbol_grid(op: Operator3, ts, xi: np.ndarray) -> Symbols:
+    """The symbols at every time of ``ts`` at frequency ``xi``: one
+    :func:`_symbols_at` per point, its scalars written into one
+    preallocated array as the loop runs."""
+    ts = np.asarray(ts, dtype=float)
+    if ts.size == 0:
+        raise ValueError("symbol_grid needs at least one time")
+    dtype = complex if any(fn.has_imag for fn in op.coeffs.values()) else float
+    buf = None
+    for i, t in enumerate(ts):
+        col = _column(_symbols_at(op, float(t), xi))
+        if buf is None:
+            buf = np.empty((len(col), len(ts)), dtype=dtype)
+        buf[:, i] = col
+    return _stacked(ts, buf)
 
 
 # --------------------------------------------------------------------------
@@ -375,15 +466,7 @@ def measure_separation(op: Operator3, ladder: Sequence[float] | None = None,
     ts = np.linspace(0.0, op.horizon, nt)
     rows = []
     for mag in ladder:
-        xi = mag * d
-        min_gap = math.inf
-        max_shift = 0.0
-        for t in ts:
-            c = op.principal(float(t), xi)
-            plain = solve_cubic_real(c)
-            reg = op.regularized(float(t), xi, 1.0 / mag, principal=c, with_jets=False)
-            rr = reg.roots.roots.r
-            min_gap = min(min_gap, rr[1] - rr[0], rr[2] - rr[1])
-            max_shift = max(max_shift, max(abs(a - b) for a, b in zip(rr, plain.r)))
-        rows.append({"xi": mag, "min_gap": min_gap, "max_shift": max_shift})
+        g = symbol_grid(op, ts, mag * d)
+        rows.append({"xi": mag, "min_gap": float(np.min(np.diff(g.lam, axis=0))),
+                     "max_shift": float(np.max(np.abs(g.lam - g.tau)))})
     return rows

@@ -54,15 +54,13 @@ def _panel(f: Callable[[float], np.ndarray], lo: float, hi: float) -> np.ndarray
 class _Interval:
     __slots__ = ("lo", "hi", "fine_l", "fine_r", "err")
 
-    def __init__(self, f, lo: float, hi: float, coarse: np.ndarray | None = None):
+    def __init__(self, lo: float, hi: float, fine_l: np.ndarray, fine_r: np.ndarray,
+                 err: np.ndarray):
         self.lo = lo
         self.hi = hi
-        if coarse is None:
-            coarse = _panel(f, lo, hi)
-        mid = 0.5 * (lo + hi)
-        self.fine_l = _panel(f, lo, mid)
-        self.fine_r = _panel(f, mid, hi)
-        self.err = np.abs(self.fine_l + self.fine_r - coarse)
+        self.fine_l = fine_l
+        self.fine_r = fine_r
+        self.err = err
 
     @property
     def fine(self) -> np.ndarray:
@@ -79,9 +77,22 @@ def adaptive_gauss(f: Callable[[float], np.ndarray], a: float, b: float, *,
     cap is hit first, and at once when an integrand value is not finite,
     since refinement cannot remove it.
     """
+    panels = INITIAL_PANELS
+
+    def interval(lo: float, hi: float, coarse: np.ndarray | None = None) -> _Interval:
+        """Both halves of [lo, hi] and their error indicator against the
+        whole; non-finite values end the run before the indicator is formed."""
+        if coarse is None:
+            coarse = _panel(f, lo, hi)
+        mid = 0.5 * (lo + hi)
+        fine_l = _panel(f, lo, mid)
+        fine_r = _panel(f, mid, hi)
+        if not np.isfinite([coarse, fine_l, fine_r]).all():
+            raise QuadratureError(math.nan, rel_tol, panels)
+        return _Interval(lo, hi, fine_l, fine_r, np.abs(fine_l + fine_r - coarse))
+
     width = (b - a) / INITIAL_PANELS
-    intervals = [_Interval(f, a + k * width, a + (k + 1) * width)
-                 for k in range(INITIAL_PANELS)]
+    intervals = [interval(a + k * width, a + (k + 1) * width) for k in range(INITIAL_PANELS)]
 
     counter = itertools.count()  # tie-breaker: the heap never compares intervals
 
@@ -94,7 +105,6 @@ def adaptive_gauss(f: Callable[[float], np.ndarray], a: float, b: float, *,
 
     heap = [(-indicator(iv), next(counter), iv) for iv in intervals]
     heapq.heapify(heap)
-    panels = len(intervals)
 
     def achieved():
         scale = np.maximum(np.abs(total), 1e-12)
@@ -106,8 +116,7 @@ def adaptive_gauss(f: Callable[[float], np.ndarray], a: float, b: float, *,
             raise QuadratureError(rel, rel_tol, panels)
         _, _, worst = heapq.heappop(heap)
         mid = 0.5 * (worst.lo + worst.hi)
-        kids = (_Interval(f, worst.lo, mid, coarse=worst.fine_l),
-                _Interval(f, mid, worst.hi, coarse=worst.fine_r))
+        kids = (interval(worst.lo, mid, worst.fine_l), interval(mid, worst.hi, worst.fine_r))
         total = total - worst.fine + kids[0].fine + kids[1].fine
         err_sum = err_sum - worst.err + kids[0].err + kids[1].err
         for kid in kids:

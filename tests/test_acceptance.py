@@ -111,7 +111,7 @@ def test_criterion_03_operator_identities_on_trajectories():
         op = BATTERY[name].op
         xi = 64.0
         sol = solve_mode(op, np.array([xi]), grid_points=4096)
-        res = identity_residuals(op, sol, eps=1.0 / xi)
+        res = identity_residuals(op, sol)
         for key, val in res.items():
             if not val < 1e-6:
                 ok = False

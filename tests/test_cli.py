@@ -183,3 +183,17 @@ def test_version_runs():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_battery_gate_compares_forbidden_zone_verdict():
+    import argparse
+    import dataclasses
+
+    from hyp3.battery import BATTERY
+    from hyp3.cli import _conditions_doc_one
+
+    member = dataclasses.replace(BATTERY["triple_pure"], expected_im="unbounded-trend")
+    args = argparse.Namespace(xi_min=64.0, xi_max=2048.0, xi_steps=6, direction=None)
+    doc, mismatches = _conditions_doc_one(member.op, member, args)
+    assert doc["constant_coeff"]["im_verdict"] == "bounded"
+    assert mismatches == ["triple_pure: forbidden zone: expected unbounded-trend, got bounded"]

@@ -1,13 +1,20 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from hyp3.battery import battery_member
+from hyp3 import operators
+from hyp3.battery import BATTERY, battery_member, battery_names
 from hyp3.conditions import (
+    _grid_sup,
+    _integrand_values,
+    _primary_terms,
+    _sup_verdict,
     condition_integrals,
     condition_report,
     constant_coeff_check,
+    default_ladder,
     log_fit,
     oscillation_count,
     pointwise_levi,
@@ -16,7 +23,7 @@ from hyp3.conditions import (
 )
 from hyp3.errors import OperatorSpecError, QuadratureError
 from hyp3.expr import parse_timefn as P
-from hyp3.operators import Operator2, Operator3
+from hyp3.operators import Operator2, Operator3, symbol_grid
 
 
 def _op(name, coeffs, horizon=1.0):
@@ -113,8 +120,10 @@ def test_quadrature_non_finite_integrand_is_an_error():
     with pytest.raises(QuadratureError) as exc:
         adaptive_gauss(lambda t: [math.nan if t < 0.5 else 1.0, 1.0], 0.0, 1.0)
     assert exc.value.panels == INITIAL_PANELS  # raised before any refinement
-    with pytest.raises(QuadratureError):
-        adaptive_gauss(lambda t: [math.inf if t < 0.5 else 1.0, 1.0], 0.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # no inf - inf on the way
+        with pytest.raises(QuadratureError):
+            adaptive_gauss(lambda t: [math.inf if t < 0.5 else 1.0, 1.0], 0.0, 1.0)
 
 
 def test_scaling_covariance_of_levi_integrals():
@@ -158,11 +167,14 @@ def test_log_fit_bounded_integral_counts_as_logarithmic():
     assert log_fit(rows).verdict == "logarithmic"
 
 
-@pytest.mark.parametrize("cell, value", [(3, math.nan), (-1, math.inf)])
+@pytest.mark.parametrize("cell, value", [(0, math.nan), (3, math.nan), (-1, math.inf)])
 def test_log_fit_non_finite_cell_is_inconclusive(cell, value):
     rows = [(2.0 ** k, 5.0 * math.log1p(2.0 ** k)) for k in range(6, 15)]
     rows[cell] = (rows[cell][0], value)
-    assert log_fit(rows).verdict == "inconclusive"
+    fit = log_fit(rows)
+    assert fit.verdict == "inconclusive"
+    # the slope does not depend on where the NaN sits
+    assert math.isnan(fit.slope) if math.isnan(value) else fit.slope == value
 
 
 def test_log_fit_insufficient_ladder():
@@ -252,6 +264,41 @@ def test_pointwise_case_two_double_root():
     rep = pointwise_levi(bad, ladder=ladder)
     assert rep.case == "II"
     assert rep.checks["m_vanishes_on_double"]["verdict"] == "violated"
+
+
+def test_nan_grid_ratio_is_inconclusive():
+    num = np.array([1.0, math.nan, 2.0])
+    sup = _grid_sup([(num, np.ones(3), 1.0, 1.0)])
+    assert math.isnan(sup)
+    assert _sup_verdict([sup] * 5, [sup] * 5) == "inconclusive"
+    assert _sup_verdict([1.0] * 5, [1.0] * 4 + [math.nan]) == "inconclusive"
+
+
+def test_pointwise_levi_evaluates_each_grid_point_once(monkeypatch):
+    steps = []
+    step = operators._symbols_at
+    monkeypatch.setattr(operators, "_symbols_at",
+                        lambda op, t, xi: steps.append(t) or step(op, t, xi))
+    principal = Operator3.principal
+    calls = []
+    monkeypatch.setattr(Operator3, "principal",
+                        lambda op, t, xi: calls.append(t) or principal(op, t, xi))
+    ladder = default_ladder()[::2]
+    rep = pointwise_levi(battery_member("sin_gap").op, ladder=ladder)
+    assert rep.case == "I"
+    # one base grid (256 points) and one fine grid (1024) per |xi|
+    assert len(steps) == len(calls) == len(ladder) * (256 + 1024) == 6400
+
+
+@pytest.mark.parametrize("name", battery_names(order=3))
+def test_grid_terms_match_integrand(name):
+    op = BATTERY[name].op
+    xi = np.array([256.0])
+    ts = np.linspace(0.0, op.horizon, 64)
+    terms, _ = _primary_terms(symbol_grid(op, ts, xi))
+    for i, t in enumerate(ts):
+        point = _integrand_values(op, float(t), xi)[:6]
+        assert [float(v[i]) for v in terms] == [float(v) for v in point], (name, t)
 
 
 # ---------------------------------------------------------------------------

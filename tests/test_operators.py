@@ -12,6 +12,7 @@ from hyp3.operators import (
     Operator3,
     measure_separation,
     regularized_cubic,
+    symbol_grid,
 )
 
 
@@ -104,7 +105,7 @@ def test_regularize_triple_root():
 
 def test_regularize_eps_zero_is_identity():
     c = WAVE.principal(0.2, np.array([10.0]))
-    reg = WAVE.regularized(0.2, np.array([10.0]), 0.0, with_jets=False)
+    reg = WAVE.regularized(0.2, np.array([10.0]), 0.0)
     assert (reg.cubic.a1.v, reg.cubic.a2.v, reg.cubic.a3.v) == (c.a1.v, c.a2.v, c.a3.v)
     assert np.allclose(reg.roots.roots.r, (-10.0, 0.0, 10.0), atol=1e-9)
 
@@ -169,8 +170,7 @@ def test_comparability_of_regularized_and_plain_gaps():
             for t in np.linspace(0.0, 1.0, 41):
                 c = op.principal(float(t), xi)
                 plain = solve_cubic_real(c).r
-                reg = op.regularized(float(t), xi, 1.0 / mag,
-                                     principal=c, with_jets=False).roots.roots.r
+                reg = op.regularized(float(t), xi, 1.0 / mag).roots.roots.r
                 for j, h in ((0, 1), (1, 2), (2, 0)):
                     ratios.append(abs(reg[j] - reg[h]) / (abs(plain[j] - plain[h]) + 1.0))
                 shifts.append(max(abs(a - b) for a, b in zip(reg, plain)))
@@ -184,9 +184,8 @@ def test_lagrange_reconstruction_of_order2_symbol():
                       (1, (1,)): "0.25*t", (0, (2,)): "0.1"})
     xi = np.array([32.0])
     for t in (0.1, 0.7, 1.3):
-        c = op.principal(t, xi)
-        mc = op.checked_m_poly(t, xi, principal=c)
-        reg = op.regularized(t, xi, 1.0 / 32.0, principal=c, with_jets=False)
+        mc = op.checked_m_poly(t, xi)
+        reg = op.regularized(t, xi, 1.0 / 32.0)
         r = reg.roots.roots.r
         ell = []
         for j, h, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
@@ -233,3 +232,8 @@ def test_measure_separation_stability():
         assert b >= 0.9 * a
     for a, b in zip(shifts, shifts[1:]):
         assert b <= 1.1 * a + 1e-9
+
+
+def test_symbol_grid_needs_a_time():
+    with pytest.raises(ValueError):
+        symbol_grid(WAVE, [], np.array([8.0]))
