@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from .errors import OperatorSpecError
 from .expr import parse_timefn
 from .operators import Operator2, Operator3
 
@@ -126,7 +127,7 @@ def battery_member(name: str) -> BatteryMember:
     try:
         return BATTERY[name]
     except KeyError:
-        raise KeyError(f"unknown battery member {name!r}; known: {', '.join(BATTERY)}")
+        raise OperatorSpecError(f"unknown battery member {name!r}; known: {', '.join(BATTERY)}")
 
 
 def battery_names(order: int | None = None) -> list[str]:

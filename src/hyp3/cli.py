@@ -77,6 +77,8 @@ def _fit_doc(fit) -> dict:
 
 
 def _ladder_from_args(args) -> list[float]:
+    if not (0 < args.xi_min < math.inf and 0 < args.xi_max < math.inf):
+        raise OperatorSpecError("--xi-min and --xi-max must be finite and positive")
     return default_ladder(args.xi_min, args.xi_max, args.xi_steps)
 
 
@@ -87,8 +89,8 @@ def _direction_from_args(args, dim: int) -> np.ndarray:
         vec = np.array([float(s) for s in args.direction.split(",")], dtype=float)
     except ValueError:
         raise OperatorSpecError(f"bad --direction {args.direction!r}")
-    if vec.shape != (dim,) or not np.linalg.norm(vec) > 0:
-        raise OperatorSpecError(f"--direction needs {dim} components and nonzero length")
+    if vec.shape != (dim,) or not 0 < np.linalg.norm(vec) < math.inf:
+        raise OperatorSpecError(f"--direction needs {dim} finite components and nonzero length")
     return vec / np.linalg.norm(vec)
 
 
@@ -128,7 +130,7 @@ def _conditions_doc_one(op, member, args) -> tuple[dict, list[str]]:
 
     ladder = _ladder_from_args(args)
     direction = _direction_from_args(args, op.dim)
-    hyperbolicity_scan(op, ladder=ladder, dirs=[direction])
+    hyperbolicity_scan(op, ladder, direction)
     rep = condition_report(op, ladder, direction)
     case_ladder = ladder[::2] if len(ladder) > 5 else ladder
     case = pointwise_levi(op, ladder=case_ladder, direction=direction)
@@ -300,6 +302,8 @@ def _write_mode_tables(op, args, fit) -> None:
 
 def cmd_identities(args) -> int:
     t0 = time.time()
+    if args.samples < 0:
+        raise OperatorSpecError("--samples must be >= 0")
     results = run_algebraic_suite(args.samples, args.seed, corrupt=args.corrupt) \
         if args.samples > 0 else []
     doc = {

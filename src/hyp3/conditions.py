@@ -26,7 +26,8 @@ import numpy as np
 
 from .cubic import _SS2, _SS3, delta1, delta1_dt, discriminant, discriminant_dt, solve_cubic_real
 from .errors import OperatorSpecError
-from .operators import Operator2, Operator3, Symbols, TauPoly, _symbols_at, symbol_grid
+from .operators import (VALIDATION_T_SAMPLES, Operator2, Operator3, Symbols, TauPoly,
+                        _symbols_at, symbol_grid)
 from .quadrature import adaptive_gauss
 
 __all__ = [
@@ -44,6 +45,12 @@ __all__ = [
     "oscillation_count",
     "default_ladder",
 ]
+
+#: refinement factor of the fine pointwise grid over the validation grid
+FINE_GRID_FACTOR = 4
+
+#: relative size below which a side of a pointwise ratio counts as vanishing
+VANISH_REL = 1e-12
 
 PRIMARY_KEYS = ("sep_drift", "vel_drift", "m_drift", "n_drift", "m_levi", "n_levi")
 
@@ -201,10 +208,10 @@ def log_fit(rows: Sequence[tuple[float, float]]) -> LogFit:
     the band tests above cannot see it.
     """
     if len(rows) < 5:
-        raise ValueError("log_fit needs at least 5 ladder points")
+        raise OperatorSpecError("log_fit needs at least 5 ladder points")
     xs = [x for x, _ in rows]
     if max(xs) / min(xs) < 8.0 * (1.0 - 1e-9):
-        raise ValueError("log_fit needs the ladder to span at least 3 doublings")
+        raise OperatorSpecError("log_fit needs the ladder to span at least 3 doublings")
     ratios = tuple(i / math.log1p(x) for x, i in rows)
     slope = float(np.max(ratios))  # NaN if any ratio is NaN
     if not all(math.isfinite(r) for r in ratios):
@@ -242,11 +249,10 @@ def _band(ratio_rows: list[float]) -> dict:
 
 
 def condition_report(op: Operator3, ladder: Sequence[float] | None = None,
-                     direction: np.ndarray | None = None, *,
-                     rel_tol: float = 1e-6) -> ConditionReport:
+                     direction: np.ndarray | None = None) -> ConditionReport:
     ladder = list(ladder) if ladder is not None else default_ladder()
     d = direction if direction is not None else np.eye(op.dim)[0]
-    cells = [condition_integrals(op, mag * d, rel_tol=rel_tol) for mag in ladder]
+    cells = [condition_integrals(op, mag * d) for mag in ladder]
     fits = {key: log_fit([(c.xi_mag, c.values[key]) for c in cells]) for key in PRIMARY_KEYS}
     verdicts = {key: fits[key].verdict for key in PRIMARY_KEYS}
     bands = {}
@@ -296,17 +302,17 @@ def _guarded_ratio(num, den, tiny: float):
         return np.where(den <= tiny, np.where(num <= tiny, 0.0, math.inf), num / den)
 
 
-def _grid_sup(branches, skip_floor: float = 1e-12) -> float:
+def _grid_sup(branches) -> float:
     """Supremum of num/den over grid points and branches, each branch a
     tuple (num, den, num scale, den scale) of arrays over the grid. Points
-    where both sides vanish (relative to their scales) are skipped; a
+    where both sides vanish (``VANISH_REL`` times their scales) are skipped; a
     vanishing denominator against a live numerator makes the supremum +inf,
     and a NaN ratio makes it NaN."""
     sup = 0.0
     for num, den, nscale, dscale in branches:
         num, den, nscale, dscale = np.broadcast_arrays(num, den, nscale, dscale)
-        dead = den <= skip_floor * dscale
-        if np.any(dead & ~(num <= skip_floor * nscale)):
+        dead = den <= VANISH_REL * dscale
+        if np.any(dead & ~(num <= VANISH_REL * nscale)):
             return math.inf
         with np.errstate(invalid="ignore"):
             sup = np.max(num[~dead] / den[~dead], initial=sup)
@@ -376,15 +382,15 @@ def _sup_branches(case: str, g: Symbols, one_dim: bool):
 
 
 def pointwise_levi(op: Operator3, ladder: Sequence[float] | None = None,
-                   direction: np.ndarray | None = None, *, nt: int = 256,
-                   refine: int = 4) -> CaseReport:
+                   direction: np.ndarray | None = None) -> CaseReport:
     """Classify the degeneracy case on the validation grid and evaluate the
-    pointwise bounds that apply to it, as grid suprema at two resolutions
-    (a refinement-growing supremum is reported as an unbounded trend)."""
+    pointwise bounds that apply to it, as grid suprema on that grid and on
+    one ``FINE_GRID_FACTOR`` times finer (a refinement-growing supremum is
+    reported as an unbounded trend)."""
     ladder = list(ladder) if ladder is not None else default_ladder()
     d = direction if direction is not None else np.eye(op.dim)[0]
-    ts_base = np.linspace(0.0, op.horizon, nt)
-    ts_fine = np.linspace(0.0, op.horizon, nt * refine)
+    ts_base = np.linspace(0.0, op.horizon, VALIDATION_T_SAMPLES)
+    ts_fine = np.linspace(0.0, op.horizon, VALIDATION_T_SAMPLES * FINE_GRID_FACTOR)
     base = [symbol_grid(op, ts_base, mag * d) for mag in ladder]
 
     # -- case classification: grid max of the two discriminants, relative to
@@ -529,7 +535,7 @@ def constant_coeff_check(op: Operator3, ladder: Sequence[float] | None = None,
 # Second-order operators
 
 
-def second_order_check(op2: Operator2, xi: np.ndarray, *, rel_tol: float = 1e-6):
+def second_order_check(op2: Operator2, xi: np.ndarray):
     """The two second-order integrals: principal-discriminant drift and the
     weighted lower-order combination over sqrt(disc + 1)."""
     def integrand(t: float) -> np.ndarray:
@@ -541,7 +547,7 @@ def second_order_check(op2: Operator2, xi: np.ndarray, *, rel_tol: float = 1e-6)
         ib = abs(num) / math.sqrt(disc + 1.0)
         return np.array([ia, ib])
 
-    res = adaptive_gauss(integrand, 0.0, op2.horizon, rel_tol=rel_tol)
+    res = adaptive_gauss(integrand, 0.0, op2.horizon)
     return float(res.values[0]), float(res.values[1])
 
 

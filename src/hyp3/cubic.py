@@ -27,14 +27,11 @@ __all__ = [
     "root_jets",
 ]
 
-#: default tolerance band for weak hyperbolicity (relative to scale^4)
+#: tolerance band for weak hyperbolicity (relative to scale^4)
 HYPERBOLICITY_TOL = 1e-9
 
 #: pairwise gaps must exceed this times (1 + spectral radius) for root jets
 SIMPLE_ROOT_REL_GAP = 1e-6
-
-#: roots closer than this times (1 + spectral radius) cluster together
-CLUSTER_REL_GAP = 1e-6
 
 #: root-index pairs and triples in cyclic order, for symmetric sums over
 #: root gaps and Lagrange denominators
@@ -79,15 +76,9 @@ def cubic_from_floats(a1: float, a2: float, a3: float) -> CubicJet:
 
 @dataclass(frozen=True)
 class SortedRoots:
-    """Ascending real roots with a multiplicity partition.
-
-    ``clusters`` groups root indices whose mutual distance is below
-    ``CLUSTER_REL_GAP * (1 + spectral radius)``; e.g. ((0, 1), (2,)) for a
-    near-double configuration.
-    """
+    """Ascending real roots."""
 
     r: tuple[float, float, float]
-    clusters: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -132,18 +123,7 @@ def delta1_dt(c: CubicJet) -> float:
     return 4.0 * c.a1.v.real * c.a1.d1.real - 6.0 * c.a2.d1.real
 
 
-def _cluster(roots: tuple[float, float, float]) -> tuple[tuple[int, ...], ...]:
-    thr = CLUSTER_REL_GAP * (1.0 + max(abs(x) for x in roots))
-    groups: list[list[int]] = [[0]]
-    for k in (1, 2):
-        if roots[k] - roots[k - 1] <= thr:
-            groups[-1].append(k)
-        else:
-            groups.append([k])
-    return tuple(tuple(g) for g in groups)
-
-
-def solve_cubic_real(c: CubicJet, hyperbolicity_tol: float = HYPERBOLICITY_TOL) -> SortedRoots:
+def solve_cubic_real(c: CubicJet) -> SortedRoots:
     """All-real roots in ascending order.
 
     Uses the trigonometric branch with the cosine argument clamped to
@@ -151,14 +131,14 @@ def solve_cubic_real(c: CubicJet, hyperbolicity_tol: float = HYPERBOLICITY_TOL) 
     near-double and near-triple configurations without complex round trips.
 
     Raises :class:`HyperbolicityViolation` when the discriminant falls below
-    ``-hyperbolicity_tol * scale^4`` (scale = 1 + max |coefficient|).
+    ``-HYPERBOLICITY_TOL * scale^4`` (scale = 1 + max |coefficient|).
     """
     a1 = c.a1.v.real
     a2 = c.a2.v.real
     a3 = c.a3.v.real
     scale = 1.0 + max(abs(a1), abs(a2), abs(a3))
     disc = discriminant(c)
-    if disc < -hyperbolicity_tol * scale ** 4:
+    if disc < -HYPERBOLICITY_TOL * scale ** 4:
         raise HyperbolicityViolation(disc)
 
     # depressed form y^3 + p y + q, roots shifted by -a1/3
@@ -187,11 +167,10 @@ def solve_cubic_real(c: CubicJet, hyperbolicity_tol: float = HYPERBOLICITY_TOL) 
                 r = r_new
         polished.append(r)
     polished.sort()
-    rt = (polished[0], polished[1], polished[2])
-    return SortedRoots(rt, _cluster(rt))
+    return SortedRoots((polished[0], polished[1], polished[2]))
 
 
-def derivative_quadratic(c: CubicJet, tol: float = HYPERBOLICITY_TOL):
+def derivative_quadratic(c: CubicJet):
     """Roots and discriminant data of d/dr of the cubic: 3r^2 + 2a1 r + a2.
 
     Returns ``(s1, s2, disc_b2_4ac, gap_sq)`` with s1 <= s2,
@@ -201,7 +180,7 @@ def derivative_quadratic(c: CubicJet, tol: float = HYPERBOLICITY_TOL):
     a2 = c.a2.v.real
     scale = 1.0 + max(abs(a1), abs(a2), abs(c.a3.v.real))
     disc = 4.0 * a1 * a1 - 12.0 * a2
-    if disc < -tol * scale ** 2:
+    if disc < -HYPERBOLICITY_TOL * scale ** 2:
         raise HyperbolicityViolation(disc, "derivative quadratic")
     disc_c = max(disc, 0.0)
     half_gap = math.sqrt(disc_c) / 6.0
@@ -209,13 +188,13 @@ def derivative_quadratic(c: CubicJet, tol: float = HYPERBOLICITY_TOL):
     return center - half_gap, center + half_gap, disc, disc_c / 9.0
 
 
-def quad_root_jets(c: CubicJet, tol: float = HYPERBOLICITY_TOL):
+def quad_root_jets(c: CubicJet):
     """Derivative-quadratic roots with first time derivatives.
 
     Implicit differentiation of 3r^2 + 2a1 r + a2 = 0; requires the two
     roots to be separated (they are, for regularized cubics).
     """
-    s1, s2, disc, _ = derivative_quadratic(c, tol)
+    s1, s2, disc, _ = derivative_quadratic(c)
     out = []
     for s in (s1, s2):
         denom = 6.0 * s + 2.0 * c.a1.v.real

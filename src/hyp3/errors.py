@@ -57,17 +57,13 @@ class NearMultipleRoot(Exception):
 
 class QuadratureError(Exception):
     """Adaptive quadrature hit the panel cap before converging, or met a
-    non-finite integrand value."""
+    non-finite integrand value; ``panels`` is the leaf count reached."""
 
-    def __init__(self, achieved: float, requested: float, panels: int):
-        self.achieved = achieved
-        self.requested = requested
+    def __init__(self, reason: str, panels: int):
         self.panels = panels
-        super().__init__(
-            f"quadrature stalled at relative change {achieved:.3g} "
-            f"(requested {requested:.3g}) with {panels} panels"
-        )
+        super().__init__(f"{reason} with {panels} panels")
 
 
-class OperatorSpecError(Exception):
-    """Malformed operator table or operator file (usage/config error)."""
+class OperatorSpecError(ValueError):
+    """Malformed operator table or operator file, or an argument outside a
+    function's documented range (usage/config error)."""

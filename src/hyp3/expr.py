@@ -119,9 +119,6 @@ class Jet2:
         return Jet2(self.v + c, self.d1, self.d2, self.d3)
 
 
-ZERO_JET = Jet2(0.0, 0.0, 0.0, 0.0)
-
-
 # --------------------------------------------------------------------------
 # Parsing
 
@@ -501,10 +498,6 @@ class TimeFn:
 
     def __str__(self) -> str:
         return self.to_string()
-
-    def jet(self, t: float, order: int) -> list:
-        """Taylor coefficients f^(k)(t)/k! for k = 0..order."""
-        return _eval_series(self.ast, t, order)
 
     def jet2(self, t: float, order: int = 2) -> Jet2:
         c = _eval_series(self.ast, t, max(order, 2))

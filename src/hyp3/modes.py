@@ -20,6 +20,7 @@ from scipy.integrate import solve_ivp
 from .conditions import _primary_terms
 from .cubic import _SS2, _root_derivatives, _simple_root_gap
 from .cubic import solve_cubic_real  # noqa: F401  (a binding perfbench/tests checks)
+from .errors import OperatorSpecError
 from .operators import Operator3, Symbols, symbol_grid
 
 __all__ = [
@@ -39,6 +40,10 @@ __all__ = [
 CANONICAL_INITS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 ETA_LADDER = tuple(2 ** k for k in range(11))
+
+#: relative and absolute tolerances of the mode integrator
+MODE_RTOL = 1e-10
+MODE_ATOL = 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -92,8 +97,7 @@ class ModeSolution:
 
 
 def solve_mode(op: Operator3, xi: np.ndarray, init=(1.0, 0.0, 0.0),
-               grid_points: int = 1024, t_end: float | None = None,
-               rtol: float = 1e-10, atol: float = 1e-12) -> ModeSolution:
+               grid_points: int = 1024, t_end: float | None = None) -> ModeSolution:
     """Integrate one mode with an adaptive high-order explicit scheme and
     dense uniform output.
 
@@ -104,7 +108,7 @@ def solve_mode(op: Operator3, xi: np.ndarray, init=(1.0, 0.0, 0.0),
     if not np.linalg.norm(xi) > 0:
         raise ValueError("mode frequency must be nonzero")
     if grid_points < 64:
-        raise ValueError("grid_points must be >= 64")
+        raise OperatorSpecError("grid_points must be >= 64")
     horizon = float(t_end if t_end is not None else op.horizon)
     coeff = _ode_coefficients(op, xi)
 
@@ -116,7 +120,7 @@ def solve_mode(op: Operator3, xi: np.ndarray, init=(1.0, 0.0, 0.0),
     y0 = np.array(init, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         sol = solve_ivp(rhs, (0.0, horizon), y0, method="DOP853",
-                        rtol=rtol, atol=atol, t_eval=t_eval)
+                        rtol=MODE_RTOL, atol=MODE_ATOL, t_eval=t_eval)
     n = sol.y.shape[1] if sol.y.size else 0
     blowup = (not sol.success) or n < grid_points or not np.all(np.isfinite(sol.y))
     t = sol.t[:n] if n else np.array([0.0])
@@ -426,7 +430,8 @@ def growth_experiment(op: Operator3, ladder, direction: np.ndarray | None = None
     polynomial model (degree = slope of log amp against log |xi|) wins."""
     ladder = list(ladder)
     if len(ladder) < 6 or max(ladder) / min(ladder) < 2 ** 5 * (1 - 1e-9):
-        raise ValueError("growth experiment needs a ladder spanning >= 5 doublings")
+        raise OperatorSpecError("growth experiment needs at least 6 ladder points "
+                                "spanning >= 5 doublings")
     d = direction if direction is not None else np.eye(op.dim)[0]
     rows = []
     for mag in ladder:

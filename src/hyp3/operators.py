@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cubic import (CubicJet, RootJet, derivative_quadratic, quad_root_jets, root_jets,
-                    solve_cubic_real)
+from .cubic import (HYPERBOLICITY_TOL, CubicJet, derivative_quadratic, discriminant,
+                    quad_root_jets, root_jets, solve_cubic_real)
 from .errors import HyperbolicityViolation, OperatorSpecError
 from .expr import Jet2, TimeFn
 
@@ -26,40 +26,16 @@ __all__ = [
     "Operator2",
     "TauPoly",
     "SymbolJet",
-    "RegularizedCubic",
-    "AuxiliaryRoots",
     "Symbols",
     "symbol_grid",
-    "validation_ladder",
-    "directions",
+    "hyperbolicity_scan",
     "measure_separation",
 ]
 
 _NAN = float("nan")
 
-#: validation grid defaults
+#: time samples of the validation grid on [0, horizon]
 VALIDATION_T_SAMPLES = 256
-VALIDATION_LADDER_EXPONENTS = range(4, 17)
-
-
-def validation_ladder() -> list[float]:
-    return [float(2 ** k) for k in VALIDATION_LADDER_EXPONENTS]
-
-
-def directions(dim: int, seed: int = 0) -> list[np.ndarray]:
-    """+-coordinate axes; for dim >= 2 adds 8 seeded random unit vectors."""
-    out = []
-    for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = 1.0
-        out.append(e.copy())
-        out.append(-e)
-    if dim >= 2:
-        rng = np.random.default_rng(seed)
-        for _ in range(8):
-            v = rng.normal(size=dim)
-            out.append(v / np.linalg.norm(v))
-    return out
 
 
 def _xi_pow(xi: np.ndarray, alpha: tuple[int, ...]) -> float:
@@ -87,12 +63,10 @@ class SymbolJet:
 @dataclass(frozen=True)
 class TauPoly:
     """Polynomial in the root variable, coefficients ascending, each a time
-    jet; ``order`` is the homogeneous symbol order (tau-power j pairs with
-    ``i^(order-j)`` on mode-equation assembly). With array jets (a
-    :func:`symbol_grid`) every method works pointwise."""
+    jet. With array jets (a :func:`symbol_grid`) every method works
+    pointwise."""
 
     coeffs: tuple[Jet2, ...]
-    order: int
 
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -149,10 +123,10 @@ def _corrected(c: CubicJet, m: TauPoly, n: TauPoly) -> tuple[TauPoly, TauPoly]:
     principal symbol, and the order-1 symbol corrected by the order-2 and
     principal drifts."""
     mc = TauPoly((m.coeffs[0] - c.a2.shifted().scaled(0.5),
-                  m.coeffs[1] - c.a1.shifted(), m.coeffs[2]), 2)
+                  m.coeffs[1] - c.a1.shifted(), m.coeffs[2]))
     nc = TauPoly((n.coeffs[0] - m.coeffs[1].shifted().scaled(0.5)
                   + _shift2_weak(c.a1).scaled(1.0 / 6.0),
-                  n.coeffs[1] - m.coeffs[2].shifted()), 1)
+                  n.coeffs[1] - m.coeffs[2].shifted()))
     return mc, nc
 
 
@@ -170,16 +144,21 @@ def _unit_regularized(c: CubicJet):
 # Operator model
 
 
-def _check_table(coeffs, dim: int, max_order: int, max_dt: int):
-    for key, fn in coeffs.items():
+def _check_spec(op, max_order: int, max_dt: int):
+    """Shared validation of an operator's dimension, horizon and table."""
+    if op.dim < 1:
+        raise OperatorSpecError("dimension must be >= 1")
+    if not 0 < op.horizon < math.inf:
+        raise OperatorSpecError("time horizon must be finite and positive")
+    for key, fn in op.coeffs.items():
         try:
             j, alpha = key
         except (TypeError, ValueError):
             raise OperatorSpecError(f"bad coefficient key {key!r}")
         if not isinstance(fn, TimeFn):
             raise OperatorSpecError(f"coefficient {key!r} is not a TimeFn")
-        if len(alpha) != dim or any((not isinstance(a, int)) or a < 0 for a in alpha):
-            raise OperatorSpecError(f"bad multi-index {alpha!r} for dimension {dim}")
+        if len(alpha) != op.dim or any((not isinstance(a, int)) or a < 0 for a in alpha):
+            raise OperatorSpecError(f"bad multi-index {alpha!r} for dimension {op.dim}")
         if not (0 <= j <= max_dt):
             raise OperatorSpecError(f"time order {j} out of range in {key!r}")
         if j + sum(alpha) > max_order:
@@ -200,11 +179,7 @@ class Operator3:
     coeffs: Mapping[tuple[int, tuple[int, ...]], TimeFn]
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise OperatorSpecError("dimension must be >= 1")
-        if not (self.horizon > 0):
-            raise OperatorSpecError("time horizon must be positive")
-        _check_table(self.coeffs, self.dim, 3, 2)
+        _check_spec(self, 3, 2)
         for (j, alpha), fn in self.coeffs.items():
             if j + sum(alpha) == 3 and fn.has_imag:
                 raise OperatorSpecError(
@@ -251,46 +226,7 @@ class Operator3:
                     n[j] = n[j] + fn.jet2(t, order=2).scaled(w)
             else:
                 p = p + fn.jet2(t, order=2)
-        return TauPoly(tuple(m), 2), TauPoly(tuple(n), 1), p
-
-    # -- corrected symbols ----------------------------------------------------
-
-    def checked_m_poly(self, t: float, xi: np.ndarray) -> TauPoly:
-        """Order-2 symbol minus half the mixed (t, tau) derivative of the
-        principal symbol."""
-        return _corrected(self.principal(t, xi), *self.lower_polys(t, xi)[:2])[0]
-
-    def checked_n_poly(self, t: float, xi: np.ndarray) -> TauPoly:
-        """Order-1 symbol corrected by the order-2 and principal drifts."""
-        return _corrected(self.principal(t, xi), *self.lower_polys(t, xi)[:2])[1]
-
-    # -- regularization --------------------------------------------------------
-
-    def regularized(self, t: float, xi: np.ndarray, eps: float) -> "RegularizedCubic":
-        """Principal cubic minus (eps |xi|)^2 times its second root-variable
-        derivative; roots are uniformly separated simple perturbations."""
-        e2 = (eps * float(np.linalg.norm(xi))) ** 2
-        reg = regularized_cubic(self.principal(t, xi), e2)
-        return RegularizedCubic(reg, root_jets(reg, solve_cubic_real(reg)))
-
-    def auxiliary(self, t: float, xi: np.ndarray) -> "AuxiliaryRoots":
-        """Roots of the unit-regularized cubic and of its derivative
-        quadratic, with first (and for the cubic, second) time derivatives."""
-        return AuxiliaryRoots(*_unit_regularized(self.principal(t, xi)))
-
-
-@dataclass(frozen=True)
-class RegularizedCubic:
-    cubic: CubicJet
-    roots: RootJet
-
-
-@dataclass(frozen=True)
-class AuxiliaryRoots:
-    reg: CubicJet
-    lam: RootJet
-    mu: tuple[float, float]
-    mu_d1: tuple[float, float]
+        return TauPoly(tuple(m)), TauPoly(tuple(n)), p
 
 
 # --------------------------------------------------------------------------
@@ -357,8 +293,8 @@ def _stacked(ts: np.ndarray, buf: np.ndarray) -> Symbols:
         return tuple(Jet2(*(r if r.imag.any() else r.real for r in take(3))) for _ in range(k))
 
     c = CubicJet(*jets(3))
-    m, n, (p,) = TauPoly(jets(3), 2), TauPoly(jets(2), 1), jets(1)
-    mc, nc = TauPoly(jets(3), 2), TauPoly(jets(2), 1)
+    m, n, (p,) = TauPoly(jets(3)), TauPoly(jets(2)), jets(1)
+    mc, nc = TauPoly(jets(3)), TauPoly(jets(2))
     reg = CubicJet(*jets(3))
     tau, crit, gap_sq = take(3).real, take(2).real, take(1)[0].real
     lam, lam_d1, lam_d2 = take(3).real, take(3).real, take(3).real
@@ -399,11 +335,7 @@ class Operator2:
     coeffs: Mapping[tuple[int, tuple[int, ...]], TimeFn]
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise OperatorSpecError("dimension must be >= 1")
-        if not (self.horizon > 0):
-            raise OperatorSpecError("time horizon must be positive")
-        _check_table(self.coeffs, self.dim, 2, 1)
+        _check_spec(self, 2, 1)
         for (j, alpha), fn in self.coeffs.items():
             if fn.has_imag:
                 raise OperatorSpecError("second-order model coefficients must be real")
@@ -434,35 +366,26 @@ class Operator2:
 # Validation-grid helpers
 
 
-def hyperbolicity_scan(op: Operator3, ladder: Sequence[float] | None = None,
-                       nt: int = VALIDATION_T_SAMPLES, tol: float = 1e-9,
-                       dirs: Iterable[np.ndarray] | None = None) -> None:
+def hyperbolicity_scan(op: Operator3, ladder: Sequence[float], direction: np.ndarray) -> None:
     """Raise HyperbolicityViolation (annotated with the offending point) if
     the principal discriminant dips below the tolerance band anywhere on the
-    validation grid."""
-    from .cubic import discriminant
-
-    ladder = list(ladder) if ladder is not None else validation_ladder()
-    dirs = list(dirs) if dirs is not None else directions(op.dim)
-    ts = np.linspace(0.0, op.horizon, nt)
-    for d in dirs:
-        for mag in ladder:
-            xi = mag * d
-            for t in ts:
-                c = op.principal(float(t), xi)
-                disc = discriminant(c)
-                scale = c.coeff_scale()
-                if disc < -tol * scale ** 4:
-                    raise HyperbolicityViolation(disc, where=f"t={t:.6g}, xi={xi}")
+    validation grid at the frequencies ``mag * direction``."""
+    ts = np.linspace(0.0, op.horizon, VALIDATION_T_SAMPLES)
+    for mag in ladder:
+        xi = mag * direction
+        for t in ts:
+            c = op.principal(float(t), xi)
+            disc = discriminant(c)
+            if disc < -HYPERBOLICITY_TOL * c.coeff_scale() ** 4:
+                raise HyperbolicityViolation(disc, where=f"t={t:.6g}, xi={xi}")
 
 
-def measure_separation(op: Operator3, ladder: Sequence[float] | None = None,
-                       nt: int = VALIDATION_T_SAMPLES,
-                       direction: np.ndarray | None = None):
+def measure_separation(op: Operator3, ladder: Sequence[float],
+                       nt: int = VALIDATION_T_SAMPLES):
     """Per-|xi| minimum pairwise gap of the unit-regularized roots and
-    maximum shift from the plain roots (the empirical separation constants)."""
-    ladder = list(ladder) if ladder is not None else validation_ladder()
-    d = direction if direction is not None else np.array([1.0] * op.dim) / math.sqrt(op.dim)
+    maximum shift from the plain roots (the empirical separation constants),
+    along the diagonal direction."""
+    d = np.ones(op.dim) / math.sqrt(op.dim)
     ts = np.linspace(0.0, op.horizon, nt)
     rows = []
     for mag in ladder:

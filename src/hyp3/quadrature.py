@@ -68,14 +68,14 @@ class _Interval:
 
 
 def adaptive_gauss(f: Callable[[float], np.ndarray], a: float, b: float, *,
-                   rel_tol: float = 1e-6, max_panels: int = MAX_PANELS) -> QuadResult:
+                   rel_tol: float = 1e-6) -> QuadResult:
     """Integrate the vector integrand until, for every component, the summed
     panel error indicators drop below rel_tol times the component magnitude
     (components below 1e-12 compare absolutely).
 
-    Raises :class:`QuadratureError` with the achieved tolerance if the leaf
-    cap is hit first, and at once when an integrand value is not finite,
-    since refinement cannot remove it.
+    Raises :class:`QuadratureError` with the achieved tolerance if the
+    ``MAX_PANELS`` leaf cap is hit first, and at once when an integrand value
+    is not finite, since refinement cannot remove it.
     """
     panels = INITIAL_PANELS
 
@@ -88,7 +88,7 @@ def adaptive_gauss(f: Callable[[float], np.ndarray], a: float, b: float, *,
         fine_l = _panel(f, lo, mid)
         fine_r = _panel(f, mid, hi)
         if not np.isfinite([coarse, fine_l, fine_r]).all():
-            raise QuadratureError(math.nan, rel_tol, panels)
+            raise QuadratureError(f"non-finite integrand value on [{lo:.6g}, {hi:.6g}]", panels)
         return _Interval(lo, hi, fine_l, fine_r, np.abs(fine_l + fine_r - coarse))
 
     width = (b - a) / INITIAL_PANELS
@@ -112,8 +112,9 @@ def adaptive_gauss(f: Callable[[float], np.ndarray], a: float, b: float, *,
 
     rel = achieved()
     while not rel < rel_tol:
-        if panels + 1 > max_panels or not math.isfinite(rel):
-            raise QuadratureError(rel, rel_tol, panels)
+        if panels + 1 > MAX_PANELS or not math.isfinite(rel):
+            raise QuadratureError(f"quadrature stalled at relative change {rel:.3g} "
+                                  f"(requested {rel_tol:.3g})", panels)
         _, _, worst = heapq.heappop(heap)
         mid = 0.5 * (worst.lo + worst.hi)
         kids = (interval(worst.lo, mid, worst.fine_l), interval(mid, worst.hi, worst.fine_r))

@@ -145,6 +145,33 @@ def test_check_non_hyperbolic_operator_is_numerical_failure(tmp_path, capsys):
     assert rc == 3
 
 
+def test_check_names_the_first_non_hyperbolic_point(tmp_path, capsys):
+    p = tmp_path / "late.op"
+    p.write_text("order = 3\ndimension = 1\nT = 1.0\na[1,(2)] = t - 0.5\n")
+    assert main(["check", "--config", str(p)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("hyp3: numerical failure:") and "t=0.501961, xi=[64.]" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--battery", "strict_const", "--xi-steps", "3"],   # log_fit ladder
+    ["modes", "--battery", "triple_pure", "--xi-steps", "3"],    # growth ladder
+    ["modes", "--battery", "triple_pure", "--grid", "32"],
+    ["check", "--battery", "nosuch"],
+    ["identities", "--samples", "-5"],
+    ["check", "--battery", "oleinik_ok", "--direction", "inf"],
+    ["check", "--battery", "oleinik_ok", "--xi-min", "nan"],
+    ["check", "--battery", "oleinik_ok", "--xi-max", "inf"],
+    ["modes", "--battery", "triple_pure", "--xi-min", "32", "--xi-max", "inf",
+     "--xi-steps", "6"],
+])
+def test_usage_errors_exit_2_with_one_line(capsys, argv):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("hyp3: config error:") and err.count("\n") == 1
+
+
 def test_tables_emission(tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["check", "--battery", "strict_const", "--format", "both",

@@ -117,12 +117,12 @@ def test_quadrature_refinement_stability():
 
 def test_quadrature_non_finite_integrand_is_an_error():
     from hyp3.quadrature import INITIAL_PANELS, adaptive_gauss
-    with pytest.raises(QuadratureError) as exc:
+    with pytest.raises(QuadratureError, match=r"^non-finite integrand value on \[0, 0\.125\]") as exc:
         adaptive_gauss(lambda t: [math.nan if t < 0.5 else 1.0, 1.0], 0.0, 1.0)
     assert exc.value.panels == INITIAL_PANELS  # raised before any refinement
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # no inf - inf on the way
-        with pytest.raises(QuadratureError):
+        with pytest.raises(QuadratureError, match="^non-finite integrand value on "):
             adaptive_gauss(lambda t: [math.inf if t < 0.5 else 1.0, 1.0], 0.0, 1.0)
 
 

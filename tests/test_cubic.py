@@ -24,13 +24,11 @@ def _vieta_cubic(r1, r2, r3):
 def test_solve_distinct_roots():
     roots = solve_cubic_real(cubic_from_floats(-6, 11, -6))
     assert np.allclose(roots.r, (1.0, 2.0, 3.0), rtol=0, atol=1e-12)
-    assert roots.clusters == ((0,), (1,), (2,))
 
 
 def test_solve_triple_root():
     roots = solve_cubic_real(cubic_from_floats(0, 0, 0))
     assert roots.r == (0.0, 0.0, 0.0)
-    assert roots.clusters == ((0, 1, 2),)
 
 
 def test_solve_rejects_complex_roots():

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from hyp3.cubic import delta1, derivative_quadratic, discriminant, solve_cubic_real
-from hyp3.errors import OperatorSpecError
+from hyp3.errors import HyperbolicityViolation, OperatorSpecError
 from hyp3.expr import parse_timefn as P
 from hyp3.operators import (
     Operator2,
     Operator3,
+    hyperbolicity_scan,
     measure_separation,
     regularized_cubic,
     symbol_grid,
@@ -67,52 +68,51 @@ def test_checked_m_examples():
     # L = tau (tau^2 - t^2 xi^2), M = c t xi^2: corrected symbol (c+1) t xi^2
     for c_coef in (1.0, 2.5):
         op = _op("olk", {(1, (2,)): "-t^2", (0, (2,)): f"{c_coef}*t"})
-        mc = op.checked_m_poly(0.5, np.array([4.0]))
+        mc = symbol_grid(op, [0.5], np.array([4.0])).mc
         assert mc.coeffs[1].v == 0 and mc.coeffs[2].v == 0
         assert abs(mc.coeffs[0].v - (c_coef + 1.0) * 0.5 * 16.0) < 1e-12
     # constant principal part: no correction
     op = _op("const", {(1, (2,)): "-1", (0, (2,)): "1"})
-    mc = op.checked_m_poly(0.3, np.array([4.0]))
+    mc = symbol_grid(op, [0.3], np.array([4.0])).mc
     assert mc.value_at(2.0) == 16.0
     # order-2 symbol chosen as half the principal drift cancels exactly
     op = _op("cancel", {(1, (2,)): "-t^2", (0, (2,)): "-t"})
-    mc = op.checked_m_poly(0.7, np.array([4.0]))
+    mc = symbol_grid(op, [0.7], np.array([4.0])).mc
     assert abs(mc.value_at(3.0)) < 1e-12
 
 
 def test_checked_n_examples():
     # L = (tau - t^2 xi)^3, M = N = 0: corrected order-1 symbol is -xi
     op = _op("trip", {(2, (1,)): "-3*t^2", (1, (2,)): "3*t^4", (0, (3,)): "-t^6"})
-    nc = op.checked_n_poly(0.8, np.array([2.0]))
+    nc = symbol_grid(op, [0.8], np.array([2.0])).nc
     assert abs(nc.coeffs[0].v - (-2.0)) < 1e-12
     assert abs(nc.coeffs[1].v) < 1e-12
     # M = m(t) tau^2, N = 0, constant L: corrected symbol is -m'(t) tau
     op = _op("mt2", {(2, (0,)): "sin(t)"})
-    nc = op.checked_n_poly(0.3, np.array([5.0]))
+    nc = symbol_grid(op, [0.3], np.array([5.0])).nc
     assert abs(nc.coeffs[1].v + math.cos(0.3)) < 1e-12
     assert nc.coeffs[0].v == 0.0
     # constant coefficients: no correction at all
     op = _op("cn", {(0, (1,)): "4"})
-    nc = op.checked_n_poly(0.3, np.array([5.0]))
+    nc = symbol_grid(op, [0.3], np.array([5.0])).nc
     assert nc.value_at(1.23) == 20.0
 
 
 def test_regularize_triple_root():
     op = _op("t3", {})
-    reg = op.regularized(0.0, np.array([7.0]), 1.0 / 7.0)
-    assert np.allclose(reg.roots.roots.r, (-math.sqrt(6), 0.0, math.sqrt(6)), atol=1e-12)
+    lam = symbol_grid(op, [0.0], np.array([7.0])).lam[:, 0]
+    assert np.allclose(lam, (-math.sqrt(6), 0.0, math.sqrt(6)), atol=1e-12)
 
 
 def test_regularize_eps_zero_is_identity():
     c = WAVE.principal(0.2, np.array([10.0]))
-    reg = WAVE.regularized(0.2, np.array([10.0]), 0.0)
-    assert (reg.cubic.a1.v, reg.cubic.a2.v, reg.cubic.a3.v) == (c.a1.v, c.a2.v, c.a3.v)
-    assert np.allclose(reg.roots.roots.r, (-10.0, 0.0, 10.0), atol=1e-9)
+    reg = regularized_cubic(c, 0.0)
+    assert (reg.a1.v, reg.a2.v, reg.a3.v) == (c.a1.v, c.a2.v, c.a3.v)
+    assert np.allclose(solve_cubic_real(reg).r, (-10.0, 0.0, 10.0), atol=1e-9)
 
 
 def test_regularize_strict_operator_shifts_within_unit():
-    reg = WAVE.regularized(0.0, np.array([10.0]), 0.1)
-    r = reg.roots.roots.r
+    r = symbol_grid(WAVE, [0.0], np.array([10.0])).lam[:, 0]
     assert np.all(np.abs(np.array(r) - np.array([-10.0, 0.0, 10.0])) < 2.0)
     assert min(r[1] - r[0], r[2] - r[1]) > 1.0
 
@@ -139,24 +139,24 @@ def test_regularized_discriminant_expansion_and_crit_shift():
 
 def test_auxiliary_roots_triple():
     op = _op("t3", {})
-    aux = op.auxiliary(0.0, np.array([9.0]))
-    assert np.allclose(aux.lam.roots.r, (-math.sqrt(6), 0, math.sqrt(6)), atol=1e-12)
-    assert np.allclose(aux.mu, (-math.sqrt(2), math.sqrt(2)), atol=1e-12)
-    assert np.allclose(aux.mu_d1, (0.0, 0.0), atol=1e-15)
+    aux = symbol_grid(op, [0.0], np.array([9.0]))
+    assert np.allclose(aux.lam[:, 0], (-math.sqrt(6), 0, math.sqrt(6)), atol=1e-12)
+    assert np.allclose(aux.mu[:, 0], (-math.sqrt(2), math.sqrt(2)), atol=1e-12)
+    assert np.allclose(aux.mu_d1[:, 0], (0.0, 0.0), atol=1e-15)
 
 
 def test_auxiliary_shift_bounded_uniformly_in_xi():
     for mag in (16.0, 256.0, 4096.0):
-        aux = WAVE.auxiliary(0.0, np.array([mag]))
+        aux = symbol_grid(WAVE, [0.0], np.array([mag]))
         plain = (-mag, 0.0, mag)
-        shift = max(abs(a - b) for a, b in zip(aux.lam.roots.r, plain))
+        shift = max(abs(a - b) for a, b in zip(aux.lam[:, 0], plain))
         assert shift < 3.0
 
 
 def test_auxiliary_constant_in_t_for_constant_cubic():
-    aux = WAVE.auxiliary(0.33, np.array([64.0]))
-    assert np.allclose(aux.lam.d1, 0.0, atol=1e-12)
-    assert np.allclose(aux.lam.d2, 0.0, atol=1e-12)
+    aux = symbol_grid(WAVE, [0.33], np.array([64.0]))
+    assert np.allclose(aux.lam_d1, 0.0, atol=1e-12)
+    assert np.allclose(aux.lam_d2, 0.0, atol=1e-12)
 
 
 def test_comparability_of_regularized_and_plain_gaps():
@@ -166,14 +166,11 @@ def test_comparability_of_regularized_and_plain_gaps():
         ratios = []
         shifts = []
         for mag in (16.0, 64.0, 256.0, 1024.0, 4096.0):
-            xi = np.array([mag])
-            for t in np.linspace(0.0, 1.0, 41):
-                c = op.principal(float(t), xi)
-                plain = solve_cubic_real(c).r
-                reg = op.regularized(float(t), xi, 1.0 / mag).roots.roots.r
-                for j, h in ((0, 1), (1, 2), (2, 0)):
-                    ratios.append(abs(reg[j] - reg[h]) / (abs(plain[j] - plain[h]) + 1.0))
-                shifts.append(max(abs(a - b) for a, b in zip(reg, plain)))
+            g = symbol_grid(op, np.linspace(0.0, 1.0, 41), np.array([mag]))
+            plain, reg = g.tau, g.lam
+            for j, h in ((0, 1), (1, 2), (2, 0)):
+                ratios.extend(abs(reg[j] - reg[h]) / (abs(plain[j] - plain[h]) + 1.0))
+            shifts.extend(np.max(np.abs(reg - plain), axis=0))
         assert 0.2 < min(ratios) and max(ratios) < 5.0
         assert max(shifts) < 4.0
 
@@ -184,9 +181,8 @@ def test_lagrange_reconstruction_of_order2_symbol():
                       (1, (1,)): "0.25*t", (0, (2,)): "0.1"})
     xi = np.array([32.0])
     for t in (0.1, 0.7, 1.3):
-        mc = op.checked_m_poly(t, xi)
-        reg = op.regularized(t, xi, 1.0 / 32.0)
-        r = reg.roots.roots.r
+        g = symbol_grid(op, [t], xi)
+        mc, r = g.mc, g.lam[:, 0]
         ell = []
         for j, h, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
             ell.append(mc.value_at(r[j]) / ((r[j] - r[h]) * (r[j] - r[l])))
@@ -237,3 +233,12 @@ def test_measure_separation_stability():
 def test_symbol_grid_needs_a_time():
     with pytest.raises(ValueError):
         symbol_grid(WAVE, [], np.array([8.0]))
+
+
+def test_hyperbolicity_scan_names_the_offending_point():
+    # t - 0.5 >= 0 makes the roots of tau^3 + (t - 0.5) xi^2 tau complex:
+    # the first grid time past 0.5 is 128/255
+    op = _op("late", {(1, (2,)): "t - 0.5"})
+    hyperbolicity_scan(OLEINIK, [64.0, 128.0], np.array([1.0]))  # hyperbolic: passes
+    with pytest.raises(HyperbolicityViolation, match=r"at t=0\.501961, xi=\[64\.\]$"):
+        hyperbolicity_scan(op, [64.0, 128.0], np.array([1.0]))

@@ -88,3 +88,10 @@ def test_dimension_mismatch():
 def test_unsupported_format_version():
     with pytest.raises(OperatorSpecError, match="format"):
         parse_operator_text("format = 9\norder = 3\ndimension = 1\nT = 1\n")
+
+
+@pytest.mark.parametrize("horizon", ["inf", "1e400", "nan", "0"])
+@pytest.mark.parametrize("order", [2, 3])
+def test_horizon_must_be_finite_and_positive(order, horizon):
+    with pytest.raises(OperatorSpecError, match="horizon"):
+        parse_operator_text(f"order = {order}\ndimension = 1\nT = {horizon}\n")
