@@ -291,8 +291,8 @@ def _write_mode_tables(op, args, fit) -> None:
         _, tr = calibrate_eta(op, sol)
     lines = ["t\tre_v\tim_v\tE\tK\tH\tk"]
     for i, t in enumerate(sol.t):
-        lines.append(f"{float(t)!r}\t{sol.v[i].real!r}\t{sol.v[i].imag!r}"
-                     f"\t{tr.E[i]!r}\t{tr.K[i]!r}\t{tr.H[i]!r}\t{tr.k[i]!r}")
+        cells = (t, sol.v[i].real, sol.v[i].imag, tr.E[i], tr.K[i], tr.H[i], tr.k[i])
+        lines.append("\t".join(repr(float(x)) for x in cells))
     (out / f"mode_{op.name}.tsv").write_text("\n".join(lines) + "\n")
 
 
@@ -421,6 +421,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.eta is not None and not math.isfinite(args.eta):
+            raise OperatorSpecError("--eta must be finite")
         return args.func(args)
     except (OperatorSpecError, ExprError, FileNotFoundError) as exc:
         print(f"hyp3: config error: {exc}", file=sys.stderr)

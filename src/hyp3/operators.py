@@ -18,7 +18,7 @@ import numpy as np
 
 from .cubic import (HYPERBOLICITY_TOL, CubicJet, derivative_quadratic, discriminant,
                     quad_root_jets, root_jets, solve_cubic_real)
-from .errors import HyperbolicityViolation, OperatorSpecError
+from .errors import ExprDomainError, HyperbolicityViolation, NearMultipleRoot, OperatorSpecError
 from .expr import Jet2, TimeFn
 
 __all__ = [
@@ -259,13 +259,18 @@ class Symbols:
 
 def _symbols_at(op: Operator3, t: float, xi: np.ndarray) -> Symbols:
     """The symbols at one time: each coefficient jet is evaluated once, and
-    the principal, lower, corrected and root data all derive from it."""
-    c = op.principal(t, xi)
-    m, n, p = op.lower_polys(t, xi)
-    mc, nc = _corrected(c, m, n)
-    reg, lam, mu, mu_d1 = _unit_regularized(c)
-    tau = solve_cubic_real(c).r
-    s1, s2, _, gap_sq = derivative_quadratic(c)
+    the principal, lower, corrected and root data all derive from it. A
+    numerical or domain failure names the point it happened at."""
+    try:
+        c = op.principal(t, xi)
+        m, n, p = op.lower_polys(t, xi)
+        mc, nc = _corrected(c, m, n)
+        reg, lam, mu, mu_d1 = _unit_regularized(c)
+        tau = solve_cubic_real(c).r
+        s1, s2, _, gap_sq = derivative_quadratic(c)
+    except (HyperbolicityViolation, NearMultipleRoot, ExprDomainError) as exc:
+        exc.args = (f"{exc}, at t={t:.6g}, xi={xi}",)
+        raise
     return Symbols(t, c, m, n, p, mc, nc, reg, tau, (s1, s2), gap_sq,
                    lam.roots.r, lam.d1, lam.d2, mu, mu_d1)
 

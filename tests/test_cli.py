@@ -145,12 +145,28 @@ def test_check_non_hyperbolic_operator_is_numerical_failure(tmp_path, capsys):
     assert rc == 3
 
 
+def test_check_names_the_point_of_a_failure_inside_the_quadrature(tmp_path, capsys):
+    # hyperbolic everywhere, but the derivative quadratic's discriminant dips
+    # below the tolerance near t = 0.3, which only the condition integrand sees
+    p = tmp_path / "touch.op"
+    p.write_text("order = 3\ndimension = 1\nT = 1.0\n"
+                 "a[1,(2)] = -(t - 0.3)^2 + 0.000000000001\n")
+    assert main(["check", "--config", str(p)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("hyp3: numerical failure: discriminant ")
+    assert err.endswith("at derivative quadratic, at t=0.299999, xi=[64.]\n")
+
+
 def test_check_names_the_first_non_hyperbolic_point(tmp_path, capsys):
     p = tmp_path / "late.op"
     p.write_text("order = 3\ndimension = 1\nT = 1.0\na[1,(2)] = t - 0.5\n")
     assert main(["check", "--config", str(p)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("hyp3: numerical failure:") and "t=0.501961, xi=[64.]" in err
+
+
+MODE_TABLES = ["modes", "--battery", "strict_const", "--xi-min", "32", "--xi-max", "1024",
+               "--xi-steps", "6", "--grid", "64", "--format", "tables"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -164,6 +180,8 @@ def test_check_names_the_first_non_hyperbolic_point(tmp_path, capsys):
     ["check", "--battery", "oleinik_ok", "--xi-max", "inf"],
     ["modes", "--battery", "triple_pure", "--xi-min", "32", "--xi-max", "inf",
      "--xi-steps", "6"],
+    MODE_TABLES + ["--eta", "nan"],
+    MODE_TABLES + ["--eta", "inf"],
 ])
 def test_usage_errors_exit_2_with_one_line(capsys, argv):
     assert main(argv) == 2
@@ -184,6 +202,20 @@ def test_tables_emission(tmp_path, capsys):
     assert len(table) > 100
     doc = json.loads((out / "conditions.json").read_text())
     assert doc["pass"] is True
+
+
+def test_mode_tables_hold_plain_floats(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(MODE_TABLES + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    for name in ("mode_strict_const.tsv", "growth_strict_const.tsv"):
+        header, *rows = (out / name).read_text().splitlines()
+        assert len(rows) >= 6
+        for row in rows:
+            cells = row.split("\t")
+            assert len(cells) == len(header.split("\t"))
+            for cell in cells:
+                float(cell)
 
 
 def test_modes_battery_member(capsys):

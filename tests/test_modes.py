@@ -6,6 +6,8 @@ import pytest
 from hyp3.battery import battery_member
 from hyp3.expr import parse_timefn as P
 from hyp3.modes import (
+    CANONICAL_INITS,
+    _amplification,
     calibrate_eta,
     energy_trace,
     factor_apply,
@@ -131,3 +133,70 @@ def test_growth_doubling_horizon_doubles_log_amplification():
 def test_growth_requires_wide_ladder():
     with pytest.raises(ValueError):
         growth_experiment(WAVE, [64.0, 128.0, 256.0])
+
+
+# --------------------------------------------------------------------------
+# Stacked initial data: one fundamental-matrix solve per growth row
+
+ILL_POSED = _op("ill_posed", {(1, (2,)): "1"})   # roots 0, +-i|xi|: growth e^{|xi| t}
+
+
+def _three_solve_amplification(op, xi, grid_points):
+    """The growth row as three single-vector solves, one per canonical
+    basis, with the per-basis maxima taken one solve at a time."""
+    mag = float(np.linalg.norm(xi))
+    amp = amp_half = 0.0
+    for init in CANONICAL_INITS:
+        sol = solve_mode(op, xi, init=init, grid_points=grid_points)
+        assert not sol.blowup
+        w = np.abs(sol.v) + np.abs(sol.v1) / mag + np.abs(sol.v2) / mag ** 2
+        w0 = max(float(w[0]), 1e-300)
+        amp = max(amp, float(np.max(w)) / w0)
+        amp_half = max(amp_half, float(np.max(w[: (len(w) + 1) // 2])) / w0)
+    return amp, amp_half
+
+
+@pytest.mark.parametrize("member,xi", [("strict_sin", 32.0), ("strict_sin", 128.0),
+                                       ("triple_plus_dxx", 64.0), ("triple_plus_dxx", 512.0)])
+def test_growth_row_matches_three_single_solves(member, xi):
+    op = battery_member(member).op
+    amp, amp_half, blowup, reach = _amplification(op, np.array([xi]), 1024, None)
+    want, want_half = _three_solve_amplification(op, np.array([xi]), 1024)
+    assert not blowup and reach == op.horizon
+    assert abs(amp - want) <= 1e-8 * want
+    assert abs(amp_half - want_half) <= 1e-8 * want_half
+
+
+def test_stacked_solve_shapes_and_columns():
+    xi = np.array([64.0])
+    stack = solve_mode(STRICT_SIN, xi, init=CANONICAL_INITS, grid_points=256)
+    assert stack.v.shape == stack.v1.shape == stack.v2.shape == stack.v3.shape == (3, 256)
+    assert stack.t.shape == (256,) and stack.success and not stack.blowup
+    residuals = []
+    for j, init in enumerate(CANONICAL_INITS):
+        one = solve_mode(STRICT_SIN, xi, init=init, grid_points=256)
+        scale = np.max(np.abs(one.v))
+        assert np.max(np.abs(stack.v[j] - one.v)) <= 1e-8 * scale
+        residuals.append(one.residual())
+    assert stack.residual() == pytest.approx(max(residuals), rel=1e-6)
+    with pytest.raises(ValueError):
+        solve_mode(STRICT_SIN, xi, init=np.zeros((2, 3, 3)))
+
+
+def test_solve_mode_blowup_truncates_every_column():
+    for init in ((0.0, 1.0, 0.0), CANONICAL_INITS):
+        sol = solve_mode(ILL_POSED, np.array([1024.0]), init=init, grid_points=64)
+        assert sol.blowup and not sol.success
+        assert 0.0 < sol.reach_time < ILL_POSED.horizon
+        assert sol.t[-1] == sol.reach_time and sol.v.shape[-1] == len(sol.t) < 64
+        assert np.all(np.isfinite(sol.v))
+
+
+def test_growth_row_of_a_blown_up_solve():
+    fit = growth_experiment(ILL_POSED, [2.0 ** k for k in range(5, 11)], grid_points=64)
+    *finite, last = fit.rows
+    assert not any(r["blowup"] for r in finite)
+    assert last["blowup"] and last["amplification"] == math.inf and last["log_amp"] == math.inf
+    assert last["half_log_amp"] == 0.0
+    assert 0.0 < last["reach_time"] < ILL_POSED.horizon
+    assert fit.model == "exp_power" and abs(fit.kappa - 1.0) < 1e-6
