@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HyperbolicityViolation, NearMultipleRoot
-from .expr import Jet2
+from .errors import HyperbolicityViolation, NearMultipleRoot, _check_points
+from .expr import Jet2, _libm
 
 __all__ = [
     "CubicJet",
@@ -123,8 +123,13 @@ def delta1_dt(c: CubicJet) -> float:
     return 4.0 * c.a1.v.real * c.a1.d1.real - 6.0 * c.a2.d1.real
 
 
+def _signed_cbrt(q: float) -> float:
+    return math.copysign(abs(q) ** (1.0 / 3.0), -q) if q != 0.0 else 0.0
+
+
 def solve_cubic_real(c: CubicJet) -> SortedRoots:
-    """All-real roots in ascending order.
+    """All-real roots in ascending order, at one time or pointwise on a
+    time grid (coefficient arrays give a (3, N) root array).
 
     Uses the trigonometric branch with the cosine argument clamped to
     [-1, 1]; weak hyperbolicity forces this branch, and the clamp resolves
@@ -134,6 +139,8 @@ def solve_cubic_real(c: CubicJet) -> SortedRoots:
     ``-HYPERBOLICITY_TOL * scale^4`` (scale = 1 + max |coefficient|).
     """
     a1 = c.a1.v.real
+    if isinstance(a1, np.ndarray):
+        return _solve_cubic_grid(c)
     a2 = c.a2.v.real
     a3 = c.a3.v.real
     scale = 1.0 + max(abs(a1), abs(a2), abs(a3))
@@ -147,7 +154,7 @@ def solve_cubic_real(c: CubicJet) -> SortedRoots:
     q = a1 * (2.0 * a1 * a1 / 27.0 - a2 / 3.0) + a3
     if p >= 0.0:
         # hyperbolicity forces p <= 0 up to rounding: (near-)triple root
-        y = math.copysign(abs(q) ** (1.0 / 3.0), -q) if q != 0.0 else 0.0
+        y = _signed_cbrt(q)
         roots = sorted((y - shift, y - shift, y - shift))
     else:
         m = math.sqrt(-p / 3.0)
@@ -170,6 +177,35 @@ def solve_cubic_real(c: CubicJet) -> SortedRoots:
     return SortedRoots((polished[0], polished[1], polished[2]))
 
 
+def _solve_cubic_grid(c: CubicJet) -> SortedRoots:
+    """:func:`solve_cubic_real` at every grid point, step for step."""
+    a1, a2, a3 = c.a1.v.real, c.a2.v.real, c.a3.v.real
+    scale = c.coeff_scale()
+    disc = discriminant(c)
+    _check_points(disc < -HYPERBOLICITY_TOL * scale ** 4, HyperbolicityViolation, disc)
+
+    shift = a1 / 3.0
+    p = a2 - a1 * a1 / 3.0
+    q = a1 * (2.0 * a1 * a1 / 27.0 - a2 / 3.0) + a3
+    roots = np.empty((3, len(a1)))
+    triple = p >= 0.0
+    roots[:, triple] = _libm(_signed_cbrt, q[triple]) - shift[triple]
+    trig = ~triple
+    m = np.sqrt(-p[trig] / 3.0)
+    phi = _libm(math.acos, np.clip(3.0 * q[trig] / (2.0 * p[trig] * m), -1.0, 1.0))
+    roots[:, trig] = [2.0 * m * np.cos((phi - 2.0 * math.pi * k) / 3.0) - shift[trig]
+                      for k in range(3)]
+    roots.sort(axis=0)
+
+    dp = c.dtau(roots)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r_new = roots - c.value(roots) / dp
+        keep = (abs(dp) > 1e-3 * scale) & (abs(c.value(r_new)) <= abs(c.value(roots)))
+    roots = np.where(keep, r_new, roots)
+    roots.sort(axis=0)
+    return SortedRoots(roots)
+
+
 def derivative_quadratic(c: CubicJet):
     """Roots and discriminant data of d/dr of the cubic: 3r^2 + 2a1 r + a2.
 
@@ -178,12 +214,13 @@ def derivative_quadratic(c: CubicJet):
     """
     a1 = c.a1.v.real
     a2 = c.a2.v.real
-    scale = 1.0 + max(abs(a1), abs(a2), abs(c.a3.v.real))
     disc = 4.0 * a1 * a1 - 12.0 * a2
-    if disc < -HYPERBOLICITY_TOL * scale ** 2:
-        raise HyperbolicityViolation(disc, "derivative quadratic")
-    disc_c = max(disc, 0.0)
-    half_gap = math.sqrt(disc_c) / 6.0
+    grid = isinstance(disc, np.ndarray)
+    scale = c.coeff_scale() if grid else 1.0 + max(abs(a1), abs(a2), abs(c.a3.v.real))
+    _check_points(disc < -HYPERBOLICITY_TOL * scale ** 2, HyperbolicityViolation, disc,
+                 "derivative quadratic")
+    disc_c = np.maximum(disc, 0.0) if grid else max(disc, 0.0)
+    half_gap = (np.sqrt(disc_c) if grid else math.sqrt(disc_c)) / 6.0
     center = -a1 / 3.0
     return center - half_gap, center + half_gap, disc, disc_c / 9.0
 
@@ -198,8 +235,8 @@ def quad_root_jets(c: CubicJet):
     out = []
     for s in (s1, s2):
         denom = 6.0 * s + 2.0 * c.a1.v.real
-        if abs(denom) < 1e-12 * (1.0 + abs(s)):
-            raise NearMultipleRoot(abs(s2 - s1), 1e-12 * (1.0 + abs(s)))
+        thr = 1e-12 * (1.0 + abs(s))
+        _check_points(abs(denom) < thr, NearMultipleRoot, abs(s2 - s1), thr)
         num = 2.0 * c.a1.d1.real * s + c.a2.d1.real
         out.append(-num / denom)
     return (s1, s2), (out[0], out[1])
@@ -224,14 +261,15 @@ def _root_derivatives(c: CubicJet, r):
     l_tr = 2.0 * c.a1.d1.real * r + c.a2.d1.real
     l_rr = 6.0 * r + 2.0 * c.a1.v.real
     psi = 2.0 * l_tr * l_t * l_r - l_rr * l_t * l_t - l_tt * l_r * l_r
-    return -l_t / l_r, psi / l_r ** 3
+    # l_r * l_r * l_r, not l_r ** 3: numpy's array power is not libm's pow,
+    # and a grid must round exactly like its points
+    return -l_t / l_r, psi / (l_r * l_r * l_r)
 
 
 def root_jets(c: CubicJet, roots: SortedRoots) -> RootJet:
     """First and second root time-derivatives (:func:`_root_derivatives`);
     only defined while all pairwise gaps exceed the simple-root threshold."""
     gap, thr = _simple_root_gap(roots.r)
-    if gap <= thr:
-        raise NearMultipleRoot(float(gap), float(thr))
+    _check_points(gap <= thr, NearMultipleRoot, gap, thr)
     d1, d2 = zip(*(_root_derivatives(c, r) for r in roots.r))
     return RootJet(roots, d1, d2)

@@ -2,9 +2,43 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class ExprError(Exception):
     """Base class for expression-language failures."""
+
+
+class PointError(Exception):
+    """A pointwise evaluation failed; on a time grid, ``index`` is the first
+    failing time."""
+
+    index: int | None = None
+
+
+def _check_points(bad, error, *args) -> None:
+    """Pointwise guard: where ``bad`` first holds, raise ``error(*args)``.
+    On a time grid (``bad`` an array) array arguments are taken at that
+    point, and its index is kept on the exception."""
+    i = None
+    if isinstance(bad, np.ndarray):
+        if not bad.any():
+            return
+        i = int(bad.argmax())
+        args = [a[i].item() if isinstance(a, np.ndarray) else a for a in args]
+    elif not bad:
+        return
+    exc = error(*args)
+    exc.index = i
+    raise exc
+
+
+def locate(exc: PointError, t, xi) -> None:
+    """End ``exc``'s message with the point it was raised at: ``t`` is one
+    time, or a grid (a failure at every time, a constant's, names the first)."""
+    if isinstance(t, np.ndarray):
+        t = t[exc.index or 0]
+    exc.args = (f"{exc}, at t={t:.6g}, xi={xi}",)
 
 
 class ExprSyntaxError(ExprError):
@@ -30,12 +64,12 @@ class UnknownIdentifierError(ExprError):
         super().__init__(f"unknown identifier {name!r} at offset {offset}")
 
 
-class ExprDomainError(ExprError):
+class ExprDomainError(ExprError, PointError):
     """Evaluation left the expression's real domain (log of a non-positive
     value, division by zero, zero to a negative power)."""
 
 
-class HyperbolicityViolation(Exception):
+class HyperbolicityViolation(PointError):
     """The principal symbol has non-real roots beyond the tolerance band."""
 
     def __init__(self, discriminant: float, where: str = ""):
@@ -46,7 +80,7 @@ class HyperbolicityViolation(Exception):
         super().__init__(msg)
 
 
-class NearMultipleRoot(Exception):
+class NearMultipleRoot(PointError):
     """Implicit root differentiation requested below the simple-root gap."""
 
     def __init__(self, gap: float, threshold: float):

@@ -27,7 +27,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Union
 
-from .errors import ExprDomainError, ExprSyntaxError, UnknownIdentifierError
+import numpy as np
+
+from .errors import ExprDomainError, ExprSyntaxError, UnknownIdentifierError, _check_points
 
 __all__ = ["Jet2", "TimeFn", "parse_timefn"]
 
@@ -288,7 +290,22 @@ def _print(node: Node) -> str:
 
 
 # --------------------------------------------------------------------------
-# Taylor-mode evaluation (coefficients c[k] = f^(k)/k!)
+# Taylor-mode evaluation (coefficients c[k] = f^(k)/k!), at one time (plain
+# numbers) or on a time grid (arrays, one entry per time)
+
+
+def _is_complex(x) -> bool:
+    return isinstance(x, complex) or (isinstance(x, np.ndarray) and x.dtype.kind == "c")
+
+
+def _libm(f, x):
+    """``f``, a ``math`` or ``cmath`` function, at one point or at each entry
+    of a grid array. numpy's exp, log and arccos loops differ from libm in
+    the last place on a few percent of inputs, and a grid must round
+    exactly like its points."""
+    if isinstance(x, np.ndarray):
+        return np.array([f(v) for v in x.tolist()], dtype=x.dtype)
+    return f(x)
 
 
 def _smul(a, b):
@@ -297,14 +314,13 @@ def _smul(a, b):
 
 
 def _sdiv(a, b):
-    if b[0] == 0:
-        raise ExprDomainError("division by zero")
+    _check_points(b[0] == 0, ExprDomainError, "division by zero")
     n = len(a)
     q = [0.0] * n
     for k in range(n):
         acc = a[k]
         for j in range(k):
-            acc -= q[j] * b[k - j]
+            acc = acc - q[j] * b[k - j]  # not -=: a[k] may be a caller's array
         q[k] = acc / b[0]
     return q
 
@@ -328,7 +344,7 @@ def _spow(a, n: int):
 def _sexp(a):
     n = len(a)
     e = [0.0] * n
-    e[0] = cmath.exp(a[0]) if isinstance(a[0], complex) else math.exp(a[0])
+    e[0] = _libm(cmath.exp if _is_complex(a[0]) else math.exp, a[0])
     for k in range(1, n):
         e[k] = sum(j * a[j] * e[k - j] for j in range(1, k + 1)) / k
     return e
@@ -336,14 +352,12 @@ def _sexp(a):
 
 def _slog(a):
     x = a[0]
-    if isinstance(x, complex):
-        if x == 0:
-            raise ExprDomainError("log of zero")
-        l0 = cmath.log(x)
+    if _is_complex(x):
+        _check_points(x == 0, ExprDomainError, "log of zero")
+        l0 = _libm(cmath.log, x)
     else:
-        if x <= 0:
-            raise ExprDomainError(f"log of non-positive value {x!r}")
-        l0 = math.log(x)
+        _check_points(x <= 0, lambda v: ExprDomainError(f"log of non-positive value {v!r}"), x)
+        l0 = _libm(math.log, x)
     n = len(a)
     out = [0.0] * n
     out[0] = l0
@@ -357,7 +371,9 @@ def _slog(a):
 
 def _ssincos(a):
     n = len(a)
-    if isinstance(a[0], complex):
+    if isinstance(a[0], np.ndarray):
+        s0, c0 = np.sin(a[0]), np.cos(a[0])
+    elif isinstance(a[0], complex):
         s0, c0 = cmath.sin(a[0]), cmath.cos(a[0])
     else:
         s0, c0 = math.sin(a[0]), math.cos(a[0])
@@ -378,7 +394,7 @@ def _eval_series(node: Node, t: float, order: int):
         return [1j] + [0.0] * (n - 1)
     if isinstance(node, TimeVar):
         out = [0.0] * n
-        out[0] = float(t)
+        out[0] = t if isinstance(t, np.ndarray) else float(t)
         if n > 1:
             out[1] = 1.0
         return out
@@ -394,8 +410,8 @@ def _eval_series(node: Node, t: float, order: int):
         return _sdiv(a, b)
     if isinstance(node, Pow):
         a = _eval_series(node.base, t, order)
-        if node.exponent < 0 and a[0] == 0:
-            raise ExprDomainError("zero raised to a negative power")
+        if node.exponent < 0:
+            _check_points(a[0] == 0, ExprDomainError, "zero raised to a negative power")
         return _spow(a, node.exponent)
     assert isinstance(node, Call)
     a = _eval_series(node.arg, t, order)

@@ -20,7 +20,7 @@ from scipy.integrate import solve_ivp
 from .conditions import _primary_terms
 from .cubic import _SS2, _root_derivatives, _simple_root_gap
 from .cubic import solve_cubic_real  # noqa: F401  (a binding perfbench/tests checks)
-from .errors import OperatorSpecError
+from .errors import ExprDomainError, OperatorSpecError, locate
 from .operators import Operator3, Symbols, symbol_grid
 
 __all__ = [
@@ -60,16 +60,19 @@ def _ode_coefficients(op: Operator3, xi: np.ndarray):
             w *= (1j * float(x)) ** a
         if w != 0:
             terms[j].append((w, fn))
-    if op.is_constant():
-        g = [sum((w * fn.value(0.0) for w, fn in terms[j]), complex(0.0)) for j in range(3)]
 
-        def coeff_fn(_t: float):
-            return g
-    else:
-        def coeff_fn(t: float):
+    def coeffs_at(t: float):
+        try:
             return [sum((w * fn.value(t) for w, fn in terms[j]), complex(0.0))
                     for j in range(3)]
-    return coeff_fn
+        except ExprDomainError as exc:
+            locate(exc, t, xi)
+            raise
+
+    if op.is_constant():
+        g = coeffs_at(0.0)
+        return lambda _t: g
+    return coeffs_at
 
 
 @dataclass

@@ -18,7 +18,7 @@ import numpy as np
 
 from .cubic import (HYPERBOLICITY_TOL, CubicJet, derivative_quadratic, discriminant,
                     quad_root_jets, root_jets, solve_cubic_real)
-from .errors import ExprDomainError, HyperbolicityViolation, NearMultipleRoot, OperatorSpecError
+from .errors import HyperbolicityViolation, OperatorSpecError, PointError, locate
 from .expr import Jet2, TimeFn
 
 __all__ = [
@@ -36,6 +36,13 @@ _NAN = float("nan")
 
 #: time samples of the validation grid on [0, horizon]
 VALIDATION_T_SAMPLES = 256
+
+
+def _zero_jet(t) -> Jet2:
+    """The zero jet at one time, or on the time grid ``t`` (zero arrays, so
+    that a sum of constant coefficients still has one entry per time)."""
+    z = np.zeros_like(t) if isinstance(t, np.ndarray) else 0.0
+    return Jet2(z, z, z, z)
 
 
 def _xi_pow(xi: np.ndarray, alpha: tuple[int, ...]) -> float:
@@ -190,10 +197,11 @@ class Operator3:
 
     # -- principal symbol ---------------------------------------------------
 
-    def principal(self, t: float, xi: np.ndarray) -> CubicJet:
-        """Coefficient jets (a1, a2, a3) of the monic principal cubic;
-        a_k multiplies the (3-k)-th power of the root variable."""
-        acc = [Jet2(0.0, 0.0, 0.0, 0.0)] * 3
+    def principal(self, t, xi: np.ndarray) -> CubicJet:
+        """Coefficient jets (a1, a2, a3) of the monic principal cubic, at one
+        time or on a time grid; a_k multiplies the (3-k)-th power of the
+        root variable."""
+        acc = [_zero_jet(t)] * 3
         for (j, alpha), fn in self.coeffs.items():
             k = sum(alpha)
             if j + k != 3:
@@ -207,11 +215,13 @@ class Operator3:
 
     # -- lower-order symbols -------------------------------------------------
 
-    def lower_polys(self, t: float, xi: np.ndarray) -> tuple[TauPoly, TauPoly, Jet2]:
-        """(order-2 symbol, order-1 symbol, zeroth coefficient jet)."""
-        m = [Jet2(0.0, 0.0, 0.0, 0.0)] * 3
-        n = [Jet2(0.0, 0.0, 0.0, 0.0)] * 2
-        p = Jet2(0.0, 0.0, 0.0, 0.0)
+    def lower_polys(self, t, xi: np.ndarray) -> tuple[TauPoly, TauPoly, Jet2]:
+        """(order-2 symbol, order-1 symbol, zeroth coefficient jet), at one
+        time or on a time grid."""
+        zero = _zero_jet(t)
+        m = [zero] * 3
+        n = [zero] * 2
+        p = zero
         for (j, alpha), fn in self.coeffs.items():
             k = sum(alpha)
             tot = j + k
@@ -257,10 +267,11 @@ class Symbols:
     mu_d1: tuple
 
 
-def _symbols_at(op: Operator3, t: float, xi: np.ndarray) -> Symbols:
-    """The symbols at one time: each coefficient jet is evaluated once, and
-    the principal, lower, corrected and root data all derive from it. A
-    numerical or domain failure names the point it happened at."""
+def _symbols_at(op: Operator3, t, xi: np.ndarray) -> Symbols:
+    """The symbols at one time, or pointwise on a time-grid array: each
+    coefficient jet is evaluated once, and the principal, lower, corrected
+    and root data all derive from it. A numerical or domain failure names
+    the (first) point it happened at."""
     try:
         c = op.principal(t, xi)
         m, n, p = op.lower_polys(t, xi)
@@ -268,61 +279,24 @@ def _symbols_at(op: Operator3, t: float, xi: np.ndarray) -> Symbols:
         reg, lam, mu, mu_d1 = _unit_regularized(c)
         tau = solve_cubic_real(c).r
         s1, s2, _, gap_sq = derivative_quadratic(c)
-    except (HyperbolicityViolation, NearMultipleRoot, ExprDomainError) as exc:
-        exc.args = (f"{exc}, at t={t:.6g}, xi={xi}",)
+    except PointError as exc:
+        locate(exc, t, xi)
         raise
     return Symbols(t, c, m, n, p, mc, nc, reg, tau, (s1, s2), gap_sq,
                    lam.roots.r, lam.d1, lam.d2, mu, mu_d1)
 
 
-def _column(s: Symbols) -> list:
-    """The scalars of one point's symbols, in :class:`Symbols` field order
-    (each jet as value, d1, d2); :func:`_stacked` reads them back."""
-    jets = (s.c.a1, s.c.a2, s.c.a3, *s.m.coeffs, *s.n.coeffs, s.p, *s.mc.coeffs,
-            *s.nc.coeffs, s.reg.a1, s.reg.a2, s.reg.a3)
-    return ([x for j in jets for x in (j.v, j.d1, j.d2)]
-            + [*s.tau, *s.crit, s.crit_gap_sq, *s.lam, *s.lam_d1, *s.lam_d2, *s.mu, *s.mu_d1])
-
-
-def _stacked(ts: np.ndarray, buf: np.ndarray) -> Symbols:
-    """:class:`Symbols` over views of ``buf``, whose columns are
-    :func:`_column` lists; a jet row that is real everywhere comes out real."""
-    pos = 0
-
-    def take(k):
-        nonlocal pos
-        pos += k
-        return buf[pos - k:pos]
-
-    def jets(k):
-        return tuple(Jet2(*(r if r.imag.any() else r.real for r in take(3))) for _ in range(k))
-
-    c = CubicJet(*jets(3))
-    m, n, (p,) = TauPoly(jets(3)), TauPoly(jets(2)), jets(1)
-    mc, nc = TauPoly(jets(3)), TauPoly(jets(2))
-    reg = CubicJet(*jets(3))
-    tau, crit, gap_sq = take(3).real, take(2).real, take(1)[0].real
-    lam, lam_d1, lam_d2 = take(3).real, take(3).real, take(3).real
-    mu, mu_d1 = take(2).real, take(2).real
-    return Symbols(ts, c, m, n, p, mc, nc, reg, tau, crit, gap_sq,
-                   lam, lam_d1, lam_d2, mu, mu_d1)
-
-
 def symbol_grid(op: Operator3, ts, xi: np.ndarray) -> Symbols:
     """The symbols at every time of ``ts`` at frequency ``xi``: one
-    :func:`_symbols_at` per point, its scalars written into one
-    preallocated array as the loop runs."""
+    :func:`_symbols_at` call on the time array, its root data stacked into
+    (k, N) arrays."""
     ts = np.asarray(ts, dtype=float)
     if ts.size == 0:
         raise ValueError("symbol_grid needs at least one time")
-    dtype = complex if any(fn.has_imag for fn in op.coeffs.values()) else float
-    buf = None
-    for i, t in enumerate(ts):
-        col = _column(_symbols_at(op, float(t), xi))
-        if buf is None:
-            buf = np.empty((len(col), len(ts)), dtype=dtype)
-        buf[:, i] = col
-    return _stacked(ts, buf)
+    s = _symbols_at(op, ts, xi)
+    for name in ("tau", "crit", "lam", "lam_d1", "lam_d2", "mu", "mu_d1"):
+        setattr(s, name, np.array(getattr(s, name)))
+    return s
 
 
 # --------------------------------------------------------------------------
@@ -378,11 +352,12 @@ def hyperbolicity_scan(op: Operator3, ladder: Sequence[float], direction: np.nda
     ts = np.linspace(0.0, op.horizon, VALIDATION_T_SAMPLES)
     for mag in ladder:
         xi = mag * direction
-        for t in ts:
-            c = op.principal(float(t), xi)
-            disc = discriminant(c)
-            if disc < -HYPERBOLICITY_TOL * c.coeff_scale() ** 4:
-                raise HyperbolicityViolation(disc, where=f"t={t:.6g}, xi={xi}")
+        c = op.principal(ts, xi)
+        disc = discriminant(c)
+        bad = disc < -HYPERBOLICITY_TOL * c.coeff_scale() ** 4
+        if bad.any():
+            i = int(bad.argmax())
+            raise HyperbolicityViolation(float(disc[i]), where=f"t={ts[i]:.6g}, xi={xi}")
 
 
 def measure_separation(op: Operator3, ladder: Sequence[float],

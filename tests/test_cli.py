@@ -165,6 +165,18 @@ def test_check_names_the_first_non_hyperbolic_point(tmp_path, capsys):
     assert err.startswith("hyp3: numerical failure:") and "t=0.501961, xi=[64.]" in err
 
 
+def test_modes_names_the_point_of_a_coefficient_domain_error(tmp_path, capsys):
+    # log(t - 0.5) is undefined up to t = 0.5; the mode solve meets it in its
+    # first right-hand side, at t = 0
+    p = tmp_path / "log.op"
+    p.write_text("order = 3\ndimension = 1\nT = 1.0\n"
+                 "a[1,(2)] = -1\na[0,(0)] = log(t - 0.5)\n")
+    assert main(["modes", "--config", str(p), "--xi-min", "32", "--xi-max", "1024",
+                 "--xi-steps", "6", "--grid", "64", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "hyp3: config error: log of non-positive value -0.5, at t=0, xi=[32.]\n")
+
+
 MODE_TABLES = ["modes", "--battery", "strict_const", "--xi-min", "32", "--xi-max", "1024",
                "--xi-steps", "6", "--grid", "64", "--format", "tables"]
 

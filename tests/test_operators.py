@@ -1,15 +1,20 @@
 import math
 import random
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from hyp3.cubic import delta1, derivative_quadratic, discriminant, solve_cubic_real
-from hyp3.errors import HyperbolicityViolation, OperatorSpecError
+from hyp3.battery import BATTERY, battery_names
+from hyp3.cubic import CubicJet, delta1, derivative_quadratic, discriminant, solve_cubic_real
+from hyp3.errors import ExprDomainError, HyperbolicityViolation, OperatorSpecError
+from hyp3.expr import Jet2
 from hyp3.expr import parse_timefn as P
 from hyp3.operators import (
     Operator2,
     Operator3,
+    TauPoly,
+    _symbols_at,
     hyperbolicity_scan,
     measure_separation,
     regularized_cubic,
@@ -242,3 +247,73 @@ def test_hyperbolicity_scan_names_the_offending_point():
     hyperbolicity_scan(OLEINIK, [64.0, 128.0], np.array([1.0]))  # hyperbolic: passes
     with pytest.raises(HyperbolicityViolation, match=r"at t=0\.501961, xi=\[64\.\]$"):
         hyperbolicity_scan(op, [64.0, 128.0], np.array([1.0]))
+
+
+def _rows(field):
+    """The per-time rows of one :class:`Symbols` field."""
+    if isinstance(field, CubicJet):
+        return [r for j in (field.a1, field.a2, field.a3) for r in _rows(j)]
+    if isinstance(field, TauPoly):
+        return [r for j in field.coeffs for r in _rows(j)]
+    if isinstance(field, Jet2):
+        return [field.v, field.d1, field.d2] + ([] if field.d3 is None else [field.d3])
+    if np.ndim(field) == 2 or isinstance(field, tuple):
+        return list(field)
+    return [field]
+
+
+IMAG_LOWER = _op("imag_lower", {(1, (2,)): "-(2+sin(t))^2", (0, (1,)): "0.5*i*t",
+                                (1, (0,)): "i*cos(t)"})
+
+
+@pytest.mark.parametrize("mag", [64.0, 4096.0])
+@pytest.mark.parametrize("op", [BATTERY[n].op for n in battery_names(order=3)] + [IMAG_LOWER],
+                         ids=battery_names(order=3) + ["imag_lower"])
+def test_symbol_grid_equals_its_points(op, mag):
+    xi = np.array([mag])
+    ts = np.linspace(0.0, op.horizon, 64)
+    grid = symbol_grid(op, ts, xi)
+    for i, t in enumerate(ts):
+        point = _symbols_at(op, float(t), xi)
+        for f in fields(point):
+            if f.name == "t":
+                continue
+            grid_rows, point_rows = _rows(getattr(grid, f.name)), _rows(getattr(point, f.name))
+            assert len(grid_rows) == len(point_rows), f.name
+            for k, (g, p) in enumerate(zip(grid_rows, point_rows)):
+                assert np.shape(g) == ts.shape, (f.name, k)
+                # bitwise: equal values, or NaN on both sides
+                assert g[i] == p or (g[i] != g[i] and p != p), (f.name, k, t)
+
+
+def test_constant_coefficient_grid_has_full_length_rows():
+    g = symbol_grid(_op("cc", {(1, (2,)): "-1", (0, (0,)): "2"}), np.linspace(0.0, 1.0, 5),
+                    np.array([8.0]))
+    for f in fields(g):
+        for row in _rows(getattr(g, f.name)):
+            assert np.shape(row) == (5,), f.name
+    assert g.tau.shape == g.lam_d2.shape == (3, 5) and g.mu.shape == (2, 5)
+
+
+@pytest.mark.parametrize("coeffs, ts", [
+    # derivative-quadratic discriminant below tolerance only within 1e-6 of
+    # t = 0.3, a time the grid k/250 holds
+    ({(1, (2,)): "-(t - 0.3)^2 + 0.000000000001"}, np.linspace(0.0, 1.0, 251)),
+    # log of a non-positive value from the first time on
+    ({(1, (2,)): "-1", (0, (0,)): "log(t - 0.5)"}, np.linspace(0.0, 1.0, 256)),
+    # ... and from the middle of the grid on
+    ({(1, (2,)): "-1", (0, (0,)): "log(0.5 - t)"}, np.linspace(0.0, 1.0, 256)),
+], ids=["derivative_quadratic", "log_from_start", "log_from_middle"])
+def test_symbol_grid_names_the_first_failing_point(coeffs, ts):
+    op = _op("bad", coeffs)
+    xi = np.array([64.0])
+    with pytest.raises((HyperbolicityViolation, ExprDomainError)) as grid_exc:
+        symbol_grid(op, ts, xi)
+    for t in ts:
+        try:
+            _symbols_at(op, float(t), xi)
+        except type(grid_exc.value) as exc:
+            assert str(grid_exc.value) == str(exc)
+            break
+    else:
+        pytest.fail("no grid time fails on its own")
