@@ -9,18 +9,10 @@ class ExprError(Exception):
     """Base class for expression-language failures."""
 
 
-class PointError(Exception):
-    """A pointwise evaluation failed; on a time grid, ``index`` is the first
-    failing time."""
-
-    index: int | None = None
-
-
 def _check_points(bad, error, *args) -> None:
-    """Pointwise guard: where ``bad`` first holds, raise ``error(*args)``.
-    On a time grid (``bad`` an array) array arguments are taken at that
-    point, and its index is kept on the exception."""
-    i = None
+    """Pointwise guard: raise ``error(*args)`` where ``bad`` holds; on a time
+    grid (``bad`` an array), at its first such point, with array arguments
+    taken there."""
     if isinstance(bad, np.ndarray):
         if not bad.any():
             return
@@ -28,16 +20,11 @@ def _check_points(bad, error, *args) -> None:
         args = [a[i].item() if isinstance(a, np.ndarray) else a for a in args]
     elif not bad:
         return
-    exc = error(*args)
-    exc.index = i
-    raise exc
+    raise error(*args)
 
 
-def locate(exc: PointError, t, xi) -> None:
-    """End ``exc``'s message with the point it was raised at: ``t`` is one
-    time, or a grid (a failure at every time, a constant's, names the first)."""
-    if isinstance(t, np.ndarray):
-        t = t[exc.index or 0]
+def locate(exc: Exception, t: float, xi) -> None:
+    """End ``exc``'s message with the point it was raised at."""
     exc.args = (f"{exc}, at t={t:.6g}, xi={xi}",)
 
 
@@ -64,12 +51,12 @@ class UnknownIdentifierError(ExprError):
         super().__init__(f"unknown identifier {name!r} at offset {offset}")
 
 
-class ExprDomainError(ExprError, PointError):
+class ExprDomainError(ExprError):
     """Evaluation left the expression's real domain (log of a non-positive
     value, division by zero, zero to a negative power)."""
 
 
-class HyperbolicityViolation(PointError):
+class HyperbolicityViolation(Exception):
     """The principal symbol has non-real roots beyond the tolerance band."""
 
     def __init__(self, discriminant: float, where: str = ""):
@@ -80,7 +67,7 @@ class HyperbolicityViolation(PointError):
         super().__init__(msg)
 
 
-class NearMultipleRoot(PointError):
+class NearMultipleRoot(Exception):
     """Implicit root differentiation requested below the simple-root gap."""
 
     def __init__(self, gap: float, threshold: float):

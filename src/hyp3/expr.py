@@ -294,8 +294,11 @@ def _print(node: Node) -> str:
 # numbers) or on a time grid (arrays, one entry per time)
 
 
-def _is_complex(x) -> bool:
-    return isinstance(x, complex) or (isinstance(x, np.ndarray) and x.dtype.kind == "c")
+def _lib(x):
+    """``cmath`` for a complex value or grid array, else ``math``."""
+    if isinstance(x, complex) or (isinstance(x, np.ndarray) and x.dtype.kind == "c"):
+        return cmath
+    return math
 
 
 def _libm(f, x):
@@ -344,7 +347,7 @@ def _spow(a, n: int):
 def _sexp(a):
     n = len(a)
     e = [0.0] * n
-    e[0] = _libm(cmath.exp if _is_complex(a[0]) else math.exp, a[0])
+    e[0] = _libm(_lib(a[0]).exp, a[0])
     for k in range(1, n):
         e[k] = sum(j * a[j] * e[k - j] for j in range(1, k + 1)) / k
     return e
@@ -352,34 +355,28 @@ def _sexp(a):
 
 def _slog(a):
     x = a[0]
-    if _is_complex(x):
+    lib = _lib(x)
+    if lib is cmath:
         _check_points(x == 0, ExprDomainError, "log of zero")
-        l0 = _libm(cmath.log, x)
     else:
         _check_points(x <= 0, lambda v: ExprDomainError(f"log of non-positive value {v!r}"), x)
-        l0 = _libm(math.log, x)
     n = len(a)
     out = [0.0] * n
-    out[0] = l0
+    out[0] = _libm(lib.log, x)
     for k in range(1, n):
         acc = k * a[k]
         for j in range(1, k):
-            acc -= j * out[j] * a[k - j]
+            acc = acc - j * out[j] * a[k - j]  # not -=: out[j] may be complex
         out[k] = acc / (k * a[0])
     return out
 
 
 def _ssincos(a):
     n = len(a)
-    if isinstance(a[0], np.ndarray):
-        s0, c0 = np.sin(a[0]), np.cos(a[0])
-    elif isinstance(a[0], complex):
-        s0, c0 = cmath.sin(a[0]), cmath.cos(a[0])
-    else:
-        s0, c0 = math.sin(a[0]), math.cos(a[0])
+    lib = _lib(a[0])
     s = [0.0] * n
     c = [0.0] * n
-    s[0], c[0] = s0, c0
+    s[0], c[0] = _libm(lib.sin, a[0]), _libm(lib.cos, a[0])
     for k in range(1, n):
         s[k] = sum(j * a[j] * c[k - j] for j in range(1, k + 1)) / k
         c[k] = -sum(j * a[j] * s[k - j] for j in range(1, k + 1)) / k

@@ -18,7 +18,8 @@ import numpy as np
 
 from .cubic import (HYPERBOLICITY_TOL, CubicJet, derivative_quadratic, discriminant,
                     quad_root_jets, root_jets, solve_cubic_real)
-from .errors import HyperbolicityViolation, OperatorSpecError, PointError, locate
+from .errors import (ExprDomainError, HyperbolicityViolation, NearMultipleRoot,
+                     OperatorSpecError, _check_points, locate)
 from .expr import Jet2, TimeFn
 
 __all__ = [
@@ -271,7 +272,7 @@ def _symbols_at(op: Operator3, t, xi: np.ndarray) -> Symbols:
     """The symbols at one time, or pointwise on a time-grid array: each
     coefficient jet is evaluated once, and the principal, lower, corrected
     and root data all derive from it. A numerical or domain failure names
-    the (first) point it happened at."""
+    the point it happened at; on a grid, the first failing time."""
     try:
         c = op.principal(t, xi)
         m, n, p = op.lower_polys(t, xi)
@@ -279,8 +280,15 @@ def _symbols_at(op: Operator3, t, xi: np.ndarray) -> Symbols:
         reg, lam, mu, mu_d1 = _unit_regularized(c)
         tau = solve_cubic_real(c).r
         s1, s2, _, gap_sq = derivative_quadratic(c)
-    except PointError as exc:
-        locate(exc, t, xi)
+    except (HyperbolicityViolation, NearMultipleRoot, ExprDomainError) as exc:
+        if isinstance(t, np.ndarray):
+            # a grid runs each step at every time before the next step, so
+            # the failed step need not be the one that fails first in time:
+            # the times in order raise the first failing time's own error
+            for tk in t.tolist():
+                _symbols_at(op, tk, xi)
+        else:
+            locate(exc, t, xi)
         raise
     return Symbols(t, c, m, n, p, mc, nc, reg, tau, (s1, s2), gap_sq,
                    lam.roots.r, lam.d1, lam.d2, mu, mu_d1)
@@ -354,10 +362,9 @@ def hyperbolicity_scan(op: Operator3, ladder: Sequence[float], direction: np.nda
         xi = mag * direction
         c = op.principal(ts, xi)
         disc = discriminant(c)
-        bad = disc < -HYPERBOLICITY_TOL * c.coeff_scale() ** 4
-        if bad.any():
-            i = int(bad.argmax())
-            raise HyperbolicityViolation(float(disc[i]), where=f"t={ts[i]:.6g}, xi={xi}")
+        _check_points(disc < -HYPERBOLICITY_TOL * c.coeff_scale() ** 4,
+                      lambda d, t: HyperbolicityViolation(d, where=f"t={t:.6g}, xi={xi}"),
+                      disc, ts)
 
 
 def measure_separation(op: Operator3, ladder: Sequence[float],

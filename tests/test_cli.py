@@ -165,6 +165,17 @@ def test_check_names_the_first_non_hyperbolic_point(tmp_path, capsys):
     assert err.startswith("hyp3: numerical failure:") and "t=0.501961, xi=[64.]" in err
 
 
+def test_check_takes_a_complex_log_lower_order_term(tmp_path, capsys):
+    # lower-order terms may be complex and use log; the pointwise checks and
+    # the integrand tables evaluate it on whole time grids
+    p = tmp_path / "clog.op"
+    p.write_text("order = 3\ndimension = 1\nT = 1.0\n"
+                 "a[1,(2)] = -1\na[0,(0)] = log(t*t + i)\n")
+    assert main(["check", "--config", str(p), "--xi-steps", "5", "--format", "both",
+                 "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "integrands_clog.tsv").exists()
+
+
 def test_modes_names_the_point_of_a_coefficient_domain_error(tmp_path, capsys):
     # log(t - 0.5) is undefined up to t = 0.5; the mode solve meets it in its
     # first right-hand side, at t = 0

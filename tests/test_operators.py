@@ -7,7 +7,8 @@ import pytest
 
 from hyp3.battery import BATTERY, battery_names
 from hyp3.cubic import CubicJet, delta1, derivative_quadratic, discriminant, solve_cubic_real
-from hyp3.errors import ExprDomainError, HyperbolicityViolation, OperatorSpecError
+from hyp3.errors import (ExprDomainError, HyperbolicityViolation, NearMultipleRoot,
+                         OperatorSpecError)
 from hyp3.expr import Jet2
 from hyp3.expr import parse_timefn as P
 from hyp3.operators import (
@@ -286,6 +287,32 @@ def test_symbol_grid_equals_its_points(op, mag):
                 assert g[i] == p or (g[i] != g[i] and p != p), (f.name, k, t)
 
 
+@pytest.mark.parametrize("mag", [64.0, 4096.0])
+@pytest.mark.parametrize("term", ["log(t*t + i)", "log(cos(t) + i)", "sin(i*t)",
+                                  "cos(0.3*t + i*t)", "exp(i*t)/(2 + i*t)"])
+def test_complex_lower_order_grid_matches_its_points(term, mag):
+    # numpy's complex product and quotient round differently from Python's,
+    # so a complex lower-order term agrees with its points to rounding only
+    op = _op("complex_lower", {(1, (2,)): "-(2+sin(t))^2", (0, (0,)): term,
+                               (0, (1,)): term, (1, (0,)): term})
+    xi = np.array([mag])
+    ts = np.linspace(0.0, op.horizon, 64)
+    grid = symbol_grid(op, ts, xi)
+    for i, t in enumerate(ts):
+        point = _symbols_at(op, float(t), xi)
+        for f in fields(point):
+            if f.name == "t":
+                continue
+            for k, (g, p) in enumerate(zip(_rows(getattr(grid, f.name)),
+                                           _rows(getattr(point, f.name)))):
+                assert np.shape(g) == ts.shape, (f.name, k)
+                g_i, p_i = complex(g[i]), complex(p)
+                for x, y in ((g_i.real, p_i.real), (g_i.imag, p_i.imag)):
+                    # NaN on both sides: a jet entry that is never consumed
+                    assert x == pytest.approx(y, rel=1e-13, abs=1e-16 * mag ** 2, nan_ok=True), \
+                        (f.name, k, t)
+
+
 def test_constant_coefficient_grid_has_full_length_rows():
     g = symbol_grid(_op("cc", {(1, (2,)): "-1", (0, (0,)): "2"}), np.linspace(0.0, 1.0, 5),
                     np.array([8.0]))
@@ -303,17 +330,24 @@ def test_constant_coefficient_grid_has_full_length_rows():
     ({(1, (2,)): "-1", (0, (0,)): "log(t - 0.5)"}, np.linspace(0.0, 1.0, 256)),
     # ... and from the middle of the grid on
     ({(1, (2,)): "-1", (0, (0,)): "log(0.5 - t)"}, np.linspace(0.0, 1.0, 256)),
-], ids=["derivative_quadratic", "log_from_start", "log_from_middle"])
+    # two causes: the roots turn complex past t = 0.2, the log fails from
+    # t = 0.7 on; the grid evaluates the log first, a point the roots first
+    ({(1, (2,)): "t - 0.2", (0, (0,)): "log(0.7 - t)"}, np.linspace(0.0, 1.0, 256)),
+], ids=["derivative_quadratic", "log_from_start", "log_from_middle", "roots_before_log"])
 def test_symbol_grid_names_the_first_failing_point(coeffs, ts):
     op = _op("bad", coeffs)
     xi = np.array([64.0])
-    with pytest.raises((HyperbolicityViolation, ExprDomainError)) as grid_exc:
+    errors = (HyperbolicityViolation, ExprDomainError, NearMultipleRoot)
+    with pytest.raises(errors) as grid_exc:
         symbol_grid(op, ts, xi)
     for t in ts:
         try:
             _symbols_at(op, float(t), xi)
-        except type(grid_exc.value) as exc:
+        except errors as exc:
+            assert type(grid_exc.value) is type(exc)
             assert str(grid_exc.value) == str(exc)
             break
     else:
         pytest.fail("no grid time fails on its own")
+    if "0.7" in str(coeffs):
+        assert grid_exc.type is HyperbolicityViolation
