@@ -173,13 +173,19 @@ def condition_integrals(op: Operator3, xi: np.ndarray, *, rel_tol: float = 1e-6)
 
     All integrands share one symbol evaluation per quadrature node; the
     auxiliary-root denominators are bounded below uniformly, so the
-    integrands are bounded (if steep near degeneracy times).
-    """
+    integrands are bounded (if steep near degeneracy times). With constant
+    coefficients they are constant in time: the first node's row serves all."""
     mag = float(np.linalg.norm(xi))
     if mag < 2.0:
         raise OperatorSpecError("condition integrals need |xi| >= 2")
-    res = adaptive_gauss(lambda t: _integrand_values(op, t, xi),
-                         0.0, op.horizon, rel_tol=rel_tol)
+    constant, rows = op.is_constant(), []
+
+    def integrand(t: float) -> np.ndarray:
+        if not (constant and rows):
+            rows[:] = [_integrand_values(op, t, xi)]
+        return rows[0]
+
+    res = adaptive_gauss(integrand, 0.0, op.horizon, rel_tol=rel_tol)
     vals = dict(zip(PRIMARY_KEYS, (float(x) for x in res.values[:len(PRIMARY_KEYS)])))
     alts = dict(zip(ALTERNATE_KEYS, (float(x) for x in res.values[len(PRIMARY_KEYS):])))
     return ConditionCell(mag, tuple(float(x) for x in np.atleast_1d(xi) / mag),

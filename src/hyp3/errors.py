@@ -53,7 +53,7 @@ class UnknownIdentifierError(ExprError):
 
 class ExprDomainError(ExprError):
     """Evaluation left the expression's real domain (log of a non-positive
-    value, division by zero, zero to a negative power)."""
+    value, division by zero, zero to a negative power) or overflowed."""
 
 
 class HyperbolicityViolation(Exception):

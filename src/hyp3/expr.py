@@ -344,10 +344,18 @@ def _spow(a, n: int):
     return out
 
 
+def _exp(x):
+    """exp at one point; an overflow leaves the expression's domain."""
+    try:
+        return _lib(x).exp(x)
+    except OverflowError:
+        raise ExprDomainError(f"exp of {x!r} overflows") from None
+
+
 def _sexp(a):
     n = len(a)
     e = [0.0] * n
-    e[0] = _libm(_lib(a[0]).exp, a[0])
+    e[0] = _libm(_exp, a[0])
     for k in range(1, n):
         e[k] = sum(j * a[j] * e[k - j] for j in range(1, k + 1)) / k
     return e
@@ -443,7 +451,10 @@ def _eval_value(node: Node, t: float):
         a = _eval_value(node.base, t)
         if node.exponent < 0 and a == 0:
             raise ExprDomainError("zero raised to a negative power")
-        return a ** node.exponent
+        try:
+            return a ** node.exponent
+        except OverflowError:
+            raise ExprDomainError(f"{a!r}^{node.exponent} overflows") from None
     assert isinstance(node, Call)
     a = _eval_value(node.arg, t)
     lib = cmath if isinstance(a, complex) else math
@@ -453,7 +464,7 @@ def _eval_value(node: Node, t: float):
                 raise ExprDomainError("log of zero")
         elif a <= 0:
             raise ExprDomainError(f"log of non-positive value {a!r}")
-    return getattr(lib, node.func)(a)
+    return _exp(a) if node.func == "exp" else getattr(lib, node.func)(a)
 
 
 # --------------------------------------------------------------------------

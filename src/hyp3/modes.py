@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from .conditions import _primary_terms
 from .cubic import _SS2, _root_derivatives, _simple_root_gap
@@ -101,6 +102,15 @@ class ModeSolution:
         return float(np.max(np.max(np.abs(res), axis=-1) / scale))
 
 
+def _mode_grid(op: Operator3, xi: np.ndarray, grid_points: int, t_end: float | None):
+    """The uniform output grid of a mode over [0, t_end or the horizon]."""
+    if not np.linalg.norm(xi) > 0:
+        raise ValueError("mode frequency must be nonzero")
+    if grid_points < 64:
+        raise OperatorSpecError("grid_points must be >= 64")
+    return np.linspace(0.0, float(t_end if t_end is not None else op.horizon), grid_points)
+
+
 def solve_mode(op: Operator3, xi: np.ndarray, init=(1.0, 0.0, 0.0),
                grid_points: int = 1024, t_end: float | None = None) -> ModeSolution:
     """Integrate one mode with an adaptive high-order explicit scheme and
@@ -115,14 +125,10 @@ def solve_mode(op: Operator3, xi: np.ndarray, init=(1.0, 0.0, 0.0),
     solution is truncated at the reached time and flagged (a data point for
     ill-posed operators in its own right). A stack blows up as a whole.
     """
-    if not np.linalg.norm(xi) > 0:
-        raise ValueError("mode frequency must be nonzero")
-    if grid_points < 64:
-        raise OperatorSpecError("grid_points must be >= 64")
+    t_eval = _mode_grid(op, xi, grid_points, t_end)
     y0 = np.array(init, dtype=complex)
     if y0.shape[-1:] != (3,) or y0.ndim > 2:
         raise ValueError("init must have shape (3,) or (k, 3)")
-    horizon = float(t_end if t_end is not None else op.horizon)
     coeff = _ode_coefficients(op, xi)
     # state layout: the k values, then the k first and the k second derivatives
     k = len(y0) if y0.ndim == 2 else 1
@@ -136,9 +142,8 @@ def solve_mode(op: Operator3, xi: np.ndarray, init=(1.0, 0.0, 0.0),
             dy[2 * k + j] = -(g0 * y[j] + g1 * y[k + j] + g2 * y[2 * k + j])
         return dy
 
-    t_eval = np.linspace(0.0, horizon, grid_points)
     with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve_ivp(rhs, (0.0, horizon), state0, method="DOP853",
+        sol = solve_ivp(rhs, (0.0, t_eval[-1]), state0, method="DOP853",
                         rtol=MODE_RTOL, atol=MODE_ATOL, t_eval=t_eval)
     n = sol.y.shape[1] if sol.y.size else 0
     blowup = (not sol.success) or n < grid_points or not np.all(np.isfinite(sol.y))
@@ -419,18 +424,36 @@ class GrowthFit:
 def _amplification(op: Operator3, xi: np.ndarray, grid_points: int,
                    t_end: float | None) -> tuple[float, float, bool, float]:
     """Amplification over the full horizon and over its first half (the
-    same trajectories serve both), maximized over the canonical bases. The
-    bases are integrated together as one fundamental-matrix solve; if it
-    blows up, the amplification is infinite and the half amplification 1."""
-    sol = solve_mode(op, xi, init=CANONICAL_INITS, grid_points=grid_points, t_end=t_end)
-    if sol.blowup:
-        return math.inf, 1.0, True, sol.reach_time
+    same trajectories serve both), maximized over the canonical bases. For
+    constant coefficients they are the columns of exp(t A) on the balanced
+    state (v, v'/|xi|, v''/|xi|^2), filled by doubling as
+    Phi[n:2n] = exp(t_n A) Phi[:n]; otherwise one fundamental-matrix solve.
+    On a blow-up the amplification is infinite and the half amplification 1."""
     mag = float(np.linalg.norm(xi))
-    w = np.abs(sol.v) + np.abs(sol.v1) / mag + np.abs(sol.v2) / mag ** 2
-    w0 = np.maximum(w[:, 0], 1e-300)
-    amp = float(np.max(np.max(w, axis=1) / w0))
-    amp_half = float(np.max(np.max(w[:, : (w.shape[1] + 1) // 2], axis=1) / w0))
-    return amp, amp_half, False, sol.reach_time
+    if op.is_constant():
+        t = _mode_grid(op, xi, grid_points, t_end)
+        g0, g1, g2 = _ode_coefficients(op, xi)(0.0)
+        a = np.array([[0.0, mag, 0.0], [0.0, 0.0, mag], [-g0 / mag ** 2, -g1 / mag, -g2]])
+        steps = 2 ** np.arange(int(len(t) - 1).bit_length())
+        phi = np.tile(np.eye(3, dtype=complex), (len(t), 1, 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n, e in zip(steps.tolist(), expm(t[steps, None, None] * a)):
+                phi[n:2 * n] = e @ phi[:min(n, len(t) - n)]
+            w = np.abs(phi).sum(axis=1).T  # column 1-norms; every basis starts at 1
+        finite = np.isfinite(w).all(axis=0)
+        # reach: the time before the first non-finite one, or t[-1] if none is
+        blowup, reach = not finite.all(), float(t[int(finite.argmin()) - 1])
+    else:
+        sol = solve_mode(op, xi, init=CANONICAL_INITS, grid_points=grid_points, t_end=t_end)
+        blowup, reach = sol.blowup, sol.reach_time
+        if not blowup:
+            w = np.abs(sol.v) + np.abs(sol.v1) / mag + np.abs(sol.v2) / mag ** 2
+            w = w / np.maximum(w[:, :1], 1e-300)
+    if blowup:
+        return math.inf, 1.0, True, reach
+    amp = float(np.max(w))
+    amp_half = float(np.max(w[:, : (w.shape[1] + 1) // 2]))
+    return amp, amp_half, False, reach
 
 
 def growth_experiment(op: Operator3, ladder, direction: np.ndarray | None = None,

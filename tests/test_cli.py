@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -186,6 +187,19 @@ def test_modes_names_the_point_of_a_coefficient_domain_error(tmp_path, capsys):
                  "--xi-steps", "6", "--grid", "64", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == (
         "hyp3: config error: log of non-positive value -0.5, at t=0, xi=[32.]\n")
+
+
+def test_check_names_the_point_of_an_exp_overflow(tmp_path, capsys):
+    # exp(1000 t) leaves the double range past t = 0.7098; the error names
+    # the first grid time beyond it
+    p = tmp_path / "exp.op"
+    p.write_text("order = 3\ndimension = 1\nT = 1.0\n"
+                 "a[1,(2)] = -1\na[0,(0)] = exp(1000*t)\n")
+    assert main(["check", "--config", str(p), "--xi-steps", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"hyp3: config error: exp of \S+ overflows, at t=0\.71\d*, xi=\[\d+\.\]\n",
+                        err), err
 
 
 MODE_TABLES = ["modes", "--battery", "strict_const", "--xi-min", "32", "--xi-max", "1024",

@@ -45,6 +45,27 @@ def test_constant_strict_operator_all_integrals_vanish():
     assert all(v == 0.0 for v in cell.alternates.values())
 
 
+@pytest.mark.parametrize("member,xi", [("triple_plus_dx", 256.0),
+                                       ("const_coeff_wellposed", 4096.0)])
+def test_constant_cell_evaluates_its_integrand_once(monkeypatch, member, xi):
+    from hyp3 import conditions
+    from hyp3.quadrature import adaptive_gauss
+    op, xi = battery_member(member).op, np.array([xi])
+    per_node = adaptive_gauss(lambda t: _integrand_values(op, t, xi), 0.0, op.horizon)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return _integrand_values(*args)
+
+    monkeypatch.setattr(conditions, "_integrand_values", counted)
+    cell = condition_integrals(op, xi)
+    first_node = 0.5 * op.horizon / 8 * (1.0 + np.polynomial.legendre.leggauss(16)[0][0])
+    assert calls == [pytest.approx(first_node, rel=1e-12)]
+    assert list(cell.values.values()) + list(cell.alternates.values()) == per_node.values.tolist()
+    assert (cell.panels, cell.rel_change) == (per_node.panels, per_node.rel_change)
+
+
 def _brute_force_n_levi(c_coef: float, xi: float, horizon: float) -> float:
     """Independent oracle for the order-1 condition on d_t^3 + c d_x:
     everything from first principles via numpy.roots and a dense trapezoid."""

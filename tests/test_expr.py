@@ -1,5 +1,7 @@
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -95,6 +97,25 @@ def test_domain_errors():
         parse_timefn("1/t").jet2(0.0)
     with pytest.raises(ExprDomainError):
         parse_timefn("t^-1").jet2(0.0)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("exp(1000*t)", "exp of 1000.0 overflows"),
+    ("exp(1000*t + i)", "exp of (1000+1j) overflows"),
+])
+def test_exp_overflow_is_a_domain_error_at_a_point_and_on_a_grid(text, message):
+    fn = parse_timefn(text)
+    for call in (fn.value, fn.jet2):
+        with pytest.raises(ExprDomainError, match=re.escape(message)):
+            call(1.0)
+    with pytest.raises(ExprDomainError, match=re.escape(message.replace("1000", "750"))):
+        fn.jet2(np.linspace(0.0, 1.0, 5))
+
+
+def test_power_overflow_of_a_value_is_a_domain_error():
+    for text in ("exp(700*t)^2", "(exp(700*t) + i)^2"):
+        with pytest.raises(ExprDomainError, match=r"\^2 overflows"):
+            parse_timefn(text).value(1.0)
 
 
 def test_real_expressions_have_exactly_zero_imaginary_jets():

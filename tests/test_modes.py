@@ -157,7 +157,9 @@ def _three_solve_amplification(op, xi, grid_points):
 
 
 @pytest.mark.parametrize("member,xi", [("strict_sin", 32.0), ("strict_sin", 128.0),
-                                       ("triple_plus_dxx", 64.0), ("triple_plus_dxx", 512.0)])
+                                       ("triple_plus_dxx", 64.0), ("triple_plus_dxx", 512.0),
+                                       ("strict_const", 64.0), ("const_coeff_wellposed", 128.0),
+                                       ("triple_plus_dx", 64.0), ("triple_pure", 256.0)])
 def test_growth_row_matches_three_single_solves(member, xi):
     op = battery_member(member).op
     amp, amp_half, blowup, reach = _amplification(op, np.array([xi]), 1024, None)
@@ -165,6 +167,19 @@ def test_growth_row_matches_three_single_solves(member, xi):
     assert not blowup and reach == op.horizon
     assert abs(amp - want) <= 1e-8 * want
     assert abs(amp_half - want_half) <= 1e-8 * want_half
+
+
+@pytest.mark.parametrize("xi", [64.0, 4096.0])
+def test_exact_growth_row_of_strict_const_matches_closed_form(xi):
+    # v''' + xi^2 v' = 0: the bases (1, 0, 0), (0, 1, 0), (0, 0, 1) give
+    # v = 1, sin(xi t)/xi and (1 - cos xi t)/xi^2
+    t = np.linspace(0.0, WAVE.horizon, 1024)
+    s, c = np.abs(np.sin(xi * t)), np.abs(np.cos(xi * t))
+    w = np.maximum.reduce([np.ones_like(t), 2.0 * s + c, (1.0 - np.cos(xi * t)) + s + c])
+    amp, amp_half, blowup, reach = _amplification(WAVE, np.array([xi]), 1024, None)
+    assert not blowup and reach == WAVE.horizon
+    assert amp == pytest.approx(np.max(w), rel=1e-12, abs=0.0)
+    assert amp_half == pytest.approx(np.max(w[:512]), rel=1e-12, abs=0.0)
 
 
 def test_stacked_solve_shapes_and_columns():
