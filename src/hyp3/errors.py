@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 
@@ -23,9 +25,23 @@ def _check_points(bad, error, *args) -> None:
     raise error(*args)
 
 
-def locate(exc: Exception, t: float, xi) -> None:
-    """End ``exc``'s message with the point it was raised at."""
-    exc.args = (f"{exc}, at t={t:.6g}, xi={xi}",)
+def _nonfinite(values):
+    """Where any of ``values`` is inf or NaN: a bool at a point, a mask on a
+    time grid (where some of them are arrays)."""
+    if np.ndarray in map(type, values):
+        return ~np.all(np.isfinite(np.broadcast_arrays(*values)), axis=0)
+    return not all(map(cmath.isfinite, values))
+
+
+def locate(exc: Exception, t, xi, at_point) -> None:
+    """Name the point ``exc`` was raised at. At one time ``t``, end its
+    message with it. On a time array, call ``at_point`` at each time in
+    order, so that the first failing time raises its own located error."""
+    if isinstance(t, np.ndarray):
+        for tk in t.tolist():
+            at_point(tk)
+    else:
+        exc.args = (f"{exc}, at t={t:.6g}, xi={xi}",)
 
 
 class ExprSyntaxError(ExprError):

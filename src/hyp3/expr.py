@@ -24,12 +24,14 @@ from __future__ import annotations
 import cmath
 import math
 import re
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
-from .errors import ExprDomainError, ExprSyntaxError, UnknownIdentifierError, _check_points
+from .errors import (ExprDomainError, ExprSyntaxError, UnknownIdentifierError, _check_points,
+                     _nonfinite)
 
 __all__ = ["Jet2", "TimeFn", "parse_timefn"]
 
@@ -311,6 +313,16 @@ def _libm(f, x):
     return f(x)
 
 
+_AT_POINT = nullcontext()
+
+
+def _quiet(x):
+    """numpy's overflow warnings off while a series is computed on a grid
+    (``x`` an array), where plain floats at a point overflow silently."""
+    return np.errstate(over="ignore", invalid="ignore") if isinstance(x, np.ndarray) \
+        else _AT_POINT
+
+
 def _smul(a, b):
     n = len(a)
     return [sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(n)]
@@ -336,11 +348,15 @@ def _spow(a, n: int):
         return _sdiv(one, _spow(a, -n))
     out = one
     base = a
-    while n:
-        if n & 1:
-            out = _smul(out, base)
-        base = _smul(base, base) if n > 1 else base
-        n >>= 1
+    k = n
+    with _quiet(a[0]):
+        while k:
+            if k & 1:
+                out = _smul(out, base)
+            base = _smul(base, base) if k > 1 else base
+            k >>= 1
+    # a power whose value or derivative terms overflow leaves the domain
+    _check_points(_nonfinite(out), lambda v: ExprDomainError(f"{v!r}^{n} overflows"), a[0])
     return out
 
 
@@ -356,8 +372,9 @@ def _sexp(a):
     n = len(a)
     e = [0.0] * n
     e[0] = _libm(_exp, a[0])
-    for k in range(1, n):
-        e[k] = sum(j * a[j] * e[k - j] for j in range(1, k + 1)) / k
+    with _quiet(a[0]):  # a derivative term may overflow, as it may at a point
+        for k in range(1, n):
+            e[k] = sum(j * a[j] * e[k - j] for j in range(1, k + 1)) / k
     return e
 
 
@@ -529,6 +546,10 @@ class TimeFn:
         return Jet2(c[0], c[1], 2.0 * c[2], d3)
 
     def value(self, t: float):
+        """The value at one time, or at each time of an array (a plain
+        number where the expression does not depend on ``t``)."""
+        if isinstance(t, np.ndarray):
+            return _eval_series(self.ast, t, 0)[0]
         return _eval_value(self.ast, t)
 
 

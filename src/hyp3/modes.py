@@ -21,7 +21,7 @@ from scipy.linalg import expm
 from .conditions import _primary_terms
 from .cubic import _SS2, _root_derivatives, _simple_root_gap
 from .cubic import solve_cubic_real  # noqa: F401  (a binding perfbench/tests checks)
-from .errors import ExprDomainError, OperatorSpecError, locate
+from .errors import ExprDomainError, OperatorSpecError, _check_points, _nonfinite, locate
 from .operators import Operator3, Symbols, symbol_grid
 
 __all__ = [
@@ -37,9 +37,6 @@ __all__ = [
     "growth_experiment",
 ]
 
-#: canonical initial-data bases for experiments
-CANONICAL_INITS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-
 ETA_LADDER = tuple(2 ** k for k in range(11))
 
 #: relative and absolute tolerances of the mode integrator
@@ -52,8 +49,10 @@ MODE_ATOL = 1e-12
 
 
 def _ode_coefficients(op: Operator3, xi: np.ndarray):
-    """Complex coefficients g_j(t) of v''' = -(g2 v'' + g1 v' + g0 v):
-    g_j collects a_{j,alpha} (i xi)^alpha over all alpha."""
+    """Complex coefficients g_j(t) of v''' = -(g2 v'' + g1 v' + g0 v), at one
+    time or at each time of an array: g_j collects a_{j,alpha} (i xi)^alpha
+    over all alpha. A domain error or a non-finite value names the point it
+    happened at; on an array, the first such time."""
     terms: list[list] = [[], [], []]
     for (j, alpha), fn in op.coeffs.items():
         w = complex(1.0)
@@ -62,15 +61,17 @@ def _ode_coefficients(op: Operator3, xi: np.ndarray):
         if w != 0:
             terms[j].append((w, fn))
 
-    def coeffs_at(t: float):
+    def coeffs_at(t):
         try:
-            return [sum((w * fn.value(t) for w, fn in terms[j]), complex(0.0))
-                    for j in range(3)]
+            g = [sum((w * fn.value(t) for w, fn in terms[j]), complex(0.0))
+                 for j in range(3)]
+            _check_points(_nonfinite(g), ExprDomainError, "non-finite coefficient value")
         except ExprDomainError as exc:
-            locate(exc, t, xi)
+            locate(exc, t, xi, coeffs_at)
             raise
+        return g
 
-    if op.is_constant():
+    if all(fn.is_constant for tj in terms for _, fn in tj):  # (i xi)^alpha may drop t
         g = coeffs_at(0.0)
         return lambda _t: g
     return coeffs_at
@@ -95,11 +96,9 @@ class ModeSolution:
 
     def residual(self) -> float:
         """Relative residual of the full equation with v''' re-derived by
-        fourth-order finite differences from the v'' trace; for a stacked
-        solution, the largest over its columns."""
-        res = _fd(self.v2, self.grid_step())[..., 2:-2] - self.v3[..., 2:-2]
-        scale = np.maximum(np.max(np.abs(self.v2), axis=-1), 1e-300)
-        return float(np.max(np.max(np.abs(res), axis=-1) / scale))
+        fourth-order finite differences from the v'' trace."""
+        res = _fd(self.v2, self.grid_step())[2:-2] - self.v3[2:-2]
+        return float(np.max(np.abs(res)) / max(float(np.max(np.abs(self.v2))), 1e-300))
 
 
 def _mode_grid(op: Operator3, xi: np.ndarray, grid_points: int, t_end: float | None):
@@ -113,44 +112,33 @@ def _mode_grid(op: Operator3, xi: np.ndarray, grid_points: int, t_end: float | N
 
 def solve_mode(op: Operator3, xi: np.ndarray, init=(1.0, 0.0, 0.0),
                grid_points: int = 1024, t_end: float | None = None) -> ModeSolution:
-    """Integrate one mode with an adaptive high-order explicit scheme and
-    dense uniform output.
-
-    ``init`` is one initial vector ``(v, v', v'')`` or a ``(k, 3)`` stack of
-    them. A stack is integrated as one ``3k``-dimensional system (the
-    columns of a fundamental matrix share one step sequence), and every
-    trace of the solution gains a leading ``k`` axis.
+    """Integrate one mode from the initial vector ``init = (v, v', v'')``
+    with an adaptive high-order explicit scheme and dense uniform output.
 
     Step-size underflow or overflow of the state is not an error: the
     solution is truncated at the reached time and flagged (a data point for
-    ill-posed operators in its own right). A stack blows up as a whole.
+    ill-posed operators in its own right).
     """
     t_eval = _mode_grid(op, xi, grid_points, t_end)
     y0 = np.array(init, dtype=complex)
-    if y0.shape[-1:] != (3,) or y0.ndim > 2:
-        raise ValueError("init must have shape (3,) or (k, 3)")
+    if y0.shape != (3,):
+        raise ValueError("init must have shape (3,)")
     coeff = _ode_coefficients(op, xi)
-    # state layout: the k values, then the k first and the k second derivatives
-    k = len(y0) if y0.ndim == 2 else 1
-    state0 = y0.T.ravel()
 
     def rhs(t, y):
         g0, g1, g2 = coeff(t)
         dy = np.empty_like(y)
-        dy[:2 * k] = y[k:]
-        for j in range(k):
-            dy[2 * k + j] = -(g0 * y[j] + g1 * y[k + j] + g2 * y[2 * k + j])
+        dy[:2] = y[1:]
+        dy[2] = -(g0 * y[0] + g1 * y[1] + g2 * y[2])
         return dy
 
     with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve_ivp(rhs, (0.0, t_eval[-1]), state0, method="DOP853",
+        sol = solve_ivp(rhs, (0.0, t_eval[-1]), y0, method="DOP853",
                         rtol=MODE_RTOL, atol=MODE_ATOL, t_eval=t_eval)
     n = sol.y.shape[1] if sol.y.size else 0
     blowup = (not sol.success) or n < grid_points or not np.all(np.isfinite(sol.y))
     t = sol.t[:n] if n else np.array([0.0])
-    v, v1, v2 = (sol.y[:, :n] if n else state0[:, None]).reshape(3, k, -1)
-    if y0.ndim == 1:
-        v, v1, v2 = v[0], v1[0], v2[0]
+    v, v1, v2 = sol.y[:, :n] if n else y0[:, None]
     g = np.array([coeff(float(tk)) for tk in t])
     v3 = -(g[:, 0] * v + g[:, 1] * v1 + g[:, 2] * v2)
     reach = float(t[-1]) if n else 0.0
@@ -421,39 +409,104 @@ class GrowthFit:
     exp_residual: float
 
 
+#: Magnus substeps evaluated and exponentiated together (bounds the memory)
+_MAGNUS_BLOCK = 1024
+
+
+def _balanced_matrix(g, mag: float) -> np.ndarray:
+    """The mode's matrix A on the balanced state (v, v'/|xi|, v''/|xi|^2),
+    from the coefficients at one time (3, 3) or at N times (N, 3, 3)."""
+    g0, g1, g2 = g
+    entries = np.broadcast_arrays(0j, mag, 0.0, 0.0, 0.0, mag, -g0 / mag ** 2, -g1 / mag, -g2)
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (3, 3))
+
+
+def _commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return x @ y - y @ x
+
+
+def _magnus_steps(g, t: np.ndarray, mag: float) -> int:
+    """Magnus steps per output interval, from the coefficients g on the grid.
+    The steps are exact for constant coefficients, so their error grows with
+    how far the mode turns and how much A changes in a step: a step turns at
+    most a third of a radian at the largest of |xi| and the cubic's root
+    scale (the largest of |g2|, |g1|^(1/2), |g0|^(1/3)), and spans at most an
+    eighth of the coefficients' time scale (largest deviation from the mean
+    over largest change per unit time, blind to changes the grid misses)."""
+    h = float(t[1] - t[0])
+    g = np.broadcast_arrays(*g)
+    speed = max(mag, *(float(np.max(np.abs(gj))) ** (1.0 / (3 - j)) for j, gj in enumerate(g)))
+    devs = [float(np.max(np.abs(gj - gj.mean()))) for gj in g]
+    rate = max((float(np.max(np.abs(np.diff(gj)))) / (h * d) for gj, d in zip(g, devs) if d > 0),
+               default=0.0)
+    return math.ceil(h * max(3.0 * speed, 8.0 * rate))
+
+
+def _magnus_fundamental(coeff, t: np.ndarray, mag: float, steps: int) -> np.ndarray:
+    """Phi on the uniform grid from sixth-order Magnus steps, ``steps`` per
+    output interval, each from the coefficients at three Gauss-Legendre
+    nodes. A block of at most _MAGNUS_BLOCK steps shares one coefficient
+    evaluation and one batched expm; an interval with more steps is split
+    into equal parts. The steps of a part are multiplied pairwise into one
+    propagator, and the propagators are chained along the grid."""
+    n = len(t) - 1
+    parts = -(-steps // _MAGNUS_BLOCK)
+    q = -(-steps // parts)  # steps per part
+    h = (t[-1] - t[0]) / (n * parts * q)
+    per_block = _MAGNUS_BLOCK // q
+    gauss = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
+    phi = np.empty((len(t), 3, 3), dtype=complex)
+    phi[0] = x = np.eye(3, dtype=complex)
+    for u0 in range(0, n * parts, per_block):
+        u1 = min(n * parts, u0 + per_block)
+        nodes = t[0] + h * (np.arange(u0 * q, u1 * q)[:, None] + gauss)
+        a = _balanced_matrix(coeff(nodes.ravel()), mag).reshape(-1, 3, 3, 3)
+        a1, a2, a3 = a.swapaxes(0, 1)  # at the three nodes of each step
+        b1 = h * a2
+        b2 = (math.sqrt(15.0) * h / 3.0) * (a3 - a1)
+        b3 = (10.0 * h / 3.0) * (a3 - 2.0 * a2 + a1)
+        c1 = _commutator(b1, b2)
+        c2 = -_commutator(b1, 2.0 * b3 + c1) / 60.0
+        e = expm(b1 + b3 / 12.0 + _commutator(-20.0 * b1 - b3 + c1, b2 + c2) / 240.0)
+        e = e.reshape(u1 - u0, q, 3, 3)
+        while e.shape[1] > 1:  # later steps multiply from the left
+            half = e.shape[1] // 2
+            e = np.concatenate([e[:, 1:2 * half:2] @ e[:, :2 * half:2], e[:, 2 * half:]], axis=1)
+        for u in range(u0, u1):
+            x = e[u - u0, 0] @ x
+            if (u + 1) % parts == 0:
+                phi[(u + 1) // parts] = x
+    return phi
+
+
 def _amplification(op: Operator3, xi: np.ndarray, grid_points: int,
                    t_end: float | None) -> tuple[float, float, bool, float]:
     """Amplification over the full horizon and over its first half (the
-    same trajectories serve both), maximized over the canonical bases. For
-    constant coefficients they are the columns of exp(t A) on the balanced
-    state (v, v'/|xi|, v''/|xi|^2), filled by doubling as
-    Phi[n:2n] = exp(t_n A) Phi[:n]; otherwise one fundamental-matrix solve.
-    On a blow-up the amplification is infinite and the half amplification 1."""
+    same trajectories serve both), maximized over the canonical bases: the
+    largest column 1-norm of the fundamental matrix Phi on the balanced
+    state (v, v'/|xi|, v''/|xi|^2), where every basis starts at norm 1.
+    Phi is exact for constant coefficients and built from Magnus steps
+    otherwise. A non-finite Phi is a blow-up: the amplification is infinite,
+    the half amplification 1, and the reach the grid time before it."""
     mag = float(np.linalg.norm(xi))
-    if op.is_constant():
-        t = _mode_grid(op, xi, grid_points, t_end)
-        g0, g1, g2 = _ode_coefficients(op, xi)(0.0)
-        a = np.array([[0.0, mag, 0.0], [0.0, 0.0, mag], [-g0 / mag ** 2, -g1 / mag, -g2]])
-        steps = 2 ** np.arange(int(len(t) - 1).bit_length())
-        phi = np.tile(np.eye(3, dtype=complex), (len(t), 1, 1))
-        with np.errstate(over="ignore", invalid="ignore"):
+    t = _mode_grid(op, xi, grid_points, t_end)
+    coeff = _ode_coefficients(op, xi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the grid goes first, so that a domain error names its first time
+        g = coeff(t)
+        a = _balanced_matrix(g, mag)
+        if a.ndim == 2:  # exp(t A) by doubling: Phi[n:2n] = exp(t_n A) Phi[:n]
+            steps = 2 ** np.arange(int(len(t) - 1).bit_length())
+            phi = np.tile(np.eye(3, dtype=complex), (len(t), 1, 1))
             for n, e in zip(steps.tolist(), expm(t[steps, None, None] * a)):
                 phi[n:2 * n] = e @ phi[:min(n, len(t) - n)]
-            w = np.abs(phi).sum(axis=1).T  # column 1-norms; every basis starts at 1
-        finite = np.isfinite(w).all(axis=0)
-        # reach: the time before the first non-finite one, or t[-1] if none is
-        blowup, reach = not finite.all(), float(t[int(finite.argmin()) - 1])
-    else:
-        sol = solve_mode(op, xi, init=CANONICAL_INITS, grid_points=grid_points, t_end=t_end)
-        blowup, reach = sol.blowup, sol.reach_time
-        if not blowup:
-            w = np.abs(sol.v) + np.abs(sol.v1) / mag + np.abs(sol.v2) / mag ** 2
-            w = w / np.maximum(w[:, :1], 1e-300)
-    if blowup:
-        return math.inf, 1.0, True, reach
-    amp = float(np.max(w))
-    amp_half = float(np.max(w[:, : (w.shape[1] + 1) // 2]))
-    return amp, amp_half, False, reach
+        else:
+            phi = _magnus_fundamental(coeff, t, mag, _magnus_steps(g, t, mag))
+        w = np.abs(phi).sum(axis=1)  # (N, basis)
+    finite = np.isfinite(w).all(axis=1)
+    if not finite.all():
+        return math.inf, 1.0, True, float(t[int(finite.argmin()) - 1])
+    return float(np.max(w)), float(np.max(w[: (len(t) + 1) // 2])), False, float(t[-1])
 
 
 def growth_experiment(op: Operator3, ladder, direction: np.ndarray | None = None,

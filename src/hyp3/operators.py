@@ -281,14 +281,9 @@ def _symbols_at(op: Operator3, t, xi: np.ndarray) -> Symbols:
         tau = solve_cubic_real(c).r
         s1, s2, _, gap_sq = derivative_quadratic(c)
     except (HyperbolicityViolation, NearMultipleRoot, ExprDomainError) as exc:
-        if isinstance(t, np.ndarray):
-            # a grid runs each step at every time before the next step, so
-            # the failed step need not be the one that fails first in time:
-            # the times in order raise the first failing time's own error
-            for tk in t.tolist():
-                _symbols_at(op, tk, xi)
-        else:
-            locate(exc, t, xi)
+        # a grid runs each step at every time before the next step, so the
+        # failed step need not be the one that fails first in time
+        locate(exc, t, xi, lambda tk: _symbols_at(op, tk, xi))
         raise
     return Symbols(t, c, m, n, p, mc, nc, reg, tau, (s1, s2), gap_sq,
                    lam.roots.r, lam.d1, lam.d2, mu, mu_d1)

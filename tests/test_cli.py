@@ -202,6 +202,29 @@ def test_check_names_the_point_of_an_exp_overflow(tmp_path, capsys):
                         err), err
 
 
+def test_modes_rejects_a_constant_coefficient_that_overflows(tmp_path, capsys):
+    # exp(700)*exp(700) is inf: an input error, not a blown-up growth row
+    p = tmp_path / "inf.op"
+    p.write_text("order = 3\ndimension = 1\nT = 1.0\n"
+                 "a[1,(2)] = -1\na[0,(0)] = exp(700)*exp(700)\n")
+    assert main(["modes", "--config", str(p), "--xi-min", "32", "--xi-max", "1024",
+                 "--xi-steps", "6", "--grid", "64", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "hyp3: config error: non-finite coefficient value, at t=0, xi=[32.]\n")
+
+
+def test_check_names_the_point_of_a_power_overflow(tmp_path, capsys):
+    # the jet of exp(700 t)^2 leaves the double range near t = 0.5
+    p = tmp_path / "pow.op"
+    p.write_text("order = 3\ndimension = 1\nT = 1.0\n"
+                 "a[1,(2)] = -1\na[0,(1)] = exp(700*t)^2\n")
+    assert main(["check", "--config", str(p), "--xi-steps", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"hyp3: config error: \S+\^2 overflows, at t=0\.49\d*, xi=\[\d+\.\]\n",
+                        err), err
+
+
 MODE_TABLES = ["modes", "--battery", "strict_const", "--xi-min", "32", "--xi-max", "1024",
                "--xi-steps", "6", "--grid", "64", "--format", "tables"]
 

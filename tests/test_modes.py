@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hyp3.battery import battery_member
 from hyp3.expr import parse_timefn as P
+from hyp3 import modes
+from hyp3.errors import ExprDomainError
 from hyp3.modes import (
-    CANONICAL_INITS,
     _amplification,
     calibrate_eta,
     energy_trace,
@@ -52,6 +54,8 @@ def test_solver_preconditions():
         solve_mode(WAVE, np.array([0.0]))
     with pytest.raises(ValueError):
         solve_mode(WAVE, np.array([4.0]), grid_points=32)
+    with pytest.raises(ValueError):
+        solve_mode(WAVE, np.array([4.0]), init=np.eye(3))
 
 
 def test_equation_residual_via_finite_differences():
@@ -136,14 +140,16 @@ def test_growth_requires_wide_ladder():
 
 
 # --------------------------------------------------------------------------
-# Stacked initial data: one fundamental-matrix solve per growth row
+# Growth rows: the fundamental matrix, exact or from Magnus steps
 
+CANONICAL_INITS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 ILL_POSED = _op("ill_posed", {(1, (2,)): "1"})   # roots 0, +-i|xi|: growth e^{|xi| t}
+ILL_POSED_SIN = _op("ill_posed_sin", {(1, (2,)): "1 + 0.1*sin(t)"})
 
 
 def _three_solve_amplification(op, xi, grid_points):
-    """The growth row as three single-vector solves, one per canonical
-    basis, with the per-basis maxima taken one solve at a time."""
+    """The growth row as three single-vector DOP853 solves, one per
+    canonical basis, with the per-basis maxima taken one solve at a time."""
     mag = float(np.linalg.norm(xi))
     amp = amp_half = 0.0
     for init in CANONICAL_INITS:
@@ -157,6 +163,7 @@ def _three_solve_amplification(op, xi, grid_points):
 
 
 @pytest.mark.parametrize("member,xi", [("strict_sin", 32.0), ("strict_sin", 128.0),
+                                       ("strict_sin", 1024.0),
                                        ("triple_plus_dxx", 64.0), ("triple_plus_dxx", 512.0),
                                        ("strict_const", 64.0), ("const_coeff_wellposed", 128.0),
                                        ("triple_plus_dx", 64.0), ("triple_pure", 256.0)])
@@ -182,36 +189,81 @@ def test_exact_growth_row_of_strict_const_matches_closed_form(xi):
     assert amp_half == pytest.approx(np.max(w[:512]), rel=1e-12, abs=0.0)
 
 
-def test_stacked_solve_shapes_and_columns():
-    xi = np.array([64.0])
-    stack = solve_mode(STRICT_SIN, xi, init=CANONICAL_INITS, grid_points=256)
-    assert stack.v.shape == stack.v1.shape == stack.v2.shape == stack.v3.shape == (3, 256)
-    assert stack.t.shape == (256,) and stack.success and not stack.blowup
-    residuals = []
-    for j, init in enumerate(CANONICAL_INITS):
-        one = solve_mode(STRICT_SIN, xi, init=init, grid_points=256)
-        scale = np.max(np.abs(one.v))
-        assert np.max(np.abs(stack.v[j] - one.v)) <= 1e-8 * scale
-        residuals.append(one.residual())
-    assert stack.residual() == pytest.approx(max(residuals), rel=1e-6)
-    with pytest.raises(ValueError):
-        solve_mode(STRICT_SIN, xi, init=np.zeros((2, 3, 3)))
+@pytest.mark.parametrize("coeffs,dim,xi", [
+    # root speed 10 |xi|: ten times the steps |xi| alone would take
+    ({(1, (2,)): "-100*(1 + 0.1*sin(t))"}, 1, 32.0),
+    # a coefficient that changes on a faster time scale than the mode turns
+    ({(1, (2,)): "-(2 + sin(200*t))^2"}, 1, 8.0),
+    # the time-dependent term has alpha along a zero component of xi
+    ({(1, (2, 0)): "-1", (0, (0, 1)): "sin(t)"}, 2, 64.0),
+])
+def test_growth_row_off_the_battery_matches_three_single_solves(coeffs, dim, xi):
+    op = Operator3("off_battery", dim, 1.0, {k: P(v) for k, v in coeffs.items()})
+    xi = xi * np.eye(dim)[0]
+    amp, amp_half, blowup, reach = _amplification(op, xi, 64, None)
+    want, want_half = _three_solve_amplification(op, xi, 64)
+    assert not blowup and reach == op.horizon
+    assert abs(amp - want) <= 1e-8 * want
+    assert abs(amp_half - want_half) <= 1e-8 * want_half
+
+
+def test_magnus_blocks_split_long_intervals(monkeypatch):
+    # 37 steps per interval; with blocks of 7 each interval takes 6 parts of
+    # 7 steps, which changes the row only by the finer steps
+    want = _amplification(STRICT_SIN, np.array([256.0]), 64, None)
+    monkeypatch.setattr(modes, "_MAGNUS_BLOCK", 7)
+    got = _amplification(STRICT_SIN, np.array([256.0]), 64, None)
+    assert got[2:] == want[2:]
+    assert got[:2] == pytest.approx(want[:2], rel=1e-10, abs=0.0)
+
+
+def test_magnus_growth_row_memory_is_bounded():
+    # the row takes 9 Magnus steps per output interval; they run in blocks,
+    # so the transient memory does not grow with their number
+    tracemalloc.start()
+    try:
+        _amplification(STRICT_SIN, np.array([1024.0]), 1024, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_solve_mode_blowup_truncates_every_column():
-    for init in ((0.0, 1.0, 0.0), CANONICAL_INITS):
-        sol = solve_mode(ILL_POSED, np.array([1024.0]), init=init, grid_points=64)
-        assert sol.blowup and not sol.success
-        assert 0.0 < sol.reach_time < ILL_POSED.horizon
-        assert sol.t[-1] == sol.reach_time and sol.v.shape[-1] == len(sol.t) < 64
-        assert np.all(np.isfinite(sol.v))
+    sol = solve_mode(ILL_POSED, np.array([1024.0]), init=(0.0, 1.0, 0.0), grid_points=64)
+    assert sol.blowup and not sol.success
+    assert 0.0 < sol.reach_time < ILL_POSED.horizon
+    assert sol.t[-1] == sol.reach_time and sol.v.shape[-1] == len(sol.t) < 64
+    assert np.all(np.isfinite(sol.v))
 
 
 def test_growth_row_of_a_blown_up_solve():
-    fit = growth_experiment(ILL_POSED, [2.0 ** k for k in range(5, 11)], grid_points=64)
-    *finite, last = fit.rows
-    assert not any(r["blowup"] for r in finite)
-    assert last["blowup"] and last["amplification"] == math.inf and last["log_amp"] == math.inf
-    assert last["half_log_amp"] == 0.0
-    assert 0.0 < last["reach_time"] < ILL_POSED.horizon
-    assert fit.model == "exp_power" and abs(fit.kappa - 1.0) < 1e-6
+    # the exact path, then the Magnus path
+    for op, kappa_tol in ((ILL_POSED, 1e-6), (ILL_POSED_SIN, 1e-3)):
+        fit = growth_experiment(op, [2.0 ** k for k in range(5, 11)], grid_points=64)
+        *finite, last = fit.rows
+        assert not any(r["blowup"] for r in finite)
+        assert last["blowup"] and last["amplification"] == math.inf
+        assert last["log_amp"] == math.inf and last["half_log_amp"] == 0.0
+        assert 0.0 < last["reach_time"] < op.horizon
+        assert fit.model == "exp_power" and abs(fit.kappa - 1.0) < kappa_tol
+
+
+@pytest.mark.parametrize("text,message", [
+    # constant: the exact path and DOP853
+    ("exp(700)*exp(700)", r"non-finite coefficient value, at t=0,"),
+    # at t[0], the first time of the grid
+    ("exp(700)*exp(700)*(1 + t)", r"non-finite coefficient value, at t=0,"),
+    # on the output grid, through a product and through a power
+    ("exp(700*t)*exp(700*t)", r"non-finite coefficient value, at t=0\.507"),
+    ("exp(700*t)^2", r"\^2 overflows, at t=0\.507"),
+])
+def test_non_finite_mode_coefficient_is_a_located_domain_error(text, message):
+    op = _op("overflow", {(1, (2,)): "-1", (0, (0,)): text})
+    xi = np.array([32.0])
+    calls = [lambda: _amplification(op, xi, 64, None)]
+    if message.endswith("t=0,"):
+        calls.append(lambda: solve_mode(op, xi, grid_points=64))
+    for call in calls:
+        with pytest.raises(ExprDomainError, match=message + r".* xi=\[32\.\]$"):
+            call()
