@@ -24,8 +24,8 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -313,16 +313,6 @@ def _libm(f, x):
     return f(x)
 
 
-_AT_POINT = nullcontext()
-
-
-def _quiet(x):
-    """numpy's overflow warnings off while a series is computed on a grid
-    (``x`` an array), where plain floats at a point overflow silently."""
-    return np.errstate(over="ignore", invalid="ignore") if isinstance(x, np.ndarray) \
-        else _AT_POINT
-
-
 def _smul(a, b):
     n = len(a)
     return [sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(n)]
@@ -349,12 +339,11 @@ def _spow(a, n: int):
     out = one
     base = a
     k = n
-    with _quiet(a[0]):
-        while k:
-            if k & 1:
-                out = _smul(out, base)
-            base = _smul(base, base) if k > 1 else base
-            k >>= 1
+    while k:
+        if k & 1:
+            out = _smul(out, base)
+        base = _smul(base, base) if k > 1 else base
+        k >>= 1
     # a power whose value or derivative terms overflow leaves the domain
     _check_points(_nonfinite(out), lambda v: ExprDomainError(f"{v!r}^{n} overflows"), a[0])
     return out
@@ -372,22 +361,24 @@ def _sexp(a):
     n = len(a)
     e = [0.0] * n
     e[0] = _libm(_exp, a[0])
-    with _quiet(a[0]):  # a derivative term may overflow, as it may at a point
-        for k in range(1, n):
-            e[k] = sum(j * a[j] * e[k - j] for j in range(1, k + 1)) / k
+    for k in range(1, n):
+        e[k] = sum(j * a[j] * e[k - j] for j in range(1, k + 1)) / k
     return e
 
 
+def _log(x):
+    """log at one point; zero, or a real value below it, leaves the domain."""
+    try:
+        return _lib(x).log(x)
+    except ValueError:
+        message = "log of zero" if isinstance(x, complex) else f"log of non-positive value {x!r}"
+        raise ExprDomainError(message) from None
+
+
 def _slog(a):
-    x = a[0]
-    lib = _lib(x)
-    if lib is cmath:
-        _check_points(x == 0, ExprDomainError, "log of zero")
-    else:
-        _check_points(x <= 0, lambda v: ExprDomainError(f"log of non-positive value {v!r}"), x)
     n = len(a)
     out = [0.0] * n
-    out[0] = _libm(lib.log, x)
+    out[0] = _libm(_log, a[0])
     for k in range(1, n):
         acc = k * a[k]
         for j in range(1, k):
@@ -445,43 +436,43 @@ def _eval_series(node: Node, t: float, order: int):
     return s if node.func == "sin" else c
 
 
-def _eval_value(node: Node, t: float):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Imag):
-        return 1j
+def _series(node: Node, t, order: int):
+    """The series of ``node`` at one time, or on a grid (``t`` an array) with
+    numpy's overflow warnings off, as plain floats at a point overflow silently."""
+    if not isinstance(t, np.ndarray):
+        return _eval_series(node, t, order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _eval_series(node, t, order)
+
+
+def _compile(node: Node):
+    """A closure giving the value of ``node`` at one time, so that a point
+    evaluation walks no tree; a subtree's value is complex where it holds ``i``."""
+    if isinstance(node, (Num, Imag)):
+        v = 1j if isinstance(node, Imag) else node.value
+        return lambda t: v
     if isinstance(node, TimeVar):
-        return float(t)
+        return float
     if isinstance(node, BinOp):
-        a = _eval_value(node.lhs, t)
-        b = _eval_value(node.rhs, t)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if b == 0:
-            raise ExprDomainError("division by zero")
-        return a / b
+        f, g = _compile(node.lhs), _compile(node.rhs)
+        return {"+": lambda t: f(t) + g(t), "-": lambda t: f(t) - g(t),
+                "*": lambda t: f(t) * g(t), "/": lambda t: _sdiv([f(t)], [g(t)])[0]}[node.op]
     if isinstance(node, Pow):
-        a = _eval_value(node.base, t)
-        if node.exponent < 0 and a == 0:
-            raise ExprDomainError("zero raised to a negative power")
-        try:
-            return a ** node.exponent
-        except OverflowError:
-            raise ExprDomainError(f"{a!r}^{node.exponent} overflows") from None
-    assert isinstance(node, Call)
-    a = _eval_value(node.arg, t)
-    lib = cmath if isinstance(a, complex) else math
-    if node.func == "log":
-        if isinstance(a, complex):
-            if a == 0:
-                raise ExprDomainError("log of zero")
-        elif a <= 0:
-            raise ExprDomainError(f"log of non-positive value {a!r}")
-    return _exp(a) if node.func == "exp" else getattr(lib, node.func)(a)
+        f, n = _compile(node.base), node.exponent
+
+        def power(t):
+            a = f(t)
+            if n < 0 and a == 0:
+                raise ExprDomainError("zero raised to a negative power")
+            try:
+                return a ** n
+            except OverflowError:
+                raise ExprDomainError(f"{a!r}^{n} overflows") from None
+        return power
+    f = _compile(node.arg)
+    lib = cmath if any(isinstance(n, Imag) for n in _walk(node.arg)) else math
+    g = {"exp": _exp, "log": _log}.get(node.func) or getattr(lib, node.func)
+    return lambda t: g(f(t))
 
 
 # --------------------------------------------------------------------------
@@ -540,8 +531,13 @@ class TimeFn:
     def __str__(self) -> str:
         return self.to_string()
 
+    _at = cached_property(lambda self: _compile(self.ast))
+
     def jet2(self, t: float, order: int = 2) -> Jet2:
-        c = _eval_series(self.ast, t, max(order, 2))
+        c = _series(self.ast, t, max(order, 2))
+        # the value, once per jet: a product or a sum has no test of its own
+        if isinstance(c[0], np.ndarray) or not cmath.isfinite(c[0]):
+            _check_points(_nonfinite(c[:1]), lambda: ExprDomainError(f"{self} overflows"))
         d3 = 6.0 * c[3] if len(c) > 3 else None
         return Jet2(c[0], c[1], 2.0 * c[2], d3)
 
@@ -549,8 +545,8 @@ class TimeFn:
         """The value at one time, or at each time of an array (a plain
         number where the expression does not depend on ``t``)."""
         if isinstance(t, np.ndarray):
-            return _eval_series(self.ast, t, 0)[0]
-        return _eval_value(self.ast, t)
+            return _series(self.ast, t, 0)[0]
+        return self._at(t)
 
 
 def parse_timefn(text: str) -> TimeFn:

@@ -11,6 +11,7 @@ through a route independent of the implicit root derivatives.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -60,9 +61,19 @@ def _ode_coefficients(op: Operator3, xi: np.ndarray):
             w *= (1j * float(x)) ** a
         if w != 0:
             terms[j].append((w, fn))
+    compiled = [[(w, fn._at) for w, fn in tj] for tj in terms]
 
     def coeffs_at(t):
         try:
+            if not isinstance(t, np.ndarray):  # the sums below, by the compiled closures
+                g = []
+                for tj in compiled:
+                    s = complex(0.0)
+                    for w, at in tj:
+                        s = s + w * at(t)
+                    g.append(s)
+                if all(map(cmath.isfinite, g)):
+                    return g  # else the test below raises
             g = [sum((w * fn.value(t) for w, fn in terms[j]), complex(0.0))
                  for j in range(3)]
             _check_points(_nonfinite(g), ExprDomainError, "non-finite coefficient value")

@@ -225,6 +225,19 @@ def test_check_names_the_point_of_a_power_overflow(tmp_path, capsys):
                         err), err
 
 
+def test_check_names_the_point_of_a_product_overflow(tmp_path, capsys):
+    # exp(700 t)^2 as a product leaves the double range near t = 0.507, with
+    # no numpy warning on the symbol grids
+    p = tmp_path / "prod.op"
+    p.write_text("order = 3\ndimension = 1\nT = 1.0\n"
+                 "a[1,(2)] = -1\na[0,(0)] = exp(700*t)*exp(700*t)\n")
+    assert main(["check", "--config", str(p), "--xi-steps", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"hyp3: config error: exp\(700 \* t\) \* exp\(700 \* t\) overflows, "
+                        r"at t=0\.50\d*, xi=\[\d+\.\]\n", err), err
+
+
 MODE_TABLES = ["modes", "--battery", "strict_const", "--xi-min", "32", "--xi-max", "1024",
                "--xi-steps", "6", "--grid", "64", "--format", "tables"]
 

@@ -1,12 +1,14 @@
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hyp3.battery import BATTERY
 from hyp3.errors import ExprDomainError, ExprSyntaxError, UnknownIdentifierError
-from hyp3.expr import BinOp, Call, Imag, Num, Pow, TimeVar, parse_timefn
+from hyp3.expr import BinOp, Call, Imag, Num, Pow, TimeFn, TimeVar, parse_timefn
 
 
 def test_parse_polynomial():
@@ -124,6 +126,52 @@ def test_power_overflow_of_a_value_is_a_domain_error():
             fn.jet2(np.linspace(0.0, 1.0, 3))
 
 
+@pytest.mark.parametrize("text,t,message", [
+    ("1/(t - 1)", 1.0, "division by zero"),
+    ("log(t - 2)", 1.0, "log of non-positive value -1.0"),
+    ("log(i*(t - 1))", 1.0, "log of zero"),
+    ("(t - 1)^-2", 1.0, "zero raised to a negative power"),
+    ("exp(1000*t)", 1.0, "exp of 1000.0 overflows"),
+    ("t^2", 1e200, "1e+200^2 overflows"),
+])
+def test_domain_errors_agree_at_a_point_and_on_a_grid(text, t, message):
+    fn = parse_timefn(text)
+    for call in (fn.value, fn.jet2):
+        for at in (t, np.array([t])):
+            with pytest.raises(ExprDomainError, match=f"^{re.escape(message)}$"):
+                call(at)
+
+
+def test_product_overflow_is_a_domain_error_of_the_jet():
+    # a product has no check of its own: the jet tests its value once, at a
+    # point and on a grid (where numpy must not warn); a plain value stays
+    # inf, for its caller to test
+    fn = parse_timefn("exp(700*t)*exp(700*t)")
+    for t in (1.0, np.linspace(0.0, 1.0, 5)):
+        with pytest.raises(ExprDomainError, match=r"^exp\(700 \* t\) \* exp\(700 \* t\) overflows$"):
+            fn.jet2(t)
+    assert fn.value(1.0) == math.inf
+    assert fn.value(np.linspace(0.0, 1.0, 5))[-1] == math.inf
+
+
+def test_compiled_value_leaves_equality_hash_and_repr_alone():
+    f, g = parse_timefn("sin(t)^2"), parse_timefn("sin(t)^2")
+    f.value(0.5)  # compiles f's closure, not g's
+    assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def test_battery_coefficients_evaluate_as_python_does(python_value):
+    for member in BATTERY.values():
+        ts = np.linspace(0.0, member.op.horizon, 257).tolist()
+        for fn in member.op.coeffs.values():
+            ref = python_value(fn)
+            assert [_bits(fn.value(t)) for t in ts] == [_bits(ref(t)) for t in ts], fn
+
+
 def test_real_expressions_have_exactly_zero_imaginary_jets():
     for text in ("t^2 - 1", "sin(t)*exp(t)", "cos(t)/(t^2 + 1)", "log(t + 2)"):
         j = parse_timefn(text).jet2(0.7)
@@ -139,18 +187,18 @@ def test_complex_evaluation():
 # randomized properties
 
 
-def _leaf():
+def _leaf(imag=True):
     return st.one_of(
         st.just(TimeVar()),
         st.builds(Num, st.floats(min_value=-4.0, max_value=4.0,
                                  allow_nan=False, allow_infinity=False)),
-        st.just(Imag()),
+        *([st.just(Imag())] if imag else []),
     )
 
 
-def _ast(depth=4):
+def _ast(imag=True):
     return st.recursive(
-        _leaf(),
+        _leaf(imag),
         lambda children: st.one_of(
             st.builds(BinOp, st.sampled_from("+-*/"), children, children),
             st.builds(Pow, children, st.integers(min_value=0, max_value=3)),
@@ -167,6 +215,19 @@ def test_print_parse_roundtrip_is_identity(ast):
     from hyp3.expr import TimeFn
     text = TimeFn.from_ast(ast).to_string()
     assert parse_timefn(text).ast == ast
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ast(imag=False), st.floats(min_value=-3.0, max_value=3.0))
+def test_point_value_of_random_real_asts_is_pythons_own(python_value, ast, t):
+    fn = TimeFn.from_ast(ast)
+    try:
+        expected = python_value(fn)(t)
+    except (ZeroDivisionError, OverflowError, ValueError):
+        with pytest.raises(ExprDomainError):
+            fn.value(t)
+    else:
+        assert _bits(fn.value(t)) == _bits(expected)
 
 
 def test_jet_vs_central_differences_1000_random_asts():

@@ -3,8 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from hyp3.battery import battery_member
+from hyp3.battery import BATTERY, battery_member
 from hyp3.expr import parse_timefn as P
 from hyp3 import modes
 from hyp3.errors import ExprDomainError
@@ -267,3 +268,39 @@ def test_non_finite_mode_coefficient_is_a_located_domain_error(text, message):
     for call in calls:
         with pytest.raises(ExprDomainError, match=message + r".* xi=\[32\.\]$"):
             call()
+
+
+@pytest.mark.parametrize("name,nfev", [("strict_sin", 24770), ("oleinik_ok", 6650)])
+def test_mode_right_hand_side_is_pythons_own_arithmetic(python_value, name, nfev):
+    # DOP853 with each g_j summed from Python's own evaluation of the
+    # coefficients, in the order of op.coeffs: the same count and bitwise the
+    # same trajectory as solve_mode at |xi| = 256 on the default grid
+    op = battery_member(name).op
+    sol = solve_mode(op, np.array([256.0]))
+    terms = [[], [], []]
+    for (j, alpha), fn in op.coeffs.items():
+        w = complex(1.0)
+        w *= (1j * 256.0) ** alpha[0]
+        if w != 0:
+            terms[j].append((w, python_value(fn)))
+
+    def rhs(t, y):
+        g0, g1, g2 = (sum((w * f(t) for w, f in tj), complex(0.0)) for tj in terms)
+        return np.array([y[1], y[2], -(g0 * y[0] + g1 * y[1] + g2 * y[2])])
+
+    ref = solve_ivp(rhs, (0.0, op.horizon), np.array([1.0, 0.0, 0.0], dtype=complex),
+                    method="DOP853", rtol=modes.MODE_RTOL, atol=modes.MODE_ATOL,
+                    t_eval=np.linspace(0.0, op.horizon, 1024))
+    assert sol.nfev == ref.nfev == nfev
+    for got, want in zip((sol.t, sol.v, sol.v1, sol.v2), (ref.t, *ref.y)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", [name for name, m in BATTERY.items()
+                                  if isinstance(m.op, Operator3) and not m.op.is_constant()])
+def test_mode_coefficients_at_points_match_the_array_branch(name):
+    op = battery_member(name).op
+    coeff = modes._ode_coefficients(op, np.array([256.0]))
+    t = np.linspace(0.0, op.horizon, 257)
+    points = np.array([coeff(tk) for tk in t.tolist()]).T
+    np.testing.assert_allclose(points, np.broadcast_arrays(*coeff(t)), rtol=1e-15, atol=0.0)
