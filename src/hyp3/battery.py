@@ -36,7 +36,6 @@ class BatteryMember:
     expected_decomposition: str | None = None   # constant-coefficient members
     expected_im: str | None = None
     levi_ok: bool = False
-    time_dependent: bool = False
 
     @property
     def order(self) -> int:
@@ -79,16 +78,13 @@ _MEMBERS = [
         expected_decomposition="unbounded", expected_im="unbounded-trend"),
     BatteryMember(
         "oleinik_ok", _op3("oleinik_ok", {(1, (2,)): "-t^2", (0, (2,)): "t"}),
-        expected_conditions=_all_log(), expected_case="I",
-        levi_ok=True, time_dependent=True),
+        expected_conditions=_all_log(), expected_case="I", levi_ok=True),
     BatteryMember(
         "oleinik_bad", _op3("oleinik_bad", {(1, (2,)): "-t^2", (0, (2,)): "1"}),
-        expected_conditions=_log_except(m_levi="violated"), expected_case="I",
-        time_dependent=True),
+        expected_conditions=_log_except(m_levi="violated"), expected_case="I"),
     BatteryMember(
         "sin_gap", _op3("sin_gap", {(1, (2,)): "-sin(t)^2"}, horizon=3.0),
-        expected_conditions=_all_log(), expected_case="I",
-        levi_ok=True, time_dependent=True),
+        expected_conditions=_all_log(), expected_case="I", levi_ok=True),
     BatteryMember(
         "strict_sin", _op3("strict_sin", {
             (1, (2,)): "-(2+sin(t))^2",
@@ -99,8 +95,7 @@ _MEMBERS = [
             (0, (0,)): "0.05*sin(t)",
         }),
         expected_conditions=_all_log(), expected_case="I",
-        expected_growth="polynomial",
-        levi_ok=True, time_dependent=True),
+        expected_growth="polynomial", levi_ok=True),
     BatteryMember(
         "const_coeff_wellposed",
         _op3("const_coeff_wellposed", {(1, (2,)): "-1", (0, (2,)): "1"}),
@@ -113,8 +108,7 @@ _MEMBERS = [
         expected_conditions={"disc_drift": "logarithmic", "lower_weighted": "logarithmic"}),
     BatteryMember(
         "oleinik2_ok", _op2("oleinik2_ok", {(0, (2,)): "-t^2", (0, (1,)): "1"}),
-        expected_conditions={"disc_drift": "logarithmic", "lower_weighted": "logarithmic"},
-        time_dependent=True),
+        expected_conditions={"disc_drift": "logarithmic", "lower_weighted": "logarithmic"}),
     BatteryMember(
         "oleinik2_bad", _op2("oleinik2_bad", {(0, (1,)): "1"}),
         expected_conditions={"disc_drift": "logarithmic", "lower_weighted": "violated"}),

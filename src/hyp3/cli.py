@@ -229,14 +229,15 @@ def cmd_check(args) -> int:
 
 def cmd_modes(args, targets=None) -> int:
     """Growth experiments for ``targets`` ((operator, member) pairs), or for
-    the target the arguments name."""
+    the third-order operators of the target the arguments name."""
     t0 = time.time()
-    targets = targets if targets is not None else _resolve_operators(args)
+    if targets is None:
+        targets = [(op, m) for op, m in _resolve_operators(args) if isinstance(op, Operator3)]
+        if not targets:
+            raise OperatorSpecError("modes needs a third-order operator")
     docs = {}
     mismatches: list[str] = []
     for op, member in targets:
-        if isinstance(op, Operator2):
-            continue
         ladder = _ladder_from_args(args)
         direction = _direction_from_args(args, op.dim)
         fit = growth_experiment(op, ladder, direction, grid_points=args.grid)
@@ -304,8 +305,7 @@ def cmd_identities(args) -> int:
     t0 = time.time()
     if args.samples < 0:
         raise OperatorSpecError("--samples must be >= 0")
-    results = run_algebraic_suite(args.samples, args.seed, corrupt=args.corrupt) \
-        if args.samples > 0 else []
+    results = run_algebraic_suite(args.samples, args.seed) if args.samples > 0 else []
     doc = {
         "schema": "hyp3.identities/1",
         "version": __version__,
@@ -406,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_id = sub.add_parser("identities", help="randomized identity suites")
     common(p_id)
     p_id.add_argument("--samples", type=int, default=10000)
-    p_id.add_argument("--corrupt", help=argparse.SUPPRESS)
     p_id.set_defaults(func=cmd_identities)
 
     p_bat = sub.add_parser("battery", help="battery acceptance gate")

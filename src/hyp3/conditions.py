@@ -167,7 +167,7 @@ class ConditionCell:
     rel_change: float
 
 
-def condition_integrals(op: Operator3, xi: np.ndarray, *, rel_tol: float = 1e-6) -> ConditionCell:
+def condition_integrals(op: Operator3, xi: np.ndarray) -> ConditionCell:
     """Integrate every condition integrand, primary and alternate, over
     [0, horizon].
 
@@ -185,7 +185,7 @@ def condition_integrals(op: Operator3, xi: np.ndarray, *, rel_tol: float = 1e-6)
             rows[:] = [_integrand_values(op, t, xi)]
         return rows[0]
 
-    res = adaptive_gauss(integrand, 0.0, op.horizon, rel_tol=rel_tol)
+    res = adaptive_gauss(integrand, 0.0, op.horizon)
     vals = dict(zip(PRIMARY_KEYS, (float(x) for x in res.values[:len(PRIMARY_KEYS)])))
     alts = dict(zip(ALTERNATE_KEYS, (float(x) for x in res.values[len(PRIMARY_KEYS):])))
     return ConditionCell(mag, tuple(float(x) for x in np.atleast_1d(xi) / mag),
@@ -216,6 +216,8 @@ def log_fit(rows: Sequence[tuple[float, float]]) -> LogFit:
     if len(rows) < 5:
         raise OperatorSpecError("log_fit needs at least 5 ladder points")
     xs = [x for x, _ in rows]
+    if any(b <= a for a, b in zip(xs, xs[1:])):
+        raise OperatorSpecError("log_fit needs a strictly increasing ladder")
     if max(xs) / min(xs) < 8.0 * (1.0 - 1e-9):
         raise OperatorSpecError("log_fit needs the ladder to span at least 3 doublings")
     ratios = tuple(i / math.log1p(x) for x, i in rows)
@@ -234,7 +236,6 @@ def log_fit(rows: Sequence[tuple[float, float]]) -> LogFit:
 
 @dataclass
 class ConditionReport:
-    operator: str
     ladder: list[ConditionCell]
     fits: dict[str, LogFit]
     verdicts: dict[str, str]
@@ -273,7 +274,7 @@ def condition_report(op: Operator3, ladder: Sequence[float] | None = None,
             else:
                 ratios.append(1.0 if a <= 1e-9 else math.inf)
         bands[key] = {"primary": primary, **_band(ratios)}
-    return ConditionReport(op.name, cells, fits, verdicts, bands)
+    return ConditionReport(cells, fits, verdicts, bands)
 
 
 # --------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from .expr import Jet2, _libm
 __all__ = [
     "CubicJet",
     "SortedRoots",
-    "RootJet",
     "solve_cubic_real",
     "discriminant",
     "delta1",
@@ -79,13 +78,6 @@ class SortedRoots:
     """Ascending real roots."""
 
     r: tuple[float, float, float]
-
-
-@dataclass(frozen=True)
-class RootJet:
-    roots: SortedRoots
-    d1: tuple[float, float, float]
-    d2: tuple[float, float, float]
 
 
 def discriminant(c: CubicJet) -> float:
@@ -266,10 +258,11 @@ def _root_derivatives(c: CubicJet, r):
     return -l_t / l_r, psi / (l_r * l_r * l_r)
 
 
-def root_jets(c: CubicJet, roots: SortedRoots) -> RootJet:
-    """First and second root time-derivatives (:func:`_root_derivatives`);
-    only defined while all pairwise gaps exceed the simple-root threshold."""
+def root_jets(c: CubicJet, roots: SortedRoots):
+    """First and second time derivatives ``(d1, d2)`` of the three roots
+    (:func:`_root_derivatives`); only defined while all pairwise gaps exceed
+    the simple-root threshold."""
     gap, thr = _simple_root_gap(roots.r)
     _check_points(gap <= thr, NearMultipleRoot, gap, thr)
     d1, d2 = zip(*(_root_derivatives(c, r) for r in roots.r))
-    return RootJet(roots, d1, d2)
+    return d1, d2

@@ -387,12 +387,18 @@ def _slog(a):
     return out
 
 
-def _ssincos(a):
+def _ssincos(a, func: str):
     n = len(a)
     lib = _lib(a[0])
     s = [0.0] * n
     c = [0.0] * n
-    s[0], c[0] = _libm(lib.sin, a[0]), _libm(lib.cos, a[0])
+    try:
+        s[0], c[0] = _libm(lib.sin, a[0]), _libm(lib.cos, a[0])
+    except ValueError:  # an infinite real part leaves the domain; on a grid, name the first
+        x = a[0]
+        if isinstance(x, np.ndarray):
+            x = x[np.isinf(x.real)].tolist()[0]
+        raise ExprDomainError(f"{func} of infinite value {x!r}") from None
     for k in range(1, n):
         s[k] = sum(j * a[j] * c[k - j] for j in range(1, k + 1)) / k
         c[k] = -sum(j * a[j] * s[k - j] for j in range(1, k + 1)) / k
@@ -432,7 +438,7 @@ def _eval_series(node: Node, t: float, order: int):
         return _sexp(a)
     if node.func == "log":
         return _slog(a)
-    s, c = _ssincos(a)
+    s, c = _ssincos(a, node.func)
     return s if node.func == "sin" else c
 
 
@@ -469,14 +475,23 @@ def _compile(node: Node):
             except OverflowError:
                 raise ExprDomainError(f"{a!r}^{n} overflows") from None
         return power
-    f = _compile(node.arg)
-    lib = cmath if any(isinstance(n, Imag) for n in _walk(node.arg)) else math
-    g = {"exp": _exp, "log": _log}.get(node.func) or getattr(lib, node.func)
-    return lambda t: g(f(t))
+    f, func = _compile(node.arg), node.func
+    if func in ("exp", "log"):
+        g = _exp if func == "exp" else _log
+        return lambda t: g(f(t))
+    g = getattr(cmath if any(isinstance(n, Imag) for n in _walk(node.arg)) else math, func)
+
+    def trig(t):
+        x = f(t)
+        try:
+            return g(x)
+        except ValueError:
+            raise ExprDomainError(f"{func} of infinite value {x!r}") from None
+    return trig
 
 
 # --------------------------------------------------------------------------
-# Flags
+# Tree walk
 
 
 def _walk(node: Node):
@@ -504,26 +519,12 @@ class TimeFn:
 
     ast: Node
     has_imag: bool = field(default=False, compare=False)
-    has_division: bool = field(default=False, compare=False)
-    has_log: bool = field(default=False, compare=False)
     is_constant: bool = field(default=False, compare=False)
 
     @classmethod
     def from_ast(cls, ast: Node) -> "TimeFn":
-        has_imag = has_div = has_log = False
-        has_t = False
-        for n in _walk(ast):
-            if isinstance(n, Imag):
-                has_imag = True
-            elif isinstance(n, TimeVar):
-                has_t = True
-            elif isinstance(n, BinOp) and n.op == "/":
-                has_div = True
-            elif isinstance(n, Pow) and n.exponent < 0:
-                has_div = True
-            elif isinstance(n, Call) and n.func == "log":
-                has_log = True
-        return cls(ast, has_imag, has_div, has_log, not has_t)
+        kinds = {type(n) for n in _walk(ast)}
+        return cls(ast, Imag in kinds, TimeVar not in kinds)
 
     def to_string(self) -> str:
         return _print(self.ast)
@@ -532,6 +533,10 @@ class TimeFn:
         return self.to_string()
 
     _at = cached_property(lambda self: _compile(self.ast))
+
+    def __getstate__(self):
+        """The fields without the cached closure, which does not pickle."""
+        return {k: v for k, v in self.__dict__.items() if k != "_at"}
 
     def jet2(self, t: float, order: int = 2) -> Jet2:
         c = _series(self.ast, t, max(order, 2))
@@ -553,8 +558,6 @@ def parse_timefn(text: str) -> TimeFn:
     """Parse expression text; see the module docstring for the grammar.
 
     Raises :class:`ExprSyntaxError` (with byte offset and expected-token
-    set) or :class:`UnknownIdentifierError`. Division and ``log`` are legal
-    but flagged on the result so callers can reject them where they need
-    globally smooth coefficients.
+    set) or :class:`UnknownIdentifierError`.
     """
     return TimeFn.from_ast(_Parser(text).parse())

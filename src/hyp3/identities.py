@@ -70,12 +70,8 @@ def _regularize_floats(c: CubicJet, e: float) -> CubicJet:
     )
 
 
-def run_algebraic_suite(samples: int, seed: int, corrupt: str | None = None) -> list[IdentityResult]:
-    """Run the five closed-form identities on `samples` random cubics.
-
-    ``corrupt`` deliberately perturbs one identity (negative-control hook
-    for the exit-status contract); pass the identity name.
-    """
+def run_algebraic_suite(samples: int, seed: int) -> list[IdentityResult]:
+    """Run the five closed-form identities on `samples` random cubics."""
     rng = np.random.default_rng(seed)
     worst = {name: 0.0 for name in ALGEBRAIC_TOLERANCES}
 
@@ -86,8 +82,6 @@ def run_algebraic_suite(samples: int, seed: int, corrupt: str | None = None) -> 
         solved = solve_cubic_real(c).r
         prod = ((solved[0] - solved[1]) * (solved[1] - solved[2]) * (solved[2] - solved[0])) ** 2
         disc = discriminant(c)
-        if corrupt == "disc_vs_root_products":
-            disc *= 1.0 + 1e-5
         worst["disc_vs_root_products"] = max(worst["disc_vs_root_products"], _rel(disc, prod))
 
         # general sample (coincidences allowed) for the remaining identities
@@ -95,15 +89,11 @@ def run_algebraic_suite(samples: int, seed: int, corrupt: str | None = None) -> 
         c = _cubic_from_roots(*r)
         sumsq = ((r[0] - r[1]) ** 2 + (r[1] - r[2]) ** 2 + (r[2] - r[0]) ** 2)
         d1 = delta1(c)
-        if corrupt == "sumsq_vs_coeffs":
-            d1 += 1e-5
         worst["sumsq_vs_coeffs"] = max(worst["sumsq_vs_coeffs"], _rel(d1, sumsq))
 
         _, _, _, gap_sq = derivative_quadratic(c)
         lhs = delta1(c)
         rhs = 4.5 * gap_sq
-        if corrupt == "sumsq_vs_crit_gap":
-            rhs *= 1.0 + 1e-5
         worst["sumsq_vs_crit_gap"] = max(worst["sumsq_vs_crit_gap"], _rel(lhs, rhs))
 
         e = float(np.exp(rng.uniform(math.log(0.3), math.log(3.0))))
@@ -111,17 +101,13 @@ def run_algebraic_suite(samples: int, seed: int, corrupt: str | None = None) -> 
         disc_reg = discriminant(reg)
         disc_plain = discriminant(c)
         db24 = 4.0 * c.a1.v.real ** 2 - 12.0 * c.a2.v.real
-        expansion = (disc_plain + 0.5 * e ** 2 * db24 ** 2
-                     + (863.0 if corrupt == "reg_disc_expansion" else 36.0) * e ** 4 * db24
+        expansion = (disc_plain + 0.5 * e ** 2 * db24 ** 2 + 36.0 * e ** 4 * db24
                      + 864.0 * e ** 6)
-        if corrupt == "reg_disc_expansion":
-            expansion += 1.0  # force a visible failure even when db24 ~ 0
         worst["reg_disc_expansion"] = max(worst["reg_disc_expansion"], _rel(disc_reg, expansion))
 
         db24_reg = 4.0 * reg.a1.v.real ** 2 - 12.0 * reg.a2.v.real
         shift = db24_reg - db24
-        target = 72.0 * e * e * (1.0 + (1e-5 if corrupt == "reg_crit_disc_shift" else 0.0))
-        worst["reg_crit_disc_shift"] = max(worst["reg_crit_disc_shift"], _rel(shift, target))
+        worst["reg_crit_disc_shift"] = max(worst["reg_crit_disc_shift"], _rel(shift, 72.0 * e * e))
 
     return [IdentityResult(name, worst[name], ALGEBRAIC_TOLERANCES[name], samples)
             for name in ALGEBRAIC_TOLERANCES]

@@ -90,7 +90,6 @@ def _ode_coefficients(op: Operator3, xi: np.ndarray):
 
 @dataclass
 class ModeSolution:
-    op: Operator3
     xi: np.ndarray
     t: np.ndarray
     v: np.ndarray
@@ -98,9 +97,7 @@ class ModeSolution:
     v2: np.ndarray
     v3: np.ndarray          # from the equation itself
     nfev: int
-    success: bool
-    reach_time: float       # horizon actually integrated to
-    blowup: bool
+    blowup: bool            # stopped short of the horizon, or overflowed
 
     def grid_step(self) -> float:
         return float(self.t[1] - self.t[0])
@@ -112,17 +109,17 @@ class ModeSolution:
         return float(np.max(np.abs(res)) / max(float(np.max(np.abs(self.v2))), 1e-300))
 
 
-def _mode_grid(op: Operator3, xi: np.ndarray, grid_points: int, t_end: float | None):
-    """The uniform output grid of a mode over [0, t_end or the horizon]."""
+def _mode_grid(op: Operator3, xi: np.ndarray, grid_points: int):
+    """The uniform output grid of a mode over [0, horizon]."""
     if not np.linalg.norm(xi) > 0:
         raise ValueError("mode frequency must be nonzero")
     if grid_points < 64:
         raise OperatorSpecError("grid_points must be >= 64")
-    return np.linspace(0.0, float(t_end if t_end is not None else op.horizon), grid_points)
+    return np.linspace(0.0, float(op.horizon), grid_points)
 
 
 def solve_mode(op: Operator3, xi: np.ndarray, init=(1.0, 0.0, 0.0),
-               grid_points: int = 1024, t_end: float | None = None) -> ModeSolution:
+               grid_points: int = 1024) -> ModeSolution:
     """Integrate one mode from the initial vector ``init = (v, v', v'')``
     with an adaptive high-order explicit scheme and dense uniform output.
 
@@ -130,7 +127,7 @@ def solve_mode(op: Operator3, xi: np.ndarray, init=(1.0, 0.0, 0.0),
     solution is truncated at the reached time and flagged (a data point for
     ill-posed operators in its own right).
     """
-    t_eval = _mode_grid(op, xi, grid_points, t_end)
+    t_eval = _mode_grid(op, xi, grid_points)
     y0 = np.array(init, dtype=complex)
     if y0.shape != (3,):
         raise ValueError("init must have shape (3,)")
@@ -152,9 +149,7 @@ def solve_mode(op: Operator3, xi: np.ndarray, init=(1.0, 0.0, 0.0),
     v, v1, v2 = sol.y[:, :n] if n else y0[:, None]
     g = np.array([coeff(float(tk)) for tk in t])
     v3 = -(g[:, 0] * v + g[:, 1] * v1 + g[:, 2] * v2)
-    reach = float(t[-1]) if n else 0.0
-    return ModeSolution(op, np.asarray(xi, dtype=float), t, v, v1, v2, v3,
-                        int(sol.nfev), bool(sol.success) and not blowup, reach, blowup)
+    return ModeSolution(np.asarray(xi, dtype=float), t, v, v1, v2, v3, int(sol.nfev), blowup)
 
 
 # --------------------------------------------------------------------------
@@ -340,9 +335,6 @@ class EnergyTrace:
     k: np.ndarray
     logE: np.ndarray
     eta: float
-    pair_sq: np.ndarray     # sum of squared symmetrized pair traces
-    factor_sq: np.ndarray   # sum of squared first-order factor traces
-    v_sq: np.ndarray
 
     def dlogE(self) -> np.ndarray:
         """Window-averaged slope of log E (bounded by sup E'/E)."""
@@ -356,8 +348,9 @@ class EnergyTrace:
 
 
 def _energy_weights(op: Operator3, sol: ModeSolution):
-    """Per-grid-point weight integrand K, envelope H, and the squared
-    component groups of the energy."""
+    """Per-grid-point weight integrand K, envelope H, and the unweighted
+    energy q: the squared symmetrized pair traces plus H^2 times the squared
+    first-order factor traces and |v|^2."""
     g = symbol_grid(op, sol.t, sol.xi)
     ft = _regularized_factors(g, sol)
     terms, n_abs = _primary_terms(g)
@@ -367,7 +360,7 @@ def _energy_weights(op: Operator3, sol: ModeSolution):
     H = 1.0 + terms[0] + terms[4] + sum(np.sqrt((a + 1.0) / sgap) for a in n_abs)
     pair_sq = sum(np.abs(ft.pair_sym[p]) ** 2 for p in _SS2)
     factor_sq = sum(np.abs(ft.lv[j]) ** 2 for j in range(3))
-    return K, H, pair_sq, factor_sq
+    return K, H, pair_sq + H ** 2 * (factor_sq + np.abs(sol.v) ** 2)
 
 
 def energy_trace(op: Operator3, sol: ModeSolution, eta: float) -> EnergyTrace:
@@ -375,30 +368,27 @@ def energy_trace(op: Operator3, sol: ModeSolution, eta: float) -> EnergyTrace:
 
     All denominators are bounded below by the regularized gaps or by +1
     terms. ``k`` may underflow for very large eta; ``logE`` is exact."""
-    K, H, pair_sq, factor_sq = _energy_weights(op, sol)
-    return _energy_from_weights(sol, K, H, pair_sq, factor_sq, eta)
+    return _energy_from_weights(sol, *_energy_weights(op, sol), eta)
 
 
-def _energy_from_weights(sol, K, H, pair_sq, factor_sq, eta: float) -> EnergyTrace:
+def _energy_from_weights(sol, K, H, q, eta: float) -> EnergyTrace:
     t = sol.t
     h = float(t[1] - t[0])
-    v_sq = np.abs(sol.v) ** 2
     cumK = np.concatenate([[0.0], np.cumsum(0.5 * (K[1:] + K[:-1]) * h)])
-    q = pair_sq + H ** 2 * (factor_sq + v_sq)
     with np.errstate(under="ignore"):
         k = np.exp(-eta * cumK)
         E = k * q
     logE = np.log(np.maximum(q, 1e-300)) - eta * cumK
-    return EnergyTrace(t, E, K, H, k, logE, eta, pair_sq, factor_sq, v_sq)
+    return EnergyTrace(t, E, K, H, k, logE, eta)
 
 
 def calibrate_eta(op: Operator3, sol: ModeSolution) -> tuple[float, EnergyTrace]:
     """Smallest eta in {1, 2, 4, ..., 1024} whose slope of log E has no
     spike: max_t d/dt log E <= 2 median_t |d/dt log E|."""
-    K, H, pair_sq, factor_sq = _energy_weights(op, sol)
+    weights = _energy_weights(op, sol)
     last = None
     for eta in ETA_LADDER:
-        tr = _energy_from_weights(sol, K, H, pair_sq, factor_sq, float(eta))
+        tr = _energy_from_weights(sol, *weights, float(eta))
         g = tr.dlogE()
         last = tr
         if float(np.max(g)) <= 2.0 * float(np.median(np.abs(g))):
@@ -490,8 +480,8 @@ def _magnus_fundamental(coeff, t: np.ndarray, mag: float, steps: int) -> np.ndar
     return phi
 
 
-def _amplification(op: Operator3, xi: np.ndarray, grid_points: int,
-                   t_end: float | None) -> tuple[float, float, bool, float]:
+def _amplification(op: Operator3, xi: np.ndarray,
+                   grid_points: int) -> tuple[float, float, bool, float]:
     """Amplification over the full horizon and over its first half (the
     same trajectories serve both), maximized over the canonical bases: the
     largest column 1-norm of the fundamental matrix Phi on the balanced
@@ -500,7 +490,7 @@ def _amplification(op: Operator3, xi: np.ndarray, grid_points: int,
     otherwise. A non-finite Phi is a blow-up: the amplification is infinite,
     the half amplification 1, and the reach the grid time before it."""
     mag = float(np.linalg.norm(xi))
-    t = _mode_grid(op, xi, grid_points, t_end)
+    t = _mode_grid(op, xi, grid_points)
     coeff = _ode_coefficients(op, xi)
     with np.errstate(over="ignore", invalid="ignore"):
         # the grid goes first, so that a domain error names its first time
@@ -521,7 +511,7 @@ def _amplification(op: Operator3, xi: np.ndarray, grid_points: int,
 
 
 def growth_experiment(op: Operator3, ladder, direction: np.ndarray | None = None,
-                      grid_points: int = 1024, t_end: float | None = None) -> GrowthFit:
+                      grid_points: int = 1024) -> GrowthFit:
     """Amplification ladder and model fit.
 
     The super-polynomial exponent is extracted from the second-half
@@ -535,10 +525,12 @@ def growth_experiment(op: Operator3, ladder, direction: np.ndarray | None = None
     if len(ladder) < 6 or max(ladder) / min(ladder) < 2 ** 5 * (1 - 1e-9):
         raise OperatorSpecError("growth experiment needs at least 6 ladder points "
                                 "spanning >= 5 doublings")
+    if any(b <= a for a, b in zip(ladder, ladder[1:])):
+        raise OperatorSpecError("growth experiment needs a strictly increasing ladder")
     d = direction if direction is not None else np.eye(op.dim)[0]
     rows = []
     for mag in ladder:
-        amp, amp_half, blowup, reach = _amplification(op, mag * d, grid_points, t_end)
+        amp, amp_half, blowup, reach = _amplification(op, mag * d, grid_points)
         rows.append({"xi": float(mag), "amplification": amp,
                      "log_amp": math.log(amp) if math.isfinite(amp) and amp > 0 else math.inf,
                      "half_log_amp": math.log(max(amp_half, 1e-300)),

@@ -139,13 +139,13 @@ def _corrected(c: CubicJet, m: TauPoly, n: TauPoly) -> tuple[TauPoly, TauPoly]:
 
 
 def _unit_regularized(c: CubicJet):
-    """The unit-regularized cubic L - d_tau^2 L (eps |xi| = 1), the jets of
-    its roots, and its critical points with their first time derivatives.
-    Pairwise gaps are bounded below uniformly in (t, xi)."""
+    """The unit-regularized cubic L - d_tau^2 L (eps |xi| = 1), its roots
+    with their first two time derivatives, and its critical points with
+    their first: ``(reg, lam, lam_d1, lam_d2, mu, mu_d1)``. Pairwise gaps
+    are bounded below uniformly in (t, xi)."""
     reg = regularized_cubic(c, 1.0)
-    lam = root_jets(reg, solve_cubic_real(reg))
-    mu, mu_d1 = quad_root_jets(reg)
-    return reg, lam, mu, mu_d1
+    lam = solve_cubic_real(reg)
+    return (reg, lam.r) + root_jets(reg, lam) + quad_root_jets(reg)
 
 
 # --------------------------------------------------------------------------
@@ -277,7 +277,7 @@ def _symbols_at(op: Operator3, t, xi: np.ndarray) -> Symbols:
         c = op.principal(t, xi)
         m, n, p = op.lower_polys(t, xi)
         mc, nc = _corrected(c, m, n)
-        reg, lam, mu, mu_d1 = _unit_regularized(c)
+        reg, lam, lam_d1, lam_d2, mu, mu_d1 = _unit_regularized(c)
         tau = solve_cubic_real(c).r
         s1, s2, _, gap_sq = derivative_quadratic(c)
     except (HyperbolicityViolation, NearMultipleRoot, ExprDomainError) as exc:
@@ -286,7 +286,7 @@ def _symbols_at(op: Operator3, t, xi: np.ndarray) -> Symbols:
         locate(exc, t, xi, lambda tk: _symbols_at(op, tk, xi))
         raise
     return Symbols(t, c, m, n, p, mc, nc, reg, tau, (s1, s2), gap_sq,
-                   lam.roots.r, lam.d1, lam.d2, mu, mu_d1)
+                   lam, lam_d1, lam_d2, mu, mu_d1)
 
 
 def symbol_grid(op: Operator3, ts, xi: np.ndarray) -> Symbols:

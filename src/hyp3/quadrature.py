@@ -31,6 +31,9 @@ MAX_PANELS = 2 ** 14
 #: initial uniform split of the integration interval
 INITIAL_PANELS = 8
 
+#: summed panel error indicators must fall below this fraction of each component
+REL_TOL = 1e-6
+
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(PANEL_NODES)
 
 
@@ -67,10 +70,9 @@ class _Interval:
         return self.fine_l + self.fine_r
 
 
-def adaptive_gauss(f: Callable[[float], np.ndarray], a: float, b: float, *,
-                   rel_tol: float = 1e-6) -> QuadResult:
+def adaptive_gauss(f: Callable[[float], np.ndarray], a: float, b: float) -> QuadResult:
     """Integrate the vector integrand until, for every component, the summed
-    panel error indicators drop below rel_tol times the component magnitude
+    panel error indicators drop below REL_TOL times the component magnitude
     (components below 1e-12 compare absolutely).
 
     Raises :class:`QuadratureError` with the achieved tolerance if the
@@ -111,10 +113,10 @@ def adaptive_gauss(f: Callable[[float], np.ndarray], a: float, b: float, *,
         return float(np.max(err_sum / scale))
 
     rel = achieved()
-    while not rel < rel_tol:
+    while not rel < REL_TOL:
         if panels + 1 > MAX_PANELS or not math.isfinite(rel):
             raise QuadratureError(f"quadrature stalled at relative change {rel:.3g} "
-                                  f"(requested {rel_tol:.3g})", panels)
+                                  f"(requested {REL_TOL:.3g})", panels)
         _, _, worst = heapq.heappop(heap)
         mid = 0.5 * (worst.lo + worst.hi)
         kids = (interval(worst.lo, mid, worst.fine_l), interval(mid, worst.hi, worst.fine_r))

@@ -35,7 +35,7 @@ WIDE_LADDER = [2.0 ** k for k in range(4, 17)]     # 2^4 .. 2^16
 ENERGY_LADDER = [2.0 ** k for k in range(8, 13)]   # 2^8 .. 2^12
 
 LEVI_MEMBERS = [n for n in battery_names(order=3) if BATTERY[n].levi_ok]
-TIME_DEP_MEMBERS = [n for n in battery_names(order=3) if BATTERY[n].time_dependent]
+TIME_DEP_MEMBERS = [n for n in battery_names(order=3) if not BATTERY[n].op.is_constant()]
 GROWTH_MEMBERS = ("strict_const", "triple_plus_dx", "triple_plus_dxx",
                   "const_coeff_wellposed", "triple_pure")
 

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from hyp3 import identities
 from hyp3.cli import main
 
 
@@ -36,12 +37,13 @@ def test_identities_zero_samples_trivial(capsys):
     assert rc == 0 and doc["algebraic"] == [] and doc["pass"] is True
 
 
-def test_identities_corrupted_formula_fails_and_names_it(capsys):
-    rc, doc = _run(capsys, "identities", "--samples", "100",
-                   "--corrupt", "reg_disc_expansion")
+def test_identities_corrupted_formula_fails_and_names_it(capsys, monkeypatch):
+    exact = identities.discriminant
+    monkeypatch.setattr(identities, "discriminant", lambda c: exact(c) * (1.0 + 1e-5))
+    rc, doc = _run(capsys, "identities", "--samples", "100")
     assert rc == 1
     assert doc["pass"] is False
-    assert "reg_disc_expansion" in doc["failures"]
+    assert "disc_vs_root_products" in doc["failures"]
 
 
 def test_identities_deterministic_documents(tmp_path, capsys):
@@ -238,6 +240,20 @@ def test_check_names_the_point_of_a_product_overflow(tmp_path, capsys):
                         r"at t=0\.50\d*, xi=\[\d+\.\]\n", err), err
 
 
+def test_check_and_modes_name_the_point_of_a_sine_of_infinity(tmp_path, capsys):
+    # the product inside sin overflows to inf near t = 0.507, at a point (a
+    # mode right-hand side) and on the symbol grids alike
+    p = tmp_path / "sininf.op"
+    p.write_text("order = 3\ndimension = 1\nT = 1.0\n"
+                 "a[1,(2)] = -1\na[0,(0)] = sin(exp(700*t)*exp(700*t))\n")
+    for argv in (["check", "--xi-steps", "5"], ["modes", "--grid", "64"]):
+        assert main(argv + ["--config", str(p)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(r"hyp3: config error: sin of infinite value inf, "
+                            r"at t=0\.5\d*, xi=\[\d+\.\]\n", err), err
+
+
 MODE_TABLES = ["modes", "--battery", "strict_const", "--xi-min", "32", "--xi-max", "1024",
                "--xi-steps", "6", "--grid", "64", "--format", "tables"]
 
@@ -255,6 +271,11 @@ MODE_TABLES = ["modes", "--battery", "strict_const", "--xi-min", "32", "--xi-max
      "--xi-steps", "6"],
     MODE_TABLES + ["--eta", "nan"],
     MODE_TABLES + ["--eta", "inf"],
+    # a descending ladder
+    ["check", "--battery", "triple_plus_dx", "--xi-min", "16384", "--xi-max", "64"],
+    ["modes", "--battery", "triple_plus_dx", "--xi-min", "1024", "--xi-max", "32",
+     "--xi-steps", "6"],
+    ["modes", "--battery", "wave2"],    # no third-order operator
 ])
 def test_usage_errors_exit_2_with_one_line(capsys, argv):
     assert main(argv) == 2

@@ -134,16 +134,14 @@ def test_root_jets_linear_roots():
     # roots j*t have velocity j and zero curvature
     fns = _timefn_cubic(("t", "2*t", "3*t"))
     c = _cubic_at(fns, 1.0)
-    rj = root_jets(c, solve_cubic_real(c))
-    assert np.allclose(rj.d1, (1.0, 2.0, 3.0), atol=1e-9)
-    assert np.allclose(rj.d2, (0.0, 0.0, 0.0), atol=1e-8)
+    d1, d2 = root_jets(c, solve_cubic_real(c))
+    assert np.allclose(d1, (1.0, 2.0, 3.0), atol=1e-9)
+    assert np.allclose(d2, (0.0, 0.0, 0.0), atol=1e-8)
 
 
 def test_root_jets_constant_cubic():
     c = cubic_from_floats(-6, 11, -6)
-    rj = root_jets(c, solve_cubic_real(c))
-    assert rj.d1 == (0.0, 0.0, 0.0)
-    assert rj.d2 == (0.0, 0.0, 0.0)
+    assert root_jets(c, solve_cubic_real(c)) == ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
 
 def test_root_jets_match_finite_differences_of_resolved_roots():
@@ -154,14 +152,14 @@ def test_root_jets_match_finite_differences_of_resolved_roots():
         t = rng.uniform(0.1, 1.5)
         c = _cubic_at(fns, t)
         roots = solve_cubic_real(c)
-        rj = root_jets(c, roots)
+        d1, d2 = root_jets(c, roots)
         rp = solve_cubic_real(_cubic_at(fns, t + h)).r
         rm = solve_cubic_real(_cubic_at(fns, t - h)).r
         for j in range(3):
             d1_fd = (rp[j] - rm[j]) / (2 * h)
             d2_fd = (rp[j] - 2 * roots.r[j] + rm[j]) / h ** 2
-            assert abs(rj.d1[j] - d1_fd) <= 1e-6 * max(1.0, abs(rj.d1[j]))
-            assert abs(rj.d2[j] - d2_fd) <= 2e-5 * max(1.0, abs(rj.d2[j]))
+            assert abs(d1[j] - d1_fd) <= 1e-6 * max(1.0, abs(d1[j]))
+            assert abs(d2[j] - d2_fd) <= 2e-5 * max(1.0, abs(d2[j]))
 
 
 def test_root_jets_reject_near_multiple_roots():
