@@ -79,6 +79,8 @@ def _fit_doc(fit) -> dict:
 def _ladder_from_args(args) -> list[float]:
     if not (0 < args.xi_min < math.inf and 0 < args.xi_max < math.inf):
         raise OperatorSpecError("--xi-min and --xi-max must be finite and positive")
+    if args.xi_steps > 1 and args.xi_min >= args.xi_max:
+        raise OperatorSpecError("the ladder must strictly increase: --xi-min below --xi-max")
     return default_ladder(args.xi_min, args.xi_max, args.xi_steps)
 
 

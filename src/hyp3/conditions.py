@@ -19,6 +19,10 @@ Evaluates, over a frequency ladder:
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -255,11 +259,32 @@ def _band(ratio_rows: list[float]) -> dict:
     return {"lo": lo, "hi": hi, "stable": stable, "ratios": ratio_rows}
 
 
+def _exit_with_parent() -> None:
+    """Pool initializer: exit once the parent is gone (killed, say), rather
+    than wait for a next cell for ever (EOF on the parent's sentinel pipe)."""
+    fd = multiprocessing.parent_process().sentinel
+    threading.Thread(target=lambda: (os.read(fd, 1), os._exit(1)), daemon=True).start()
+
+
+def _ladder_cells(op: Operator3, xis: list[np.ndarray]) -> list[ConditionCell]:
+    """The cells at ``xis`` in order, a time-dependent operator's integrated in
+    forked workers (one per usable CPU); the first failing cell's error is raised."""
+    workers = min(len(xis), len(os.sched_getaffinity(0)))
+    if op.is_constant() or workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return [condition_integrals(op, xi) for xi in xis]
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_exit_with_parent)
+    try:
+        return [f.result() for f in [pool.submit(condition_integrals, op, xi) for xi in xis]]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def condition_report(op: Operator3, ladder: Sequence[float] | None = None,
                      direction: np.ndarray | None = None) -> ConditionReport:
     ladder = list(ladder) if ladder is not None else default_ladder()
     d = direction if direction is not None else np.eye(op.dim)[0]
-    cells = [condition_integrals(op, mag * d) for mag in ladder]
+    cells = _ladder_cells(op, [mag * d for mag in ladder])
     fits = {key: log_fit([(c.xi_mag, c.values[key]) for c in cells]) for key in PRIMARY_KEYS}
     verdicts = {key: fits[key].verdict for key in PRIMARY_KEYS}
     bands = {}

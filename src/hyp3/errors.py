@@ -7,7 +7,15 @@ import cmath
 import numpy as np
 
 
-class ExprError(Exception):
+class _Pickled(Exception):
+    """Pickles as its ``args`` and attributes, not through ``__init__``, so
+    that an error raised in a worker process reaches the parent unchanged."""
+
+    def __reduce__(self):
+        return Exception.__new__, (type(self), *self.args), self.__dict__
+
+
+class ExprError(_Pickled):
     """Base class for expression-language failures."""
 
 
@@ -72,7 +80,7 @@ class ExprDomainError(ExprError):
     value, division by zero, zero to a negative power) or overflowed."""
 
 
-class HyperbolicityViolation(Exception):
+class HyperbolicityViolation(_Pickled):
     """The principal symbol has non-real roots beyond the tolerance band."""
 
     def __init__(self, discriminant: float, where: str = ""):
@@ -83,7 +91,7 @@ class HyperbolicityViolation(Exception):
         super().__init__(msg)
 
 
-class NearMultipleRoot(Exception):
+class NearMultipleRoot(_Pickled):
     """Implicit root differentiation requested below the simple-root gap."""
 
     def __init__(self, gap: float, threshold: float):
@@ -92,7 +100,7 @@ class NearMultipleRoot(Exception):
         super().__init__(f"root gap {gap:.6g} below simple-root threshold {threshold:.6g}")
 
 
-class QuadratureError(Exception):
+class QuadratureError(_Pickled):
     """Adaptive quadrature hit the panel cap before converging, or met a
     non-finite integrand value; ``panels`` is the leaf count reached."""
 

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import re
 
 import pytest
@@ -8,6 +9,14 @@ from hypothesis import settings
 # no example database, whose replays would depend on earlier runs
 settings.register_profile("derandomized", derandomize=True, database=None)
 settings.load_profile("derandomized")
+
+
+@pytest.fixture(autouse=True)
+def no_leftover_processes():
+    """Fail a test after which a child process (a ladder worker) still runs."""
+    yield
+    assert not multiprocessing.active_children(), "a child process outlived the test"
+
 
 _NUMBER = re.compile(r"\d+(?:\.\d*)?(?:e[+-]?\d+)?")
 _MATH = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log}

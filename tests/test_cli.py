@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from hyp3 import identities
+from hyp3 import cli, identities, quadrature
 from hyp3.cli import main
 
 
@@ -282,6 +282,33 @@ def test_usage_errors_exit_2_with_one_line(capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("hyp3: config error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--battery", "sin_gap", "--xi-min", "16384", "--xi-max", "64"],
+    ["check", "--battery", "all", "--xi-min", "64", "--xi-max", "64"],
+    ["modes", "--battery", "strict_sin", "--xi-min", "1024", "--xi-max", "32",
+     "--xi-steps", "6"],
+])
+def test_descending_ladder_is_rejected_before_any_work(monkeypatch, capsys, argv):
+    def never(*args, **kwargs):
+        raise AssertionError("work started on a descending ladder")
+    for name in ("hyperbolicity_scan", "condition_report", "second_order_report",
+                 "growth_experiment"):
+        monkeypatch.setattr(cli, name, never)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("hyp3: config error:") and err.count("\n") == 1
+
+
+def test_check_exits_3_when_a_worker_cell_fails(monkeypatch, capsys):
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 20)
+    assert main(["check", "--battery", "sin_gap", "--xi-min", "64", "--xi-max", "1024",
+                 "--xi-steps", "5"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("hyp3: numerical failure: quadrature stalled at relative change ")
+    assert err.endswith("with 20 panels\n") and err.count("\n") == 1
 
 
 def test_tables_emission(tmp_path, capsys):

@@ -1,10 +1,15 @@
 import math
+import os
+import pickle
+import subprocess
+import sys
+import time
 import warnings
 
 import numpy as np
 import pytest
 
-from hyp3 import operators
+from hyp3 import errors, operators, quadrature
 from hyp3.battery import BATTERY, battery_member, battery_names
 from hyp3.conditions import (
     _grid_sup,
@@ -147,6 +152,108 @@ def test_quadrature_non_finite_integrand_is_an_error():
         warnings.simplefilter("error", RuntimeWarning)  # no inf - inf on the way
         with pytest.raises(QuadratureError, match="^non-finite integrand value on "):
             adaptive_gauss(lambda t: [math.inf if t < 0.5 else 1.0, 1.0], 0.0, 1.0)
+
+
+ERRORS = [
+    (errors.ExprError, "bad expression"),
+    (errors.ExprSyntaxError, 3, ("num", "ident")),
+    (errors.UnknownIdentifierError, "x", 2),
+    (errors.ExprDomainError, "log of non-positive value -0.5"),
+    (errors.HyperbolicityViolation, -1e-3, "derivative quadratic"),
+    (errors.NearMultipleRoot, 1e-9, 1e-7),
+    (errors.QuadratureError, "stalled", 99),
+    (errors.OperatorSpecError, "bad ladder"),
+]
+
+
+def test_every_error_class_has_a_round_trip_case():
+    classes = {c for name, c in vars(errors).items()
+               if isinstance(c, type) and issubclass(c, Exception) and not name.startswith("_")}
+    assert {cls for cls, *_ in ERRORS} == classes
+
+
+@pytest.mark.parametrize("located", [False, True])
+@pytest.mark.parametrize("cls_args", ERRORS, ids=lambda case: case[0].__name__)
+def test_errors_survive_a_pickle_round_trip(cls_args, located):
+    # a worker process sends its error back to the parent as a pickle
+    cls, *args = cls_args
+    exc = cls(*args)
+    if located:
+        errors.locate(exc, 0.3, [64.0], None)
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is cls
+    assert str(back) == str(exc) and back.args == exc.args
+    assert vars(back) == vars(exc)
+
+
+FIVE = default_ladder(64.0, 1024.0, 5)
+
+
+@pytest.mark.parametrize("member", ["sin_gap", "strict_sin"])
+def test_parallel_ladder_cells_equal_in_process_cells(member):
+    op = BATTERY[member].op
+    cells = [condition_integrals(op, np.array([m])) for m in FIVE]
+    assert condition_report(op, FIVE).ladder == cells
+
+
+def _first_failure(op):
+    for m in FIVE:
+        try:
+            condition_integrals(op, np.array([m]))
+        except QuadratureError as exc:
+            return exc
+    raise AssertionError("no cell failed")
+
+
+def test_a_failing_worker_raises_the_first_failing_cells_error(monkeypatch):
+    # forked workers inherit the patched cap
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 20)
+    op = BATTERY["sin_gap"].op
+    want = _first_failure(op)
+    with pytest.raises(QuadratureError) as exc:
+        condition_report(op, FIVE)
+    assert str(exc.value) == str(want) and exc.value.panels == want.panels
+
+
+KILLED_PARENT = """
+import os, time
+from hyp3 import conditions
+from hyp3.battery import BATTERY
+
+def cell(op, xi):
+    os.write(1, b"%d\\n" % os.getpid())   # one write: the workers share the pipe
+    time.sleep(60)
+
+conditions.condition_integrals = cell
+conditions.condition_report(BATTERY["sin_gap"].op, conditions.default_ladder(64.0, 1024.0, 5))
+"""
+
+
+def _running(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2 or not os.path.isdir("/proc"),
+                    reason="needs ladder workers and /proc")
+def test_workers_exit_when_their_parent_is_killed():
+    parent = subprocess.Popen([sys.executable, "-c", KILLED_PARENT], stdout=subprocess.PIPE,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    workers = [int(parent.stdout.readline()) for _ in range(2)]
+    parent.kill()
+    parent.wait()
+    parent.stdout.close()
+    try:
+        deadline = time.monotonic() + 10.0
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, workers))
+    finally:
+        for pid in filter(_running, workers):
+            os.kill(pid, 9)
 
 
 def test_scaling_covariance_of_levi_integrals():
