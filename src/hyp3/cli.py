@@ -40,7 +40,7 @@ from .errors import (
 from .identities import run_algebraic_suite
 from .modes import calibrate_eta, energy_trace, growth_experiment, identity_residuals, solve_mode
 from .opfile import load_operator
-from .operators import Operator2, Operator3, hyperbolicity_scan, symbol_grid
+from .operators import Operator2, Operator3, symbol_grid
 
 TRAJECTORY_TOL = 1e-6
 
@@ -132,10 +132,8 @@ def _conditions_doc_one(op, member, args) -> tuple[dict, list[str]]:
 
     ladder = _ladder_from_args(args)
     direction = _direction_from_args(args, op.dim)
-    hyperbolicity_scan(op, ladder, direction)
+    case = pointwise_levi(op, ladder, direction)
     rep = condition_report(op, ladder, direction)
-    case_ladder = ladder[::2] if len(ladder) > 5 else ladder
-    case = pointwise_levi(op, ladder=case_ladder, direction=direction)
     doc = {
         "order": 3,
         "rows": [{

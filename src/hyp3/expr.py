@@ -26,16 +26,22 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import Union
 
 import numpy as np
 
-from .errors import (ExprDomainError, ExprSyntaxError, UnknownIdentifierError, _check_points,
-                     _nonfinite)
+from .errors import (ExprDomainError, ExprError, ExprSyntaxError, UnknownIdentifierError,
+                     _check_points, _nonfinite)
 
 __all__ = ["Jet2", "TimeFn", "parse_timefn"]
 
 _FUNCS = ("sin", "cos", "exp", "log")
+
+#: the most nodes on a path down a syntax tree, and the most levels of parentheses:
+#: trees are printed, evaluated and pickled (for ladder workers) by recursion, and
+#: pickling one about 330 deep overflows Python's default recursion limit
+MAX_DEPTH = 300
 
 
 # --------------------------------------------------------------------------
@@ -106,9 +112,6 @@ class Jet2:
         d3 = None if self.d3 is None or other.d3 is None else self.d3 - other.d3
         return Jet2(self.v - other.v, self.d1 - other.d1, self.d2 - other.d2, d3)
 
-    def __neg__(self) -> "Jet2":
-        return self.scaled(-1.0)
-
     def scaled(self, s: complex) -> "Jet2":
         d3 = None if self.d3 is None else s * self.d3
         return Jet2(s * self.v, s * self.d1, s * self.d2, d3)
@@ -157,10 +160,15 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
+    """Recursive descent, ``term`` folded into ``expr`` and ``base`` into
+    ``factor``, so that a level of parentheses costs two frames."""
+
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.k = 0
+        # bound the recursion before it starts
+        if max(accumulate((k == "(") - (k == ")") for k, _, _ in self.tokens)) > MAX_DEPTH:
+            raise ExprError(f"expression nested deeper than {MAX_DEPTH} levels")
 
     def peek(self):
         return self.tokens[self.k]
@@ -187,23 +195,40 @@ class _Parser:
         neg = False
         if self.peek()[0] in ("+", "-"):
             neg = self.advance()[0] == "-"
-        node = self.term()
-        if neg:
-            node = Num(-node.value) if isinstance(node, Num) else BinOp("-", Num(0.0), node)
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            node = BinOp(op, node, self.term())
-        return node
+        node = add = None
+        while True:
+            term = self.factor()
+            while self.peek()[0] in ("*", "/"):
+                term = BinOp(self.advance()[0], term, self.factor())
+            if add:
+                node = BinOp(add, node, term)
+            elif neg:
+                node = Num(-term.value) if isinstance(term, Num) else BinOp("-", Num(0.0), term)
+            else:
+                node = term
+            if self.peek()[0] not in ("+", "-"):
+                return node
+            add = self.advance()[0]
 
-    def term(self) -> Node:
-        node = self.factor()
-        while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            node = BinOp(op, node, self.factor())
-        return node
+    _BASE_EXPECTED = ("number", "i", "t", "sin", "cos", "exp", "log", "(")
 
     def factor(self) -> Node:
-        node = self.base()
+        tok = self.advance()
+        if tok[0] == "num":
+            node = Num(float(tok[1]))
+        elif tok[0] == "ident" and tok[1] in ("t", "i"):
+            node = TimeVar() if tok[1] == "t" else Imag()
+        elif tok[0] == "ident" and tok[1] in _FUNCS:
+            self.expect("(", ("(",))
+            node = Call(tok[1], self.expr())
+            self.expect(")", (")",))
+        elif tok[0] == "ident":
+            raise UnknownIdentifierError(tok[1], tok[2])
+        elif tok[0] == "(":
+            node = self.expr()
+            self.expect(")", (")",))
+        else:
+            raise ExprSyntaxError(tok[2], self._BASE_EXPECTED)
         if self.peek()[0] == "^":
             self.advance()
             sign = 1
@@ -215,33 +240,6 @@ class _Parser:
                                       f"exponent must be an integer, got {tok[1]!r} at offset {tok[2]}")
             node = Pow(node, sign * int(tok[1]))
         return node
-
-    _BASE_EXPECTED = ("number", "i", "t", "sin", "cos", "exp", "log", "(")
-
-    def base(self) -> Node:
-        tok = self.peek()
-        if tok[0] == "num":
-            self.advance()
-            return Num(float(tok[1]))
-        if tok[0] == "ident":
-            self.advance()
-            name = tok[1]
-            if name == "t":
-                return TimeVar()
-            if name == "i":
-                return Imag()
-            if name in _FUNCS:
-                self.expect("(", ("(",))
-                arg = self.expr()
-                self.expect(")", (")",))
-                return Call(name, arg)
-            raise UnknownIdentifierError(name, tok[2])
-        if tok[0] == "(":
-            self.advance()
-            node = self.expr()
-            self.expect(")", (")",))
-            return node
-        raise ExprSyntaxError(tok[2], self._BASE_EXPECTED)
 
 
 # --------------------------------------------------------------------------
@@ -494,15 +492,23 @@ def _compile(node: Node):
 # Tree walk
 
 
+_CHILD_FIELDS = {BinOp: ("lhs", "rhs"), Pow: ("base",), Call: ("arg",)}
+
+
 def _walk(node: Node):
     yield node
-    if isinstance(node, BinOp):
-        yield from _walk(node.lhs)
-        yield from _walk(node.rhs)
-    elif isinstance(node, Pow):
-        yield from _walk(node.base)
-    elif isinstance(node, Call):
-        yield from _walk(node.arg)
+    for name in _CHILD_FIELDS.get(type(node), ()):
+        yield from _walk(getattr(node, name))
+
+
+def _depth(node: Node) -> int:
+    """Nodes on the longest path down from ``node``, counted level by level,
+    not by recursion, so that a tree of any depth can be measured."""
+    depth, level = 0, [node]
+    while level:
+        depth += 1
+        level = [getattr(n, f) for n in level for f in _CHILD_FIELDS.get(type(n), ())]
+    return depth
 
 
 # --------------------------------------------------------------------------
@@ -558,6 +564,10 @@ def parse_timefn(text: str) -> TimeFn:
     """Parse expression text; see the module docstring for the grammar.
 
     Raises :class:`ExprSyntaxError` (with byte offset and expected-token
-    set) or :class:`UnknownIdentifierError`.
+    set), :class:`UnknownIdentifierError`, or :class:`ExprError` for an
+    expression nested deeper than ``MAX_DEPTH``.
     """
-    return TimeFn.from_ast(_Parser(text).parse())
+    ast = _Parser(text).parse()
+    if _depth(ast) > MAX_DEPTH:
+        raise ExprError(f"expression nested deeper than {MAX_DEPTH} levels")
+    return TimeFn.from_ast(ast)

@@ -16,20 +16,17 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cubic import (HYPERBOLICITY_TOL, CubicJet, derivative_quadratic, discriminant,
-                    quad_root_jets, root_jets, solve_cubic_real)
+from .cubic import CubicJet, derivative_quadratic, quad_root_jets, root_jets, solve_cubic_real
 from .errors import (ExprDomainError, HyperbolicityViolation, NearMultipleRoot,
-                     OperatorSpecError, _check_points, locate)
+                     OperatorSpecError, locate)
 from .expr import Jet2, TimeFn
 
 __all__ = [
     "Operator3",
     "Operator2",
     "TauPoly",
-    "SymbolJet",
     "Symbols",
     "symbol_grid",
-    "hyperbolicity_scan",
     "measure_separation",
 ]
 
@@ -59,16 +56,6 @@ def _xi_pow(xi: np.ndarray, alpha: tuple[int, ...]) -> float:
 
 
 @dataclass(frozen=True)
-class SymbolJet:
-    """A symbol frozen at one (t, tau, xi): value plus the derivatives the
-    condition integrands consume."""
-
-    value: complex
-    d_t: complex
-    d_tau: complex
-
-
-@dataclass(frozen=True)
 class TauPoly:
     """Polynomial in the root variable, coefficients ascending, each a time
     jet. With array jets (a :func:`symbol_grid`) every method works
@@ -82,7 +69,8 @@ class TauPoly:
     def values(self) -> tuple[complex, ...]:
         return tuple(c.v for c in self.coeffs)
 
-    def at(self, tau: complex) -> SymbolJet:
+    def at(self, tau: complex) -> tuple[complex, complex, complex]:
+        """Value, time derivative and tau-derivative at ``tau``."""
         v = dt = dtau = 0.0
         for k in range(self.degree(), -1, -1):
             c = self.coeffs[k]
@@ -90,7 +78,7 @@ class TauPoly:
             dt = dt * tau + c.d1
             if k >= 1:
                 dtau = dtau * tau + k * c.v
-        return SymbolJet(v, dt, dtau)
+        return v, dt, dtau
 
     def value_at(self, tau: complex) -> complex:
         v = 0.0
@@ -100,8 +88,8 @@ class TauPoly:
 
     def along_root(self, r: float, r_d1: float) -> tuple[complex, complex]:
         """Value and total time derivative of t -> S(t, r(t))."""
-        s = self.at(r)
-        return s.value, s.d_t + s.d_tau * r_d1
+        v, dt, dtau = self.at(r)
+        return v, dt + dtau * r_d1
 
     def divide_linear(self, r: float) -> tuple[tuple[complex, ...], complex]:
         """Synthetic division of the value polynomial by (tau - r):
@@ -277,8 +265,9 @@ def _symbols_at(op: Operator3, t, xi: np.ndarray) -> Symbols:
         c = op.principal(t, xi)
         m, n, p = op.lower_polys(t, xi)
         mc, nc = _corrected(c, m, n)
-        reg, lam, lam_d1, lam_d2, mu, mu_d1 = _unit_regularized(c)
+        # the plain cubic first: a non-hyperbolic time reports its discriminant
         tau = solve_cubic_real(c).r
+        reg, lam, lam_d1, lam_d2, mu, mu_d1 = _unit_regularized(c)
         s1, s2, _, gap_sq = derivative_quadratic(c)
     except (HyperbolicityViolation, NearMultipleRoot, ExprDomainError) as exc:
         # a grid runs each step at every time before the next step, so the
@@ -346,20 +335,6 @@ class Operator2:
 
 # --------------------------------------------------------------------------
 # Validation-grid helpers
-
-
-def hyperbolicity_scan(op: Operator3, ladder: Sequence[float], direction: np.ndarray) -> None:
-    """Raise HyperbolicityViolation (annotated with the offending point) if
-    the principal discriminant dips below the tolerance band anywhere on the
-    validation grid at the frequencies ``mag * direction``."""
-    ts = np.linspace(0.0, op.horizon, VALIDATION_T_SAMPLES)
-    for mag in ladder:
-        xi = mag * direction
-        c = op.principal(ts, xi)
-        disc = discriminant(c)
-        _check_points(disc < -HYPERBOLICITY_TOL * c.coeff_scale() ** 4,
-                      lambda d, t: HyperbolicityViolation(d, where=f"t={t:.6g}, xi={xi}"),
-                      disc, ts)
 
 
 def measure_separation(op: Operator3, ladder: Sequence[float],

@@ -1,11 +1,15 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
 from hyp3 import cli, identities, quadrature
 from hyp3.cli import main
+from hyp3.expr import MAX_DEPTH
 
 
 def _strict_loads(text):
@@ -168,6 +172,66 @@ def test_check_names_the_first_non_hyperbolic_point(tmp_path, capsys):
     assert err.startswith("hyp3: numerical failure:") and "t=0.501961, xi=[64.]" in err
 
 
+def test_check_reports_the_principal_discriminant_of_a_non_hyperbolic_time(tmp_path, capsys):
+    # the validation grid solves the plain cubic before the regularized one
+    p = tmp_path / "late.op"
+    p.write_text("order = 3\ndimension = 1\nT = 1.0\na[1,(2)] = t - 0.5\n")
+    assert main(["check", "--config", str(p)]) == 3
+    assert capsys.readouterr().err == (
+        "hyp3: numerical failure: discriminant -2072.19 below the hyperbolicity tolerance, "
+        "at t=0.501961, xi=[64.]\n")
+
+
+def test_check_stops_at_a_grid_error_before_the_condition_cells(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("condition cells ran before the validation grid")
+    monkeypatch.setattr(cli, "condition_report", never)
+    p = tmp_path / "logt.op"
+    p.write_text("order = 3\ndimension = 1\nT = 1.0\n"
+                 "a[1,(2)] = -(2+sin(t))^2\na[0,(0)] = log(t)\n")
+    assert main(["check", "--config", str(p)]) == 2
+    assert capsys.readouterr().err == (
+        "hyp3: config error: log of non-positive value 0.0, at t=0, xi=[64.]\n")
+
+
+def _check_in_subprocess(path, timeout):
+    """``hyp3 check`` on an operator file in a fresh interpreter, so that a
+    hang fails the test on its timeout."""
+    return subprocess.run(
+        [sys.executable, "-m", "hyp3.cli", "check", "--config", str(path), "--xi-steps", "5"],
+        capture_output=True, text=True, timeout=timeout,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+
+
+DEEP_EXPRESSIONS = {
+    "sum_of_400_terms": "+".join(["0.001*t"] * 400),
+    "sum_of_3000_terms": "+".join(["0.001*t"] * 3000),
+    "400_nested_parentheses": "(" * 400 + "t" + ")" * 400,
+    "300_nested_sines": "sin(" * 300 + "t" + ")" * 300,
+}
+
+
+@pytest.mark.parametrize("name", DEEP_EXPRESSIONS)
+def test_check_rejects_an_expression_nested_too_deep(tmp_path, name):
+    p = tmp_path / "deep.op"
+    p.write_text(f"order = 3\ndimension = 1\nT = 1.0\n"
+                 f"a[1,(2)] = -1\na[0,(0)] = {DEEP_EXPRESSIONS[name]}\n")
+    proc = _check_in_subprocess(p, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (f"hyp3: config error: {p}:5: "
+                           f"expression nested deeper than {MAX_DEPTH} levels\n")
+
+
+def test_check_runs_an_expression_at_the_depth_bound(tmp_path):
+    # a time-dependent operator: its ladder cells pickle it for the workers
+    p = tmp_path / "bound.op"
+    p.write_text("order = 3\ndimension = 1\nT = 1.0\n"
+                 "a[1,(2)] = -1\na[0,(0)] = " + "+".join(["0.001*t"] * (MAX_DEPTH - 1)) + "\n")
+    proc = _check_in_subprocess(p, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["pass"] is True
+
+
 def test_check_takes_a_complex_log_lower_order_term(tmp_path, capsys):
     # lower-order terms may be complex and use log; the pointwise checks and
     # the integrand tables evaluate it on whole time grids
@@ -200,7 +264,7 @@ def test_check_names_the_point_of_an_exp_overflow(tmp_path, capsys):
     assert main(["check", "--config", str(p), "--xi-steps", "5"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert re.fullmatch(r"hyp3: config error: exp of \S+ overflows, at t=0\.71\d*, xi=\[\d+\.\]\n",
+    assert re.fullmatch(r"hyp3: config error: exp of \S+ overflows, at t=0\.709804, xi=\[64\.\]\n",
                         err), err
 
 
@@ -293,7 +357,7 @@ def test_usage_errors_exit_2_with_one_line(capsys, argv):
 def test_descending_ladder_is_rejected_before_any_work(monkeypatch, capsys, argv):
     def never(*args, **kwargs):
         raise AssertionError("work started on a descending ladder")
-    for name in ("hyperbolicity_scan", "condition_report", "second_order_report",
+    for name in ("pointwise_levi", "condition_report", "second_order_report",
                  "growth_experiment"):
         monkeypatch.setattr(cli, name, never)
     assert main(argv) == 2

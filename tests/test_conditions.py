@@ -189,8 +189,15 @@ def test_errors_survive_a_pickle_round_trip(cls_args, located):
 FIVE = default_ladder(64.0, 1024.0, 5)
 
 
-@pytest.mark.parametrize("member", ["sin_gap", "strict_sin"])
-def test_parallel_ladder_cells_equal_in_process_cells(member):
+@pytest.mark.parametrize("member,affinity", [
+    pytest.param("sin_gap", True, id="sin_gap"),
+    pytest.param("strict_sin", True, id="strict_sin"),
+    # where os.sched_getaffinity does not exist (macOS, Windows)
+    pytest.param("sin_gap", False, id="sin_gap-no-sched_getaffinity"),
+])
+def test_parallel_ladder_cells_equal_in_process_cells(monkeypatch, member, affinity):
+    if not affinity:
+        monkeypatch.delattr(os, "sched_getaffinity")
     op = BATTERY[member].op
     cells = [condition_integrals(op, np.array([m])) for m in FIVE]
     assert condition_report(op, FIVE).ladder == cells
@@ -487,6 +494,17 @@ def test_second_order_oleinik_closed_form():
     assert abs(ib - closed) <= 1e-6 * closed
     rep = second_order_report(op2)
     assert rep["verdicts"] == {"disc_drift": "logarithmic", "lower_weighted": "logarithmic"}
+
+
+@pytest.mark.parametrize("xi", [64.0, 1024.0, 16384.0])
+def test_second_order_mixed_and_lower_slots_closed_form(xi):
+    # a = 2 t xi (d_t d_x), c0 = 1 (d_t), d = 5 (zeroth order): disc = 4 t^2 xi^2,
+    # and the lower-order numerator is -xi (t + 1)
+    op2 = _op2("mixed", {(1, (1,)): "2*t", (1, (0,)): "1", (0, (0,)): "5"})
+    ia, ib = second_order_check(op2, np.array([xi]))
+    r = math.sqrt(1.0 + 4.0 * xi * xi)
+    assert ia == pytest.approx(math.log(r * r), rel=1e-9)
+    assert ib == pytest.approx(0.5 * math.asinh(2.0 * xi) + (r - 1.0) / (4.0 * xi), rel=1e-9)
 
 
 def test_second_order_degenerate_violating():

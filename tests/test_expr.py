@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hyp3.battery import BATTERY
-from hyp3.errors import ExprDomainError, ExprSyntaxError, UnknownIdentifierError
-from hyp3.expr import BinOp, Call, Imag, Num, Pow, TimeFn, TimeVar, parse_timefn
+from hyp3.errors import ExprDomainError, ExprError, ExprSyntaxError, UnknownIdentifierError
+from hyp3.expr import MAX_DEPTH, BinOp, Call, Imag, Num, Pow, TimeFn, TimeVar, _depth, parse_timefn
 
 
 def test_parse_polynomial():
@@ -162,6 +162,27 @@ def test_timefn_pickles_after_a_point_value():
     want = [_bits(f.value(t)) for t in ts]  # caches the compiled closure
     g = pickle.loads(pickle.dumps(f))
     assert g == f and [_bits(g.value(t)) for t in ts] == want
+
+
+@pytest.mark.parametrize("shape", ["sum", "sines"])
+def test_an_expression_at_the_depth_bound_parses_evaluates_and_prints(shape):
+    n = MAX_DEPTH - 1
+    text = "+".join(["0.001*t"] * n) if shape == "sum" else "sin(" * n + "t" + ")" * n
+    fn = parse_timefn(text)
+    assert _depth(fn.ast) == MAX_DEPTH
+    assert parse_timefn(fn.to_string()) == fn == pickle.loads(pickle.dumps(fn))
+    want = [0.0005 * n, 0.001 * n]  # value and first derivative at t = 0.5
+    if shape == "sines":
+        want = [0.5, 1.0]
+        for _ in range(n):
+            want = [math.sin(want[0]), math.cos(want[0]) * want[1]]
+    jet = fn.jet2(0.5, order=3)
+    grid = fn.jet2(np.array([0.25, 0.5]))
+    assert fn.value(0.5) == pytest.approx(want[0], rel=1e-12)
+    assert jet.v == grid.v[1] == pytest.approx(want[0], rel=1e-12)
+    assert jet.d1 == grid.d1[1] == pytest.approx(want[1], rel=1e-12)
+    with pytest.raises(ExprError, match=f"nested deeper than {MAX_DEPTH} levels"):
+        parse_timefn(f"({text})+1" if shape == "sum" else f"sin({text})")
 
 
 def _bits(x: float) -> bytes:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hyp3.battery import BATTERY, battery_names
+from hyp3.conditions import pointwise_levi
 from hyp3.cubic import CubicJet, delta1, derivative_quadratic, discriminant, solve_cubic_real
 from hyp3.errors import (ExprDomainError, HyperbolicityViolation, NearMultipleRoot,
                          OperatorSpecError)
@@ -16,7 +17,6 @@ from hyp3.operators import (
     Operator3,
     TauPoly,
     _symbols_at,
-    hyperbolicity_scan,
     measure_separation,
     regularized_cubic,
     symbol_grid,
@@ -54,8 +54,8 @@ def test_lower_symbols_constant_coefficients_have_zero_drift():
     m, n, p = op.lower_polys(0.4, np.array([2.0]))
     assert all(c.d1 == 0 and c.d2 == 0 for c in m.coeffs)
     assert all(c.d1 == 0 for c in n.coeffs)
-    s = m.at(1.7)
-    assert s.d_t == 0
+    _, d_t, _ = m.at(1.7)
+    assert d_t == 0
 
 
 def test_lower_symbols_values():
@@ -205,8 +205,8 @@ def test_symbol_jets_linear_in_coefficients():
     scaled = {k: f"2.5*({v})" for k, v in base.items()}
     m1 = _op("a", base).lower_polys(0.6, np.array([3.0]))[0].at(1.1)
     m2 = _op("b", scaled).lower_polys(0.6, np.array([3.0]))[0].at(1.1)
-    for f in ("value", "d_t", "d_tau"):
-        assert abs(getattr(m2, f) - 2.5 * getattr(m1, f)) < 1e-12 * max(1, abs(getattr(m2, f)))
+    for a, b in zip(m1, m2):  # value, d_t, d_tau
+        assert abs(b - 2.5 * a) < 1e-12 * max(1, abs(b))
 
 
 def test_principal_part_must_be_real():
@@ -243,11 +243,14 @@ def test_symbol_grid_needs_a_time():
 
 def test_hyperbolicity_scan_names_the_offending_point():
     # t - 0.5 >= 0 makes the roots of tau^3 + (t - 0.5) xi^2 tau complex:
-    # the first grid time past 0.5 is 128/255
+    # the first grid time past 0.5 is 128/255; the pointwise checks' grids
+    # are the scan, and report the principal discriminant there
     op = _op("late", {(1, (2,)): "t - 0.5"})
-    hyperbolicity_scan(OLEINIK, [64.0, 128.0], np.array([1.0]))  # hyperbolic: passes
-    with pytest.raises(HyperbolicityViolation, match=r"at t=0\.501961, xi=\[64\.\]$"):
-        hyperbolicity_scan(op, [64.0, 128.0], np.array([1.0]))
+    pointwise_levi(OLEINIK, [64.0, 128.0], np.array([1.0]))  # hyperbolic: passes
+    with pytest.raises(HyperbolicityViolation,
+                       match=r"^discriminant -2072\.19 below the hyperbolicity tolerance, "
+                             r"at t=0\.501961, xi=\[64\.\]$"):
+        pointwise_levi(op, [64.0, 128.0], np.array([1.0]))
 
 
 def _rows(field):
