@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import pickle
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -266,6 +267,10 @@ def _exit_with_parent() -> None:
     threading.Thread(target=lambda: (os.read(fd, 1), os._exit(1)), daemon=True).start()
 
 
+def _cell(payload: bytes, xi: np.ndarray) -> ConditionCell:
+    return condition_integrals(pickle.loads(payload), xi)
+
+
 def _ladder_cells(op: Operator3, xis: list[np.ndarray]) -> list[ConditionCell]:
     """The cells at ``xis`` in order, a time-dependent operator's integrated in
     forked workers (one per usable CPU); the first failing cell's error is raised."""
@@ -273,10 +278,11 @@ def _ladder_cells(op: Operator3, xis: list[np.ndarray]) -> list[ConditionCell]:
     workers = min(len(xis), cpus or 1)
     if op.is_constant() or workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
         return [condition_integrals(op, xi) for xi in xis]
+    payload = pickle.dumps(op)  # here: a pool waits for ever on a call it fails to pickle
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                initializer=_exit_with_parent)
     try:
-        return [f.result() for f in [pool.submit(condition_integrals, op, xi) for xi in xis]]
+        return [f.result() for f in [pool.submit(_cell, payload, xi) for xi in xis]]
     finally:
         pool.shutdown(cancel_futures=True)
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
 from .conditions import _primary_terms
 from .cubic import _SS2, _root_derivatives, _simple_root_gap
@@ -413,6 +412,41 @@ class GrowthFit:
 #: Magnus substeps evaluated and exponentiated together (bounds the memory)
 _MAGNUS_BLOCK = 1024
 
+#: coefficients of the degree-13 Pade approximant to exp, and the 1-norm up to
+#: which it is exact to double precision (Higham, SIAM J. Matrix Anal. Appl. 2005)
+_PADE13 = [math.perm(26 - k, 13) / (math.perm(26, 13) * math.factorial(k)) for k in range(14)]
+_THETA13 = 5.371920351148152
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp of each matrix of an (N, 3, 3) stack by Pade-13 scaling and squaring:
+    matrix i is scaled by 2^-s_i, s_i = max(0, ceil(log2(|A_i|_1 / theta13))),
+    and its approximant squared s_i times. A result depends on its own matrix
+    alone, bit for bit; a non-finite 1-norm gives NaN."""
+    b = _PADE13
+    # products entry by entry on the (3, 3, N) layout: matmul loops per matrix
+    mul = lambda x, y: (x[:, :, None] * y[None]).sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.ascontiguousarray(a.transpose(1, 2, 0))
+        norm = np.abs(x).sum(axis=0).max(axis=0)
+        finite = np.isfinite(norm)
+        frac, s = np.frexp(np.where(finite, norm, 0.0) / _THETA13)
+        s = np.maximum(s - (frac == 0.5), 0)  # frexp gives ceil(log2) exactly
+        x = np.where(finite, x, 0.0) * np.ldexp(1.0, -s)
+        x2 = mul(x, x)
+        x4 = mul(x2, x2)
+        x6 = mul(x4, x2)
+        ident = np.eye(3)[:, :, None]
+        u = mul(x, mul(x6, b[13] * x6 + b[11] * x4 + b[9] * x2)
+                + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * ident)
+        v = (mul(x6, b[12] * x6 + b[10] * x4 + b[8] * x2)
+             + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * ident)
+        r = np.linalg.solve((v - u).transpose(2, 0, 1), (v + u).transpose(2, 0, 1))
+        r = r.transpose(1, 2, 0).copy()  # C order again
+        for i in (np.flatnonzero(s > k) for k in range(s.max(initial=0))):
+            r[..., i] = mul(r[..., i], r[..., i])
+    return np.where(finite[:, None, None], r.transpose(2, 0, 1), np.nan)
+
 
 def _balanced_matrix(g, mag: float) -> np.ndarray:
     """The mode's matrix A on the balanced state (v, v'/|xi|, v''/|xi|^2),
@@ -447,9 +481,9 @@ def _magnus_fundamental(coeff, t: np.ndarray, mag: float, steps: int) -> np.ndar
     """Phi on the uniform grid from sixth-order Magnus steps, ``steps`` per
     output interval, each from the coefficients at three Gauss-Legendre
     nodes. A block of at most _MAGNUS_BLOCK steps shares one coefficient
-    evaluation and one batched expm; an interval with more steps is split
-    into equal parts. The steps of a part are multiplied pairwise into one
-    propagator, and the propagators are chained along the grid."""
+    evaluation and one stacked exponential; an interval with more steps is
+    split into equal parts. The steps of a part are multiplied pairwise into
+    one propagator, and the propagators are chained along the grid."""
     n = len(t) - 1
     parts = -(-steps // _MAGNUS_BLOCK)
     q = -(-steps // parts)  # steps per part
@@ -468,7 +502,7 @@ def _magnus_fundamental(coeff, t: np.ndarray, mag: float, steps: int) -> np.ndar
         b3 = (10.0 * h / 3.0) * (a3 - 2.0 * a2 + a1)
         c1 = _commutator(b1, b2)
         c2 = -_commutator(b1, 2.0 * b3 + c1) / 60.0
-        e = expm(b1 + b3 / 12.0 + _commutator(-20.0 * b1 - b3 + c1, b2 + c2) / 240.0)
+        e = _expm(b1 + b3 / 12.0 + _commutator(-20.0 * b1 - b3 + c1, b2 + c2) / 240.0)
         e = e.reshape(u1 - u0, q, 3, 3)
         while e.shape[1] > 1:  # later steps multiply from the left
             half = e.shape[1] // 2
@@ -499,7 +533,7 @@ def _amplification(op: Operator3, xi: np.ndarray,
         if a.ndim == 2:  # exp(t A) by doubling: Phi[n:2n] = exp(t_n A) Phi[:n]
             steps = 2 ** np.arange(int(len(t) - 1).bit_length())
             phi = np.tile(np.eye(3, dtype=complex), (len(t), 1, 1))
-            for n, e in zip(steps.tolist(), expm(t[steps, None, None] * a)):
+            for n, e in zip(steps.tolist(), _expm(t[steps, None, None] * a)):
                 phi[n:2 * n] = e @ phi[:min(n, len(t) - n)]
         else:
             phi = _magnus_fundamental(coeff, t, mag, _magnus_steps(g, t, mag))

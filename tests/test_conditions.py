@@ -263,6 +263,40 @@ def test_workers_exit_when_their_parent_is_killed():
             os.kill(pid, 9)
 
 
+UNPICKLABLE_CALL = """
+import dataclasses, multiprocessing
+from collections.abc import Mapping
+from hyp3 import conditions
+from hyp3.battery import BATTERY
+
+class Coefficients(Mapping):
+    def __init__(self, items): self._items = dict(items)
+    def __getitem__(self, key): return self._items[key]
+    def __iter__(self): return iter(self._items)
+    def __len__(self): return len(self._items)
+    def __reduce__(self): raise TypeError("these coefficients refuse to be pickled")
+
+op = BATTERY["sin_gap"].op
+op = dataclasses.replace(op, coeffs=Coefficients(op.coeffs))
+try:
+    conditions.condition_report(op, conditions.default_ladder(64.0, 1024.0, 5))
+except TypeError as exc:
+    print(exc)
+print(len(multiprocessing.active_children()), "workers left")
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs ladder workers")
+def test_a_call_that_cannot_be_pickled_raises_at_once():
+    # a subprocess, so that a pool that waits for ever fails the test at the
+    # timeout instead of hanging the suite
+    done = subprocess.run([sys.executable, "-c", UNPICKLABLE_CALL], capture_output=True,
+                          text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout == "these coefficients refuse to be pickled\n0 workers left\n"
+
+
 def test_scaling_covariance_of_levi_integrals():
     # constant principal part, time-dependent lower order: scaling the lower
     # order by kappa scales the order-2 integral by |kappa| and the order-1

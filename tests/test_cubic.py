@@ -1,10 +1,12 @@
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
 from hyp3.cubic import (
+    SIMPLE_ROOT_REL_GAP,
     CubicJet,
     cubic_from_floats,
     delta1,
@@ -14,7 +16,7 @@ from hyp3.cubic import (
     solve_cubic_real,
 )
 from hyp3.errors import HyperbolicityViolation, NearMultipleRoot
-from hyp3.expr import BinOp, TimeFn, parse_timefn
+from hyp3.expr import BinOp, Jet2, TimeFn, parse_timefn
 
 
 def _vieta_cubic(r1, r2, r3):
@@ -183,3 +185,162 @@ def test_hyperbolicity_tolerance_band_clamps_small_negatives():
     roots = solve_cubic_real(cubic_from_floats(0.0, 1e-13, 0.0))
     assert max(abs(x) for x in roots.r) < 1e-6
     assert solve_cubic_real(c).r[0] <= solve_cubic_real(c).r[2]
+
+
+# ---------------------------------------------------------------------------
+# near-double and near-triple roots against a 50-digit oracle
+
+UNIT_ROUNDOFF = 2.0 ** -53
+GAPS = [10.0 ** -k for k in range(2, 8)]
+
+
+def _near_multiple_cubics(kind, rel, count=12):
+    """Cubics (float coefficients, Vieta of float roots) whose roots
+    ``c + s * (0, rel, 1) * span`` have a smallest gap of ``rel`` times their
+    span: a near-double pair at either end of a span from 1 to 4
+    ("double"), or a near-triple cluster with a span from 1e-3 to 1e-1
+    ("triple"), each with velocities and accelerations for root jets."""
+    rng = random.Random(f"{kind}-{rel}")
+    out = []
+    for _ in range(count):
+        c = rng.uniform(-2.0, 2.0)
+        span = rng.uniform(1.0, 4.0) if kind == "double" else 10.0 ** rng.uniform(-3.0, -1.0)
+        s = rng.choice((-1.0, 1.0))
+        r = [c, c + s * rel * span, c + s * span]
+        v = [rng.uniform(-1.0, 1.0) for _ in range(3)]
+        w = [rng.uniform(-1.0, 1.0) for _ in range(3)]
+        out.append(_vieta_jets(r, v, w))
+    return out
+
+
+def _vieta_jets(r, v, w):
+    """Coefficient jets (value, d/dt, d2/dt2) of the cubic whose roots move
+    as r + v t + w t^2 / 2, at t = 0, rounded to floats."""
+    pairs = ((0, 1), (1, 2), (2, 0))
+    a1 = (-sum(r), -sum(v), -sum(w))
+    a2 = (sum(r[i] * r[k] for i, k in pairs),
+          sum(v[i] * r[k] + r[i] * v[k] for i, k in pairs),
+          sum(w[i] * r[k] + 2.0 * v[i] * v[k] + r[i] * w[k] for i, k in pairs))
+    a3 = (-r[0] * r[1] * r[2],
+          -(v[0] * r[1] * r[2] + r[0] * v[1] * r[2] + r[0] * r[1] * v[2]),
+          -(w[0] * r[1] * r[2] + r[0] * w[1] * r[2] + r[0] * r[1] * w[2]
+            + 2.0 * (v[0] * v[1] * r[2] + v[0] * r[1] * v[2] + r[0] * v[1] * v[2])))
+    return a1, a2, a3
+
+
+def _point(jets):
+    return CubicJet(*(Jet2(*j) for j in jets))
+
+
+def _grid(cubics):
+    return CubicJet(*(Jet2(*np.array([c[i] for c in cubics]).T) for i in range(3)))
+
+
+def _oracle(jets):
+    """The exact roots of the float cubic, and for each a bound on a double
+    precision solver's error: a perturbation E = 16 u R^3 of the cubic
+    (R = 1 + max |r|, so E is 16 u times the size of its terms) moves the
+    root r_j by about the smallest of E / |p'(r_j)| (a simple root),
+    sqrt(E / |p''(r_j)/2|) (a near-double one) and E^(1/3) (a near-triple
+    one)."""
+    with mpmath.workdps(50):
+        a = [mpmath.mpf(j[0]) for j in jets]
+        roots = sorted(mpmath.re(z) for z in mpmath.polyroots([1, *a], maxsteps=200,
+                                                                extraprec=200))
+        e = 16 * UNIT_ROUNDOFF * (1 + max(abs(r) for r in roots)) ** 3
+        bounds = []
+        for j, r in enumerate(roots):
+            d = abs((r - roots[j - 1]) * (r - roots[j - 2]))
+            h = abs(3 * r + a[0])
+            bounds.append(float(min(e / d if d else mpmath.inf,
+                                    mpmath.sqrt(e / h) if h else mpmath.inf, mpmath.cbrt(e))))
+        return roots, bounds
+
+
+@pytest.mark.parametrize("rel", GAPS)
+@pytest.mark.parametrize("kind", ["double", "triple"])
+def test_near_multiple_roots_against_mpmath(kind, rel):
+    cubics = _near_multiple_cubics(kind, rel)
+    grid = solve_cubic_real(_grid(cubics)).r
+    for k, jets in enumerate(cubics):
+        roots, bounds = _oracle(jets)
+        point = solve_cubic_real(_point(jets)).r
+        for j in range(3):
+            assert abs(point[j] - float(roots[j])) <= bounds[j]
+            assert abs(grid[j][k] - float(roots[j])) <= bounds[j]
+
+
+def _jet_oracle(jets, r):
+    """The root jets (d1, d2) at the root ``r`` of the float cubic by
+    implicit differentiation at 50 digits, each with the rounding error
+    bound of its evaluation in doubles: 16 u times the sum of the moduli of
+    its terms over |L_r| (once for d1, thrice for d2's L_r^3)."""
+    with mpmath.workdps(50):
+        (a1, b1, c1), (a2, b2, c2), (a3, b3, c3) = [[mpmath.mpf(x) for x in j] for j in jets]
+        l_r = (3 * r + 2 * a1) * r + a2
+        l_t = (b1 * r + b2) * r + b3
+        l_tt = (c1 * r + c2) * r + c3
+        l_tr = 2 * b1 * r + b2
+        l_rr = 6 * r + 2 * a1
+        psi = 2 * l_tr * l_t * l_r - l_rr * l_t ** 2 - l_tt * l_r ** 2
+        d1, d2 = -l_t / l_r, psi / l_r ** 3
+        ar, x = abs(r), abs(r) ** 2
+        size_r = 3 * x + 2 * abs(a1) * ar + abs(a2)
+        size_t = abs(b1) * x + abs(b2) * ar + abs(b3)
+        size_tt = abs(c1) * x + abs(c2) * ar + abs(c3)
+        size_psi = (2 * (2 * abs(b1) * ar + abs(b2)) * size_t * size_r
+                    + (6 * ar + 2 * abs(a1)) * size_t ** 2 + size_tt * size_r ** 2)
+        u = 16 * UNIT_ROUNDOFF
+        return ((d1, u * (size_t + abs(d1) * size_r) / abs(l_r)),
+                (d2, u * (size_psi / abs(l_r) ** 3 + 3 * abs(d2) * size_r / abs(l_r))))
+
+
+def _jet_bounds(jets, roots, bounds, j):
+    """Each of root j's jets with a bound on its error: how far the jet
+    moves when the root moves by its bound (largest at the two ends), twice,
+    plus the rounding of its evaluation. None where the root's bound reaches
+    a quarter of the way to the next root, where a pole of the jet may lie."""
+    gap = min(abs(roots[j] - roots[k]) for k in range(3) if k != j)
+    if not bounds[j] < gap / 4:
+        return None
+    centre = _jet_oracle(jets, roots[j])
+    ends = [_jet_oracle(jets, roots[j] + s * mpmath.mpf(bounds[j])) for s in (-1, 1)]
+    return [(float(d), float(2 * max(abs(e[k][0] - d) for e in ends) + rounding))
+            for k, (d, rounding) in enumerate(centre)]
+
+
+@pytest.mark.parametrize("rel", GAPS)
+@pytest.mark.parametrize("kind", ["double", "triple"])
+def test_root_jets_near_multiple_roots_against_mpmath(kind, rel):
+    # root_jets raises NearMultipleRoot exactly where a gap of the computed
+    # roots is at most SIMPLE_ROOT_REL_GAP * (1 + max |r|): so it must raise
+    # where every computed gap that the root bounds allow is below that, and
+    # must not where every one is above it
+    decided, resolved = [], []
+    for jets in _near_multiple_cubics(kind, rel):
+        roots, bounds = _oracle(jets)
+        thr = SIMPLE_ROOT_REL_GAP * float(1 + max(abs(r) for r in roots))
+        slack = SIMPLE_ROOT_REL_GAP * max(bounds)
+        gaps = [(float(roots[j + 1] - roots[j]), bounds[j] + bounds[j + 1]) for j in (0, 1)]
+        c = _point(jets)
+        if min(g + m for g, m in gaps) < thr - slack:
+            with pytest.raises(NearMultipleRoot):
+                root_jets(c, solve_cubic_real(c))
+            decided.append("raises")
+        elif min(g - m for g, m in gaps) > thr + slack:
+            d1, d2 = root_jets(c, solve_cubic_real(c))
+            decided.append("passes")
+            for j in range(3):
+                want = _jet_bounds(jets, roots, bounds, j)
+                if want is not None:
+                    (w1, b1), (w2, b2) = want
+                    assert abs(d1[j] - w1) <= b1 and abs(d2[j] - w2) <= b2
+                    resolved.append((jets, j, want))
+    if resolved:  # the grid branch, on the cubics whose jets were resolved
+        g = _grid([jets for jets, _, _ in resolved])
+        d1, d2 = root_jets(g, solve_cubic_real(g))
+        for k, (_, j, ((w1, b1), (w2, b2))) in enumerate(resolved):
+            assert abs(d1[j][k] - w1) <= b1 and abs(d2[j][k] - w2) <= b2
+    # every near-double pair is resolved either way; near-triple clusters
+    # leave a band where the root bounds straddle the threshold
+    assert len(decided) == 12 if kind == "double" else decided

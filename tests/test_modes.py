@@ -1,8 +1,11 @@
 import math
 import tracemalloc
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from hyp3.battery import BATTERY, battery_member
@@ -227,6 +230,100 @@ def test_magnus_growth_row_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
+
+
+def test_growth_row_exponentiates_each_magnus_block_in_one_call(monkeypatch):
+    # a per-matrix loop would make one call per step: 1023 * 9 of them
+    calls = []
+    expm = modes._expm
+    monkeypatch.setattr(modes, "_expm", lambda a: calls.append(len(a)) or expm(a))
+    _amplification(STRICT_SIN, np.array([1024.0]), 1024)
+    steps = 9  # per output interval, as above; 113 intervals fill a block
+    assert sum(calls) == 1023 * steps
+    assert len(calls) == math.ceil(1023 / (modes._MAGNUS_BLOCK // steps)) == 10
+    calls.clear()
+    _amplification(WAVE, np.array([1024.0]), 1024)
+    assert calls == [10]  # exp(t A) at t_1, t_2, t_4, ..., t_512, by doubling
+
+
+# --------------------------------------------------------------------------
+# The stacked exponential
+
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _norm1(m):
+    return float(np.max(np.sum(np.abs(m), axis=-2)))
+
+
+def _mp_expm(a):
+    """exp of one matrix at 50 digits, rounded to complex doubles."""
+    with mpmath.workdps(50):
+        e = mpmath.expm(mpmath.matrix(a.tolist()))
+        return np.array([[complex(e[i, j]) for j in range(3)] for i in range(3)])
+
+
+def _scaled(m, norm):
+    """``m`` scaled to the 1-norm ``norm``, then shifted so that its
+    eigenvalues' largest real part is 0: exp neither overflows nor vanishes."""
+    a = m * (norm / _norm1(m))
+    return a - np.linalg.eigvals(a).real.max() * np.eye(3)
+
+
+@st.composite
+def _matrices(draw):
+    """Complex 3x3 matrices with 1-norms from about 1e-8 to 1e4: general
+    ones, and near-skew-Hermitian ones like a Magnus step's."""
+    m = np.reshape(draw(st.lists(st.integers(-1000, 1000), min_size=18, max_size=18)),
+                   (2, 3, 3)) / 1000.0
+    m = m[0] + 1j * m[1]
+    if draw(st.booleans()):
+        m = 1j * (m + m.conj().T) + 1e-2 * m
+    if not _norm1(m) > 0:
+        m = np.eye(3)
+    return _scaled(m, 10.0 ** draw(st.floats(-8.0, 4.0)))
+
+
+_FIXED = np.random.default_rng(5).uniform(-1.0, 1.0, (3, 2, 3, 3))
+
+
+@settings(max_examples=40, deadline=None)
+# squared 0 times, once and 11 times
+@example([_scaled(m[0] + 1j * m[1], norm) for m, norm in zip(_FIXED, (1e-8, 8.0, 1e4))])
+@given(st.lists(_matrices(), min_size=1, max_size=4))
+def test_stacked_exponential_matches_mpmath(mats):
+    # Pade-13 has backward error below the unit roundoff up to theta13, so
+    # the forward error is that times the condition number of exp, about
+    # |A|_1 for these matrices, plus the rounding of the evaluation
+    stack = np.array(mats)
+    got = modes._expm(stack)
+    for a, e in zip(stack, got):
+        want = _mp_expm(a)
+        assert _norm1(e - want) <= 8.0 * UNIT_ROUNDOFF * (1.0 + _norm1(a)) * _norm1(want)
+        # a stack's result is each matrix's own, so block sizes cannot move a bit
+        assert modes._expm(a[None])[0].tobytes() == e.tobytes()
+
+
+def test_stacked_exponential_of_zero_and_non_finite_matrices():
+    rng = np.random.default_rng(11)
+    stack = rng.standard_normal((6, 3, 3)) + 1j * rng.standard_normal((6, 3, 3))
+    stack[1] = 0.0
+    stack[2, 0, 1] = np.inf
+    stack[3, 2, 2] = np.nan
+    stack[4, 1, 0] = complex(np.inf, np.nan)
+    stack[5] *= 1e300  # finite, but its exponential overflows
+    # no LinAlgError and no RuntimeWarning: neither under the errstate that
+    # _amplification sets, nor under numpy's default, where pytest makes a
+    # RuntimeWarning an error
+    for state in ({"over": "ignore", "invalid": "ignore"}, {}):
+        with warnings.catch_warnings(), np.errstate(**state):
+            warnings.simplefilter("error")
+            got = modes._expm(stack)
+    assert got[1].tobytes() == np.eye(3, dtype=complex).tobytes()
+    assert np.isfinite(got[:2]).all()
+    assert np.isnan(got[2:5]).all()
+    assert not np.isfinite(got[5]).all()
+    assert got[0].tobytes() == modes._expm(stack[:1])[0].tobytes()
 
 
 def test_solve_mode_blowup_truncates_every_column():
