@@ -201,7 +201,7 @@ def _write_condition_tables(op, args) -> None:
 
 
 def cmd_check(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     targets = _resolve_operators(args)
     docs = {}
     mismatches: list[str] = []
@@ -219,7 +219,7 @@ def cmd_check(args) -> int:
         "pass": not mismatches,
     }
     _emit(doc, args)
-    print(f"check: {len(targets)} operator(s), {time.time() - t0:.1f}s", file=sys.stderr)
+    print(f"check: {len(targets)} operator(s), {time.perf_counter() - t0:.1f}s", file=sys.stderr)
     return EXIT_OK if not mismatches else EXIT_MISMATCH
 
 
@@ -230,7 +230,7 @@ def cmd_check(args) -> int:
 def cmd_modes(args, targets=None) -> int:
     """Growth experiments for ``targets`` ((operator, member) pairs), or for
     the third-order operators of the target the arguments name."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     if targets is None:
         targets = [(op, m) for op, m in _resolve_operators(args) if isinstance(op, Operator3)]
         if not targets:
@@ -271,7 +271,7 @@ def cmd_modes(args, targets=None) -> int:
         "pass": not mismatches,
     }
     _emit(doc, args)
-    print(f"modes: {len(docs)} operator(s), {time.time() - t0:.1f}s", file=sys.stderr)
+    print(f"modes: {len(docs)} operator(s), {time.perf_counter() - t0:.1f}s", file=sys.stderr)
     return EXIT_OK if not mismatches else EXIT_MISMATCH
 
 
@@ -302,7 +302,7 @@ def _write_mode_tables(op, args, fit) -> None:
 
 
 def cmd_identities(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.samples < 0:
         raise OperatorSpecError("--samples must be >= 0")
     results = run_algebraic_suite(args.samples, args.seed) if args.samples > 0 else []
@@ -335,7 +335,7 @@ def cmd_identities(args) -> int:
     doc["pass"] = not failures
     doc["failures"] = failures
     _emit(doc, args)
-    print(f"identities: {time.time() - t0:.1f}s", file=sys.stderr)
+    print(f"identities: {time.perf_counter() - t0:.1f}s", file=sys.stderr)
     return EXIT_OK if not failures else EXIT_MISMATCH
 
 

@@ -307,7 +307,7 @@ def _libm(f, x):
     the last place on a few percent of inputs, and a grid must round
     exactly like its points."""
     if isinstance(x, np.ndarray):
-        return np.array([f(v) for v in x.tolist()], dtype=x.dtype)
+        return np.fromiter(map(f, x.tolist()), dtype=x.dtype, count=x.size)
     return f(x)
 
 

@@ -418,46 +418,51 @@ _PADE13 = [math.perm(26 - k, 13) / (math.perm(26, 13) * math.factorial(k)) for k
 _THETA13 = 5.371920351148152
 
 
+def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Matrix products entry by entry on the (3, 3, ...) layout: matmul on an
+    (N, 3, 3) stack loops over its matrices one at a time."""
+    return (x[:, :, None] * y[None]).sum(axis=1)
+
+
 def _expm(a: np.ndarray) -> np.ndarray:
-    """exp of each matrix of an (N, 3, 3) stack by Pade-13 scaling and squaring:
+    """exp of each matrix of a (3, 3, N) stack by Pade-13 scaling and squaring:
     matrix i is scaled by 2^-s_i, s_i = max(0, ceil(log2(|A_i|_1 / theta13))),
     and its approximant squared s_i times. A result depends on its own matrix
     alone, bit for bit; a non-finite 1-norm gives NaN."""
     b = _PADE13
-    # products entry by entry on the (3, 3, N) layout: matmul loops per matrix
-    mul = lambda x, y: (x[:, :, None] * y[None]).sum(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        x = np.ascontiguousarray(a.transpose(1, 2, 0))
-        norm = np.abs(x).sum(axis=0).max(axis=0)
+        norm = np.abs(a).sum(axis=0).max(axis=0)
         finite = np.isfinite(norm)
         frac, s = np.frexp(np.where(finite, norm, 0.0) / _THETA13)
         s = np.maximum(s - (frac == 0.5), 0)  # frexp gives ceil(log2) exactly
-        x = np.where(finite, x, 0.0) * np.ldexp(1.0, -s)
-        x2 = mul(x, x)
-        x4 = mul(x2, x2)
-        x6 = mul(x4, x2)
+        x = np.where(finite, a, 0.0) * np.ldexp(1.0, -s)
+        x2 = _mul(x, x)
+        x4 = _mul(x2, x2)
+        x6 = _mul(x4, x2)
         ident = np.eye(3)[:, :, None]
-        u = mul(x, mul(x6, b[13] * x6 + b[11] * x4 + b[9] * x2)
-                + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * ident)
-        v = (mul(x6, b[12] * x6 + b[10] * x4 + b[8] * x2)
+        u = _mul(x, _mul(x6, b[13] * x6 + b[11] * x4 + b[9] * x2)
+                 + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * ident)
+        v = (_mul(x6, b[12] * x6 + b[10] * x4 + b[8] * x2)
              + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * ident)
-        r = np.linalg.solve((v - u).transpose(2, 0, 1), (v + u).transpose(2, 0, 1))
-        r = r.transpose(1, 2, 0).copy()  # C order again
+        # (v - u) r = v + u by the adjugate: c holds the cofactors of v - u
+        m, p, q = v - u, [1, 2, 0], [2, 0, 1]
+        c = m[p][:, p] * m[q][:, q] - m[p][:, q] * m[q][:, p]
+        r = _mul(c.swapaxes(0, 1), v + u) / (m[0] * c[0]).sum(axis=0)
         for i in (np.flatnonzero(s > k) for k in range(s.max(initial=0))):
-            r[..., i] = mul(r[..., i], r[..., i])
-    return np.where(finite[:, None, None], r.transpose(2, 0, 1), np.nan)
+            r[..., i] = _mul(r[..., i], r[..., i])
+    return np.where(finite, r, np.nan)
 
 
 def _balanced_matrix(g, mag: float) -> np.ndarray:
     """The mode's matrix A on the balanced state (v, v'/|xi|, v''/|xi|^2),
-    from the coefficients at one time (3, 3) or at N times (N, 3, 3)."""
+    from the coefficients at one time (3, 3) or at N times (3, 3, N)."""
     g0, g1, g2 = g
     entries = np.broadcast_arrays(0j, mag, 0.0, 0.0, 0.0, mag, -g0 / mag ** 2, -g1 / mag, -g2)
-    return np.stack(entries, axis=-1).reshape(entries[0].shape + (3, 3))
+    return np.stack(entries).reshape((3, 3) + entries[0].shape)
 
 
 def _commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return x @ y - y @ x
+    return _mul(x, y) - _mul(y, x)
 
 
 def _magnus_steps(g, t: np.ndarray, mag: float) -> int:
@@ -483,34 +488,40 @@ def _magnus_fundamental(coeff, t: np.ndarray, mag: float, steps: int) -> np.ndar
     nodes. A block of at most _MAGNUS_BLOCK steps shares one coefficient
     evaluation and one stacked exponential; an interval with more steps is
     split into equal parts. The steps of a part are multiplied pairwise into
-    one propagator, and the propagators are chained along the grid."""
+    one propagator, and a block's propagators by prefix products."""
     n = len(t) - 1
     parts = -(-steps // _MAGNUS_BLOCK)
     q = -(-steps // parts)  # steps per part
     h = (t[-1] - t[0]) / (n * parts * q)
     per_block = _MAGNUS_BLOCK // q
     gauss = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
-    phi = np.empty((len(t), 3, 3), dtype=complex)
-    phi[0] = x = np.eye(3, dtype=complex)
+    phi = np.empty((3, 3, len(t)), dtype=complex)
+    phi[..., 0] = x = np.eye(3, dtype=complex)
     for u0 in range(0, n * parts, per_block):
         u1 = min(n * parts, u0 + per_block)
         nodes = t[0] + h * (np.arange(u0 * q, u1 * q)[:, None] + gauss)
-        a = _balanced_matrix(coeff(nodes.ravel()), mag).reshape(-1, 3, 3, 3)
-        a1, a2, a3 = a.swapaxes(0, 1)  # at the three nodes of each step
+        a = _balanced_matrix(coeff(nodes.ravel()), mag).reshape(3, 3, -1, 3)
+        a1, a2, a3 = np.moveaxis(a, -1, 0)  # at the three nodes of each step
         b1 = h * a2
         b2 = (math.sqrt(15.0) * h / 3.0) * (a3 - a1)
         b3 = (10.0 * h / 3.0) * (a3 - 2.0 * a2 + a1)
         c1 = _commutator(b1, b2)
         c2 = -_commutator(b1, 2.0 * b3 + c1) / 60.0
         e = _expm(b1 + b3 / 12.0 + _commutator(-20.0 * b1 - b3 + c1, b2 + c2) / 240.0)
-        e = e.reshape(u1 - u0, q, 3, 3)
-        while e.shape[1] > 1:  # later steps multiply from the left
-            half = e.shape[1] // 2
-            e = np.concatenate([e[:, 1:2 * half:2] @ e[:, :2 * half:2], e[:, 2 * half:]], axis=1)
-        for u in range(u0, u1):
-            x = e[u - u0, 0] @ x
-            if (u + 1) % parts == 0:
-                phi[(u + 1) // parts] = x
+        e = e.reshape(3, 3, u1 - u0, q)
+        while e.shape[-1] > 1:  # later steps multiply from the left
+            half = e.shape[-1] // 2
+            e = np.concatenate([_mul(e[..., 1:2 * half:2], e[..., :2 * half:2]),
+                                e[..., 2 * half:]], axis=-1)
+        e = e[..., 0]
+        d = 1
+        while d < u1 - u0:  # e[..., k] becomes the product of parts u0..u0 + k
+            e[..., d:] = _mul(e[..., d:], e[..., :-d])
+            d *= 2
+        e = _mul(e, x[:, :, None])
+        done = np.arange(u0, u1) % parts == parts - 1
+        phi[..., (u0 + 1 + np.flatnonzero(done)) // parts] = e[..., done]
+        x = e[..., -1]
     return phi
 
 
@@ -532,16 +543,16 @@ def _amplification(op: Operator3, xi: np.ndarray,
         a = _balanced_matrix(g, mag)
         if a.ndim == 2:  # exp(t A) by doubling: Phi[n:2n] = exp(t_n A) Phi[:n]
             steps = 2 ** np.arange(int(len(t) - 1).bit_length())
-            phi = np.tile(np.eye(3, dtype=complex), (len(t), 1, 1))
-            for n, e in zip(steps.tolist(), _expm(t[steps, None, None] * a)):
-                phi[n:2 * n] = e @ phi[:min(n, len(t) - n)]
+            phi = np.repeat(np.eye(3, dtype=complex)[:, :, None], len(t), axis=2)
+            for n, e in zip(steps.tolist(), np.moveaxis(_expm(a[..., None] * t[steps]), -1, 0)):
+                phi[..., n:2 * n] = _mul(e[..., None], phi[..., :min(n, len(t) - n)])
         else:
             phi = _magnus_fundamental(coeff, t, mag, _magnus_steps(g, t, mag))
-        w = np.abs(phi).sum(axis=1)  # (N, basis)
-    finite = np.isfinite(w).all(axis=1)
+        w = np.abs(phi).sum(axis=0)  # (basis, N)
+    finite = np.isfinite(w).all(axis=0)
     if not finite.all():
         return math.inf, 1.0, True, float(t[int(finite.argmin()) - 1])
-    return float(np.max(w)), float(np.max(w[: (len(t) + 1) // 2])), False, float(t[-1])
+    return float(np.max(w)), float(np.max(w[:, : (len(t) + 1) // 2])), False, float(t[-1])
 
 
 def growth_experiment(op: Operator3, ladder, direction: np.ndarray | None = None,

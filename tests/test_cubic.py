@@ -12,6 +12,7 @@ from hyp3.cubic import (
     delta1,
     derivative_quadratic,
     discriminant,
+    quad_root_jets,
     root_jets,
     solve_cubic_real,
 )
@@ -344,3 +345,40 @@ def test_root_jets_near_multiple_roots_against_mpmath(kind, rel):
     # every near-double pair is resolved either way; near-triple clusters
     # leave a band where the root bounds straddle the threshold
     assert len(decided) == 12 if kind == "double" else decided
+
+
+def _quad_oracle(jets, sign):
+    """Root ``s`` of the derivative quadratic 3 s^2 + 2 a1 s + a2 of the float
+    cubic (``sign`` -1 the lower, +1 the upper) and its time derivative
+    ``-(2 a1' s + a2') / (6 s + 2 a1)``, at 50 digits, each with a bound on
+    its error in doubles. The root's is 16 u times the sizes of the terms of
+    -a1/3 plus or minus sqrt(4 a1^2 - 12 a2)/6, the discriminant's own error
+    carried through the square root. The derivative's is how far it moves
+    when the root moves by its bound (largest at the two ends), twice, plus
+    16 u times the sizes of its terms over |6 s + 2 a1|."""
+    u = 16 * UNIT_ROUNDOFF
+    with mpmath.workdps(50):
+        (a1, b1, _), (a2, b2, _), _ = [[mpmath.mpf(x) for x in j] for j in jets]
+        half = mpmath.sqrt(4 * a1 ** 2 - 12 * a2) / 6
+        s = -a1 / 3 + sign * half
+        bound = u * (abs(a1) / 3 + half + abs(s) + (4 * a1 ** 2 + 12 * abs(a2)) / (72 * half))
+        d1, lo, hi = (-(2 * b1 * e + b2) / (6 * e + 2 * a1) for e in (s, s - bound, s + bound))
+        rounding = u * (2 * abs(b1 * s) + abs(b2) + abs(d1 * (6 * s + 2 * a1))) / abs(6 * s + 2 * a1)
+        d1_bound = 2 * max(abs(lo - d1), abs(hi - d1)) + rounding
+        return (float(s), float(bound)), (float(d1), float(d1_bound))
+
+
+@pytest.mark.parametrize("rel", GAPS)
+@pytest.mark.parametrize("kind", ["double", "triple"])
+def test_quad_root_jets_near_multiple_roots_against_mpmath(kind, rel):
+    # the derivative quadratic's roots stay apart by about the span while
+    # two or three roots of the cubic close in, so every jet is resolved, at
+    # a point and on the grid
+    cubics = _near_multiple_cubics(kind, rel)
+    grid_s, grid_d = quad_root_jets(_grid(cubics))
+    for k, jets in enumerate(cubics):
+        point_s, point_d = quad_root_jets(_point(jets))
+        for j, sign in enumerate((-1, 1)):
+            (s, bound), (d, d_bound) = _quad_oracle(jets, sign)
+            for got, got_d in ((point_s[j], point_d[j]), (grid_s[j][k], grid_d[j][k])):
+                assert abs(got - s) <= bound and abs(got_d - d) <= d_bound

@@ -5,7 +5,9 @@ import struct
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import example, given, settings, strategies as st
+from sympy.parsing.sympy_parser import parse_expr
 
 from hyp3.battery import BATTERY
 from hyp3.errors import ExprDomainError, ExprError, ExprSyntaxError, UnknownIdentifierError
@@ -331,3 +333,40 @@ def test_product_nodes_satisfy_leibniz():
 def test_determinism():
     f = parse_timefn("sin(3*t)*exp(t/4) - t^3/7")
     assert f.jet2(1.234) == f.jet2(1.234)
+
+
+# --------------------------------------------------------------------------
+# jets against sympy's derivatives
+
+_TSYM = sympy.Symbol("t", real=True)
+
+
+def _sympy_jet(text, t):
+    """Value, first and second derivative of ``text`` at the float ``t``, from
+    sympy's symbolic derivatives evaluated at 30 digits."""
+    f = parse_expr(text.replace("^", "**"), local_dict={"t": _TSYM, "i": sympy.I})
+    return [complex(sympy.N(sympy.diff(f, _TSYM, k).subs(_TSYM, sympy.Float(t, 30)), 30))
+            for k in range(3)]
+
+
+@pytest.mark.parametrize("text", [
+    "log(1 + t^2) / (2 + sin(t))",
+    "1 / (1 + t)",
+    "t / (1 + exp(-3*t))",
+    "log(2 + cos(3*t)) / (1 + t^2)^2",
+    "1 / log(2 + t) - log(3 - t) / t",
+    "(1 + i*t) / (2 - t)",
+    "log(1 + t + i*t^2) / (1 + i)",
+])
+def test_jets_with_log_and_division_match_sympy(text):
+    # at a point and on a grid: value, d1 and d2 to 1e-13 relative to the
+    # size of each, or of 1 where it nearly vanishes
+    f = parse_timefn(text)
+    ts = np.linspace(0.05, 0.95, 19)
+    grid = f.jet2(ts)
+    for k, t in enumerate(ts.tolist()):
+        point = f.jet2(t)
+        for got_point, got_grid, want in zip((point.v, point.d1, point.d2),
+                                             (grid.v, grid.d1, grid.d2), _sympy_jet(text, t)):
+            for got in (got_point, np.broadcast_to(got_grid, ts.shape)[k]):
+                assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (t, got, want)

@@ -236,7 +236,7 @@ def test_growth_row_exponentiates_each_magnus_block_in_one_call(monkeypatch):
     # a per-matrix loop would make one call per step: 1023 * 9 of them
     calls = []
     expm = modes._expm
-    monkeypatch.setattr(modes, "_expm", lambda a: calls.append(len(a)) or expm(a))
+    monkeypatch.setattr(modes, "_expm", lambda a: calls.append(a.shape[-1]) or expm(a))
     _amplification(STRICT_SIN, np.array([1024.0]), 1024)
     steps = 9  # per output interval, as above; 113 intervals fill a block
     assert sum(calls) == 1023 * steps
@@ -254,6 +254,11 @@ UNIT_ROUNDOFF = 2.0 ** -53
 
 def _norm1(m):
     return float(np.max(np.sum(np.abs(m), axis=-2)))
+
+
+def _expm(stack):
+    """``modes._expm`` on an (N, 3, 3) stack, through its (3, 3, N) layout."""
+    return np.moveaxis(modes._expm(np.moveaxis(stack, 0, -1)), -1, 0)
 
 
 def _mp_expm(a):
@@ -296,12 +301,12 @@ def test_stacked_exponential_matches_mpmath(mats):
     # the forward error is that times the condition number of exp, about
     # |A|_1 for these matrices, plus the rounding of the evaluation
     stack = np.array(mats)
-    got = modes._expm(stack)
+    got = _expm(stack)
     for a, e in zip(stack, got):
         want = _mp_expm(a)
         assert _norm1(e - want) <= 8.0 * UNIT_ROUNDOFF * (1.0 + _norm1(a)) * _norm1(want)
         # a stack's result is each matrix's own, so block sizes cannot move a bit
-        assert modes._expm(a[None])[0].tobytes() == e.tobytes()
+        assert _expm(a[None])[0].tobytes() == e.tobytes()
 
 
 def test_stacked_exponential_of_zero_and_non_finite_matrices():
@@ -318,12 +323,12 @@ def test_stacked_exponential_of_zero_and_non_finite_matrices():
     for state in ({"over": "ignore", "invalid": "ignore"}, {}):
         with warnings.catch_warnings(), np.errstate(**state):
             warnings.simplefilter("error")
-            got = modes._expm(stack)
+            got = _expm(stack)
     assert got[1].tobytes() == np.eye(3, dtype=complex).tobytes()
     assert np.isfinite(got[:2]).all()
     assert np.isnan(got[2:5]).all()
     assert not np.isfinite(got[5]).all()
-    assert got[0].tobytes() == modes._expm(stack[:1])[0].tobytes()
+    assert got[0].tobytes() == _expm(stack[:1])[0].tobytes()
 
 
 def test_solve_mode_blowup_truncates_every_column():
@@ -344,6 +349,18 @@ def test_growth_row_of_a_blown_up_solve():
         assert last["log_amp"] == math.inf and last["half_log_amp"] == 0.0
         assert 0.0 < last["reach_time"] < op.horizon
         assert fit.model == "exp_power" and abs(fit.kappa - 1.0) < kappa_tol
+
+
+@pytest.mark.parametrize("op,xi,index", [
+    # e^{|xi| t} reaches the largest double near t = 709.8 / |xi|; the
+    # Magnus path, then the exact path, on the 1,024-point grid
+    (ILL_POSED_SIN, 1024.0, 697), (ILL_POSED_SIN, 2048.0, 351),
+    (ILL_POSED, 1024.0, 708), (ILL_POSED, 2048.0, 354),
+])
+def test_blown_up_growth_row_reaches_its_time(op, xi, index):
+    amp, amp_half, blowup, reach = _amplification(op, np.array([xi]), 1024)
+    assert blowup and amp == math.inf and amp_half == 1.0
+    assert reach == np.linspace(0.0, op.horizon, 1024)[index]
 
 
 @pytest.mark.parametrize("text,message", [
