@@ -4,8 +4,8 @@ gates, and the battery acceptance gate.
 Exit codes: 0 pass, 1 verdict mismatch or identity failure, 2 usage or
 config error, 3 numerical failure (hyperbolicity, quadrature, root jets).
 Machine-readable documents are JSON with sorted keys and contain no
-wall-clock fields, so identical (config, seed) reproduces them
-byte-identically; timing goes to stderr.
+wall-clock fields, so identical options reproduce them byte-identically;
+timing goes to stderr.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .opfile import load_operator
 from .operators import Operator2, Operator3, symbol_grid
 
 TRAJECTORY_TOL = 1e-6
+KAPPA_TOL = 0.05
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -62,12 +63,16 @@ def _jsonable(x):
     return x
 
 
-def _emit(doc: dict, args) -> None:
+def _emit(schema: str, body: dict, args) -> None:
+    """Write document ``schema``: ``body`` and, as its ``config`` block, the
+    options the subcommand took, less where its output goes."""
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
+    doc = {"schema": schema, "version": __version__, "config": config, **body}
     text = json.dumps(_jsonable(doc), sort_keys=True, indent=2, allow_nan=False)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / f"{doc['schema'].split('/')[0].split('.')[-1]}.json").write_text(text + "\n")
+        (out / f"{schema.split('/')[0].split('.')[-1]}.json").write_text(text + "\n")
     else:
         print(text)
 
@@ -113,69 +118,64 @@ def _resolve_operators(args) -> list[tuple[Operator3 | Operator2, object]]:
 
 
 def _conditions_doc_one(op, member, args) -> tuple[dict, list[str]]:
-    mismatches: list[str] = []
+    ladder = _ladder_from_args(args)
+    direction = _direction_from_args(args, op.dim)
     if isinstance(op, Operator2):
-        rep = second_order_report(op, _ladder_from_args(args), _direction_from_args(args, op.dim))
+        rep = second_order_report(op, ladder, direction)
         doc = {
             "order": 2,
             "rows": rep["rows"],
             "fits": {k: _fit_doc(f) for k, f in rep["fits"].items()},
             "verdicts": rep["verdicts"],
         }
-        if member is not None:
-            for key, want in member.expected_conditions.items():
-                got = rep["verdicts"].get(key)
-                if got != want:
-                    mismatches.append(f"{op.name}: {key}: expected {want}, got {got}")
-        doc["mismatches"] = mismatches
-        return doc, mismatches
-
-    ladder = _ladder_from_args(args)
-    direction = _direction_from_args(args, op.dim)
-    case = pointwise_levi(op, ladder, direction)
-    rep = condition_report(op, ladder, direction)
-    doc = {
-        "order": 3,
-        "rows": [{
-            "xi": c.xi_mag,
-            "direction": list(c.direction),
-            "values": c.values,
-            "alternates": c.alternates,
-            "panels": c.panels,
-        } for c in rep.ladder],
-        "fits": {k: _fit_doc(f) for k, f in rep.fits.items()},
-        "verdicts": rep.verdicts,
-        "bands": rep.bands,
-        "case_report": {
-            "case": case.case,
-            "ambiguous": case.ambiguous,
-            "disc_rel_max": case.disc_rel_max,
-            "delta1_rel_max": case.delta1_rel_max,
-            "checks": case.checks,
-        },
-    }
-    if op.is_constant():
-        cc = constant_coeff_check(op, ladder, direction)
-        doc["constant_coeff"] = {
-            "rows": cc["rows"],
-            "decomposition_verdict": cc["decomposition_verdict"],
-            "im_verdict": cc["im_verdict"],
-            "im_growth_power": cc["im_growth_power"],
+    else:
+        case = pointwise_levi(op, ladder, direction)
+        rep = condition_report(op, ladder, direction)
+        doc = {
+            "order": 3,
+            "rows": [{
+                "xi": c.xi_mag,
+                "direction": list(c.direction),
+                "values": c.values,
+                "alternates": c.alternates,
+                "panels": c.panels,
+            } for c in rep.ladder],
+            "fits": {k: _fit_doc(f) for k, f in rep.fits.items()},
+            "verdicts": rep.verdicts,
+            "bands": rep.bands,
+            "case_report": {
+                "case": case.case,
+                "ambiguous": case.ambiguous,
+                "disc_rel_max": case.disc_rel_max,
+                "delta1_rel_max": case.delta1_rel_max,
+                "checks": case.checks,
+            },
         }
+        if op.is_constant():
+            cc = constant_coeff_check(op, ladder, direction)
+            doc["constant_coeff"] = {
+                "rows": cc["rows"],
+                "decomposition_verdict": cc["decomposition_verdict"],
+                "im_verdict": cc["im_verdict"],
+                "im_growth_power": cc["im_growth_power"],
+            }
+    mismatches: list[str] = []
     if member is not None:
         for key, want in member.expected_conditions.items():
-            got = rep.verdicts.get(key)
+            got = doc["verdicts"].get(key)
             if got != want:
                 mismatches.append(f"{op.name}: {key}: expected {want}, got {got}")
-        if member.expected_case is not None and case.case != member.expected_case:
-            mismatches.append(f"{op.name}: case: expected {member.expected_case}, got {case.case}")
+    if member is not None and doc["order"] == 3:
+        case = doc["case_report"]["case"]
+        if member.expected_case is not None and case != member.expected_case:
+            mismatches.append(f"{op.name}: case: expected {member.expected_case}, got {case}")
         for label, key, want in (("decomposition", "decomposition_verdict",
                                   member.expected_decomposition),
                                  ("forbidden zone", "im_verdict", member.expected_im)):
             if want is not None and doc["constant_coeff"][key] != want:
                 mismatches.append(f"{op.name}: {label}: expected {want}, "
                                   f"got {doc['constant_coeff'][key]}")
-        band_fail = [k for k, b in rep.bands.items() if not b["stable"]]
+        band_fail = [k for k, b in doc["bands"].items() if not b["stable"]]
         if band_fail:
             mismatches.append(f"{op.name}: unstable equivalence bands: {', '.join(band_fail)}")
     doc["mismatches"] = mismatches
@@ -200,25 +200,21 @@ def _write_condition_tables(op, args) -> None:
     (out / f"integrands_{op.name}.tsv").write_text("\n".join(lines) + "\n")
 
 
-def cmd_check(args) -> int:
+def cmd_check(args, targets=None) -> int:
+    """Condition reports for ``targets`` ((operator, member) pairs), or for
+    the target the arguments name."""
     t0 = time.perf_counter()
-    targets = _resolve_operators(args)
+    if targets is None:
+        targets = _resolve_operators(args)
     docs = {}
     mismatches: list[str] = []
     for op, member in targets:
         doc, mm = _conditions_doc_one(op, member, args)
         docs[op.name] = doc
         mismatches += mm
-        if args.format in ("tables", "both") and args.out:
+        if args.format != "doc":
             _write_condition_tables(op, args)
-    doc = {
-        "schema": "hyp3.conditions/1",
-        "version": __version__,
-        "config": _config_doc(args),
-        "operators": docs,
-        "pass": not mismatches,
-    }
-    _emit(doc, args)
+    _emit("hyp3.conditions/1", {"operators": docs, "pass": not mismatches}, args)
     print(f"check: {len(targets)} operator(s), {time.perf_counter() - t0:.1f}s", file=sys.stderr)
     return EXIT_OK if not mismatches else EXIT_MISMATCH
 
@@ -255,22 +251,15 @@ def cmd_modes(args, targets=None) -> int:
                 mm.append(f"{op.name}: growth model: expected "
                           f"{member.expected_growth}, got {fit.model}")
             elif member.expected_kappa is not None and \
-                    abs(fit.kappa - member.expected_kappa) > 0.05:
+                    abs(fit.kappa - member.expected_kappa) > KAPPA_TOL:
                 mm.append(f"{op.name}: kappa: expected "
-                          f"{member.expected_kappa:.4f}+-0.05, got {fit.kappa:.4f}")
+                          f"{member.expected_kappa:.4f}+-{KAPPA_TOL}, got {fit.kappa:.4f}")
         doc["mismatches"] = mm
         mismatches += mm
         docs[op.name] = doc
-        if args.format in ("tables", "both") and args.out:
+        if args.format != "doc":
             _write_mode_tables(op, args, fit)
-    doc = {
-        "schema": "hyp3.modes/1",
-        "version": __version__,
-        "config": _config_doc(args),
-        "operators": docs,
-        "pass": not mismatches,
-    }
-    _emit(doc, args)
+    _emit("hyp3.modes/1", {"operators": docs, "pass": not mismatches}, args)
     print(f"modes: {len(docs)} operator(s), {time.perf_counter() - t0:.1f}s", file=sys.stderr)
     return EXIT_OK if not mismatches else EXIT_MISMATCH
 
@@ -307,9 +296,6 @@ def cmd_identities(args) -> int:
         raise OperatorSpecError("--samples must be >= 0")
     results = run_algebraic_suite(args.samples, args.seed) if args.samples > 0 else []
     doc = {
-        "schema": "hyp3.identities/1",
-        "version": __version__,
-        "config": {"samples": args.samples, "seed": args.seed},
         "algebraic": [{
             "name": r.name,
             "max_residual": r.max_residual,
@@ -334,7 +320,7 @@ def cmd_identities(args) -> int:
             failures += [f"{name}/{k}" for k, v in res.items() if not v <= TRAJECTORY_TOL]
     doc["pass"] = not failures
     doc["failures"] = failures
-    _emit(doc, args)
+    _emit("hyp3.identities/1", doc, args)
     print(f"identities: {time.perf_counter() - t0:.1f}s", file=sys.stderr)
     return EXIT_OK if not failures else EXIT_MISMATCH
 
@@ -344,12 +330,11 @@ def cmd_identities(args) -> int:
 
 
 def cmd_battery(args) -> int:
-    args.battery = "all"
-    args.config = None
-    rc = cmd_check(args)
+    members = [battery_member(name) for name in battery_names()]
+    rc = cmd_check(args, [(m.op, m) for m in members])
     if rc == EXIT_OK and args.full:
-        members = (battery_member(name) for name in battery_names(order=3))
-        return cmd_modes(args, [(m.op, m) for m in members if m.expected_growth is not None])
+        return cmd_modes(args, [(m.op, m) for m in members
+                                if m.order == 3 and m.expected_growth is not None])
     return rc
 
 
@@ -357,59 +342,57 @@ def cmd_battery(args) -> int:
 # entry point
 
 
-def _config_doc(args) -> dict:
-    return {
-        "config": args.config,
-        "battery": args.battery,
-        "xi_min": args.xi_min,
-        "xi_max": args.xi_max,
-        "xi_steps": args.xi_steps,
-        "direction": args.direction,
-        "grid": args.grid,
-        "eta": args.eta,
-        "seed": args.seed,
-        "format": args.format,
-    }
+def _finite(text: str) -> float:
+    if not math.isfinite(x := float(text)):
+        raise argparse.ArgumentTypeError(f"must be finite, not {text}")
+    return x
+
+
+class _Parser(argparse.ArgumentParser):
+    """Parse errors are config errors: one line and exit 2, no usage dump."""
+
+    def error(self, message):
+        raise OperatorSpecError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hyp3",
         description="Condition checks, operator identities and Fourier-mode "
                     "experiments for third-order weakly hyperbolic operators.")
     parser.add_argument("--version", action="version", version=f"hyp3 {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(required=True)
 
-    def common(p, battery_default=None):
-        p.add_argument("--config", help="operator table file")
-        p.add_argument("--battery", default=battery_default,
-                       help="built-in operator name, or 'all'")
+    def add_options(p, target: bool, eta: bool):
+        if target:
+            p.add_argument("--config", help="operator table file")
+            p.add_argument("--battery", help="built-in operator name, or 'all'")
         p.add_argument("--xi-min", type=float, default=2.0 ** 6)
         p.add_argument("--xi-max", type=float, default=2.0 ** 14)
         p.add_argument("--xi-steps", type=int, default=9)
         p.add_argument("--direction", help="comma-separated frequency direction")
         p.add_argument("--grid", type=int, default=1024, help="time-grid points")
-        p.add_argument("--eta", type=float, help="energy weight exponent override")
-        p.add_argument("--seed", type=int, default=42)
+        if eta:
+            p.add_argument("--eta", type=_finite, help="energy weight exponent override")
         p.add_argument("--out", help="output directory")
         p.add_argument("--format", choices=("doc", "tables", "both"), default="doc")
 
-    p_check = sub.add_parser("check", aliases=["conditions"],
-                             help="evaluate the condition ladder and verdicts")
-    common(p_check)
+    p_check = sub.add_parser("check", help="evaluate the condition ladder and verdicts")
+    add_options(p_check, target=True, eta=False)
     p_check.set_defaults(func=cmd_check)
 
     p_modes = sub.add_parser("modes", help="growth-exponent experiments")
-    common(p_modes)
+    add_options(p_modes, target=True, eta=True)
     p_modes.set_defaults(func=cmd_modes)
 
     p_id = sub.add_parser("identities", help="randomized identity suites")
-    common(p_id)
     p_id.add_argument("--samples", type=int, default=10000)
+    p_id.add_argument("--seed", type=int, default=42)
+    p_id.add_argument("--out", help="output directory")
     p_id.set_defaults(func=cmd_identities)
 
     p_bat = sub.add_parser("battery", help="battery acceptance gate")
-    common(p_bat, battery_default="all")
+    add_options(p_bat, target=False, eta=True)
     p_bat.add_argument("--full", action="store_true",
                        help="also gate the growth models (slow)")
     p_bat.set_defaults(func=cmd_battery)
@@ -417,11 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.eta is not None and not math.isfinite(args.eta):
-            raise OperatorSpecError("--eta must be finite")
+        args = build_parser().parse_args(argv)
+        if vars(args).get("format", "doc") != "doc" and not args.out:
+            raise OperatorSpecError(f"--format {args.format} needs --out")
         return args.func(args)
     except (OperatorSpecError, ExprError, FileNotFoundError) as exc:
         print(f"hyp3: config error: {exc}", file=sys.stderr)

@@ -29,8 +29,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .cubic import _SS2, _SS3, delta1, delta1_dt, discriminant, discriminant_dt, solve_cubic_real
-from .errors import OperatorSpecError
+from .cubic import (_SS2, _SS3, cubic_from_floats, delta1, delta1_dt, discriminant,
+                    discriminant_dt, solve_cubic_real)
+from .errors import HyperbolicityViolation, OperatorSpecError
 from .operators import (VALIDATION_T_SAMPLES, Operator2, Operator3, Symbols, TauPoly,
                         _symbols_at, symbol_grid)
 from .quadrature import adaptive_gauss
@@ -507,8 +508,6 @@ def _roots_full_cubic(c2: complex, c1: complex, c0: complex) -> np.ndarray:
     cubic is real and (weakly) hyperbolic so bounded cases report an exact
     zero imaginary part."""
     if c2.imag == 0.0 and c1.imag == 0.0 and c0.imag == 0.0:
-        from .cubic import cubic_from_floats
-        from .errors import HyperbolicityViolation
         try:
             r = solve_cubic_real(cubic_from_floats(c2.real, c1.real, c0.real))
             return np.array(r.r, dtype=complex)

@@ -90,7 +90,7 @@ def test_battery_full_writes_one_modes_document(tmp_path, monkeypatch, capsys):
         model = "polynomial" if op.name == "triple_plus_dxx" else m.expected_growth
         return GrowthFit([], model, m.expected_kappa or 1.0, 1.0, 0.0, math.nan)
 
-    monkeypatch.setattr(cli, "cmd_check", lambda args: cli.EXIT_OK)
+    monkeypatch.setattr(cli, "cmd_check", lambda args, targets: cli.EXIT_OK)
     monkeypatch.setattr(cli, "growth_experiment", fake_growth)
     gated = {n for n in battery_names(order=3) if battery_member(n).expected_growth}
     assert len(gated) == 6
@@ -333,13 +333,28 @@ MODE_TABLES = ["modes", "--battery", "strict_const", "--xi-min", "32", "--xi-max
     ["check", "--battery", "oleinik_ok", "--xi-max", "inf"],
     ["modes", "--battery", "triple_pure", "--xi-min", "32", "--xi-max", "inf",
      "--xi-steps", "6"],
-    MODE_TABLES + ["--eta", "nan"],
-    MODE_TABLES + ["--eta", "inf"],
+    ["modes", "--battery", "strict_const", "--eta", "nan"],
+    ["modes", "--battery", "strict_const", "--eta", "inf"],
     # a descending ladder
     ["check", "--battery", "triple_plus_dx", "--xi-min", "16384", "--xi-max", "64"],
     ["modes", "--battery", "triple_plus_dx", "--xi-min", "1024", "--xi-max", "32",
      "--xi-steps", "6"],
     ["modes", "--battery", "wave2"],    # no third-order operator
+    # an option the subcommand does not take
+    ["identities", "--xi-min", "5"],
+    ["identities", "--config", "x"],
+    ["check", "--battery", "strict_const", "--eta", "1"],
+    ["check", "--battery", "strict_const", "--seed", "1"],
+    ["modes", "--battery", "strict_const", "--seed", "1"],
+    ["battery", "--battery", "sin_gap"],
+    ["battery", "--config", "x"],
+    ["check", "--battery", "strict_const", "--xi-steps", "abc"],
+    ["check", "--bogus"],
+    [],                                 # no subcommand
+    # tables with nowhere to go
+    ["check", "--battery", "strict_const", "--format", "tables"],
+    MODE_TABLES,
+    ["battery", "--format", "both"],
 ])
 def test_usage_errors_exit_2_with_one_line(capsys, argv):
     assert main(argv) == 2
@@ -427,6 +442,42 @@ def test_version_runs():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == 0
+
+
+LADDER = {"--xi-min", "--xi-max", "--xi-steps", "--direction", "--grid", "--out", "--format"}
+OPTIONS = {
+    "check": LADDER | {"--config", "--battery"},
+    "modes": LADDER | {"--config", "--battery", "--eta"},
+    "identities": {"--samples", "--seed", "--out"},
+    "battery": LADDER | {"--eta", "--full"},
+}
+
+
+def test_each_subcommand_takes_and_records_only_its_own_options(monkeypatch, capsys):
+    import argparse
+
+    from hyp3.modes import GrowthFit
+
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(OPTIONS)
+    for name, p in sub.choices.items():
+        assert {s for a in p._actions for s in a.option_strings} - {"-h", "--help"} \
+            == OPTIONS[name], name
+
+    # a document's config block is its subcommand's options, less --out
+    monkeypatch.setattr(cli, "_conditions_doc_one", lambda op, member, args: ({}, []))
+    monkeypatch.setattr(cli, "growth_experiment", lambda op, ladder, direction, grid_points:
+                        GrowthFit([], "polynomial", 1.0, 1.0, 0.0, math.nan))
+    for argv in (["check", "--battery", "strict_const"], ["modes", "--battery", "strict_const"],
+                 ["identities", "--samples", "0"], ["battery"]):
+        rc, doc = _run(capsys, *argv)
+        assert rc == 0
+        want = {o[2:].replace("-", "_") for o in OPTIONS[argv[0]] - {"--out"}}
+        assert set(doc["config"]) == want, argv[0]
 
 
 def test_battery_gate_compares_forbidden_zone_verdict():
