@@ -29,9 +29,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .cubic import (_SS2, _SS3, cubic_from_floats, delta1, delta1_dt, discriminant,
-                    discriminant_dt, solve_cubic_real)
-from .errors import HyperbolicityViolation, OperatorSpecError
+from .cubic import (_SS2, _SS3, HYPERBOLICITY_TOL, cubic_from_floats, delta1, delta1_dt,
+                    discriminant, discriminant_dt, solve_cubic_real)
+from .errors import HyperbolicityViolation, OperatorSpecError, _check_points, locate
 from .operators import (VALIDATION_T_SAMPLES, Operator2, Operator3, Symbols, TauPoly,
                         _symbols_at, symbol_grid)
 from .quadrature import adaptive_gauss
@@ -110,55 +110,46 @@ def _primary_terms(s: Symbols):
         m_levi += abs(mv) / (abs(lam[j] - lam[k]) * abs(lam[j] - lam[l]))
 
     mu_gap = mu[1] - mu[0]
+    sqrt = np.sqrt if isinstance(mu_gap, np.ndarray) else math.sqrt  # both round exactly
     n_drift = n_levi = 0.0
     n_abs = []
     for j in (0, 1):
         nv, ndot = nc.along_root(mu[j], mu_d1[j])
         n_drift += abs(ndot) / (abs(nv) + 1.0)
-        n_levi += np.sqrt(abs(nv) / mu_gap)
+        n_levi += sqrt(abs(nv) / mu_gap)
         n_abs.append(abs(nv))
     return [sep, vel, m_drift, n_drift, m_levi, n_levi], n_abs
 
 
 def _integrand_values(op: Operator3, t: float, xi: np.ndarray) -> np.ndarray:
-    """Every condition integrand, primary then alternate, at one time."""
+    """Every condition integrand, primary then alternate, at one time. Each
+    symbol value is evaluated once, and each sum is written out left to right."""
     s = _symbols_at(op, t, xi)
-    out, _ = _primary_terms(s)
+    out, n_auxcrit = _primary_terms(s)
     c, mc, nc, tau, lam, mu = s.c, s.mc, s.nc, s.tau, s.lam, s.mu
     s1, s2 = s.crit
     span_p1 = tau[2] - tau[0] + 1.0
     crit_gap_p1 = s2 - s1 + 1.0
-    rms_p1 = math.sqrt(max(delta1(c), 0.0)) + 1.0
-    aux_rms = math.sqrt(max(delta1(s.reg), 0.0))
-    aux_span = lam[2] - lam[0]
+    denoms = (crit_gap_p1, mu[1] - mu[0], math.sqrt(max(delta1(c), 0.0)) + 1.0,
+              math.sqrt(max(delta1(s.reg), 0.0)), span_p1, lam[2] - lam[0])
 
+    m_tau = [mc.at(x) for x in tau]
     m_levi_roots = 0.0
     for j, k, l in _SS3:
-        m_levi_roots += abs(mc.value_at(tau[j])) / (
+        m_levi_roots += abs(m_tau[j][0]) / (
             (abs(tau[j] - tau[k]) + 1.0) * (abs(tau[j] - tau[l]) + 1.0))
-    dm_span = (abs(mc.at(tau[0])[2]) + abs(mc.at(tau[2])[2])) / span_p1
+    dm_span = (abs(m_tau[0][2]) + abs(m_tau[2][2])) / span_p1
     dm_crit = (abs(mc.at(s1)[2]) + abs(mc.at(s2)[2])) / crit_gap_p1
-    n_levi_crit = sum(math.sqrt(abs(nc.value_at(s)) / crit_gap_p1) for s in (s1, s2))
-    out += [m_levi_roots, dm_span, dm_crit, n_levi_crit]
 
-    sources = {
-        "crit": (abs(nc.value_at(s1)), abs(nc.value_at(s2))),
-        "auxcrit": (abs(nc.value_at(mu[0])), abs(nc.value_at(mu[1]))),
-        "roots": tuple(abs(nc.value_at(x)) for x in tau),
-        "aux": tuple(abs(nc.value_at(x)) for x in lam),
-    }
-    denoms = {
-        "crit_gap_p1": crit_gap_p1,
-        "auxcrit_gap": mu[1] - mu[0],
-        "rms_gap_p1": rms_p1,
-        "aux_rms_gap": aux_rms,
-        "span_p1": span_p1,
-        "aux_span": aux_span,
-    }
-    for s in _SQRT_N_SOURCES:
-        for d in _SQRT_N_DENOMS:
-            out.append(sum(math.sqrt(v / denoms[d]) for v in sources[s]))
-    return np.array(out)
+    # the |order-1 symbol| sources of the sqrt_n family, in _SQRT_N_SOURCES order
+    sqrt = math.sqrt
+    n_crit = (abs(nc.value_at(s1)), abs(nc.value_at(s2)))
+    roots = [abs(nc.value_at(x)) for x in tau]
+    aux = [abs(nc.value_at(x)) for x in lam]
+    sqrt_n = [sqrt(u / d) + sqrt(v / d) for u, v in (n_crit, n_auxcrit) for d in denoms]
+    sqrt_n += [sqrt(u / d) + sqrt(v / d) + sqrt(w / d) for u, v, w in (roots, aux) for d in denoms]
+    out += [m_levi_roots, dm_span, dm_crit, sqrt_n[0]]  # n_levi_crit is sqrt_n[crit/crit_gap_p1]
+    return np.array(out + sqrt_n)
 
 
 @dataclass(frozen=True)
@@ -576,12 +567,30 @@ def constant_coeff_check(op: Operator3, ladder: Sequence[float] | None = None,
 # Second-order operators
 
 
+def _second_order_parts(op2: Operator2, t, xi: np.ndarray):
+    """``op2.symbol_parts`` and the principal discriminant a^2 - 4b, at one
+    time or on a time grid. A time where the discriminant falls below
+    ``-HYPERBOLICITY_TOL * (1 + a^2 + 4|b|)`` raises its own located error: the
+    band scales with the squared roots, as the discriminant does, so no |xi| is
+    large enough to pass a non-hyperbolic symbol."""
+    parts = op2.symbol_parts(t, xi)
+    a, b = parts[0].v.real, parts[1].v.real
+    disc = a ** 2 - 4.0 * b
+    try:
+        _check_points(disc < -HYPERBOLICITY_TOL * (1.0 + a * a + 4.0 * abs(b)),
+                      HyperbolicityViolation, disc)
+    except HyperbolicityViolation as exc:
+        locate(exc, t, xi, lambda tk: _second_order_parts(op2, tk, xi))
+        raise
+    return parts, disc
+
+
 def second_order_check(op2: Operator2, xi: np.ndarray):
     """The two second-order integrals: principal-discriminant drift and the
     weighted lower-order combination over sqrt(disc + 1)."""
     def integrand(t: float) -> np.ndarray:
-        a, b, c0, cc, _ = op2.symbol_parts(t, xi)
-        disc = a.v.real ** 2 - 4.0 * b.v.real
+        (a, b, c0, cc, _), disc = _second_order_parts(op2, t, xi)
+        disc = max(disc, 0.0)  # negative within the tolerance band: weakly hyperbolic
         disc_dt = 2.0 * a.v.real * a.d1.real - 4.0 * b.d1.real
         ia = abs(disc_dt) / (disc + 1.0)
         num = -0.5 * c0.v.real * a.v.real + cc.v.real - 0.5 * a.d1.real
@@ -596,6 +605,9 @@ def second_order_report(op2: Operator2, ladder: Sequence[float] | None = None,
                         direction: np.ndarray | None = None) -> dict:
     ladder = list(ladder) if ladder is not None else default_ladder()
     d = direction if direction is not None else np.eye(op2.dim)[0]
+    ts = np.linspace(0.0, op2.horizon, VALIDATION_T_SAMPLES)
+    for mag in ladder:  # the hyperbolicity scan, before any cell
+        _second_order_parts(op2, ts, mag * d)
     rows = [(mag,) + second_order_check(op2, mag * d) for mag in ladder]
     fit_a = log_fit([(r[0], r[1]) for r in rows])
     fit_b = log_fit([(r[0], r[2]) for r in rows])

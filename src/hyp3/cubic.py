@@ -38,7 +38,7 @@ _SS2 = ((0, 1), (1, 2), (2, 0))
 _SS3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CubicJet:
     """Monic real cubic r^3 + a1 r^2 + a2 r + a3 with time-jet coefficients.
 
@@ -73,7 +73,7 @@ def cubic_from_floats(a1: float, a2: float, a3: float) -> CubicJet:
     return CubicJet(z(a1), z(a2), z(a3))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SortedRoots:
     """Ascending real roots."""
 
@@ -156,17 +156,19 @@ def solve_cubic_real(c: CubicJet) -> SortedRoots:
         roots = sorted(2.0 * m * math.cos((phi - 2.0 * math.pi * k) / 3.0) - shift
                        for k in range(3))
 
-    # one guarded Newton polish per root, away from multiple roots
+    # one guarded Newton polish per root, away from multiple roots; c.dtau and
+    # c.value written out on the local coefficients, operation for operation
     polished = []
     for r in roots:
-        dp = c.dtau(r)
+        dp = (3.0 * r + 2.0 * a1) * r + a2
         if abs(dp) > 1e-3 * scale:
-            r_new = r - c.value(r) / dp
-            if abs(c.value(r_new)) <= abs(c.value(r)):
+            v = ((r + a1) * r + a2) * r + a3
+            r_new = r - v / dp
+            if abs(((r_new + a1) * r_new + a2) * r_new + a3) <= abs(v):
                 r = r_new
         polished.append(r)
     polished.sort()
-    return SortedRoots((polished[0], polished[1], polished[2]))
+    return SortedRoots(tuple(polished))
 
 
 def _solve_cubic_grid(c: CubicJet) -> SortedRoots:

@@ -89,10 +89,10 @@ Node = Union[Num, Imag, TimeVar, BinOp, Pow, Call]
 # Jets
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Jet2:
     """Value and first two time derivatives at a point (arrays of them, one
-    entry per time, on a :func:`hyp3.operators.symbol_grid`).
+    entry per time, on a :func:`hyp3.operators.symbol_grid`); slotted, never mutated.
 
     ``d3`` is populated for principal-part coefficients, whose third
     derivative feeds the time derivative of the corrected first-order

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .conditions import _primary_terms
 from .cubic import _SS2, _root_derivatives, _simple_root_gap
@@ -46,6 +45,13 @@ MODE_ATOL = 1e-12
 
 # --------------------------------------------------------------------------
 # Mode integration
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy's ``solve_ivp``, imported at the first mode solve: only ``hyp3
+    identities`` and the mode tables solve one, and the import takes a quarter second."""
+    from scipy.integrate import solve_ivp
+    return solve_ivp(*args, **kwargs)
 
 
 def _ode_coefficients(op: Operator3, xi: np.ndarray):

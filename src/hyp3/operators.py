@@ -45,7 +45,7 @@ def _zero_jet(t) -> Jet2:
 
 def _xi_pow(xi: np.ndarray, alpha: tuple[int, ...]) -> float:
     out = 1.0
-    for x, a in zip(xi, alpha):
+    for x, a in zip(xi.tolist(), alpha):
         if a:
             out *= float(x) ** a
     return out
@@ -55,7 +55,7 @@ def _xi_pow(xi: np.ndarray, alpha: tuple[int, ...]) -> float:
 # Symbols as polynomials in the root variable with time-jet coefficients
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TauPoly:
     """Polynomial in the root variable, coefficients ascending, each a time
     jet. With array jets (a :func:`symbol_grid`) every method works
@@ -72,7 +72,7 @@ class TauPoly:
     def at(self, tau: complex) -> tuple[complex, complex, complex]:
         """Value, time derivative and tau-derivative at ``tau``."""
         v = dt = dtau = 0.0
-        for k in range(self.degree(), -1, -1):
+        for k in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[k]
             v = v * tau + c.v
             dt = dt * tau + c.d1
@@ -82,8 +82,8 @@ class TauPoly:
 
     def value_at(self, tau: complex) -> complex:
         v = 0.0
-        for k in range(self.degree(), -1, -1):
-            v = v * tau + self.coeffs[k].v
+        for c in reversed(self.coeffs):
+            v = v * tau + c.v
         return v
 
     def along_root(self, r: float, r_d1: float) -> tuple[complex, complex]:
@@ -232,7 +232,7 @@ class Operator3:
 # Symbols on a time grid
 
 
-@dataclass
+@dataclass(slots=True)
 class Symbols:
     """Every symbol the diagnostics read, at one frequency: at one time
     (scalar fields) or on a time grid (:func:`symbol_grid`: array fields,

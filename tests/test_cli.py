@@ -152,6 +152,19 @@ def test_check_non_hyperbolic_operator_is_numerical_failure(tmp_path, capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("b, where", [("1", "t=0"), ("t - 0.5", "t=0.501961")])
+def test_check_non_hyperbolic_second_order_operator_is_numerical_failure(tmp_path, capsys,
+                                                                          b, where):
+    # the validation grid is scanned before any cell, as for order 3
+    p = tmp_path / "bad2.op"
+    p.write_text(f"order = 2\ndimension = 1\nT = 1.0\na[0,(2)] = {b}\n")
+    assert main(["check", "--config", str(p)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("hyp3: numerical failure: discriminant ")
+    assert err.endswith(f"below the hyperbolicity tolerance, at {where}, xi=[64.]\n")
+    assert err.count("\n") == 1
+
+
 def test_check_names_the_point_of_a_failure_inside_the_quadrature(tmp_path, capsys):
     # hyperbolic everywhere, but the derivative quadratic's discriminant dips
     # below the tolerance near t = 0.3, which only the condition integrand sees
@@ -436,6 +449,15 @@ def test_check_document_is_byte_deterministic(tmp_path, capsys):
     assert main(args + ["--out", str(b)]) == 0
     capsys.readouterr()
     assert (a / "conditions.json").read_bytes() == (b / "conditions.json").read_bytes()
+
+
+def test_importing_the_cli_leaves_scipy_integrate_unloaded():
+    # only identities and the mode tables solve a mode, so only they load scipy.integrate
+    code = "import sys, hyp3.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_version_runs():

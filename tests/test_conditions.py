@@ -26,7 +26,7 @@ from hyp3.conditions import (
     second_order_check,
     second_order_report,
 )
-from hyp3.errors import OperatorSpecError, QuadratureError
+from hyp3.errors import HyperbolicityViolation, OperatorSpecError, QuadratureError
 from hyp3.expr import parse_timefn as P
 from hyp3.operators import Operator2, Operator3, symbol_grid
 
@@ -549,6 +549,23 @@ def test_second_order_degenerate_violating():
     assert abs(ib - xi) <= 1e-9 * xi  # T |c1| |xi| with T = 1
     rep = second_order_report(op2)
     assert rep["verdicts"]["lower_weighted"] == "violated"
+
+
+@pytest.mark.parametrize("b, xi, where", [("t - 0.5", 64.0, r"t=0\.5\d*, xi=\[64\.\]"),
+                                          ("1", 2.0 ** 17, r"t=0\.00\d*, xi=\[131072\.\]")],
+                         ids=["late", "everywhere"])
+def test_second_order_integrand_names_a_non_hyperbolic_time(b, xi, where):
+    # a^2 - 4b = -4 b xi^2 is negative where b is positive: beyond t = 1/2, or
+    # everywhere, at any |xi| (a band of the size of b^2 would pass it here)
+    with pytest.raises(HyperbolicityViolation, match=where + "$"):
+        second_order_check(_op2("nonhyp2", {(0, (2,)): b}), np.array([xi]))
+
+
+def test_second_order_discriminant_inside_the_tolerance_band_counts_as_zero():
+    # a = 2 xi, b = (1 + 1e-10) xi^2: a^2 - 4b = -4e-10 xi^2, which is -1.7 at
+    # |xi| = 2^16 but far inside the band, where only the clamp keeps sqrt(disc + 1) real
+    op2 = _op2("weak2", {(1, (1,)): "2", (0, (2,)): "1.0000000001"})
+    assert second_order_check(op2, np.array([2.0 ** 16])) == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
