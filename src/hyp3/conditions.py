@@ -152,6 +152,20 @@ def _integrand_values(op: Operator3, t: float, xi: np.ndarray) -> np.ndarray:
     return np.array(out + sqrt_n)
 
 
+def _first_row_if_constant(op, integrand):
+    """``integrand``, or, with every coefficient of ``op`` t-free, its first node's
+    row served to every node; still one call per node, so node counts hold."""
+    if not all(fn.is_constant for fn in op.coeffs.values()):
+        return integrand
+    rows = []
+
+    def first_row(t: float) -> np.ndarray:
+        if not rows:
+            rows.append(integrand(t))
+        return rows[0]
+    return first_row
+
+
 @dataclass(frozen=True)
 class ConditionCell:
     """All condition integrals at one frequency."""
@@ -175,14 +189,8 @@ def condition_integrals(op: Operator3, xi: np.ndarray) -> ConditionCell:
     mag = float(np.linalg.norm(xi))
     if mag < 2.0:
         raise OperatorSpecError("condition integrals need |xi| >= 2")
-    constant, rows = op.is_constant(), []
-
-    def integrand(t: float) -> np.ndarray:
-        if not (constant and rows):
-            rows[:] = [_integrand_values(op, t, xi)]
-        return rows[0]
-
-    res = adaptive_gauss(integrand, 0.0, op.horizon)
+    res = adaptive_gauss(_first_row_if_constant(op, lambda t: _integrand_values(op, t, xi)),
+                         0.0, op.horizon)
     vals = dict(zip(PRIMARY_KEYS, (float(x) for x in res.values[:len(PRIMARY_KEYS)])))
     alts = dict(zip(ALTERNATE_KEYS, (float(x) for x in res.values[len(PRIMARY_KEYS):])))
     return ConditionCell(mag, tuple(float(x) for x in np.atleast_1d(xi) / mag),
@@ -597,7 +605,7 @@ def second_order_check(op2: Operator2, xi: np.ndarray):
         ib = abs(num) / math.sqrt(disc + 1.0)
         return np.array([ia, ib])
 
-    res = adaptive_gauss(integrand, 0.0, op2.horizon)
+    res = adaptive_gauss(_first_row_if_constant(op2, integrand), 0.0, op2.horizon)
     return float(res.values[0]), float(res.values[1])
 
 

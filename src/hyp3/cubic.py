@@ -239,9 +239,13 @@ def quad_root_jets(c: CubicJet):
 def _simple_root_gap(r):
     """Smallest gap of the ascending roots ``r`` and the simple-root
     threshold it must exceed for :func:`_root_derivatives` to be defined.
-    ``r`` holds three floats, or three arrays (pointwise results)."""
-    rstar = 1.0 + np.maximum(np.maximum(abs(r[0]), abs(r[1])), abs(r[2]))
-    return np.minimum(r[1] - r[0], r[2] - r[1]), SIMPLE_ROOT_REL_GAP * rstar
+    ``r`` holds three floats, or three arrays (pointwise results); finite floats
+    take plain ``max``/``min``, which differ from numpy's only on NaN."""
+    r0, r1, r2 = r
+    if isinstance(r0, float) and math.isfinite(r0 + r1 + r2):
+        return min(r1 - r0, r2 - r1), SIMPLE_ROOT_REL_GAP * (1.0 + max(abs(r0), abs(r1), abs(r2)))
+    rstar = 1.0 + np.maximum(np.maximum(abs(r0), abs(r1)), abs(r2))
+    return np.minimum(r1 - r0, r2 - r1), SIMPLE_ROOT_REL_GAP * rstar
 
 
 def _root_derivatives(c: CubicJet, r):

@@ -312,8 +312,13 @@ def _libm(f, x):
 
 
 def _smul(a, b):
-    n = len(a)
-    return [sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(n)]
+    out = []
+    for k in range(len(a)):
+        acc = 0  # from int 0, as sum() starts: 0 + -0.0 is +0.0
+        for j in range(k + 1):
+            acc = acc + a[j] * b[k - j]
+        out.append(acc)
+    return out
 
 
 def _sdiv(a, b):
@@ -334,12 +339,13 @@ def _spow(a, n: int):
         return one
     if n < 0:
         return _sdiv(one, _spow(a, -n))
-    out = one
+    out = None
     base = a
     k = n
     while k:
         if k & 1:
-            out = _smul(out, base)
+            # a product needs no _smul(one, .); ``a`` does: it turns -0.0 into +0.0
+            out = base if out is None and base is not a else _smul(out or one, base)
         base = _smul(base, base) if k > 1 else base
         k >>= 1
     # a power whose value or derivative terms overflow leaves the domain
@@ -360,7 +366,10 @@ def _sexp(a):
     e = [0.0] * n
     e[0] = _libm(_exp, a[0])
     for k in range(1, n):
-        e[k] = sum(j * a[j] * e[k - j] for j in range(1, k + 1)) / k
+        acc = 0
+        for j in range(1, k + 1):
+            acc = acc + j * a[j] * e[k - j]
+        e[k] = acc / k
     return e
 
 
@@ -398,8 +407,13 @@ def _ssincos(a, func: str):
             x = x[np.isinf(x.real)].tolist()[0]
         raise ExprDomainError(f"{func} of infinite value {x!r}") from None
     for k in range(1, n):
-        s[k] = sum(j * a[j] * c[k - j] for j in range(1, k + 1)) / k
-        c[k] = -sum(j * a[j] * s[k - j] for j in range(1, k + 1)) / k
+        sk = ck = 0
+        for j in range(1, k + 1):
+            ja = j * a[j]
+            sk = sk + ja * c[k - j]
+            ck = ck + ja * s[k - j]
+        s[k] = sk / k
+        c[k] = -ck / k
     return s, c
 
 
@@ -539,18 +553,25 @@ class TimeFn:
         return self.to_string()
 
     _at = cached_property(lambda self: _compile(self.ast))
+    _jets = cached_property(lambda self: {})
 
     def __getstate__(self):
-        """The fields without the cached closure, which does not pickle."""
-        return {k: v for k, v in self.__dict__.items() if k != "_at"}
+        """The fields without the cached closure, which does not pickle, and jets."""
+        return {k: v for k, v in self.__dict__.items() if k not in ("_at", "_jets")}
 
     def jet2(self, t: float, order: int = 2) -> Jet2:
+        """The jet at one time, or on a grid. A t-free expression's jet is the
+        same plain numbers at every time and on every grid: it is kept per order."""
+        if self.is_constant and order in self._jets:
+            return self._jets[order]
         c = _series(self.ast, t, max(order, 2))
         # the value, once per jet: a product or a sum has no test of its own
         if isinstance(c[0], np.ndarray) or not cmath.isfinite(c[0]):
             _check_points(_nonfinite(c[:1]), lambda: ExprDomainError(f"{self} overflows"))
-        d3 = 6.0 * c[3] if len(c) > 3 else None
-        return Jet2(c[0], c[1], 2.0 * c[2], d3)
+        jet = Jet2(c[0], c[1], 2.0 * c[2], 6.0 * c[3] if len(c) > 3 else None)
+        if self.is_constant:
+            self._jets[order] = jet
+        return jet
 
     def value(self, t: float):
         """The value at one time, or at each time of an array (a plain

@@ -8,6 +8,7 @@ import pytest
 from hyp3.cubic import (
     SIMPLE_ROOT_REL_GAP,
     CubicJet,
+    _simple_root_gap,
     cubic_from_floats,
     delta1,
     derivative_quadratic,
@@ -169,6 +170,24 @@ def test_root_jets_reject_near_multiple_roots():
     c = cubic_from_floats(0, 0, 0)
     with pytest.raises(NearMultipleRoot):
         root_jets(c, solve_cubic_real(c))
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("roots", [
+    (-1.0, 0.5, 2.0), (0.0, 0.0, 0.0), (-0.0, 0.0, 3.0), (1e300, 1.5e308, 1.7e308),
+    (NAN, 0.0, 1.0), (0.0, NAN, 1.0), (0.0, 1.0, NAN), (NAN, NAN, NAN),
+    (0.0, INF, INF), (-INF, 0.0, 1.0), (0.0, 1.0, INF), (-INF, -INF, INF), (NAN, 1.0, INF),
+])
+def test_simple_root_gap_of_floats_is_numpys_own(roots):
+    """The plain-float branch gives numpy's gap and threshold, NaN where numpy's is."""
+    got = _simple_root_gap(roots)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        want = [float(x[0]) for x in _simple_root_gap(tuple(np.array([r]) for r in roots))]
+    assert [math.isnan(x) for x in got] == [math.isnan(x) for x in want]
+    assert [x.hex() for x in got if not math.isnan(x)] == [
+        x.hex() for x in want if not math.isnan(x)]
 
 
 def test_root_continuity_on_fine_grid():

@@ -1,3 +1,4 @@
+import copy
 import math
 import pickle
 import re
@@ -9,6 +10,7 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 from sympy.parsing.sympy_parser import parse_expr
 
+from hyp3 import expr
 from hyp3.battery import BATTERY
 from hyp3.errors import ExprDomainError, ExprError, ExprSyntaxError, UnknownIdentifierError
 from hyp3.expr import MAX_DEPTH, BinOp, Call, Imag, Num, Pow, TimeFn, TimeVar, _depth, parse_timefn
@@ -164,6 +166,36 @@ def test_timefn_pickles_after_a_point_value():
     want = [_bits(f.value(t)) for t in ts]  # caches the compiled closure
     g = pickle.loads(pickle.dumps(f))
     assert g == f and [_bits(g.value(t)) for t in ts] == want
+
+
+@pytest.mark.parametrize("text", ["-1", "2*3 + sin(1)", "(2 + i)^-2"])
+def test_a_t_free_jet_is_evaluated_once_per_order(monkeypatch, text):
+    fn, calls, series = parse_timefn(text), [], expr._series
+    monkeypatch.setattr(expr, "_series", lambda *a: calls.append(a[2]) or series(*a))
+    grid = np.linspace(0.0, 1.0, 5)
+    first = [fn.jet2(0.3), fn.jet2(0.3, order=3)]
+    again = [fn.jet2(t, order=k) for t in (0.0, 0.9, grid) for k in (2, 3)]
+    assert calls == [2, 3]
+    assert again == first * 3 and all(j is first[k % 2] for k, j in enumerate(again))
+
+
+def test_a_t_dependent_jet_is_evaluated_at_every_call(monkeypatch):
+    fn, calls, series = parse_timefn("sin(t)"), [], expr._series
+    monkeypatch.setattr(expr, "_series", lambda *a: calls.append(a[2]) or series(*a))
+    assert fn.jet2(0.3) == fn.jet2(0.3) and fn.jet2(0.3, order=3).d3 is not None
+    assert calls == [2, 2, 3]
+
+
+@pytest.mark.parametrize("text", ["-1", "sin(t)^2"])
+def test_a_timefn_that_served_jets_pickles_and_copies(text):
+    fn = parse_timefn(text)
+    fresh = pickle.dumps(fn)
+    want = [_bits(fn.jet2(0.5, order=k).v) for k in (2, 3)] + [_bits(fn.value(0.5))]
+    # what a ladder worker receives: the fields alone, as before any jet
+    assert pickle.dumps(fn) == fresh
+    for g in (pickle.loads(pickle.dumps(fn)), copy.deepcopy(fn)):
+        assert g == fn and hash(g) == hash(fn)
+        assert [_bits(g.jet2(0.5, order=k).v) for k in (2, 3)] + [_bits(g.value(0.5))] == want
 
 
 @pytest.mark.parametrize("shape", ["sum", "sines"])

@@ -7,6 +7,8 @@ least one of these values. Rewrite the data only for a change that is meant
 to move values, and record the move where the change is described::
 
     PYTHONPATH=src python tests/test_integrand_bits.py
+
+(``tests/test_jet_bits.py``, run the same way, rewrites this data and its own.)
 """
 
 import json
@@ -16,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hyp3 import conditions
 from hyp3.battery import battery_member
 from hyp3.conditions import _integrand_values, condition_integrals, second_order_check
 
@@ -36,6 +39,9 @@ TIMES = {
 
 CELL_MEMBERS = ("sin_gap", "strict_sin", "oleinik_ok", "oleinik_bad")
 
+#: second-order members: time-dependent, and two whose coefficients are t-free
+SECOND_ORDER_MEMBERS = ("oleinik2_ok", "wave2", "oleinik2_bad")
+
 
 def _hex(values) -> list[str]:
     return [float(v).hex() for v in values]
@@ -48,9 +54,8 @@ def _points() -> dict[str, list[str]]:
 
 
 def _second_order() -> dict[str, list[str]]:
-    op = battery_member("oleinik2_ok").op
-    return {f"oleinik2_ok xi={xi!r}": _hex(second_order_check(op, np.array([xi])))
-            for xi in XIS}
+    return {f"{name} xi={xi!r}": _hex(second_order_check(battery_member(name).op, np.array([xi])))
+            for name in SECOND_ORDER_MEMBERS for xi in XIS}
 
 
 def _cell(name: str, xi: float) -> dict:
@@ -78,14 +83,35 @@ def test_second_order_integrals_keep_their_bits(recorded):
     assert _second_order() == recorded["second_order"]
 
 
+@pytest.mark.parametrize("name", ("wave2", "oleinik2_bad"))
+@pytest.mark.parametrize("xi", XIS)
+def test_constant_second_order_cells_keep_their_panels_and_calls(monkeypatch, name, xi):
+    """A t-free cell still integrates 8 panels and calls its integrand once per
+    node, even where every node is served the same row."""
+    calls, results, adaptive_gauss = [], [], conditions.adaptive_gauss
+
+    def counted(f, a, b):
+        results.append(adaptive_gauss(lambda t: calls.append(t) or f(t), a, b))
+        return results[-1]
+
+    monkeypatch.setattr(conditions, "adaptive_gauss", counted)
+    second_order_check(battery_member(name).op, np.array([xi]))
+    assert [r.panels for r in results] == [8]
+    assert len(calls) == 64 * 8 - 128
+
+
 @pytest.mark.parametrize("name", CELL_MEMBERS)
 @pytest.mark.parametrize("xi", XIS)
 def test_condition_cells_keep_their_panels_and_bits(recorded, name, xi):
     assert _cell(name, xi) == recorded["cells"][f"{name} xi={xi!r}"]
 
 
-if __name__ == "__main__":
+def main():
     doc = {"points": _points(), "second_order": _second_order(), "cells": _cells()}
     DATA.parent.mkdir(exist_ok=True)
     DATA.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {DATA}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()
