@@ -26,7 +26,7 @@ __all__ = [
     "root_jets",
 ]
 
-#: tolerance band for weak hyperbolicity (relative to scale^4)
+#: tolerance band for weak hyperbolicity (relative to root_scale^degree, see _check_band)
 HYPERBOLICITY_TOL = 1e-9
 
 #: pairwise gaps must exceed this times (1 + spectral radius) for root jets
@@ -115,6 +115,19 @@ def delta1_dt(c: CubicJet) -> float:
     return 4.0 * c.a1.v.real * c.a1.d1.real - 6.0 * c.a2.d1.real
 
 
+def _check_band(c: CubicJet, disc, degree: int, *where) -> None:
+    """Raise :class:`HyperbolicityViolation` where ``disc`` (degree ``degree`` in the roots)
+    is below ``-HYPERBOLICITY_TOL * root_scale**degree``, root_scale = 1 + max(|a1|, |a2|^(1/2),
+    |a3|^(1/3)): the size of the roots, so the band scales with |xi| as ``disc`` does."""
+    grid = isinstance(disc, np.ndarray)
+    if not ((disc < 0.0).any() if grid else disc < 0.0):
+        return
+    big, sqrt = (np.maximum, np.sqrt) if grid else (max, math.sqrt)  # both round exactly
+    scale = 1.0 + big(big(abs(c.a1.v.real), sqrt(abs(c.a2.v.real))),
+                      _libm(lambda x: x ** (1.0 / 3.0), abs(c.a3.v.real)))
+    _check_points(disc < -HYPERBOLICITY_TOL * scale ** degree, HyperbolicityViolation, disc, *where)
+
+
 def _signed_cbrt(q: float) -> float:
     return math.copysign(abs(q) ** (1.0 / 3.0), -q) if q != 0.0 else 0.0
 
@@ -128,7 +141,7 @@ def solve_cubic_real(c: CubicJet) -> SortedRoots:
     near-double and near-triple configurations without complex round trips.
 
     Raises :class:`HyperbolicityViolation` when the discriminant falls below
-    ``-HYPERBOLICITY_TOL * scale^4`` (scale = 1 + max |coefficient|).
+    the tolerance band of :func:`_check_band`, ``-HYPERBOLICITY_TOL * root_scale^6``.
     """
     a1 = c.a1.v.real
     if isinstance(a1, np.ndarray):
@@ -136,9 +149,7 @@ def solve_cubic_real(c: CubicJet) -> SortedRoots:
     a2 = c.a2.v.real
     a3 = c.a3.v.real
     scale = 1.0 + max(abs(a1), abs(a2), abs(a3))
-    disc = discriminant(c)
-    if disc < -HYPERBOLICITY_TOL * scale ** 4:
-        raise HyperbolicityViolation(disc)
+    _check_band(c, discriminant(c), 6)
 
     # depressed form y^3 + p y + q, roots shifted by -a1/3
     shift = a1 / 3.0
@@ -175,8 +186,7 @@ def _solve_cubic_grid(c: CubicJet) -> SortedRoots:
     """:func:`solve_cubic_real` at every grid point, step for step."""
     a1, a2, a3 = c.a1.v.real, c.a2.v.real, c.a3.v.real
     scale = c.coeff_scale()
-    disc = discriminant(c)
-    _check_points(disc < -HYPERBOLICITY_TOL * scale ** 4, HyperbolicityViolation, disc)
+    _check_band(c, discriminant(c), 6)
 
     shift = a1 / 3.0
     p = a2 - a1 * a1 / 3.0
@@ -210,9 +220,7 @@ def derivative_quadratic(c: CubicJet):
     a2 = c.a2.v.real
     disc = 4.0 * a1 * a1 - 12.0 * a2
     grid = isinstance(disc, np.ndarray)
-    scale = c.coeff_scale() if grid else 1.0 + max(abs(a1), abs(a2), abs(c.a3.v.real))
-    _check_points(disc < -HYPERBOLICITY_TOL * scale ** 2, HyperbolicityViolation, disc,
-                 "derivative quadratic")
+    _check_band(c, disc, 2, "derivative quadratic")
     disc_c = np.maximum(disc, 0.0) if grid else max(disc, 0.0)
     half_gap = (np.sqrt(disc_c) if grid else math.sqrt(disc_c)) / 6.0
     center = -a1 / 3.0

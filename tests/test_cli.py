@@ -152,6 +152,15 @@ def test_check_non_hyperbolic_operator_is_numerical_failure(tmp_path, capsys):
     assert rc == 3
 
 
+def test_check_names_the_discriminant_of_complex_roots_at_any_frequency(tmp_path, capsys):
+    # tau^3 - 3 xi^2 tau + 3 xi^3: complex roots at every |xi|, not a double root
+    p = tmp_path / "complex3.op"
+    p.write_text("order = 3\ndimension = 1\nT = 1.0\na[1,(2)] = -3\na[0,(3)] = 3\n")
+    assert main(["check", "--config", str(p)]) == 3
+    assert capsys.readouterr().err == ("hyp3: numerical failure: discriminant -9.27713e+12 "
+                                       "below the hyperbolicity tolerance, at t=0, xi=[64.]\n")
+
+
 @pytest.mark.parametrize("b, where", [("1", "t=0"), ("t - 0.5", "t=0.501961")])
 def test_check_non_hyperbolic_second_order_operator_is_numerical_failure(tmp_path, capsys,
                                                                           b, where):

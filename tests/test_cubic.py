@@ -207,6 +207,32 @@ def test_hyperbolicity_tolerance_band_clamps_small_negatives():
     assert solve_cubic_real(c).r[0] <= solve_cubic_real(c).r[2]
 
 
+def _on_grid(c, n=3):
+    """``c`` repeated at ``n`` grid points."""
+    return CubicJet(*(Jet2(np.full(n, j.v), np.zeros(n), np.zeros(n), np.zeros(n))
+                      for j in (c.a1, c.a2, c.a3)))
+
+
+@pytest.mark.parametrize("xi", [2.0 ** k for k in (0, 6, 10, 14, 20)])
+def test_the_hyperbolicity_band_scales_with_the_roots(xi):
+    # tau^3 - 3 xi^2 tau + 3 xi^3 has complex roots at every |xi|, with discriminant
+    # -135 xi^6; a band sized by the coefficients (xi^12) let it through from xi = 64
+    c = cubic_from_floats(0.0, -3.0 * xi ** 2, 3.0 * xi ** 3)
+    for cubic in (c, _on_grid(c)):
+        with pytest.raises(HyperbolicityViolation):
+            solve_cubic_real(cubic)
+    # 3 tau^2 + xi^2 has no real critical point: discriminant -12 xi^2
+    c = cubic_from_floats(0.0, xi ** 2, 0.0)
+    for cubic in (c, _on_grid(c)):
+        with pytest.raises(HyperbolicityViolation, match="derivative quadratic"):
+            derivative_quadratic(cubic)
+    # a double root's rounded discriminant stays inside the band
+    c = _vieta_cubic(-2.0 * xi, xi, xi)
+    for cubic in (c, _on_grid(c)):
+        r = np.asarray(solve_cubic_real(cubic).r, dtype=float)
+        assert np.allclose(r.T, [-2.0 * xi, xi, xi], rtol=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # near-double and near-triple roots against a 50-digit oracle
 
