@@ -122,7 +122,7 @@ def _check_band(c: CubicJet, disc, degree: int, *where) -> None:
     grid = isinstance(disc, np.ndarray)
     if not ((disc < 0.0).any() if grid else disc < 0.0):
         return
-    big, sqrt = (np.maximum, np.sqrt) if grid else (max, math.sqrt)  # both round exactly
+    big, sqrt = (np.maximum, np.sqrt) if grid else (max, math.sqrt)  # a grid rounds like its points
     scale = 1.0 + big(big(abs(c.a1.v.real), sqrt(abs(c.a2.v.real))),
                       _libm(lambda x: x ** (1.0 / 3.0), abs(c.a3.v.real)))
     _check_points(disc < -HYPERBOLICITY_TOL * scale ** degree, HyperbolicityViolation, disc, *where)

@@ -533,8 +533,8 @@ def _depth(node: Node) -> int:
 class TimeFn:
     """A parsed coefficient expression of ``t``.
 
-    Immutable; evaluation is pure, so instances are safe to share across
-    concurrent workers.
+    Immutable fields; evaluation is pure (a t-free jet is kept once computed), so
+    instances are safe to share across concurrent workers.
     """
 
     ast: Node
