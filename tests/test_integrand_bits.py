@@ -1,5 +1,6 @@
-"""Bit-for-bit pins of the condition integrand, the second-order integrals and
-whole condition cells, each value recorded with ``float.hex``.
+"""Bit-for-bit pins of the symbol views, the condition integrand, the
+second-order integrals and whole condition cells, each value recorded with
+``float.hex``.
 
 The scalar integrand path may be made cheaper, but only by doing the same
 floating-point operations in the same order: any regrouped rounding moves at
@@ -19,8 +20,10 @@ import numpy as np
 import pytest
 
 from hyp3 import conditions
-from hyp3.battery import battery_member
+from hyp3.battery import battery_member, battery_names
 from hyp3.conditions import _integrand_values, condition_integrals, second_order_check
+from hyp3.expr import parse_timefn
+from hyp3.operators import Operator2, Operator3
 
 DATA = Path(__file__).with_name("data") / "integrand_bits.json"
 
@@ -43,8 +46,55 @@ CELL_MEMBERS = ("sin_gap", "strict_sin", "oleinik_ok", "oleinik_bad")
 SECOND_ORDER_MEMBERS = ("oleinik2_ok", "wave2", "oleinik2_bad")
 
 
+#: two-dimensional operators of each order, with terms along both axes and
+#: mixed ones, so that along (1, 0) some weights xi^alpha are zero
+PLANE3 = Operator3("plane3", 2, 1.0, {(key[0], key[1]): parse_timefn(text) for key, text in {
+    (1, (2, 0)): "-(2+sin(t))^2", (1, (0, 2)): "-1", (1, (1, 1)): "t", (0, (3, 0)): "0.1*t",
+    (0, (1, 2)): "-t^2", (2, (1, 0)): "0.3*cos(t)", (2, (0, 1)): "0.5", (0, (2, 0)): "0.2*t",
+    (0, (1, 1)): "-0.0", (2, (0, 0)): "t - 1", (1, (1, 0)): "0.1*t", (1, (0, 1)): "t^2",
+    (0, (1, 0)): "0.4 + i*t", (0, (0, 1)): "-0.7*t", (1, (0, 0)): "exp(0 - t)",
+    (0, (0, 0)): "0.05*sin(t)"}.items()})
+PLANE2 = Operator2("plane2", 2, 1.0, {(key[0], key[1]): parse_timefn(text) for key, text in {
+    (1, (1, 0)): "-t", (1, (0, 1)): "0.5", (0, (2, 0)): "-(1+t)^2", (0, (1, 1)): "t",
+    (0, (0, 2)): "-1", (1, (0, 0)): "cos(t)", (0, (1, 0)): "1", (0, (0, 1)): "-t^3",
+    (0, (0, 0)): "-0.0"}.items()})
+
+#: where the symbol views are recorded: one time, and a grid that starts at t = 0
+SYMBOL_T = 0.37
+SYMBOL_GRID = np.linspace(0.0, 1.5, 7)
+
+
 def _hex(values) -> list[str]:
     return [float(v).hex() for v in values]
+
+
+def _enc(x, t):
+    """One jet entry at ``t`` as hex text, a constant broadcast over a grid
+    (a grid sum may keep a t-free value as one number)."""
+    if x is None:
+        return None
+    return [[v.real.hex(), v.imag.hex()] if isinstance(v, complex) else float(v).hex()
+            for v in np.broadcast_to(x, np.shape(t)).ravel().tolist()]
+
+
+def _views(op, t, xi) -> list:
+    """Every jet of the symbol views of ``op``: ``principal`` and
+    ``lower_polys`` in order, or ``symbol_parts``."""
+    if isinstance(op, Operator2):
+        jets = op.symbol_parts(t, xi)
+    else:
+        c = op.principal(t, xi)
+        m, n, p = op.lower_polys(t, xi)
+        jets = (c.a1, c.a2, c.a3, *m.coeffs, *n.coeffs, p)
+    return [[_enc(x, t) for x in (j.v, j.d1, j.d2, j.d3)] for j in jets]
+
+
+def _symbols() -> dict[str, list]:
+    cases = [(battery_member(name).op, np.array([64.0])) for name in battery_names()]
+    cases += [(op, 64.0 * np.array(d)) for op in (PLANE3, PLANE2)
+              for d in ((1.0, 0.0), (0.6, 0.8))]
+    return {f"{op.name} xi={xi.tolist()!r} t={'grid' if isinstance(t, np.ndarray) else repr(t)}":
+            _views(op, t, xi) for op, xi in cases for t in (SYMBOL_T, SYMBOL_GRID)}
 
 
 def _points() -> dict[str, list[str]]:
@@ -71,6 +121,14 @@ def _cells() -> dict[str, dict]:
 @pytest.fixture(scope="module")
 def recorded():
     return json.loads(DATA.read_text())
+
+
+def test_symbol_views_keep_their_bits(recorded):
+    got = _symbols()
+    assert len(got) == 2 * (len(battery_names()) + 4)
+    for key, want in recorded["symbols"].items():
+        assert got[key] == want, key
+    assert list(got) == list(recorded["symbols"])
 
 
 def test_integrand_values_keep_their_bits(recorded):
@@ -107,7 +165,8 @@ def test_condition_cells_keep_their_panels_and_bits(recorded, name, xi):
 
 
 def main():
-    doc = {"points": _points(), "second_order": _second_order(), "cells": _cells()}
+    doc = {"symbols": _symbols(), "points": _points(), "second_order": _second_order(),
+           "cells": _cells()}
     DATA.parent.mkdir(exist_ok=True)
     DATA.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {DATA}", file=sys.stderr)
