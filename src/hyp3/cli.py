@@ -11,6 +11,7 @@ timing goes to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -52,10 +53,12 @@ EXIT_NUMERICAL = 3
 
 
 def _jsonable(x):
-    """Strict-JSON copy of a document: non-finite floats become the strings
-    "inf", "-inf" and "nan"."""
+    """Strict-JSON copy of a document, with each result object as the dict of
+    its fields: non-finite floats become the strings "inf", "-inf" and "nan"."""
     if isinstance(x, float) and not math.isfinite(x):
         return "inf" if x > 0 else ("-inf" if x < 0 else "nan")
+    if dataclasses.is_dataclass(x):  # a result object: its fields
+        return _jsonable(dataclasses.asdict(x))
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -75,10 +78,6 @@ def _emit(schema: str, body: dict, args) -> None:
         (out / f"{schema.split('/')[0].split('.')[-1]}.json").write_text(text + "\n")
     else:
         print(text)
-
-
-def _fit_doc(fit) -> dict:
-    return {"slope": fit.slope, "ratios": fit.ratios, "verdict": fit.verdict}
 
 
 def _ladder_from_args(args) -> list[float]:
@@ -122,12 +121,7 @@ def _conditions_doc_one(op, member, args) -> tuple[dict, list[str]]:
     direction = _direction_from_args(args, op.dim)
     if isinstance(op, Operator2):
         rep = second_order_report(op, ladder, direction)
-        doc = {
-            "order": 2,
-            "rows": rep["rows"],
-            "fits": {k: _fit_doc(f) for k, f in rep["fits"].items()},
-            "verdicts": rep["verdicts"],
-        }
+        doc = {"order": 2, **rep}
     else:
         case = pointwise_levi(op, ladder, direction)
         rep = condition_report(op, ladder, direction)
@@ -140,25 +134,13 @@ def _conditions_doc_one(op, member, args) -> tuple[dict, list[str]]:
                 "alternates": c.alternates,
                 "panels": c.panels,
             } for c in rep.ladder],
-            "fits": {k: _fit_doc(f) for k, f in rep.fits.items()},
+            "fits": rep.fits,
             "verdicts": rep.verdicts,
             "bands": rep.bands,
-            "case_report": {
-                "case": case.case,
-                "ambiguous": case.ambiguous,
-                "disc_rel_max": case.disc_rel_max,
-                "delta1_rel_max": case.delta1_rel_max,
-                "checks": case.checks,
-            },
+            "case_report": case,
         }
         if op.is_constant():
-            cc = constant_coeff_check(op, ladder, direction)
-            doc["constant_coeff"] = {
-                "rows": cc["rows"],
-                "decomposition_verdict": cc["decomposition_verdict"],
-                "im_verdict": cc["im_verdict"],
-                "im_growth_power": cc["im_growth_power"],
-            }
+            doc["constant_coeff"] = constant_coeff_check(op, ladder, direction)
     mismatches: list[str] = []
     if member is not None:
         for key, want in member.expected_conditions.items():
@@ -166,7 +148,7 @@ def _conditions_doc_one(op, member, args) -> tuple[dict, list[str]]:
             if got != want:
                 mismatches.append(f"{op.name}: {key}: expected {want}, got {got}")
     if member is not None and doc["order"] == 3:
-        case = doc["case_report"]["case"]
+        case = doc["case_report"].case
         if member.expected_case is not None and case != member.expected_case:
             mismatches.append(f"{op.name}: case: expected {member.expected_case}, got {case}")
         for label, key, want in (("decomposition", "decomposition_verdict",
@@ -237,14 +219,6 @@ def cmd_modes(args, targets=None) -> int:
         ladder = _ladder_from_args(args)
         direction = _direction_from_args(args, op.dim)
         fit = growth_experiment(op, ladder, direction, grid_points=args.grid)
-        doc = {
-            "rows": fit.rows,
-            "model": fit.model,
-            "kappa": fit.kappa,
-            "poly_degree": fit.poly_degree,
-            "poly_residual": fit.poly_residual,
-            "exp_residual": fit.exp_residual,
-        }
         mm: list[str] = []
         if member is not None and member.expected_growth is not None:
             if fit.model != member.expected_growth:
@@ -254,9 +228,8 @@ def cmd_modes(args, targets=None) -> int:
                     abs(fit.kappa - member.expected_kappa) > KAPPA_TOL:
                 mm.append(f"{op.name}: kappa: expected "
                           f"{member.expected_kappa:.4f}+-{KAPPA_TOL}, got {fit.kappa:.4f}")
-        doc["mismatches"] = mm
         mismatches += mm
-        docs[op.name] = doc
+        docs[op.name] = {**dataclasses.asdict(fit), "mismatches": mm}
         if args.format != "doc":
             _write_mode_tables(op, args, fit)
     _emit("hyp3.modes/1", {"operators": docs, "pass": not mismatches}, args)

@@ -155,7 +155,7 @@ def _integrand_values(op: Operator3, t: float, xi: np.ndarray) -> np.ndarray:
 def _first_row_if_constant(op, integrand):
     """``integrand``, or, with every coefficient of ``op`` t-free, its first node's
     row served to every node; still one call per node, so node counts hold."""
-    if not all(fn.is_constant for fn in op.coeffs.values()):
+    if not op.is_constant():
         return integrand
     rows = []
 

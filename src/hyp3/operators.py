@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
@@ -41,14 +41,6 @@ def _zero_jet(t) -> Jet2:
     that a sum of constant coefficients still has one entry per time)."""
     z = np.zeros_like(t) if isinstance(t, np.ndarray) else 0.0
     return Jet2(z, z, z, z)
-
-
-def _xi_pow(xi: np.ndarray, alpha: tuple[int, ...]) -> float:
-    out = 1.0
-    for x, a in zip(xi.tolist(), alpha):
-        if a:
-            out *= float(x) ** a
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -140,92 +132,100 @@ def _unit_regularized(c: CubicJet):
 # Operator model
 
 
-def _check_spec(op, max_order: int, max_dt: int):
-    """Shared validation of an operator's dimension, horizon and table."""
-    if op.dim < 1:
-        raise OperatorSpecError("dimension must be >= 1")
-    if not 0 < op.horizon < math.inf:
-        raise OperatorSpecError("time horizon must be finite and positive")
-    for key, fn in op.coeffs.items():
-        try:
-            j, alpha = key
-        except (TypeError, ValueError):
-            raise OperatorSpecError(f"bad coefficient key {key!r}")
-        if not isinstance(fn, TimeFn):
-            raise OperatorSpecError(f"coefficient {key!r} is not a TimeFn")
-        if len(alpha) != op.dim or any((not isinstance(a, int)) or a < 0 for a in alpha):
-            raise OperatorSpecError(f"bad multi-index {alpha!r} for dimension {op.dim}")
-        if not (0 <= j <= max_dt):
-            raise OperatorSpecError(f"time order {j} out of range in {key!r}")
-        if j + sum(alpha) > max_order:
-            raise OperatorSpecError(f"total order of {key!r} exceeds {max_order}")
-
-
 @dataclass(frozen=True)
-class Operator3:
-    """Third-order operator with time-dependent coefficients.
+class _Table:
+    """A monic operator as its coefficient table; immutable after construction,
+    and every evaluation is pure, so (t, xi) grids may be processed concurrently.
 
-    Immutable after construction; every evaluation is pure, so (t, xi)
-    grids may be processed concurrently.
-    """
+    Every symbol is a view of one walk over the table (:meth:`_sums`). A
+    subclass names, in ``_VIEWS``, the slots (j, |alpha|) each view reads, and
+    in ``_JET_ORDER`` the jet order of a term by its total order j + |alpha|."""
 
     name: str
     dim: int
     horizon: float
     coeffs: Mapping[tuple[int, tuple[int, ...]], TimeFn]
 
+    _VIEWS: ClassVar[dict[str, tuple[tuple[int, int], ...]]]
+    _JET_ORDER: ClassVar[tuple[int, ...]]
+
     def __post_init__(self):
-        _check_spec(self, 3, 2)
+        max_order = len(self._JET_ORDER) - 1
+        if self.dim < 1:
+            raise OperatorSpecError("dimension must be >= 1")
+        if not 0 < self.horizon < math.inf:
+            raise OperatorSpecError("time horizon must be finite and positive")
+        # each view's terms in table order: (slot, coefficient, the nonzero
+        # (axis, power) pairs of alpha or None for xi^0, jet order)
+        walks = {name: [] for name in self._VIEWS}
+        for key, fn in self.coeffs.items():
+            try:
+                j, alpha = key
+            except (TypeError, ValueError):
+                raise OperatorSpecError(f"bad coefficient key {key!r}")
+            if not isinstance(fn, TimeFn):
+                raise OperatorSpecError(f"coefficient {key!r} is not a TimeFn")
+            if len(alpha) != self.dim or any((not isinstance(a, int)) or a < 0 for a in alpha):
+                raise OperatorSpecError(f"bad multi-index {alpha!r} for dimension {self.dim}")
+            if not (0 <= j < max_order):
+                raise OperatorSpecError(f"time order {j} out of range in {key!r}")
+            if j + (k := sum(alpha)) > max_order:
+                raise OperatorSpecError(f"total order of {key!r} exceeds {max_order}")
+            powers = tuple((i, a) for i, a in enumerate(alpha) if a) or None
+            for name, slots in self._VIEWS.items():
+                if (j, k) in slots:
+                    walks[name].append((slots.index((j, k)), fn, powers, self._JET_ORDER[j + k]))
+        object.__setattr__(self, "_walks", {name: tuple(w) for name, w in walks.items()})
+
+    def is_constant(self) -> bool:
+        return all(fn.is_constant for fn in self.coeffs.values())
+
+    def _sums(self, view: str, t, xi: np.ndarray) -> list[Jet2]:
+        """For each slot (j, |alpha|) of ``view``, the jet of the sum of
+        a_{j,alpha}(t) xi^alpha, at one time or on a time grid: each sum starts
+        from the zero jet of ``t`` and adds its terms in table order, leaving
+        out a term whose weight xi^alpha is zero."""
+        acc = [_zero_jet(t)] * len(self._VIEWS[view])
+        xs = np.asarray(xi, dtype=float).tolist()
+        for slot, fn, powers, order in self._walks[view]:
+            if powers is None:
+                acc[slot] = acc[slot] + fn.jet2(t, order)
+                continue
+            w = 1.0
+            for i, a in powers:
+                w *= xs[i] ** a
+            if w != 0.0:
+                acc[slot] = acc[slot] + fn.jet2(t, order).scaled(w)
+        return acc
+
+
+class Operator3(_Table):
+    """Third-order operator with time-dependent coefficients: j <= 2 and
+    j + |alpha| <= 3, monic in d_t^3."""
+
+    _VIEWS = {"principal": ((2, 1), (1, 2), (0, 3)),
+              "lower": ((0, 2), (1, 1), (2, 0), (0, 1), (1, 0), (0, 0))}
+    # the order-2 and principal jets carry d3: the corrections shift them
+    _JET_ORDER = (2, 2, 3, 3)
+
+    def __post_init__(self):
+        super().__post_init__()
         for (j, alpha), fn in self.coeffs.items():
             if j + sum(alpha) == 3 and fn.has_imag:
                 raise OperatorSpecError(
                     f"principal-part coefficient a[{j},{alpha}] must be real-valued")
 
-    def is_constant(self) -> bool:
-        return all(fn.is_constant for fn in self.coeffs.values())
-
-    # -- principal symbol ---------------------------------------------------
-
     def principal(self, t, xi: np.ndarray) -> CubicJet:
         """Coefficient jets (a1, a2, a3) of the monic principal cubic, at one
         time or on a time grid; a_k multiplies the (3-k)-th power of the
         root variable."""
-        acc = [_zero_jet(t)] * 3
-        for (j, alpha), fn in self.coeffs.items():
-            k = sum(alpha)
-            if j + k != 3:
-                continue
-            w = _xi_pow(xi, alpha)
-            if w == 0.0:
-                continue
-            jet = fn.jet2(t, order=3)
-            acc[k - 1] = acc[k - 1] + jet.scaled(w)  # k = 3 - j
-        return CubicJet(acc[0], acc[1], acc[2])
-
-    # -- lower-order symbols -------------------------------------------------
+        return CubicJet(*self._sums("principal", t, xi))
 
     def lower_polys(self, t, xi: np.ndarray) -> tuple[TauPoly, TauPoly, Jet2]:
         """(order-2 symbol, order-1 symbol, zeroth coefficient jet), at one
         time or on a time grid."""
-        zero = _zero_jet(t)
-        m = [zero] * 3
-        n = [zero] * 2
-        p = zero
-        for (j, alpha), fn in self.coeffs.items():
-            k = sum(alpha)
-            tot = j + k
-            if tot == 3:
-                continue
-            w = _xi_pow(xi, alpha)
-            if tot == 2:
-                if w != 0.0:
-                    m[j] = m[j] + fn.jet2(t, order=3).scaled(w)
-            elif tot == 1:
-                if w != 0.0:
-                    n[j] = n[j] + fn.jet2(t, order=2).scaled(w)
-            else:
-                p = p + fn.jet2(t, order=2)
-        return TauPoly(tuple(m)), TauPoly(tuple(n)), p
+        m0, m1, m2, n0, n1, p = self._sums("lower", t, xi)
+        return TauPoly((m0, m1, m2)), TauPoly((n0, n1)), p
 
 
 # --------------------------------------------------------------------------
@@ -295,42 +295,22 @@ def symbol_grid(op: Operator3, ts, xi: np.ndarray) -> Symbols:
 # Second-order operator model (for the dedicated second-order check)
 
 
-@dataclass(frozen=True)
-class Operator2:
+class Operator2(_Table):
     """Monic second-order operator, same coefficient-table layout with
     j <= 1 and j + |alpha| <= 2."""
 
-    name: str
-    dim: int
-    horizon: float
-    coeffs: Mapping[tuple[int, tuple[int, ...]], TimeFn]
+    _VIEWS = {"parts": ((1, 1), (0, 2), (1, 0), (0, 1), (0, 0))}
+    _JET_ORDER = (2, 2, 2)
 
     def __post_init__(self):
-        _check_spec(self, 2, 1)
-        for (j, alpha), fn in self.coeffs.items():
-            if fn.has_imag:
-                raise OperatorSpecError("second-order model coefficients must be real")
+        super().__post_init__()
+        if any(fn.has_imag for fn in self.coeffs.values()):
+            raise OperatorSpecError("second-order model coefficients must be real")
 
-    def symbol_parts(self, t: float, xi: np.ndarray):
+    def symbol_parts(self, t, xi: np.ndarray):
         """Jets of (a, b, c0, c, d): principal tau-coefficient a(t, xi),
         principal constant b(t, xi), and the lower-order groups."""
-        zero = Jet2(0.0, 0.0, 0.0, 0.0)
-        a = b = c0 = cc = d = zero
-        for (j, alpha), fn in self.coeffs.items():
-            k = sum(alpha)
-            w = _xi_pow(xi, alpha)
-            jet = fn.jet2(t, order=2)
-            if j == 1 and k == 1:
-                a = a + jet.scaled(w)
-            elif j == 0 and k == 2:
-                b = b + jet.scaled(w)
-            elif j == 1 and k == 0:
-                c0 = c0 + jet
-            elif j == 0 and k == 1:
-                cc = cc + jet.scaled(w)
-            else:
-                d = d + jet
-        return a, b, c0, cc, d
+        return tuple(self._sums("parts", t, xi))
 
 
 # --------------------------------------------------------------------------

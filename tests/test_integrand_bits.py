@@ -48,13 +48,13 @@ SECOND_ORDER_MEMBERS = ("oleinik2_ok", "wave2", "oleinik2_bad")
 
 #: two-dimensional operators of each order, with terms along both axes and
 #: mixed ones, so that along (1, 0) some weights xi^alpha are zero
-PLANE3 = Operator3("plane3", 2, 1.0, {(key[0], key[1]): parse_timefn(text) for key, text in {
+PLANE3 = Operator3("plane3", 2, 1.0, {key: parse_timefn(text) for key, text in {
     (1, (2, 0)): "-(2+sin(t))^2", (1, (0, 2)): "-1", (1, (1, 1)): "t", (0, (3, 0)): "0.1*t",
     (0, (1, 2)): "-t^2", (2, (1, 0)): "0.3*cos(t)", (2, (0, 1)): "0.5", (0, (2, 0)): "0.2*t",
     (0, (1, 1)): "-0.0", (2, (0, 0)): "t - 1", (1, (1, 0)): "0.1*t", (1, (0, 1)): "t^2",
     (0, (1, 0)): "0.4 + i*t", (0, (0, 1)): "-0.7*t", (1, (0, 0)): "exp(0 - t)",
     (0, (0, 0)): "0.05*sin(t)"}.items()})
-PLANE2 = Operator2("plane2", 2, 1.0, {(key[0], key[1]): parse_timefn(text) for key, text in {
+PLANE2 = Operator2("plane2", 2, 1.0, {key: parse_timefn(text) for key, text in {
     (1, (1, 0)): "-t", (1, (0, 1)): "0.5", (0, (2, 0)): "-(1+t)^2", (0, (1, 1)): "t",
     (0, (0, 2)): "-1", (1, (0, 0)): "cos(t)", (0, (1, 0)): "1", (0, (0, 1)): "-t^3",
     (0, (0, 0)): "-0.0"}.items()})
