@@ -23,6 +23,8 @@ import numpy as np
 from . import __version__
 from .battery import battery_member, battery_names
 from .conditions import (
+    check_condition_ladder,
+    check_ladder,
     condition_report,
     constant_coeff_check,
     default_ladder,
@@ -106,10 +108,8 @@ def _resolve_operators(args) -> list[tuple[Operator3 | Operator2, object]]:
         raise OperatorSpecError("exactly one of --config and --battery is required")
     if args.config:
         return [(load_operator(args.config), None)]
-    if args.battery == "all":
-        return [(m.op, m) for m in (battery_member(n) for n in battery_names())]
-    m = battery_member(args.battery)
-    return [(m.op, m)]
+    names = battery_names() if args.battery == "all" else [args.battery]
+    return [(m.op, m) for m in map(battery_member, names)]
 
 
 # --------------------------------------------------------------------------
@@ -167,8 +167,6 @@ def _conditions_doc_one(op, member, args) -> tuple[dict, list[str]]:
 def _write_condition_tables(op, args) -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if isinstance(op, Operator2):
-        return
     ladder = _ladder_from_args(args)
     direction = _direction_from_args(args, op.dim)
     nt = max(64, args.grid // 8)
@@ -186,6 +184,7 @@ def cmd_check(args, targets=None) -> int:
     """Condition reports for ``targets`` ((operator, member) pairs), or for
     the target the arguments name."""
     t0 = time.perf_counter()
+    check_condition_ladder(_ladder_from_args(args))
     if targets is None:
         targets = _resolve_operators(args)
     docs = {}
@@ -194,7 +193,7 @@ def cmd_check(args, targets=None) -> int:
         doc, mm = _conditions_doc_one(op, member, args)
         docs[op.name] = doc
         mismatches += mm
-        if args.format != "doc":
+        if args.format != "doc" and isinstance(op, Operator3):
             _write_condition_tables(op, args)
     _emit("hyp3.conditions/1", {"operators": docs, "pass": not mismatches}, args)
     print(f"check: {len(targets)} operator(s), {time.perf_counter() - t0:.1f}s", file=sys.stderr)
@@ -209,6 +208,7 @@ def cmd_modes(args, targets=None) -> int:
     """Growth experiments for ``targets`` ((operator, member) pairs), or for
     the third-order operators of the target the arguments name."""
     t0 = time.perf_counter()
+    check_ladder(_ladder_from_args(args), "growth experiment")
     if targets is None:
         targets = [(op, m) for op, m in _resolve_operators(args) if isinstance(op, Operator3)]
         if not targets:
@@ -303,6 +303,8 @@ def cmd_identities(args) -> int:
 
 
 def cmd_battery(args) -> int:
+    if args.full:  # the growth rule too, before the check pass
+        check_ladder(_ladder_from_args(args), "growth experiment")
     members = [battery_member(name) for name in battery_names()]
     rc = cmd_check(args, [(m.op, m) for m in members])
     if rc == EXIT_OK and args.full:

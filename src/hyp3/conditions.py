@@ -87,6 +87,35 @@ def default_ladder(lo: float = 2.0 ** 6, hi: float = 2.0 ** 14, steps: int = 9) 
     return [float(lo) * ratio ** k for k in range(steps)]
 
 
+#: the ladder rule of each pass that reads a trend off the ladder, as (fewest
+#: points, fewest doublings); the condition pass, either order, has log_fit's
+LADDER_RULES = {"log_fit": (5, 3), "growth experiment": (6, 5)}
+
+
+def check_ladder(xs: Sequence[float], what: str) -> None:
+    """Pass ``what``'s ladder rule: at least its fewest points, strictly
+    increasing, spanning at least its fewest doublings (a config error)."""
+    points, doublings = LADDER_RULES[what]
+    if len(xs) < points:
+        raise OperatorSpecError(f"{what} needs at least {points} ladder points")
+    if any(b <= a for a, b in zip(xs, xs[1:])):
+        raise OperatorSpecError(f"{what} needs a strictly increasing ladder")
+    if max(xs) / min(xs) < 2.0 ** doublings * (1.0 - 1e-9):
+        raise OperatorSpecError(f"{what} needs the ladder to span at least {doublings} doublings")
+
+
+def _check_cell_xi(mag: float) -> None:
+    if mag < 2.0:
+        raise OperatorSpecError("condition integrals need |xi| >= 2")
+
+
+def check_condition_ladder(ladder: Sequence[float]) -> None:
+    """The rules of the condition pass, of either order, checked before any
+    work: log_fit's, and |xi| >= 2 at every point, as each cell needs."""
+    check_ladder(ladder, "log_fit")
+    _check_cell_xi(min(ladder))
+
+
 # --------------------------------------------------------------------------
 # Per-cell integrand
 
@@ -187,8 +216,7 @@ def condition_integrals(op: Operator3, xi: np.ndarray) -> ConditionCell:
     integrands are bounded (if steep near degeneracy times). With constant
     coefficients they are constant in time: the first node's row serves all."""
     mag = float(np.linalg.norm(xi))
-    if mag < 2.0:
-        raise OperatorSpecError("condition integrals need |xi| >= 2")
+    _check_cell_xi(mag)
     res = adaptive_gauss(_first_row_if_constant(op, lambda t: _integrand_values(op, t, xi)),
                          0.0, op.horizon)
     vals = dict(zip(PRIMARY_KEYS, (float(x) for x in res.values[:len(PRIMARY_KEYS)])))
@@ -218,13 +246,7 @@ def log_fit(rows: Sequence[tuple[float, float]]) -> LogFit:
     witness trends, not asymptotics. A non-finite ratio is inconclusive too:
     the band tests above cannot see it.
     """
-    if len(rows) < 5:
-        raise OperatorSpecError("log_fit needs at least 5 ladder points")
-    xs = [x for x, _ in rows]
-    if any(b <= a for a, b in zip(xs, xs[1:])):
-        raise OperatorSpecError("log_fit needs a strictly increasing ladder")
-    if max(xs) / min(xs) < 8.0 * (1.0 - 1e-9):
-        raise OperatorSpecError("log_fit needs the ladder to span at least 3 doublings")
+    check_ladder([x for x, _ in rows], "log_fit")
     ratios = tuple(i / math.log1p(x) for x, i in rows)
     slope = float(np.max(ratios))  # NaN if any ratio is NaN
     if not all(math.isfinite(r) for r in ratios):
@@ -290,6 +312,7 @@ def _ladder_cells(op: Operator3, xis: list[np.ndarray]) -> list[ConditionCell]:
 def condition_report(op: Operator3, ladder: Sequence[float] | None = None,
                      direction: np.ndarray | None = None) -> ConditionReport:
     ladder = list(ladder) if ladder is not None else default_ladder()
+    check_condition_ladder(ladder)
     d = direction if direction is not None else np.eye(op.dim)[0]
     cells = _ladder_cells(op, [mag * d for mag in ladder])
     fits = {key: log_fit([(c.xi_mag, c.values[key]) for c in cells]) for key in PRIMARY_KEYS}
@@ -612,18 +635,15 @@ def second_order_check(op2: Operator2, xi: np.ndarray):
 def second_order_report(op2: Operator2, ladder: Sequence[float] | None = None,
                         direction: np.ndarray | None = None) -> dict:
     ladder = list(ladder) if ladder is not None else default_ladder()
+    check_condition_ladder(ladder)
     d = direction if direction is not None else np.eye(op2.dim)[0]
     ts = np.linspace(0.0, op2.horizon, VALIDATION_T_SAMPLES)
     for mag in ladder:  # the hyperbolicity scan, before any cell
         _second_order_parts(op2, ts, mag * d)
-    rows = [(mag,) + second_order_check(op2, mag * d) for mag in ladder]
-    fit_a = log_fit([(r[0], r[1]) for r in rows])
-    fit_b = log_fit([(r[0], r[2]) for r in rows])
-    return {
-        "rows": [{"xi": r[0], "disc_drift": r[1], "lower_weighted": r[2]} for r in rows],
-        "fits": {"disc_drift": fit_a, "lower_weighted": fit_b},
-        "verdicts": {"disc_drift": fit_a.verdict, "lower_weighted": fit_b.verdict},
-    }
+    keys = ("disc_drift", "lower_weighted")
+    rows = [{"xi": mag, **dict(zip(keys, second_order_check(op2, mag * d)))} for mag in ladder]
+    fits = {k: log_fit([(r["xi"], r[k]) for r in rows]) for k in keys}
+    return {"rows": rows, "fits": fits, "verdicts": {k: f.verdict for k, f in fits.items()}}
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import _primary_terms
+from .conditions import _primary_terms, check_ladder
 from .cubic import _SS2, _root_derivatives, _simple_root_gap
 from .cubic import solve_cubic_real  # noqa: F401  (a binding perfbench/tests checks)
 from .errors import ExprDomainError, OperatorSpecError, _check_points, _nonfinite, locate
@@ -573,11 +573,7 @@ def growth_experiment(op: Operator3, ladder, direction: np.ndarray | None = None
     substantial and growing over the last three doublings; otherwise the
     polynomial model (degree = slope of log amp against log |xi|) wins."""
     ladder = list(ladder)
-    if len(ladder) < 6 or max(ladder) / min(ladder) < 2 ** 5 * (1 - 1e-9):
-        raise OperatorSpecError("growth experiment needs at least 6 ladder points "
-                                "spanning >= 5 doublings")
-    if any(b <= a for a, b in zip(ladder, ladder[1:])):
-        raise OperatorSpecError("growth experiment needs a strictly increasing ladder")
+    check_ladder(ladder, "growth experiment")
     d = direction if direction is not None else np.eye(op.dim)[0]
     rows = []
     for mag in ladder:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -34,13 +34,6 @@ _NAN = float("nan")
 
 #: time samples of the validation grid on [0, horizon]
 VALIDATION_T_SAMPLES = 256
-
-
-def _zero_jet(t) -> Jet2:
-    """The zero jet at one time, or on the time grid ``t`` (zero arrays, so
-    that a sum of constant coefficients still has one entry per time)."""
-    z = np.zeros_like(t) if isinstance(t, np.ndarray) else 0.0
-    return Jet2(z, z, z, z)
 
 
 # --------------------------------------------------------------------------
@@ -138,16 +131,14 @@ class _Table:
     and every evaluation is pure, so (t, xi) grids may be processed concurrently.
 
     Every symbol is a view of one walk over the table (:meth:`_sums`). A
-    subclass names, in ``_VIEWS``, the slots (j, |alpha|) each view reads, and
-    in ``_JET_ORDER`` the jet order of a term by its total order j + |alpha|."""
+    subclass names the slots (j, |alpha|) each view reads (``_VIEWS``), the jet
+    order of a term by its total order j + |alpha| (``_JET_ORDER``), and the
+    least total order whose coefficients must be real (``_REAL_FROM``)."""
 
     name: str
     dim: int
     horizon: float
     coeffs: Mapping[tuple[int, tuple[int, ...]], TimeFn]
-
-    _VIEWS: ClassVar[dict[str, tuple[tuple[int, int], ...]]]
-    _JET_ORDER: ClassVar[tuple[int, ...]]
 
     def __post_init__(self):
         max_order = len(self._JET_ORDER) - 1
@@ -156,7 +147,7 @@ class _Table:
         if not 0 < self.horizon < math.inf:
             raise OperatorSpecError("time horizon must be finite and positive")
         # each view's terms in table order: (slot, coefficient, the nonzero
-        # (axis, power) pairs of alpha or None for xi^0, jet order)
+        # (axis, power) pairs of alpha, jet order)
         walks = {name: [] for name in self._VIEWS}
         for key, fn in self.coeffs.items():
             try:
@@ -171,11 +162,14 @@ class _Table:
                 raise OperatorSpecError(f"time order {j} out of range in {key!r}")
             if j + (k := sum(alpha)) > max_order:
                 raise OperatorSpecError(f"total order of {key!r} exceeds {max_order}")
-            powers = tuple((i, a) for i, a in enumerate(alpha) if a) or None
+            powers = tuple((i, a) for i, a in enumerate(alpha) if a)
             for name, slots in self._VIEWS.items():
                 if (j, k) in slots:
                     walks[name].append((slots.index((j, k)), fn, powers, self._JET_ORDER[j + k]))
         object.__setattr__(self, "_walks", {name: tuple(w) for name, w in walks.items()})
+        for (j, alpha), fn in self.coeffs.items():
+            if j + sum(alpha) >= self._REAL_FROM and fn.has_imag:
+                raise OperatorSpecError(self._NOT_REAL.format(j=j, alpha=alpha))
 
     def is_constant(self) -> bool:
         return all(fn.is_constant for fn in self.coeffs.values())
@@ -183,19 +177,19 @@ class _Table:
     def _sums(self, view: str, t, xi: np.ndarray) -> list[Jet2]:
         """For each slot (j, |alpha|) of ``view``, the jet of the sum of
         a_{j,alpha}(t) xi^alpha, at one time or on a time grid: each sum starts
-        from the zero jet of ``t`` and adds its terms in table order, leaving
-        out a term whose weight xi^alpha is zero."""
-        acc = [_zero_jet(t)] * len(self._VIEWS[view])
+        from the zero jet of ``t`` (zero arrays on a grid, so that a sum of
+        constant coefficients still has one entry per time) and adds its terms
+        in table order, leaving out a term whose weight xi^alpha is zero."""
+        z = np.zeros_like(t) if isinstance(t, np.ndarray) else 0.0
+        acc = [Jet2(z, z, z, z)] * len(self._VIEWS[view])
         xs = np.asarray(xi, dtype=float).tolist()
         for slot, fn, powers, order in self._walks[view]:
-            if powers is None:
-                acc[slot] = acc[slot] + fn.jet2(t, order)
-                continue
             w = 1.0
             for i, a in powers:
                 w *= xs[i] ** a
             if w != 0.0:
-                acc[slot] = acc[slot] + fn.jet2(t, order).scaled(w)
+                jet = fn.jet2(t, order)
+                acc[slot] = acc[slot] + (jet.scaled(w) if powers else jet)
         return acc
 
 
@@ -207,13 +201,8 @@ class Operator3(_Table):
               "lower": ((0, 2), (1, 1), (2, 0), (0, 1), (1, 0), (0, 0))}
     # the order-2 and principal jets carry d3: the corrections shift them
     _JET_ORDER = (2, 2, 3, 3)
-
-    def __post_init__(self):
-        super().__post_init__()
-        for (j, alpha), fn in self.coeffs.items():
-            if j + sum(alpha) == 3 and fn.has_imag:
-                raise OperatorSpecError(
-                    f"principal-part coefficient a[{j},{alpha}] must be real-valued")
+    _REAL_FROM = 3
+    _NOT_REAL = "principal-part coefficient a[{j},{alpha}] must be real-valued"
 
     def principal(self, t, xi: np.ndarray) -> CubicJet:
         """Coefficient jets (a1, a2, a3) of the monic principal cubic, at one
@@ -301,11 +290,8 @@ class Operator2(_Table):
 
     _VIEWS = {"parts": ((1, 1), (0, 2), (1, 0), (0, 1), (0, 0))}
     _JET_ORDER = (2, 2, 2)
-
-    def __post_init__(self):
-        super().__post_init__()
-        if any(fn.has_imag for fn in self.coeffs.values()):
-            raise OperatorSpecError("second-order model coefficients must be real")
+    _REAL_FROM = 0
+    _NOT_REAL = "second-order model coefficients must be real"
 
     def symbol_parts(self, t, xi: np.ndarray):
         """Jets of (a, b, c0, c, d): principal tau-coefficient a(t, xi),

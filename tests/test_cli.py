@@ -390,6 +390,12 @@ def test_usage_errors_exit_2_with_one_line(capsys, argv):
     ["check", "--battery", "all", "--xi-min", "64", "--xi-max", "64"],
     ["modes", "--battery", "strict_sin", "--xi-min", "1024", "--xi-max", "32",
      "--xi-steps", "6"],
+    # a ladder that breaks the rule of a pass the command runs
+    ["check", "--battery", "strict_sin", "--xi-min", "64", "--xi-max", "256"],  # 2 doublings
+    ["check", "--battery", "strict_sin", "--xi-steps", "4"],                      # 4 points
+    ["check", "--battery", "strict_sin", "--xi-min", "1", "--xi-max", "1024"],  # |xi| < 2
+    ["battery", "--full", "--xi-steps", "5"],                # the growth rule, before the check
+    ["check", "--battery", "wave2", "--xi-min", "0.5", "--xi-max", "512"],  # second order, too
 ])
 def test_descending_ladder_is_rejected_before_any_work(monkeypatch, capsys, argv):
     def never(*args, **kwargs):
