@@ -108,8 +108,10 @@ def _resolve_operators(args) -> list[tuple[Operator3 | Operator2, object]]:
         raise OperatorSpecError("exactly one of --config and --battery is required")
     if args.config:
         return [(load_operator(args.config), None)]
-    names = battery_names() if args.battery == "all" else [args.battery]
-    return [(m.op, m) for m in map(battery_member, names)]
+    if args.battery == "all":
+        return [(m.op, m) for m in (battery_member(n) for n in battery_names())]
+    m = battery_member(args.battery)
+    return [(m.op, m)]
 
 
 # --------------------------------------------------------------------------
