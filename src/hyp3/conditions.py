@@ -181,18 +181,18 @@ def _integrand_values(op: Operator3, t: float, xi: np.ndarray) -> np.ndarray:
     return np.array(out + sqrt_n)
 
 
-def _first_row_if_constant(op, integrand):
-    """``integrand``, or, with every coefficient of ``op`` t-free, its first node's
-    row served to every node; still one call per node, so node counts hold."""
-    if not op.is_constant():
-        return integrand
+def _cell_integrals(op: Operator3 | Operator2, xi: np.ndarray, integrand):
+    """``integrand`` integrated over [0, horizon] at ``xi``, which must have
+    |xi| >= 2. With every coefficient of ``op`` t-free, the first node's row
+    serves every node; still one call per node, so node counts hold."""
+    _check_cell_xi(float(np.linalg.norm(xi)))
     rows = []
 
     def first_row(t: float) -> np.ndarray:
         if not rows:
             rows.append(integrand(t))
         return rows[0]
-    return first_row
+    return adaptive_gauss(first_row if op.is_constant() else integrand, 0.0, op.horizon)
 
 
 @dataclass(frozen=True)
@@ -213,12 +213,9 @@ def condition_integrals(op: Operator3, xi: np.ndarray) -> ConditionCell:
 
     All integrands share one symbol evaluation per quadrature node; the
     auxiliary-root denominators are bounded below uniformly, so the
-    integrands are bounded (if steep near degeneracy times). With constant
-    coefficients they are constant in time: the first node's row serves all."""
+    integrands are bounded (if steep near degeneracy times)."""
+    res = _cell_integrals(op, xi, lambda t: _integrand_values(op, t, xi))
     mag = float(np.linalg.norm(xi))
-    _check_cell_xi(mag)
-    res = adaptive_gauss(_first_row_if_constant(op, lambda t: _integrand_values(op, t, xi)),
-                         0.0, op.horizon)
     vals = dict(zip(PRIMARY_KEYS, (float(x) for x in res.values[:len(PRIMARY_KEYS)])))
     alts = dict(zip(ALTERNATE_KEYS, (float(x) for x in res.values[len(PRIMARY_KEYS):])))
     return ConditionCell(mag, tuple(float(x) for x in np.atleast_1d(xi) / mag),
@@ -628,7 +625,7 @@ def second_order_check(op2: Operator2, xi: np.ndarray):
         ib = abs(num) / math.sqrt(disc + 1.0)
         return np.array([ia, ib])
 
-    res = adaptive_gauss(_first_row_if_constant(op2, integrand), 0.0, op2.horizon)
+    res = _cell_integrals(op2, xi, integrand)
     return float(res.values[0]), float(res.values[1])
 
 

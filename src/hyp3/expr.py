@@ -238,7 +238,11 @@ class _Parser:
             if any(ch in tok[1] for ch in ".eE"):
                 raise ExprSyntaxError(tok[2], ("integer exponent",),
                                       f"exponent must be an integer, got {tok[1]!r} at offset {tok[2]}")
-            node = Pow(node, sign * int(tok[1]))
+            try:
+                node = Pow(node, sign * int(tok[1]))
+            except ValueError:  # more digits than Python converts to an int
+                raise ExprSyntaxError(tok[2], ("integer exponent",),
+                                      f"exponent too long at offset {tok[2]}") from None
         return node
 
 

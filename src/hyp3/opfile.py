@@ -44,7 +44,10 @@ def parse_operator_text(text: str, origin: str = "<string>") -> Operator3 | Oper
             value = value[1:-1].strip()
         m = _COEFF_RE.match(key)
         if m:
-            j = int(m.group(1))
+            try:
+                j = int(m.group(1))
+            except ValueError:  # more digits than Python converts to an int
+                raise OperatorSpecError(f"{origin}:{lineno}: time index too long") from None
             alpha_text = m.group(2).strip()
             try:
                 alpha = tuple(int(s) for s in alpha_text.split(",")) if alpha_text else ()

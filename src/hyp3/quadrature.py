@@ -47,27 +47,9 @@ class QuadResult:
 def _panel(f: Callable[[float], np.ndarray], lo: float, hi: float) -> np.ndarray:
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    acc = None
-    for x, w in zip(_GL_NODES, _GL_WEIGHTS):
-        v = np.asarray(f(mid + half * x), dtype=float) * (w * half)
-        acc = v if acc is None else acc + v
-    return acc
-
-
-class _Interval:
-    __slots__ = ("lo", "hi", "fine_l", "fine_r", "err")
-
-    def __init__(self, lo: float, hi: float, fine_l: np.ndarray, fine_r: np.ndarray,
-                 err: np.ndarray):
-        self.lo = lo
-        self.hi = hi
-        self.fine_l = fine_l
-        self.fine_r = fine_r
-        self.err = err
-
-    @property
-    def fine(self) -> np.ndarray:
-        return self.fine_l + self.fine_r
+    rows = np.array([f(t) for t in mid + half * _GL_NODES], dtype=float)  # one call a node
+    weighted = (rows.T * (_GL_WEIGHTS * half)).T  # a scalar f's 16 rows stay a vector
+    return np.cumsum(weighted, axis=0)[-1]  # node order at any width; np.sum pairs 1-wide rows
 
 
 def adaptive_gauss(f: Callable[[float], np.ndarray], a: float, b: float) -> QuadResult:
@@ -81,50 +63,41 @@ def adaptive_gauss(f: Callable[[float], np.ndarray], a: float, b: float) -> Quad
     """
     panels = INITIAL_PANELS
 
-    def interval(lo: float, hi: float, coarse: np.ndarray | None = None) -> _Interval:
-        """Both halves of [lo, hi] and their error indicator against the
-        whole; non-finite values end the run before the indicator is formed."""
-        if coarse is None:
-            coarse = _panel(f, lo, hi)
+    def interval(lo: float, hi: float, coarse: np.ndarray) -> tuple:
+        """(lo, hi, fine_l, fine_r, err): both halves of [lo, hi] and their error indicator
+        against the whole; non-finite values end the run before it is formed."""
         mid = 0.5 * (lo + hi)
         fine_l = _panel(f, lo, mid)
         fine_r = _panel(f, mid, hi)
         if not np.isfinite([coarse, fine_l, fine_r]).all():
             raise QuadratureError(f"non-finite integrand value on [{lo:.6g}, {hi:.6g}]", panels)
-        return _Interval(lo, hi, fine_l, fine_r, np.abs(fine_l + fine_r - coarse))
+        return lo, hi, fine_l, fine_r, np.abs(fine_l + fine_r - coarse)
 
     width = (b - a) / INITIAL_PANELS
-    intervals = [interval(a + k * width, a + (k + 1) * width) for k in range(INITIAL_PANELS)]
+    edges = [a + k * width for k in range(INITIAL_PANELS + 1)]
+    intervals = [interval(lo, hi, _panel(f, lo, hi)) for lo, hi in zip(edges, edges[1:])]
+    total = np.sum([fine_l + fine_r for _, _, fine_l, fine_r, _ in intervals], axis=0)
+    err_sum = np.sum([err for *_, err in intervals], axis=0)
+
+    def relative(err: np.ndarray) -> float:
+        return float(np.max(err / np.maximum(np.abs(total), 1e-12)))
 
     counter = itertools.count()  # tie-breaker: the heap never compares intervals
-
-    total = np.sum([iv.fine for iv in intervals], axis=0)
-    err_sum = np.sum([iv.err for iv in intervals], axis=0)
-
-    def indicator(iv):
-        scale = np.maximum(np.abs(total), 1e-12)
-        return float(np.max(iv.err / scale))
-
-    heap = [(-indicator(iv), next(counter), iv) for iv in intervals]
+    heap = [(-relative(iv[4]), next(counter), iv) for iv in intervals]
     heapq.heapify(heap)
-
-    def achieved():
-        scale = np.maximum(np.abs(total), 1e-12)
-        return float(np.max(err_sum / scale))
-
-    rel = achieved()
+    rel = relative(err_sum)
     while not rel < REL_TOL:
         if panels + 1 > MAX_PANELS or not math.isfinite(rel):
             raise QuadratureError(f"quadrature stalled at relative change {rel:.3g} "
                                   f"(requested {REL_TOL:.3g})", panels)
-        _, _, worst = heapq.heappop(heap)
-        mid = 0.5 * (worst.lo + worst.hi)
-        kids = (interval(worst.lo, mid, worst.fine_l), interval(mid, worst.hi, worst.fine_r))
-        total = total - worst.fine + kids[0].fine + kids[1].fine
-        err_sum = err_sum - worst.err + kids[0].err + kids[1].err
+        _, _, (lo, hi, fine_l, fine_r, err) = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        kids = (interval(lo, mid, fine_l), interval(mid, hi, fine_r))
+        total = total - (fine_l + fine_r) + (kids[0][2] + kids[0][3]) + (kids[1][2] + kids[1][3])
+        err_sum = err_sum - err + kids[0][4] + kids[1][4]
         for kid in kids:
-            heapq.heappush(heap, (-indicator(kid), next(counter), kid))
+            heapq.heappush(heap, (-relative(kid[4]), next(counter), kid))
         panels += 1
-        rel = achieved()
+        rel = relative(err_sum)
 
     return QuadResult(total, rel, panels)

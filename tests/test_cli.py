@@ -216,6 +216,18 @@ def test_check_stops_at_a_grid_error_before_the_condition_cells(tmp_path, capsys
         "hyp3: config error: log of non-positive value 0.0, at t=0, xi=[64.]\n")
 
 
+@pytest.mark.parametrize("line,message", [
+    ("a[0,(0)] = t^" + "9" * 5000, "exponent too long at offset 2"),
+    ("a[" + "9" * 5000 + ",(2)] = t", "time index too long"),
+], ids=["exponent", "time_index"])
+def test_check_rejects_an_integer_of_more_digits_than_python_converts(tmp_path, capsys,
+                                                                       line, message):
+    p = tmp_path / "long.op"
+    p.write_text(f"order = 3\ndimension = 1\nT = 1.0\na[1,(2)] = -1\n{line}\n")
+    assert main(["check", "--config", str(p)]) == 2
+    assert capsys.readouterr() == ("", f"hyp3: config error: {p}:5: {message}\n")
+
+
 def _check_in_subprocess(path, timeout):
     """``hyp3 check`` on an operator file in a fresh interpreter, so that a
     hang fails the test on its timeout."""

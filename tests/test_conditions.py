@@ -132,6 +132,14 @@ def test_condition_integrals_requires_moderate_frequency():
         condition_integrals(STRICT, np.array([1.0]))
 
 
+@pytest.mark.parametrize("name,xi", [("strict_sin", 0.5), ("wave2", 0.5), ("oleinik2_ok", 1.0)])
+def test_a_cell_of_either_order_needs_xi_of_at_least_2(name, xi):
+    op = battery_member(name).op
+    cell = second_order_check if isinstance(op, Operator2) else condition_integrals
+    with pytest.raises(OperatorSpecError, match=r"^condition integrals need \|xi\| >= 2$"):
+        cell(op, np.array([xi]))
+
+
 def test_quadrature_refinement_stability(monkeypatch):
     # tightening the tolerance tenfold moves every integral by < 1e-6 rel
     from hyp3 import quadrature

@@ -47,6 +47,12 @@ def test_syntax_error_offset_and_expected():
     assert "number" in exc.value.expected and "t" in exc.value.expected
 
 
+def test_an_exponent_of_more_digits_than_python_converts_is_a_syntax_error():
+    with pytest.raises(ExprSyntaxError, match=r"^exponent too long at offset 2$") as exc:
+        parse_timefn("t^" + "9" * 5000)
+    assert exc.value.offset == 2
+
+
 def test_unknown_identifier():
     with pytest.raises(UnknownIdentifierError) as exc:
         parse_timefn("2*foo + 1")

@@ -1,6 +1,6 @@
 """Bit-for-bit pins of the symbol views, the condition integrand, the
-second-order integrals and whole condition cells, each value recorded with
-``float.hex``.
+second-order integrals, the quadrature panel and whole condition cells, each
+value recorded with ``float.hex``.
 
 The scalar integrand path may be made cheaper, but only by doing the same
 floating-point operations in the same order: any regrouped rounding moves at
@@ -12,6 +12,7 @@ to move values, and record the move where the change is described::
 (``tests/test_jet_bits.py``, run the same way, rewrites this data and its own.)
 """
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -24,6 +25,7 @@ from hyp3.battery import battery_member, battery_names
 from hyp3.conditions import _integrand_values, condition_integrals, second_order_check
 from hyp3.expr import parse_timefn
 from hyp3.operators import Operator2, Operator3
+from hyp3.quadrature import _GL_NODES, _GL_WEIGHTS, _panel
 
 DATA = Path(__file__).with_name("data") / "integrand_bits.json"
 
@@ -162,6 +164,58 @@ def test_constant_second_order_cells_keep_their_panels_and_calls(monkeypatch, na
 @pytest.mark.parametrize("xi", XIS)
 def test_condition_cells_keep_their_panels_and_bits(recorded, name, xi):
     assert _cell(name, xi) == recorded["cells"][f"{name} xi={xi!r}"]
+
+
+def _panel_per_node(f, lo, hi):
+    """The reference panel: one call of ``f`` per node, each row weighted
+    and added to the sum as it comes."""
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    acc = None
+    for x, w in zip(_GL_NODES, _GL_WEIGHTS):
+        v = np.asarray(f(mid + half * x), dtype=float) * (w * half)
+        acc = v if acc is None else acc + v
+    return acc
+
+
+def _served(rows, times):
+    """An integrand that records each time it is called at and serves the next row."""
+    def f(t):
+        times.append(t)
+        return rows[len(times) - 1]
+    return f
+
+
+@pytest.mark.parametrize("width", (None, 1, 2, 34), ids=("scalar", "1", "2", "34"))
+def test_panel_sums_its_weighted_rows_in_node_order(width):
+    """Bit for bit the reference panel, at the same node times in the same
+    order, for rows whose magnitudes span 80 decades: any other summation
+    order (numpy's pairwise sum of 1-wide rows, say) rounds differently."""
+    rng = np.random.default_rng(20)
+    shape = (16,) if width is None else (16, width)
+    for _ in range(200):
+        rows = rng.standard_normal(shape) * 10.0 ** rng.uniform(-40.0, 40.0, shape)
+        lo, hi = np.sort(rng.uniform(-3.0, 3.0, 2))
+        times, want_times = [], []
+        got = _panel(_served(rows, times), lo, hi)
+        want = _panel_per_node(_served(rows, want_times), lo, hi)
+        assert times == want_times
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+#: the node times of a refining cell, sin_gap at |xi| = 1024 (47 panels), in
+#: call order: their count and the sha256 of their space-joined ``float.hex``
+SIN_GAP_NODES = (2880, "d0877f9639c409f4d8c1ac7a5bc20f847d704d9b727405fce190d7b867457269")
+
+
+def test_a_refining_cell_asks_for_the_same_times_in_the_same_order(monkeypatch):
+    times, adaptive_gauss = [], conditions.adaptive_gauss
+    monkeypatch.setattr(conditions, "adaptive_gauss", lambda f, a, b: adaptive_gauss(
+        lambda t: times.append(t) or f(t), a, b))
+    condition_integrals(battery_member("sin_gap").op, np.array([1024.0]))
+    digest = hashlib.sha256(" ".join(float(t).hex() for t in times).encode()).hexdigest()
+    assert (len(times), digest) == SIN_GAP_NODES
 
 
 def main():
