@@ -279,29 +279,36 @@ def _band(ratio_rows: list[float]) -> dict:
     return {"lo": lo, "hi": hi, "stable": stable, "ratios": ratio_rows}
 
 
-def _exit_with_parent() -> None:
+_worker_op = None  # a pool worker's operator, unpickled once for its ladder
+
+
+def _start_worker(payload: bytes) -> None:
     """Pool initializer: exit once the parent is gone (killed, say), rather
-    than wait for a next cell for ever (EOF on the parent's sentinel pipe)."""
+    than wait for a next cell for ever (EOF on the parent's sentinel pipe);
+    then unpickle the operator, so that this worker's cells share its kept jets."""
+    global _worker_op
     fd = multiprocessing.parent_process().sentinel
     threading.Thread(target=lambda: (os.read(fd, 1), os._exit(1)), daemon=True).start()
+    _worker_op = pickle.loads(payload)
 
 
-def _cell(payload: bytes, xi: np.ndarray) -> ConditionCell:
-    return condition_integrals(pickle.loads(payload), xi)
+def _cell(xi: np.ndarray) -> ConditionCell:
+    return condition_integrals(_worker_op, xi)
 
 
 def _ladder_cells(op: Operator3, xis: list[np.ndarray]) -> list[ConditionCell]:
     """The cells at ``xis`` in order, a time-dependent operator's integrated in
     forked workers (one per usable CPU); the first failing cell's error is raised."""
+    op = op._keeping_jets()  # in process or in each worker, the cells share their jets
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(len(xis), cpus or 1)
     if op.is_constant() or workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
         return [condition_integrals(op, xi) for xi in xis]
     payload = pickle.dumps(op)  # here: a pool waits for ever on a call it fails to pickle
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_exit_with_parent)
+                               initializer=_start_worker, initargs=(payload,))
     try:
-        return [f.result() for f in [pool.submit(_cell, payload, xi) for xi in xis]]
+        return [f.result() for f in [pool.submit(_cell, xi) for xi in xis]]
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -403,6 +410,14 @@ def _double_root(tau):
     return np.where(first, tau[0], tau[1]), np.where(first, tau[2], tau[0])
 
 
+def _relative(x, scale, power: int):
+    """|x| / scale^power, pointwise, in two steps where scale^power alone
+    leaves the double range (a finite coefficient past 1e77 can do that)."""
+    with np.errstate(over="ignore"):
+        whole, half = scale ** power, scale ** (power // 2)
+    return np.where(np.isinf(whole), abs(x) / half / half, abs(x) / whole)
+
+
 def _sup_branches(case: str, g: Symbols, one_dim: bool):
     """Yield (name, branches) for each grid-supremum check that applies to
     degeneracy case I or II on the symbol grid ``g``; a branch is a tuple
@@ -457,8 +472,8 @@ def pointwise_levi(op: Operator3, ladder: Sequence[float] | None = None,
 
     # -- case classification: grid max of the two discriminants, relative to
     # their natural polynomial scales
-    disc_rel = max(float(np.max(abs(discriminant(g.c)) / g.c.coeff_scale() ** 4)) for g in base)
-    d1_rel = max(float(np.max(abs(delta1(g.c)) / g.c.coeff_scale() ** 2)) for g in base)
+    disc_rel = max(float(np.max(_relative(discriminant(g.c), g.c.coeff_scale(), 4))) for g in base)
+    d1_rel = max(float(np.max(_relative(delta1(g.c), g.c.coeff_scale(), 2))) for g in base)
     dead_lo, dead_hi = 1e-10, 1e-7
     ambiguous = dead_lo <= disc_rel < dead_hi or dead_lo <= d1_rel < dead_hi
     disc_zero = disc_rel < dead_hi
@@ -525,13 +540,15 @@ def pointwise_levi(op: Operator3, ladder: Sequence[float] | None = None,
 def _roots_full_cubic(c2: complex, c1: complex, c0: complex) -> np.ndarray:
     """Roots of r^3 + c2 r^2 + c1 r + c0; exact-real fast path when the
     cubic is real and (weakly) hyperbolic so bounded cases report an exact
-    zero imaginary part."""
+    zero imaginary part. A discriminant that overflows is raised, not taken
+    for complex roots."""
     if c2.imag == 0.0 and c1.imag == 0.0 and c0.imag == 0.0:
         try:
             r = solve_cubic_real(cubic_from_floats(c2.real, c1.real, c0.real))
             return np.array(r.r, dtype=complex)
-        except HyperbolicityViolation:
-            pass
+        except HyperbolicityViolation as exc:
+            if not math.isfinite(exc.discriminant):
+                raise
     return np.roots([1.0, c2, c1, c0])
 
 
@@ -560,7 +577,11 @@ def constant_coeff_check(op: Operator3, ladder: Sequence[float] | None = None,
                   for sa, sb in ((s1, s2), (s2, s1))]
         full = (c.a1.v + m.coeffs[2].v, c.a2.v + m.coeffs[1].v + n.coeffs[1].v,
                 c.a3.v + m.coeffs[0].v + n.coeffs[0].v + g.p.v)
-        roots = _roots_full_cubic(*(complex(x[0]) for x in full))
+        try:
+            roots = _roots_full_cubic(*(complex(x[0]) for x in full))
+        except HyperbolicityViolation as exc:
+            locate(exc, t0, mag * d, None)
+            raise
         rows.append({
             "xi": mag,
             "ell_max": float(np.max(ell)),
@@ -598,15 +619,20 @@ def constant_coeff_check(op: Operator3, ladder: Sequence[float] | None = None,
 def _second_order_parts(op2: Operator2, t, xi: np.ndarray):
     """``op2.symbol_parts`` and the principal discriminant a^2 - 4b, at one
     time or on a time grid. A time where the discriminant falls below
-    ``-HYPERBOLICITY_TOL * (1 + a^2 + 4|b|)`` raises its own located error: the
-    band scales with the squared roots, as the discriminant does, so no |xi| is
-    large enough to pass a non-hyperbolic symbol."""
+    ``-HYPERBOLICITY_TOL * (1 + a^2 + 4|b|)``, or past the double range, raises its
+    own located error: the band scales with the squared roots, as the discriminant
+    does, so no |xi| is large enough to pass a non-hyperbolic symbol."""
     parts = op2.symbol_parts(t, xi)
     a, b = parts[0].v.real, parts[1].v.real
-    disc = a ** 2 - 4.0 * b
     try:
-        _check_points(disc < -HYPERBOLICITY_TOL * (1.0 + a * a + 4.0 * abs(b)),
-                      HyperbolicityViolation, disc)
+        disc = a ** 2 - 4.0 * b
+    except OverflowError:  # at a point: on a grid, a^2 is inf there
+        disc = math.nan
+    band = -HYPERBOLICITY_TOL * (1.0 + a * a + 4.0 * abs(b))
+    grid = isinstance(disc, np.ndarray)
+    ok = np.isfinite(disc) & (disc >= band) if grid else math.isfinite(disc) and disc >= band
+    try:
+        _check_points(~ok if grid else not ok, HyperbolicityViolation, disc)
     except HyperbolicityViolation as exc:
         locate(exc, t, xi, lambda tk: _second_order_parts(op2, tk, xi))
         raise
@@ -635,10 +661,12 @@ def second_order_report(op2: Operator2, ladder: Sequence[float] | None = None,
     check_condition_ladder(ladder)
     d = direction if direction is not None else np.eye(op2.dim)[0]
     ts = np.linspace(0.0, op2.horizon, VALIDATION_T_SAMPLES)
-    for mag in ladder:  # the hyperbolicity scan, before any cell
-        _second_order_parts(op2, ts, mag * d)
+    with np.errstate(over="ignore", invalid="ignore"):  # _second_order_parts names an overflow
+        for mag in ladder:  # the hyperbolicity scan, before any cell
+            _second_order_parts(op2, ts, mag * d)
     keys = ("disc_drift", "lower_weighted")
-    rows = [{"xi": mag, **dict(zip(keys, second_order_check(op2, mag * d)))} for mag in ladder]
+    kept = op2._keeping_jets()  # the cells share their jets
+    rows = [{"xi": mag, **dict(zip(keys, second_order_check(kept, mag * d)))} for mag in ladder]
     fits = {k: log_fit([(r["xi"], r[k]) for r in rows]) for k in keys}
     return {"rows": rows, "fits": fits, "verdicts": {k: f.verdict for k, f in fits.items()}}
 

@@ -81,17 +81,22 @@ class SortedRoots:
 
 
 def discriminant(c: CubicJet) -> float:
-    """Product of squared pairwise root differences, from the coefficients."""
+    """Product of squared pairwise root differences, from the coefficients;
+    NaN at a point where a power leaves the double range, as on a grid it is
+    not finite there."""
     a1 = c.a1.v.real
     a2 = c.a2.v.real
     a3 = c.a3.v.real
-    return (
-        a1 * a1 * a2 * a2
-        - 4.0 * a2 ** 3
-        - 4.0 * a1 ** 3 * a3
-        + 18.0 * a1 * a2 * a3
-        - 27.0 * a3 * a3
-    )
+    try:
+        return (
+            a1 * a1 * a2 * a2
+            - 4.0 * a2 ** 3
+            - 4.0 * a1 ** 3 * a3
+            + 18.0 * a1 * a2 * a3
+            - 27.0 * a3 * a3
+        )
+    except OverflowError:
+        return math.nan
 
 
 def discriminant_dt(c: CubicJet) -> float:
@@ -118,14 +123,22 @@ def delta1_dt(c: CubicJet) -> float:
 def _check_band(c: CubicJet, disc, degree: int, *where) -> None:
     """Raise :class:`HyperbolicityViolation` where ``disc`` (degree ``degree`` in the roots)
     is below ``-HYPERBOLICITY_TOL * root_scale**degree``, root_scale = 1 + max(|a1|, |a2|^(1/2),
-    |a3|^(1/3)): the size of the roots, so the band scales with |xi| as ``disc`` does."""
+    |a3|^(1/3)): the size of the roots, so the band scales with |xi| as ``disc`` does. Also
+    where ``disc`` is not finite: a coefficient, or a power of one, left the double range, so
+    no test can be made. A band past that range is inf, at a point as on a grid."""
     grid = isinstance(disc, np.ndarray)
-    if not ((disc < 0.0).any() if grid else disc < 0.0):
+    if ((0.0 <= disc) & (disc < math.inf)).all() if grid else 0.0 <= disc < math.inf:
         return
     big, sqrt = (np.maximum, np.sqrt) if grid else (max, math.sqrt)  # a grid rounds like its points
     scale = 1.0 + big(big(abs(c.a1.v.real), sqrt(abs(c.a2.v.real))),
                       _libm(lambda x: x ** (1.0 / 3.0), abs(c.a3.v.real)))
-    _check_points(disc < -HYPERBOLICITY_TOL * scale ** degree, HyperbolicityViolation, disc, *where)
+    with np.errstate(over="ignore"):
+        try:
+            band = HYPERBOLICITY_TOL * scale ** degree
+        except OverflowError:
+            band = math.inf
+    ok = np.isfinite(disc) & (disc >= -band) if grid else math.isfinite(disc) and disc >= -band
+    _check_points(~ok if grid else not ok, HyperbolicityViolation, disc, *where)
 
 
 def _signed_cbrt(q: float) -> float:
@@ -186,7 +199,8 @@ def _solve_cubic_grid(c: CubicJet) -> SortedRoots:
     """:func:`solve_cubic_real` at every grid point, step for step."""
     a1, a2, a3 = c.a1.v.real, c.a2.v.real, c.a3.v.real
     scale = c.coeff_scale()
-    _check_band(c, discriminant(c), 6)
+    with np.errstate(over="ignore", invalid="ignore"):  # _check_band names an overflow
+        _check_band(c, discriminant(c), 6)
 
     shift = a1 / 3.0
     p = a2 - a1 * a1 / 3.0

@@ -7,6 +7,17 @@ import cmath
 import numpy as np
 
 
+#: the most characters of input text that an error message echoes
+_ECHO_CHARS = 60
+
+
+def _clip(text) -> str:
+    """``text``, input echoed in an error message, cut to ``_ECHO_CHARS``
+    characters with its length named, so that any input gives a short line."""
+    text = str(text)
+    return text if len(text) <= _ECHO_CHARS else f"{text[:_ECHO_CHARS]}... ({len(text)} characters)"
+
+
 class _Pickled(Exception):
     """Pickles as its ``args`` and attributes, not through ``__init__``, so
     that an error raised in a worker process reaches the parent unchanged."""
@@ -72,7 +83,7 @@ class UnknownIdentifierError(ExprError):
     def __init__(self, name: str, offset: int):
         self.name = name
         self.offset = offset
-        super().__init__(f"unknown identifier {name!r} at offset {offset}")
+        super().__init__(f"unknown identifier {_clip(repr(name))} at offset {offset}")
 
 
 class ExprDomainError(ExprError):
@@ -81,11 +92,13 @@ class ExprDomainError(ExprError):
 
 
 class HyperbolicityViolation(_Pickled):
-    """The principal symbol has non-real roots beyond the tolerance band."""
+    """The principal symbol has non-real roots beyond the tolerance band, or
+    a discriminant past the double range, which no band can judge."""
 
     def __init__(self, discriminant: float, where: str = ""):
         self.discriminant = discriminant
-        msg = f"discriminant {discriminant:.6g} below the hyperbolicity tolerance"
+        msg = (f"discriminant {discriminant:.6g} below the hyperbolicity tolerance"
+               if cmath.isfinite(discriminant) else "discriminant overflows the double range")
         if where:
             msg += f" at {where}"
         super().__init__(msg)

@@ -31,7 +31,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import (ExprDomainError, ExprError, ExprSyntaxError, UnknownIdentifierError,
+from .errors import (ExprDomainError, ExprError, ExprSyntaxError, UnknownIdentifierError, _clip,
                      _check_points, _nonfinite)
 
 __all__ = ["Jet2", "TimeFn", "parse_timefn"]
@@ -236,8 +236,8 @@ class _Parser:
                 sign = -1 if self.advance()[0] == "-" else 1
             tok = self.expect("num", ("integer exponent",))
             if any(ch in tok[1] for ch in ".eE"):
-                raise ExprSyntaxError(tok[2], ("integer exponent",),
-                                      f"exponent must be an integer, got {tok[1]!r} at offset {tok[2]}")
+                raise ExprSyntaxError(tok[2], ("integer exponent",), "exponent must be an "
+                                      f"integer, got {_clip(repr(tok[1]))} at offset {tok[2]}")
             try:
                 node = Pow(node, sign * int(tok[1]))
             except ValueError:  # more digits than Python converts to an int
@@ -353,7 +353,7 @@ def _spow(a, n: int):
         base = _smul(base, base) if k > 1 else base
         k >>= 1
     # a power whose value or derivative terms overflow leaves the domain
-    _check_points(_nonfinite(out), lambda v: ExprDomainError(f"{v!r}^{n} overflows"), a[0])
+    _check_points(_nonfinite(out), lambda v: ExprDomainError(f"{v!r}^{_clip(n)} overflows"), a[0])
     return out
 
 
@@ -489,7 +489,7 @@ def _compile(node: Node):
             try:
                 return a ** n
             except OverflowError:
-                raise ExprDomainError(f"{a!r}^{n} overflows") from None
+                raise ExprDomainError(f"{a!r}^{_clip(n)} overflows") from None
         return power
     f, func = _compile(node.arg), node.func
     if func in ("exp", "log"):
@@ -571,7 +571,7 @@ class TimeFn:
         c = _series(self.ast, t, max(order, 2))
         # the value, once per jet: a product or a sum has no test of its own
         if isinstance(c[0], np.ndarray) or not cmath.isfinite(c[0]):
-            _check_points(_nonfinite(c[:1]), lambda: ExprDomainError(f"{self} overflows"))
+            _check_points(_nonfinite(c[:1]), lambda: ExprDomainError(f"{_clip(self)} overflows"))
         jet = Jet2(c[0], c[1], 2.0 * c[2], 6.0 * c[3] if len(c) > 3 else None)
         if self.is_constant:
             self._jets[order] = jet

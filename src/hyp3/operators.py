@@ -10,6 +10,7 @@ principal cubic real as its root structure requires.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -18,7 +19,7 @@ import numpy as np
 
 from .cubic import CubicJet, derivative_quadratic, quad_root_jets, root_jets, solve_cubic_real
 from .errors import (ExprDomainError, HyperbolicityViolation, NearMultipleRoot,
-                     OperatorSpecError, locate)
+                     OperatorSpecError, _clip, locate)
 from .expr import Jet2, TimeFn
 
 __all__ = [
@@ -153,15 +154,16 @@ class _Table:
             try:
                 j, alpha = key
             except (TypeError, ValueError):
-                raise OperatorSpecError(f"bad coefficient key {key!r}")
+                raise OperatorSpecError(f"bad coefficient key {_clip(repr(key))}")
             if not isinstance(fn, TimeFn):
-                raise OperatorSpecError(f"coefficient {key!r} is not a TimeFn")
+                raise OperatorSpecError(f"coefficient {_clip(repr(key))} is not a TimeFn")
             if len(alpha) != self.dim or any((not isinstance(a, int)) or a < 0 for a in alpha):
-                raise OperatorSpecError(f"bad multi-index {alpha!r} for dimension {self.dim}")
+                raise OperatorSpecError(f"bad multi-index {_clip(repr(alpha))} "
+                                        f"for dimension {_clip(self.dim)}")
             if not (0 <= j < max_order):
-                raise OperatorSpecError(f"time order {j} out of range in {key!r}")
+                raise OperatorSpecError(f"time order {_clip(j)} out of range in {_clip(repr(key))}")
             if j + (k := sum(alpha)) > max_order:
-                raise OperatorSpecError(f"total order of {key!r} exceeds {max_order}")
+                raise OperatorSpecError(f"total order of {_clip(repr(key))} exceeds {max_order}")
             powers = tuple((i, a) for i, a in enumerate(alpha) if a)
             for name, slots in self._VIEWS.items():
                 if (j, k) in slots:
@@ -169,26 +171,42 @@ class _Table:
         object.__setattr__(self, "_walks", {name: tuple(w) for name, w in walks.items()})
         for (j, alpha), fn in self.coeffs.items():
             if j + sum(alpha) >= self._REAL_FROM and fn.has_imag:
-                raise OperatorSpecError(self._NOT_REAL.format(j=j, alpha=alpha))
+                raise OperatorSpecError(self._NOT_REAL.format(j=j, alpha=_clip(alpha)))
+
+    _kept = None  # the jets a :meth:`_keeping_jets` copy keeps
 
     def is_constant(self) -> bool:
         return all(fn.is_constant for fn in self.coeffs.values())
+
+    def _keeping_jets(self) -> "_Table":
+        """A copy that keeps each jet :meth:`_sums` evaluates at one time, for
+        as long as the copy lives: one ladder, whose cells meet the same times."""
+        kept = copy.copy(self)
+        object.__setattr__(kept, "_kept", {})
+        return kept
 
     def _sums(self, view: str, t, xi: np.ndarray) -> list[Jet2]:
         """For each slot (j, |alpha|) of ``view``, the jet of the sum of
         a_{j,alpha}(t) xi^alpha, at one time or on a time grid: each sum starts
         from the zero jet of ``t`` (zero arrays on a grid, so that a sum of
         constant coefficients still has one entry per time) and adds its terms
-        in table order, leaving out a term whose weight xi^alpha is zero."""
-        z = np.zeros_like(t) if isinstance(t, np.ndarray) else 0.0
+        in table order, leaving out a term whose weight xi^alpha is zero. A
+        :meth:`_keeping_jets` copy evaluates a term at a time (-0.0 apart from
+        0.0, as sin(-0.0) is -0.0) once it succeeds, and then serves its jet."""
+        grid = isinstance(t, np.ndarray)
+        z = np.zeros_like(t) if grid else 0.0
         acc = [Jet2(z, z, z, z)] * len(self._VIEWS[view])
         xs = np.asarray(xi, dtype=float).tolist()
-        for slot, fn, powers, order in self._walks[view]:
+        walk = self._walks[view]
+        kept = [None] * len(walk) if grid or self._kept is None else self._kept.setdefault(
+            (view, t, math.copysign(1.0, t)), [None] * len(walk))
+        for n, (slot, fn, powers, order) in enumerate(walk):
             w = 1.0
             for i, a in powers:
                 w *= xs[i] ** a
             if w != 0.0:
-                jet = fn.jet2(t, order)
+                if (jet := kept[n]) is None:
+                    jet = kept[n] = fn.jet2(t, order)
                 acc[slot] = acc[slot] + (jet.scaled(w) if powers else jet)
         return acc
 

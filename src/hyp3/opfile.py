@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from .errors import ExprError, OperatorSpecError
+from .errors import ExprError, OperatorSpecError, _clip
 from .expr import TimeFn, parse_timefn
 from .operators import Operator2, Operator3
 
@@ -52,23 +52,24 @@ def parse_operator_text(text: str, origin: str = "<string>") -> Operator3 | Oper
             try:
                 alpha = tuple(int(s) for s in alpha_text.split(",")) if alpha_text else ()
             except ValueError:
-                raise OperatorSpecError(f"{origin}:{lineno}: bad multi-index ({alpha_text})")
+                raise OperatorSpecError(f"{origin}:{lineno}: bad multi-index ({_clip(alpha_text)})")
             try:
                 fn = parse_timefn(value)
             except ExprError as exc:
                 raise OperatorSpecError(f"{origin}:{lineno}: {exc}") from exc
             if (j, alpha) in coeffs:
-                raise OperatorSpecError(f"{origin}:{lineno}: duplicate coefficient a[{j},{alpha}]")
+                raise OperatorSpecError(
+                    f"{origin}:{lineno}: duplicate coefficient {_clip(f'a[{j},{alpha}]')}")
             coeffs[(j, alpha)] = fn
         elif key in _HEADER_KEYS:
             if key in header:
                 raise OperatorSpecError(f"{origin}:{lineno}: duplicate header key {key!r}")
             header[key] = value
         else:
-            raise OperatorSpecError(f"{origin}:{lineno}: unknown key {key!r}")
+            raise OperatorSpecError(f"{origin}:{lineno}: unknown key {_clip(repr(key))}")
 
     if header.get("format", "1") != "1":
-        raise OperatorSpecError(f"{origin}: unsupported format {header['format']!r}")
+        raise OperatorSpecError(f"{origin}: unsupported format {_clip(repr(header['format']))}")
     missing = [k for k in ("order", "dimension", "T") if k not in header]
     if missing:
         raise OperatorSpecError(f"{origin}: missing header keys: {', '.join(missing)}")
@@ -77,14 +78,14 @@ def parse_operator_text(text: str, origin: str = "<string>") -> Operator3 | Oper
         dim = int(header["dimension"])
         horizon = float(header["T"])
     except ValueError as exc:
-        raise OperatorSpecError(f"{origin}: bad header value: {exc}") from exc
+        raise OperatorSpecError(f"{origin}: bad header value: {_clip(exc)}") from exc
     if order not in (2, 3):
-        raise OperatorSpecError(f"{origin}: order must be 2 or 3, got {order}")
+        raise OperatorSpecError(f"{origin}: order must be 2 or 3, got {_clip(order)}")
     name = header.get("name", Path(origin).stem)
     for (j, alpha) in coeffs:
         if len(alpha) != dim:
             raise OperatorSpecError(
-                f"{origin}: multi-index {alpha} does not match dimension {dim}")
+                f"{origin}: multi-index {_clip(alpha)} does not match dimension {_clip(dim)}")
     cls = Operator3 if order == 3 else Operator2
     return cls(name, dim, horizon, coeffs)
 

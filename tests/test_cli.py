@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hyp3 import cli, identities, quadrature
 from hyp3.cli import main
@@ -226,6 +230,82 @@ def test_check_rejects_an_integer_of_more_digits_than_python_converts(tmp_path, 
     p.write_text(f"order = 3\ndimension = 1\nT = 1.0\na[1,(2)] = -1\n{line}\n")
     assert main(["check", "--config", str(p)]) == 2
     assert capsys.readouterr() == ("", f"hyp3: config error: {p}:5: {message}\n")
+
+
+@pytest.mark.parametrize("coeffs", [
+    "order = 3\na[1,(2)] = -1\na[0,(1)] = 1e300",   # the full cubic of the forbidden-zone test
+    "order = 2\na[1,(1)] = 1e195\na[0,(0)] = 4e157",  # the second-order principal symbol
+], ids=["order3", "order2"])
+def test_check_names_a_discriminant_that_overflows(tmp_path, capsys, coeffs):
+    # finite coefficients, but a discriminant past the double range at the
+    # first |xi|: a named numerical failure, not a traceback
+    p = tmp_path / "big.op"
+    p.write_text(f"dimension = 1\nT = 1.0\n{coeffs}\n")
+    assert main(["check", "--config", str(p), "--xi-steps", "5"]) == 3
+    assert capsys.readouterr() == ("", "hyp3: numerical failure: discriminant overflows the "
+                                       "double range, at t=0, xi=[64.]\n")
+
+
+LONG_ECHOES = {
+    "multi_index": "dimension = 1\na[0,(" + "9" * 5000 + ")] = 1",
+    "total_order": "dimension = 1\na[0,(" + "9" * 4000 + ")] = 1",
+    "exponent": "dimension = 1\na[0,(0)] = t^" + "9" * 400,
+    "identifier": "dimension = 1\na[0,(0)] = " + "x" * 4000,
+    "key": "dimension = 1\nb" + "x" * 4000 + " = 1",
+    "header": "dimension = " + "x" * 4000,
+}
+
+
+@pytest.mark.parametrize("lines", LONG_ECHOES.values(), ids=LONG_ECHOES)
+def test_a_config_error_echoes_a_short_piece_of_a_long_input(tmp_path, monkeypatch, capsys,
+                                                             lines):
+    monkeypatch.chdir(tmp_path)
+    Path("long.op").write_text(f"order = 3\nT = 1.0\na[1,(2)] = -1\n{lines}\n")
+    assert main(["check", "--config", "long.op", "--xi-steps", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("hyp3: config error: ") and err.count("\n") == 1
+    assert len(err.rstrip("\n").encode()) <= 200 and "characters)" in err
+
+
+_T_FREE_SLOTS = {order: [(j, a) for j in range(order) for a in range(order - j + 1)]
+                 for order in (2, 3)}
+
+
+@st.composite
+def _t_free_operator_files(draw):
+    """An operator file of order 2 or 3 in one dimension with 1-4 constant
+    coefficients, each from 1e-8 to 1e300 in size, of either sign."""
+    order = draw(st.sampled_from((2, 3)))
+    lines = [f"order = {order}", "dimension = 1", "T = 1.0"]
+    for j, a in draw(st.lists(st.sampled_from(_T_FREE_SLOTS[order]), min_size=1, max_size=4,
+                              unique=True)):
+        c = draw(st.floats(1e-8, 1e300)) * draw(st.sampled_from((1.0, -1.0)))
+        lines.append(f"a[{j},({a})] = {c!r}")
+    return "\n".join(lines) + "\n"
+
+
+def test_t_free_operator_files_exit_with_at_most_one_short_named_line(tmp_path, monkeypatch):
+    # in process, so a numpy RuntimeWarning fails the example as well
+    monkeypatch.chdir(tmp_path)
+
+    @settings(max_examples=40, deadline=None)
+    @example("order = 3\ndimension = 1\nT = 1.0\na[1,(2)] = -1\na[0,(1)] = 1e300\n")
+    @example("order = 3\ndimension = 1\nT = 1.0\na[0,(" + "9" * 5000 + ")] = 1\n")
+    @example("order = 3\ndimension = 1\nT = 1.0\na[1,(2)] = -1e75\n")  # coeff_scale^4 overflows
+    @given(_t_free_operator_files())
+    def check(text):
+        Path("f.op").write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["check", "--config", "f.op", "--xi-steps", "5"])
+        assert rc in (0, 2, 3)
+        if rc == 0:
+            _strict_loads(out.getvalue())
+        else:
+            assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+            line = err.getvalue().rstrip("\n")
+            assert line.startswith("hyp3: ") and len(line.encode()) <= 200
+    check()
 
 
 def _check_in_subprocess(path, timeout):

@@ -27,6 +27,7 @@ from hyp3.conditions import (
     second_order_report,
 )
 from hyp3.errors import HyperbolicityViolation, OperatorSpecError, QuadratureError
+from hyp3.expr import TimeFn
 from hyp3.expr import parse_timefn as P
 from hyp3.operators import Operator2, Operator3, symbol_grid
 
@@ -208,7 +209,49 @@ def test_parallel_ladder_cells_equal_in_process_cells(monkeypatch, member, affin
         monkeypatch.delattr(os, "sched_getaffinity")
     op = BATTERY[member].op
     cells = [condition_integrals(op, np.array([m])) for m in FIVE]
-    assert condition_report(op, FIVE).ladder == cells
+    ladder = condition_report(op, FIVE).ladder
+    assert ladder == cells
+    assert [_cell_bits(c) for c in ladder] == [_cell_bits(c) for c in cells]
+
+
+def _cell_bits(cell):
+    """A condition cell with every float as its ``float.hex`` text."""
+    return (cell.xi_mag.hex(), [x.hex() for x in cell.direction],
+            {k: v.hex() for k, v in cell.values.items()},
+            {k: v.hex() for k, v in cell.alternates.items()}, cell.panels, cell.rel_change.hex())
+
+
+def test_in_process_ladder_cells_keep_every_bit(monkeypatch):
+    # one usable CPU: the ladder's cells run in this process, sharing their jets
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    op = BATTERY["strict_sin"].op
+    cells = [condition_integrals(op, np.array([m])) for m in FIVE]
+    assert [_cell_bits(c) for c in condition_report(op, FIVE).ladder] == [
+        _cell_bits(c) for c in cells]
+
+
+def test_second_order_report_rows_keep_every_bit():
+    op2 = BATTERY["oleinik2_ok"].op
+    rows = second_order_report(op2)["rows"]
+    assert [(r["xi"], r["disc_drift"].hex(), r["lower_weighted"].hex()) for r in rows] == [
+        (m, *(x.hex() for x in second_order_check(op2, np.array([m])))) for m in default_ladder()]
+
+
+def test_a_second_order_report_evaluates_each_jet_once_per_time(monkeypatch):
+    # the ladder's cells share their coefficient jets; the next report starts afresh
+    calls, jet2 = [], TimeFn.jet2
+
+    def counted(fn, t, order=2):
+        if not isinstance(t, np.ndarray):
+            calls.append((id(fn), order, t.hex()))
+        return jet2(fn, t, order)
+    monkeypatch.setattr(TimeFn, "jet2", counted)
+    counts = []
+    for _ in range(2):
+        second_order_report(BATTERY["oleinik2_ok"].op)
+        counts.append((len(calls), len(set(calls))))
+        calls.clear()
+    assert counts[0] == counts[1] and counts[0][0] == counts[0][1] > 0
 
 
 def _first_failure(op):

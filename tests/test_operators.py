@@ -10,7 +10,7 @@ from hyp3.conditions import pointwise_levi
 from hyp3.cubic import CubicJet, delta1, derivative_quadratic, discriminant, solve_cubic_real
 from hyp3.errors import (ExprDomainError, HyperbolicityViolation, NearMultipleRoot,
                          OperatorSpecError)
-from hyp3.expr import Jet2
+from hyp3.expr import Jet2, TimeFn
 from hyp3.expr import parse_timefn as P
 from hyp3.operators import (
     Operator2,
@@ -354,3 +354,44 @@ def test_symbol_grid_names_the_first_failing_point(coeffs, ts):
         pytest.fail("no grid time fails on its own")
     if "0.7" in str(coeffs):
         assert grid_exc.type is HyperbolicityViolation
+
+
+
+def _lower_bits(op, t, xi):
+    """The lower-order symbol jets at ``t``, each part as ``float.hex`` text."""
+    m, n, p = op.lower_polys(t, xi)
+    return [tuple(None if x is None else (complex(x).real.hex(), complex(x).imag.hex())
+                  for x in (j.v, j.d1, j.d2, j.d3)) for j in m.coeffs + n.coeffs + (p,)]
+
+
+def test_a_kept_copy_evaluates_each_term_once_per_time(monkeypatch):
+    # 0.0 and -0.0 are two times, since sin(-0.0) is -0.0; log(t) has weight 0
+    # along (1, 0), so it is never evaluated, and its error at t = 0 never shows
+    op = _op("kept", {(1, (2, 0)): "-1", (0, (1, 0)): "sin(t)", (0, (0, 1)): "log(t)"}, dim=2)
+    xi = np.array([64.0, 0.0])
+    times = (0.0, -0.0, 0.0, -0.0, 0.75, 0.75)
+    want = [_lower_bits(op, t, xi) for t in times]
+    kept, calls, jet2 = op._keeping_jets(), [], TimeFn.jet2
+
+    def counted(fn, t, order=2):
+        calls.append((fn.to_string(), order, t.hex()))
+        return jet2(fn, t, order)
+    monkeypatch.setattr(TimeFn, "jet2", counted)
+    assert [_lower_bits(kept, t, xi) for t in times] == want
+    assert calls == [("sin(t)", 2, "0x0.0p+0"), ("sin(t)", 2, "-0x0.0p+0"),
+                     ("sin(t)", 2, "0x1.8000000000000p-1")]
+    op.lower_polys(0.75, xi)  # the operator it was copied from keeps nothing
+    assert len(calls) == 4
+
+
+def test_a_kept_copy_keeps_no_jet_that_raises():
+    op = _op("fails", {(1, (2,)): "-1", (0, (0,)): "log(t - 0.5)"})
+    xi = np.array([64.0])
+    with pytest.raises(ExprDomainError) as plain:
+        _symbols_at(op, 0.25, xi)
+    kept = op._keeping_jets()
+    for _ in range(2):
+        with pytest.raises(ExprDomainError) as exc:
+            _symbols_at(kept, 0.25, xi)
+        assert str(exc.value) == str(plain.value) == (
+            "log of non-positive value -0.25, at t=0.25, xi=[64.]")
