@@ -36,6 +36,7 @@ from .conditions import (
 from .errors import (
     ExprError,
     HyperbolicityViolation,
+    MagnusStepError,
     NearMultipleRoot,
     OperatorSpecError,
     QuadratureError,
@@ -385,7 +386,7 @@ def main(argv=None) -> int:
     except (OperatorSpecError, ExprError, FileNotFoundError) as exc:
         print(f"hyp3: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (HyperbolicityViolation, QuadratureError, NearMultipleRoot) as exc:
+    except (HyperbolicityViolation, QuadratureError, NearMultipleRoot, MagnusStepError) as exc:
         print(f"hyp3: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

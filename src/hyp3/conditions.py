@@ -125,8 +125,15 @@ def _primary_terms(s: Symbols):
     or pointwise on a grid, from the auxiliary roots with their first two
     time derivatives and the auxiliary critical points ``mu`` with their
     first; also returns |corrected order-1 symbol| at the two ``mu``, which
-    the energy envelope reuses."""
-    lam, ld1, ld2, mc, nc, mu, mu_d1 = s.lam, s.lam_d1, s.lam_d2, s.mc, s.nc, s.mu, s.mu_d1
+    the energy envelope reuses. A corrected symbol and its total time
+    derivative along a root are written out by Horner's rule, as
+    ``TauPoly.at`` rounds them: with its ``k * c.v`` terms (``1 * z`` is not
+    ``z`` for a complex z with an infinite part), less its leading
+    ``0.0 * tau +``, which at a finite tau can change only the sign of a zero,
+    and every use takes abs."""
+    lam, ld1, ld2, mu, mu_d1 = s.lam, s.lam_d1, s.lam_d2, s.mu, s.mu_d1
+    (m0, m1, m2), (n0, n1) = s.mc.coeffs, s.nc.coeffs
+    m0v, m1v, m2v, m0d, m1d, m2d = m0.v, m1.v, m2.v, m0.d1, m1.d1, m2.d1
     sep = vel = 0.0
     for j, k in _SS2:
         sep += abs(ld1[j] - ld1[k]) / abs(lam[j] - lam[k])
@@ -134,47 +141,55 @@ def _primary_terms(s: Symbols):
 
     m_drift = m_levi = 0.0
     for j, k, l in _SS3:
-        mv, mdot = mc.along_root(lam[j], ld1[j])
+        x = lam[j]
+        mv = (m2v * x + m1v) * x + m0v
+        mdot = (m2d * x + m1d) * x + m0d + (2 * m2v * x + 1 * m1v) * ld1[j]
         m_drift += abs(mdot) / (abs(mv) + 1.0)
-        m_levi += abs(mv) / (abs(lam[j] - lam[k]) * abs(lam[j] - lam[l]))
+        m_levi += abs(mv) / (abs(x - lam[k]) * abs(x - lam[l]))
 
+    n0v, n1v, n0d, n1d = n0.v, n1.v, n0.d1, n1.d1
     mu_gap = mu[1] - mu[0]
     sqrt = np.sqrt if isinstance(mu_gap, np.ndarray) else math.sqrt  # both round exactly
     n_drift = n_levi = 0.0
     n_abs = []
     for j in (0, 1):
-        nv, ndot = nc.along_root(mu[j], mu_d1[j])
-        n_drift += abs(ndot) / (abs(nv) + 1.0)
-        n_levi += sqrt(abs(nv) / mu_gap)
-        n_abs.append(abs(nv))
+        x = mu[j]
+        nv = abs(n1v * x + n0v)
+        n_drift += abs(n1d * x + n0d + 1 * n1v * mu_d1[j]) / (nv + 1.0)
+        n_levi += sqrt(nv / mu_gap)
+        n_abs.append(nv)
     return [sep, vel, m_drift, n_drift, m_levi, n_levi], n_abs
 
 
 def _integrand_values(op: Operator3, t: float, xi: np.ndarray) -> np.ndarray:
     """Every condition integrand, primary then alternate, at one time. Each
-    symbol value is evaluated once, and each sum is written out left to right."""
+    symbol value is evaluated once, and each sum is written out left to right;
+    the corrected symbols by Horner's rule, as in :func:`_primary_terms`."""
     s = _symbols_at(op, t, xi)
     out, n_auxcrit = _primary_terms(s)
-    c, mc, nc, tau, lam, mu = s.c, s.mc, s.nc, s.tau, s.lam, s.mu
+    c, tau, lam, mu = s.c, s.tau, s.lam, s.mu
+    (m0, m1, m2), (n0, n1) = s.mc.coeffs, s.nc.coeffs
+    m0v, m1v, m2v, n0v, n1v = m0.v, m1.v, m2.v, n0.v, n1.v
     s1, s2 = s.crit
     span_p1 = tau[2] - tau[0] + 1.0
     crit_gap_p1 = s2 - s1 + 1.0
     denoms = (crit_gap_p1, mu[1] - mu[0], math.sqrt(max(delta1(c), 0.0)) + 1.0,
               math.sqrt(max(delta1(s.reg), 0.0)), span_p1, lam[2] - lam[0])
 
-    m_tau = [mc.at(x) for x in tau]
+    m_tau = [(m2v * x + m1v) * x + m0v for x in tau]
     m_levi_roots = 0.0
     for j, k, l in _SS3:
-        m_levi_roots += abs(m_tau[j][0]) / (
+        m_levi_roots += abs(m_tau[j]) / (
             (abs(tau[j] - tau[k]) + 1.0) * (abs(tau[j] - tau[l]) + 1.0))
-    dm_span = (abs(m_tau[0][2]) + abs(m_tau[2][2])) / span_p1
-    dm_crit = (abs(mc.at(s1)[2]) + abs(mc.at(s2)[2])) / crit_gap_p1
+    dm = [abs(2 * m2v * x + 1 * m1v) for x in (tau[0], tau[2], s1, s2)]
+    dm_span = (dm[0] + dm[1]) / span_p1
+    dm_crit = (dm[2] + dm[3]) / crit_gap_p1
 
     # the |order-1 symbol| sources of the sqrt_n family, in _SQRT_N_SOURCES order
     sqrt = math.sqrt
-    n_crit = (abs(nc.value_at(s1)), abs(nc.value_at(s2)))
-    roots = [abs(nc.value_at(x)) for x in tau]
-    aux = [abs(nc.value_at(x)) for x in lam]
+    n_crit = (abs(n1v * s1 + n0v), abs(n1v * s2 + n0v))
+    roots = [abs(n1v * x + n0v) for x in tau]
+    aux = [abs(n1v * x + n0v) for x in lam]
     sqrt_n = [sqrt(u / d) + sqrt(v / d) for u, v in (n_crit, n_auxcrit) for d in denoms]
     sqrt_n += [sqrt(u / d) + sqrt(v / d) + sqrt(w / d) for u, v, w in (roots, aux) for d in denoms]
     out += [m_levi_roots, dm_span, dm_crit, sqrt_n[0]]  # n_levi_crit is sqrt_n[crit/crit_gap_p1]
@@ -363,8 +378,9 @@ def _poly_scale(poly: TauPoly, tau: float) -> float:
 
 def _guarded_ratio(num, den, tiny: float):
     """Pointwise num / den for num, den >= 0. Where den vanishes (<= tiny)
-    the ratio is 0 if num vanishes too and +inf otherwise."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    the ratio is 0 if num vanishes too and +inf otherwise; a ratio past the
+    double range is +inf too."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return np.where(den <= tiny, np.where(num <= tiny, 0.0, math.inf), num / den)
 
 

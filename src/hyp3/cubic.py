@@ -9,6 +9,7 @@ implicit differentiation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,12 +60,6 @@ class CubicJet:
     def dtau(self, r: float) -> float:
         return (3.0 * r + 2.0 * self.a1.v.real) * r + self.a2.v.real
 
-    def dt(self, r: float) -> float:
-        """Time derivative of the cubic at frozen root variable."""
-        return (self.a1.d1.real * r + self.a2.d1.real) * r + self.a3.d1.real
-
-    def dtt(self, r: float) -> float:
-        return (self.a1.d2.real * r + self.a2.d2.real) * r + self.a3.d2.real
 
 
 def cubic_from_floats(a1: float, a2: float, a3: float) -> CubicJet:
@@ -145,6 +140,20 @@ def _signed_cbrt(q: float) -> float:
     return math.copysign(abs(q) ** (1.0 / 3.0), -q) if q != 0.0 else 0.0
 
 
+#: the least positive normal double: a smaller 2pm in the trigonometric branch
+#: has underflowed (see _underflowed_cos_arg)
+_NORMAL_MIN = sys.float_info.min
+
+
+def _underflowed_cos_arg(q: float, p: float, m: float) -> float:
+    """The cosine argument 3q / (2pm) of the trigonometric branch where 2pm
+    underflows (|p| below about 1e-205): 3q / (2p) / m, which stays in range as
+    the roots' own scale m does; and 0 where m = sqrt(-p/3) underflows to 0 as
+    well, where every root is -a1/3 whatever the angle. The same rule serves
+    a point and each such grid point, and no other point meets it."""
+    return 3.0 * q / (2.0 * p) / m if m > 0.0 else 0.0
+
+
 def solve_cubic_real(c: CubicJet) -> SortedRoots:
     """All-real roots in ascending order, at one time or pointwise on a
     time grid (coefficient arrays give a (3, N) root array).
@@ -162,7 +171,8 @@ def solve_cubic_real(c: CubicJet) -> SortedRoots:
     a2 = c.a2.v.real
     a3 = c.a3.v.real
     scale = 1.0 + max(abs(a1), abs(a2), abs(a3))
-    _check_band(c, discriminant(c), 6)
+    if not 0.0 <= (disc := discriminant(c)) < math.inf:
+        _check_band(c, disc, 6)
 
     # depressed form y^3 + p y + q, roots shifted by -a1/3
     shift = a1 / 3.0
@@ -170,22 +180,28 @@ def solve_cubic_real(c: CubicJet) -> SortedRoots:
     q = a1 * (2.0 * a1 * a1 / 27.0 - a2 / 3.0) + a3
     if p >= 0.0:
         # hyperbolicity forces p <= 0 up to rounding: (near-)triple root
-        y = _signed_cbrt(q)
-        roots = sorted((y - shift, y - shift, y - shift))
+        r = _signed_cbrt(q) - shift
+        roots = [r, r, r]
     else:
         m = math.sqrt(-p / 3.0)
-        cosarg = 3.0 * q / (2.0 * p * m)
-        cosarg = max(-1.0, min(1.0, cosarg))
-        phi = math.acos(cosarg)
-        roots = sorted(2.0 * m * math.cos((phi - 2.0 * math.pi * k) / 3.0) - shift
-                       for k in range(3))
+        den = 2.0 * p * m
+        cosarg = _underflowed_cos_arg(q, p, m) if abs(den) < _NORMAL_MIN else 3.0 * q / den
+        cosarg = cosarg if cosarg < 1.0 else 1.0  # clamped to [-1, 1], a NaN to 1.0
+        phi = math.acos(cosarg if cosarg > -1.0 else -1.0)
+        m2 = 2.0 * m
+        # k = 0, 1, 2 in turn: the sort is stable, and 0.0 and -0.0 compare equal
+        roots = [m2 * math.cos(phi / 3.0) - shift,
+                 m2 * math.cos((phi - 2.0 * math.pi) / 3.0) - shift,
+                 m2 * math.cos((phi - 4.0 * math.pi) / 3.0) - shift]
+        roots.sort()
 
     # one guarded Newton polish per root, away from multiple roots; c.dtau and
     # c.value written out on the local coefficients, operation for operation
+    two_a1, thr = 2.0 * a1, 1e-3 * scale
     polished = []
     for r in roots:
-        dp = (3.0 * r + 2.0 * a1) * r + a2
-        if abs(dp) > 1e-3 * scale:
+        dp = (3.0 * r + two_a1) * r + a2
+        if abs(dp) > thr:
             v = ((r + a1) * r + a2) * r + a3
             r_new = r - v / dp
             if abs(((r_new + a1) * r_new + a2) * r_new + a3) <= abs(v):
@@ -209,8 +225,14 @@ def _solve_cubic_grid(c: CubicJet) -> SortedRoots:
     triple = p >= 0.0
     roots[:, triple] = _libm(_signed_cbrt, q[triple]) - shift[triple]
     trig = ~triple
-    m = np.sqrt(-p[trig] / 3.0)
-    phi = _libm(math.acos, np.clip(3.0 * q[trig] / (2.0 * p[trig] * m), -1.0, 1.0))
+    qt, pt = q[trig], p[trig]
+    m = np.sqrt(-pt / 3.0)
+    den = 2.0 * pt * m
+    low = abs(den) < _NORMAL_MIN
+    cosarg = 3.0 * qt / np.where(low, 1.0, den)
+    cosarg[low] = [_underflowed_cos_arg(*x) for x in zip(qt[low].tolist(), pt[low].tolist(),
+                                                          m[low].tolist())]
+    phi = _libm(math.acos, np.clip(cosarg, -1.0, 1.0))
     roots[:, trig] = [2.0 * m * np.cos((phi - 2.0 * math.pi * k) / 3.0) - shift[trig]
                       for k in range(3)]
     roots.sort(axis=0)
@@ -234,7 +256,8 @@ def derivative_quadratic(c: CubicJet):
     a2 = c.a2.v.real
     disc = 4.0 * a1 * a1 - 12.0 * a2
     grid = isinstance(disc, np.ndarray)
-    _check_band(c, disc, 2, "derivative quadratic")
+    if grid or not 0.0 <= disc < math.inf:
+        _check_band(c, disc, 2, "derivative quadratic")
     disc_c = np.maximum(disc, 0.0) if grid else max(disc, 0.0)
     half_gap = (np.sqrt(disc_c) if grid else math.sqrt(disc_c)) / 6.0
     center = -a1 / 3.0
@@ -248,14 +271,14 @@ def quad_root_jets(c: CubicJet):
     roots to be separated (they are, for regularized cubics).
     """
     s1, s2, disc, _ = derivative_quadratic(c)
+    two_a1, two_b1, b2 = 2.0 * c.a1.v.real, 2.0 * c.a1.d1.real, c.a2.d1.real
     out = []
     for s in (s1, s2):
-        denom = 6.0 * s + 2.0 * c.a1.v.real
+        denom = 6.0 * s + two_a1
         thr = 1e-12 * (1.0 + abs(s))
         _check_points(abs(denom) < thr, NearMultipleRoot, abs(s2 - s1), thr)
-        num = 2.0 * c.a1.d1.real * s + c.a2.d1.real
-        out.append(-num / denom)
-    return (s1, s2), (out[0], out[1])
+        out.append(-(two_b1 * s + b2) / denom)
+    return (s1, s2), tuple(out)
 
 
 def _simple_root_gap(r):
@@ -270,20 +293,28 @@ def _simple_root_gap(r):
     return np.minimum(r1 - r0, r2 - r1), SIMPLE_ROOT_REL_GAP * rstar
 
 
-def _root_derivatives(c: CubicJet, r):
-    """First and second time derivatives of the simple root ``r`` of ``c``
-    by implicit differentiation: d1 = -L_t / L_r and d2 = psi / L_r^3 with
-    psi = 2 L_tr L_t L_r - L_rr L_t^2 - L_tt L_r^2, every coefficient
-    derivative drawn from the stored jets. Works pointwise on arrays."""
-    l_r = c.dtau(r)
-    l_t = c.dt(r)
-    l_tt = c.dtt(r)
-    l_tr = 2.0 * c.a1.d1.real * r + c.a2.d1.real
-    l_rr = 6.0 * r + 2.0 * c.a1.v.real
-    psi = 2.0 * l_tr * l_t * l_r - l_rr * l_t * l_t - l_tt * l_r * l_r
-    # l_r * l_r * l_r, not l_r ** 3: numpy's array power is not libm's pow,
-    # and a grid must round exactly like its points
-    return -l_t / l_r, psi / (l_r * l_r * l_r)
+def _root_derivatives(c: CubicJet, roots):
+    """First and second time derivatives ``(d1, d2)`` of the simple roots
+    ``roots`` of ``c`` by implicit differentiation: d1 = -L_t / L_r and
+    d2 = psi / L_r^3 with psi = 2 L_tr L_t L_r - L_rr L_t^2 - L_tt L_r^2, every
+    coefficient derivative drawn from the stored jets (L_t and L_tt at the
+    frozen root variable). Works pointwise on arrays."""
+    a1, a2 = c.a1.v.real, c.a2.v.real
+    b1, b2, b3 = c.a1.d1.real, c.a2.d1.real, c.a3.d1.real
+    e1, e2, e3 = c.a1.d2.real, c.a2.d2.real, c.a3.d2.real
+    two_a1, two_b1 = 2.0 * a1, 2.0 * b1
+    d1, d2 = [], []
+    for r in roots:
+        l_r = (3.0 * r + two_a1) * r + a2
+        l_t = (b1 * r + b2) * r + b3
+        l_tt = (e1 * r + e2) * r + e3
+        l_tr, l_rr = two_b1 * r + b2, 6.0 * r + two_a1
+        psi = 2.0 * l_tr * l_t * l_r - l_rr * l_t * l_t - l_tt * l_r * l_r
+        d1.append(-l_t / l_r)
+        # l_r * l_r * l_r, not l_r ** 3: numpy's array power is not libm's pow,
+        # and a grid must round exactly like its points
+        d2.append(psi / (l_r * l_r * l_r))
+    return tuple(d1), tuple(d2)
 
 
 def root_jets(c: CubicJet, roots: SortedRoots):
@@ -292,5 +323,4 @@ def root_jets(c: CubicJet, roots: SortedRoots):
     the simple-root threshold."""
     gap, thr = _simple_root_gap(roots.r)
     _check_points(gap <= thr, NearMultipleRoot, gap, thr)
-    d1, d2 = zip(*(_root_derivatives(c, r) for r in roots.r))
-    return d1, d2
+    return _root_derivatives(c, roots.r)

@@ -122,6 +122,17 @@ class QuadratureError(_Pickled):
         super().__init__(f"{reason} with {panels} panels")
 
 
+class MagnusStepError(_Pickled):
+    """A growth row needs more Magnus steps than a step index holds, or a
+    count past the double range (a coefficient change per step that
+    underflows, or a root scale that overflows)."""
+
+    def __init__(self, steps: float, mag: float):
+        self.steps = steps
+        super().__init__(f"Magnus step count {steps:.3g} per output interval past the "
+                         f"step index range, at |xi|={mag:g}")
+
+
 class OperatorSpecError(ValueError):
     """Malformed operator table or operator file, or an argument outside a
     function's documented range (usage/config error)."""

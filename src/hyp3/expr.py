@@ -104,27 +104,6 @@ class Jet2:
     d2: complex
     d3: complex | None = None
 
-    def __add__(self, other: "Jet2") -> "Jet2":
-        d3 = None if self.d3 is None or other.d3 is None else self.d3 + other.d3
-        return Jet2(self.v + other.v, self.d1 + other.d1, self.d2 + other.d2, d3)
-
-    def __sub__(self, other: "Jet2") -> "Jet2":
-        d3 = None if self.d3 is None or other.d3 is None else self.d3 - other.d3
-        return Jet2(self.v - other.v, self.d1 - other.d1, self.d2 - other.d2, d3)
-
-    def scaled(self, s: complex) -> "Jet2":
-        d3 = None if self.d3 is None else s * self.d3
-        return Jet2(s * self.v, s * self.d1, s * self.d2, d3)
-
-    def shifted(self) -> "Jet2":
-        """Jet of the time derivative: (f', f'', f''')."""
-        if self.d3 is None:
-            raise ValueError("shifting needs an order-3 jet")
-        return Jet2(self.d1, self.d2, self.d3, None)
-
-    def plus_const(self, c: complex) -> "Jet2":
-        return Jet2(self.v + c, self.d1, self.d2, self.d3)
-
 
 # --------------------------------------------------------------------------
 # Parsing

@@ -20,7 +20,8 @@ import numpy as np
 from .conditions import _primary_terms, check_ladder
 from .cubic import _SS2, _root_derivatives, _simple_root_gap
 from .cubic import solve_cubic_real  # noqa: F401  (a binding perfbench/tests checks)
-from .errors import ExprDomainError, OperatorSpecError, _check_points, _nonfinite, locate
+from .errors import (ExprDomainError, MagnusStepError, OperatorSpecError, _check_points,
+                     _nonfinite, locate)
 from .operators import Operator3, Symbols, symbol_grid
 
 __all__ = [
@@ -203,7 +204,7 @@ def _plain_factors(g: Symbols, sol: ModeSolution) -> FactorTraces:
     mask = ~(gap <= thr)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         d1, d2 = (np.where(mask, np.array(d), np.nan)
-                  for d in zip(*(_root_derivatives(g.c, r) for r in g.tau)))
+                  for d in _root_derivatives(g.c, g.tau))
     return _factor_traces(sol, g.tau, d1, d2, mask)
 
 
@@ -483,9 +484,15 @@ def _magnus_steps(g, t: np.ndarray, mag: float) -> int:
     g = np.broadcast_arrays(*g)
     speed = max(mag, *(float(np.max(np.abs(gj))) ** (1.0 / (3 - j)) for j, gj in enumerate(g)))
     devs = [float(np.max(np.abs(gj - gj.mean()))) for gj in g]
-    rate = max((float(np.max(np.abs(np.diff(gj)))) / (h * d) for gj, d in zip(g, devs) if d > 0),
-               default=0.0)
-    return math.ceil(h * max(3.0 * speed, 8.0 * rate))
+    try:
+        rate = max((float(np.max(np.abs(np.diff(gj)))) / (h * d) for gj, d in zip(g, devs)
+                    if d > 0), default=0.0)
+        steps = math.ceil(h * max(3.0 * speed, 8.0 * rate))
+    except (ZeroDivisionError, OverflowError):  # h * d underflows, or the count is inf
+        steps = math.inf
+    if not steps * (len(t) - 1) < 2 ** 62:  # every step of the grid has an int64 index
+        raise MagnusStepError(steps, mag)
+    return steps
 
 
 def _magnus_fundamental(coeff, t: np.ndarray, mag: float, steps: int) -> np.ndarray:

@@ -72,11 +72,6 @@ class TauPoly:
             v = v * tau + c.v
         return v
 
-    def along_root(self, r: float, r_d1: float) -> tuple[complex, complex]:
-        """Value and total time derivative of t -> S(t, r(t))."""
-        v, dt, dtau = self.at(r)
-        return v, dt + dtau * r_d1
-
     def divide_linear(self, r: float) -> tuple[tuple[complex, ...], complex]:
         """Synthetic division of the value polynomial by (tau - r):
         returns (quotient coefficients ascending, remainder)."""
@@ -89,26 +84,29 @@ class TauPoly:
         return tuple(q), acc
 
 
-def _shift2_weak(j: Jet2) -> Jet2:
-    """Jet of the second time derivative; its own second derivative would
-    need a fourth-order jet and is never consumed, so it is NaN."""
-    return Jet2(j.d2, j.d3 if j.d3 is not None else _NAN, _NAN, None)
-
-
 def regularized_cubic(c: CubicJet, e2: float) -> CubicJet:
     """Coefficient jets of the shifted cubic L - e2 * d_tau^2 L."""
-    return CubicJet(c.a1, c.a2.plus_const(-6.0 * e2), c.a3 - c.a1.scaled(2.0 * e2))
+    a1, a2, a3, s = c.a1, c.a2, c.a3, 2.0 * e2
+    d3 = None if a3.d3 is None or a1.d3 is None else a3.d3 - s * a1.d3
+    return CubicJet(a1, Jet2(a2.v + -6.0 * e2, a2.d1, a2.d2, a2.d3),
+                    Jet2(a3.v - s * a1.v, a3.d1 - s * a1.d1, a3.d2 - s * a1.d2, d3))
 
 
 def _corrected(c: CubicJet, m: TauPoly, n: TauPoly) -> tuple[TauPoly, TauPoly]:
     """The order-2 symbol minus half the mixed (t, tau) derivative of the
     principal symbol, and the order-1 symbol corrected by the order-2 and
-    principal drifts."""
-    mc = TauPoly((m.coeffs[0] - c.a2.shifted().scaled(0.5),
-                  m.coeffs[1] - c.a1.shifted(), m.coeffs[2]))
-    nc = TauPoly((n.coeffs[0] - m.coeffs[1].shifted().scaled(0.5)
-                  + _shift2_weak(c.a1).scaled(1.0 / 6.0),
-                  n.coeffs[1] - m.coeffs[2].shifted()))
+    principal drifts. Each jet is shifted to the jet of its time derivative;
+    the second derivative of a1 would need a fourth-order jet and is never
+    consumed, so the d2 of the corrected order-1 constant is NaN."""
+    a1, a2 = c.a1, c.a2
+    (m0, m1, m2), (n0, n1) = m.coeffs, n.coeffs
+    sixth = 1.0 / 6.0
+    mc = TauPoly((Jet2(m0.v - 0.5 * a2.d1, m0.d1 - 0.5 * a2.d2, m0.d2 - 0.5 * a2.d3),
+                  Jet2(m1.v - a1.d1, m1.d1 - a1.d2, m1.d2 - a1.d3), m2))
+    nc = TauPoly((Jet2(n0.v - 0.5 * m1.d1 + sixth * a1.d2,
+                       n0.d1 - 0.5 * m1.d2 + sixth * (_NAN if a1.d3 is None else a1.d3),
+                       n0.d2 - 0.5 * m1.d3 + sixth * _NAN),
+                  Jet2(n1.v - m2.d1, n1.d1 - m2.d2, n1.d2 - m2.d3)))
     return mc, nc
 
 
@@ -207,7 +205,12 @@ class _Table:
             if w != 0.0:
                 if (jet := kept[n]) is None:
                     jet = kept[n] = fn.jet2(t, order)
-                acc[slot] = acc[slot] + (jet.scaled(w) if powers else jet)
+                v, d1, d2, d3 = jet.v, jet.d1, jet.d2, jet.d3
+                if powers:
+                    v, d1, d2, d3 = w * v, w * d1, w * d2, None if d3 is None else w * d3
+                s = acc[slot]
+                acc[slot] = Jet2(s.v + v, s.d1 + d1, s.d2 + d2,
+                                 None if s.d3 is None or d3 is None else s.d3 + d3)
         return acc
 
 

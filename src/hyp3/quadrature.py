@@ -28,6 +28,10 @@ PANEL_NODES = 16
 #: leaf-panel cap
 MAX_PANELS = 2 ** 14
 
+#: from this many leaf panels on, each doubling of them must halve the summed
+#: relative error indicator, or the run has met a noise floor and stalls
+STALL_PANELS = 2 ** 10
+
 #: initial uniform split of the integration interval
 INITIAL_PANELS = 8
 
@@ -58,8 +62,9 @@ def adaptive_gauss(f: Callable[[float], np.ndarray], a: float, b: float) -> Quad
     (components below 1e-12 compare absolutely).
 
     Raises :class:`QuadratureError` with the achieved tolerance if the
-    ``MAX_PANELS`` leaf cap is hit first, and at once when an integrand value
-    is not finite, since refinement cannot remove it.
+    ``MAX_PANELS`` leaf cap is hit first, or a doubling of the leaf panels
+    from ``STALL_PANELS`` on fails to halve it, and at once when an integrand
+    value is not finite, since refinement cannot remove it.
     """
     panels = INITIAL_PANELS
 
@@ -86,8 +91,12 @@ def adaptive_gauss(f: Callable[[float], np.ndarray], a: float, b: float) -> Quad
     heap = [(-relative(iv[4]), next(counter), iv) for iv in intervals]
     heapq.heapify(heap)
     rel = relative(err_sum)
+    doubled_from = math.inf  # rel at the last power-of-two panel count from STALL_PANELS on
     while not rel < REL_TOL:
-        if panels + 1 > MAX_PANELS or not math.isfinite(rel):
+        stalled = False
+        if panels >= STALL_PANELS and panels & (panels - 1) == 0:
+            stalled, doubled_from = not rel <= 0.5 * doubled_from, rel
+        if stalled or panels + 1 > MAX_PANELS or not math.isfinite(rel):
             raise QuadratureError(f"quadrature stalled at relative change {rel:.3g} "
                                   f"(requested {REL_TOL:.3g})", panels)
         _, _, (lo, hi, fine_l, fine_r, err) = heapq.heappop(heap)

@@ -274,12 +274,13 @@ _T_FREE_SLOTS = {order: [(j, a) for j in range(order) for a in range(order - j +
 @st.composite
 def _t_free_operator_files(draw):
     """An operator file of order 2 or 3 in one dimension with 1-4 constant
-    coefficients, each from 1e-8 to 1e300 in size, of either sign."""
+    coefficients, each from the least subnormal 5e-324 to 1e300 in size, of
+    either sign."""
     order = draw(st.sampled_from((2, 3)))
     lines = [f"order = {order}", "dimension = 1", "T = 1.0"]
     for j, a in draw(st.lists(st.sampled_from(_T_FREE_SLOTS[order]), min_size=1, max_size=4,
                               unique=True)):
-        c = draw(st.floats(1e-8, 1e300)) * draw(st.sampled_from((1.0, -1.0)))
+        c = draw(st.floats(5e-324, 1e300)) * draw(st.sampled_from((1.0, -1.0)))
         lines.append(f"a[{j},({a})] = {c!r}")
     return "\n".join(lines) + "\n"
 
@@ -292,6 +293,9 @@ def test_t_free_operator_files_exit_with_at_most_one_short_named_line(tmp_path, 
     @example("order = 3\ndimension = 1\nT = 1.0\na[1,(2)] = -1\na[0,(1)] = 1e300\n")
     @example("order = 3\ndimension = 1\nT = 1.0\na[0,(" + "9" * 5000 + ")] = 1\n")
     @example("order = 3\ndimension = 1\nT = 1.0\na[1,(2)] = -1e75\n")  # coeff_scale^4 overflows
+    @example("order = 3\ndimension = 1\nT = 1.0\na[1,(2)] = -1e-300\n")  # 2pm underflows
+    # a pointwise bound whose ratio is past the double range
+    @example("order = 3\ndimension = 1\nT = 1.0\na[2,(1)] = -1e-99\na[0,(2)] = -1e234\n")
     @given(_t_free_operator_files())
     def check(text):
         Path("f.op").write_text(text)
@@ -367,6 +371,21 @@ def test_modes_names_the_point_of_a_coefficient_domain_error(tmp_path, capsys):
                  "--xi-steps", "6", "--grid", "64", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == (
         "hyp3: config error: log of non-positive value -0.5, at t=0, xi=[32.]\n")
+
+
+@pytest.mark.parametrize("horizon, coeffs, steps", [
+    ("1e-300", "a[1,(2)] = -1\na[0,(2)] = t", "inf"),  # h * deviation underflows
+    ("1.0", "a[1,(2)] = -1e100*(1+t)", "2.15e+50"),  # np.arange cannot index the steps
+], ids=["underflowing_rate", "unindexable_steps"])
+def test_modes_names_a_magnus_step_count_past_the_index_range(tmp_path, capsys, horizon, coeffs,
+                                                              steps):
+    p = tmp_path / "steps.op"
+    p.write_text(f"order = 3\ndimension = 1\nT = {horizon}\n{coeffs}\n")
+    assert main(["modes", "--config", str(p), "--xi-min", "32", "--xi-max", "1024",
+                 "--xi-steps", "6", "--grid", "64", "--out", str(tmp_path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"hyp3: numerical failure: Magnus step count {steps} per output "
+                                 f"interval past the step index range, at |xi|=32\n")
 
 
 def test_check_names_the_point_of_an_exp_overflow(tmp_path, capsys):

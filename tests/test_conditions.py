@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -163,6 +164,17 @@ def test_quadrature_non_finite_integrand_is_an_error():
             adaptive_gauss(lambda t: [math.inf if t < 0.5 else 1.0, 1.0], 0.0, 1.0)
 
 
+def test_quadrature_ends_at_a_noise_floor():
+    # a noise floor of relative size 1e-4 keeps the summed error indicators
+    # near 5e-6 however fine the panels: the doubling from 1024 to 2048 leaf
+    # panels fails to halve them, and the run ends there, not at MAX_PANELS
+    def noisy(t):
+        return [1.0 + 1e-4 * (zlib.crc32(t.hex().encode()) / 2.0 ** 32 - 0.5)]
+    with pytest.raises(QuadratureError, match=r"^quadrature stalled at relative change ") as exc:
+        quadrature.adaptive_gauss(noisy, 0.0, 1.0)
+    assert exc.value.panels == 2048
+
+
 ERRORS = [
     (errors.ExprError, "bad expression"),
     (errors.ExprSyntaxError, 3, ("num", "ident")),
@@ -171,6 +183,7 @@ ERRORS = [
     (errors.HyperbolicityViolation, -1e-3, "derivative quadratic"),
     (errors.NearMultipleRoot, 1e-9, 1e-7),
     (errors.QuadratureError, "stalled", 99),
+    (errors.MagnusStepError, math.inf, 64.0),
     (errors.OperatorSpecError, "bad ladder"),
 ]
 

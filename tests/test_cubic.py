@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import mpmath
 import numpy as np
@@ -272,6 +273,23 @@ def _vieta_jets(r, v, w):
           -(w[0] * r[1] * r[2] + r[0] * w[1] * r[2] + r[0] * r[1] * w[2]
             + 2.0 * (v[0] * v[1] * r[2] + v[0] * r[1] * v[2] + r[0] * v[1] * v[2])))
     return a1, a2, a3
+
+
+@pytest.mark.parametrize("a2", (-4.096e-297, -1e-250, -1e-323, -5e-324))
+def test_a_cubic_whose_trigonometric_divisor_underflows_solves_alike_at_points_and_on_grids(a2):
+    # r^3 + a2 r has the roots 0 and +-sqrt(-a2); below |a2| ~ 1e-205 the
+    # divisor 2pm of the cosine argument underflows, and -5e-324 / 3 is 0
+    point = solve_cubic_real(cubic_from_floats(0.0, a2, 0.0)).r
+    zero = (0.0, 0.0, 0.0, 0.0)
+    grid = solve_cubic_real(_grid([(zero, (a2, 0.0, 0.0, 0.0), zero),
+                                   (zero, (-3.0, 0.0, 0.0, 0.0), zero)])).r
+    assert [float(r).hex() for r in grid[:, 0]] == [r.hex() for r in point]
+    assert list(grid[:, 1]) == list(solve_cubic_real(cubic_from_floats(0.0, -3.0, 0.0)).r)
+    root = math.sqrt(-a2)
+    if -a2 / 3.0 >= sys.float_info.min:  # else -p/3 is subnormal, and m loses digits
+        assert point == pytest.approx((-root, 0.0, root), rel=1e-15, abs=1e-15 * root)
+    else:
+        assert all(abs(r) <= 2.0 * root for r in point)
 
 
 def _point(jets):

@@ -140,18 +140,26 @@ def test_integrand_values_keep_their_bits(recorded):
 
 
 #: the integrand of PLANE3 at two times, both ends of the ladder and two
-#: directions (along (1, 0) four weights xi^alpha are zero, and the lower
-#: coefficient 0.4 + i*t is complex): the sha256 of each row's space-joined
-#: ``float.hex``
+#: directions (along (1, 0) the weight xi^alpha of every term with a power of
+#: xi_2 is zero, and the lower coefficient 0.4 + i*t is complex): the sha256 of
+#: each row's space-joined ``float.hex``
 PLANE3_POINTS = {
-    "d=(1.0, 0.0) t=0.37 xi=64.0": "ebbbe00de2ff881751c2f5e80a6358b30eac40b7c0485965cf197ba41e9b2c4d",
-    "d=(1.0, 0.0) t=0.37 xi=16384.0": "5e81665348d515d1e6b995f5454526f3357af1cfa1d21ffdbab5532f6dfe9b65",
-    "d=(1.0, 0.0) t=0.0001 xi=64.0": "a5803c068669f3664d6cf5c3a1c87bfcc482b3a105135fc263aa16cdf2204e99",
-    "d=(1.0, 0.0) t=0.0001 xi=16384.0": "9b17e44ef1446ebb483f73cd6c5ef1dac3be0374f1b007de9c7b72ec14f31533",
-    "d=(0.6, 0.8) t=0.37 xi=64.0": "1e0ae4a27279b659c0928b60d20691cba1e52cca4efd1238e6ec8536e0b20bd8",
-    "d=(0.6, 0.8) t=0.37 xi=16384.0": "db14e89088d7ef64c1bd5c035c690236dbfa280562a5c89d02062633a85bb188",
-    "d=(0.6, 0.8) t=0.0001 xi=64.0": "52abcfa20c6f58c08fd8de8b7d822d24fa2dd3fdd6c6a9aaea65047700a80c8b",
-    "d=(0.6, 0.8) t=0.0001 xi=16384.0": "306704faab5603307968bd2138619b39f65b0708cf13adf904feda58584343c8",
+    "d=(1.0, 0.0) t=0.37 xi=64.0":
+        "ebbbe00de2ff881751c2f5e80a6358b30eac40b7c0485965cf197ba41e9b2c4d",
+    "d=(1.0, 0.0) t=0.37 xi=16384.0":
+        "5e81665348d515d1e6b995f5454526f3357af1cfa1d21ffdbab5532f6dfe9b65",
+    "d=(1.0, 0.0) t=0.0001 xi=64.0":
+        "a5803c068669f3664d6cf5c3a1c87bfcc482b3a105135fc263aa16cdf2204e99",
+    "d=(1.0, 0.0) t=0.0001 xi=16384.0":
+        "9b17e44ef1446ebb483f73cd6c5ef1dac3be0374f1b007de9c7b72ec14f31533",
+    "d=(0.6, 0.8) t=0.37 xi=64.0":
+        "1e0ae4a27279b659c0928b60d20691cba1e52cca4efd1238e6ec8536e0b20bd8",
+    "d=(0.6, 0.8) t=0.37 xi=16384.0":
+        "db14e89088d7ef64c1bd5c035c690236dbfa280562a5c89d02062633a85bb188",
+    "d=(0.6, 0.8) t=0.0001 xi=64.0":
+        "52abcfa20c6f58c08fd8de8b7d822d24fa2dd3fdd6c6a9aaea65047700a80c8b",
+    "d=(0.6, 0.8) t=0.0001 xi=16384.0":
+        "306704faab5603307968bd2138619b39f65b0708cf13adf904feda58584343c8",
 }
 
 
@@ -162,7 +170,8 @@ def test_plane_integrand_values_keep_their_bits():
             for xi in XIS:
                 row = _hex(_integrand_values(PLANE3, t, xi * np.array(d)))
                 assert len(row) == 34
-                got[f"d={d!r} t={t!r} xi={xi!r}"] = hashlib.sha256(" ".join(row).encode()).hexdigest()
+                digest = hashlib.sha256(" ".join(row).encode()).hexdigest()
+                got[f"d={d!r} t={t!r} xi={xi!r}"] = digest
     assert got == PLANE3_POINTS
 
 
