@@ -15,14 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubic import (
-    CubicJet,
-    cubic_from_floats,
-    delta1,
-    derivative_quadratic,
-    discriminant,
-    solve_cubic_real,
-)
+from .cubic import CubicJet, delta1, derivative_quadratic, discriminant, solve_cubic_real
+from .expr import Jet2
 
 __all__ = ["IdentityResult", "run_algebraic_suite", "ALGEBRAIC_TOLERANCES"]
 
@@ -47,10 +41,6 @@ class IdentityResult:
         return self.max_residual <= self.tolerance
 
 
-def _rel(lhs: float, rhs: float) -> float:
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
-
-
 def _sample_roots(rng: np.random.Generator, min_gap: float = 0.0) -> tuple[float, float, float]:
     while True:
         r = np.sort(rng.uniform(-5.0, 5.0, size=3))
@@ -58,56 +48,77 @@ def _sample_roots(rng: np.random.Generator, min_gap: float = 0.0) -> tuple[float
             return float(r[0]), float(r[1]), float(r[2])
 
 
-def _cubic_from_roots(r1: float, r2: float, r3: float) -> CubicJet:
-    return cubic_from_floats(-(r1 + r2 + r3), r1 * r2 + r2 * r3 + r3 * r1, -(r1 * r2 * r3))
+_LOW, _HIGH = (-5.0,) * 6 + (math.log(0.3),), (5.0,) * 6 + (math.log(3.0),)
 
 
-def _regularize_floats(c: CubicJet, e: float) -> CubicJet:
-    return cubic_from_floats(
-        c.a1.v.real,
-        c.a2.v.real - 6.0 * e * e,
-        c.a3.v.real - 2.0 * e * e * c.a1.v.real,
-    )
+def _draws(rng: np.random.Generator, samples: int):
+    """Each sample's seven draws in turn, in blocks of up to 1,024 columns: the well-separated
+    and the general root triple, each sorted, and log e. A rejected well-separated triple
+    (about one in 1,700) is drawn again by _sample_roots from the state at its sample."""
+    done = 0
+    while done < samples:
+        state = rng.bit_generator.state
+        block = rng.uniform(_LOW, _HIGH, size=(min(samples - done, 1024), 7))
+        for j in (0, 3):
+            block[:, j:j + 3].sort(axis=1)
+        ok = (np.diff(block[:, :3], axis=1) > 1e-3).all(axis=1)
+        k = len(block) if ok.all() else int(ok.argmin())
+        if k < len(block):
+            rng.bit_generator.state = state
+            rng.random(7 * k)
+            block[k] = (*_sample_roots(rng, 1e-3), *_sample_roots(rng),
+                        rng.uniform(_LOW[6], _HIGH[6]))
+            k += 1
+        yield block[:k].T
+        done += k
+
+
+def _cubic(r1, r2, r3) -> CubicJet:
+    a = -(r1 + r2 + r3), r1 * r2 + r2 * r3 + r3 * r1, -(r1 * r2 * r3)
+    return CubicJet(*(Jet2(x, 0.0, 0.0) for x in a))
+
+
+def _worst(lhs, rhs) -> float:
+    """The largest relative residual over the samples, as a max from 0 (past a NaN)."""
+    lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+    rel = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
+    return float(np.fmax.reduce(rel, initial=0.0))
+
+
+def _residuals(d: np.ndarray) -> list[float]:
+    """The worst residual of each identity over a block of draws (a column
+    each), rounded as one sample at a time in Python floats: a power or a
+    discriminant is taken on object arrays of them, as numpy's x**2 and x**3
+    do not always round as Python's."""
+    r, e = d[:6].astype(object), np.exp(d[6]).astype(object)
+    worst = {}
+
+    # well-separated sample: discriminant vs product of squared gaps
+    s = solve_cubic_real(_cubic(*d[:3])).r
+    prod = ((s[0] - s[1]) * (s[1] - s[2]) * (s[2] - s[0])).astype(object) ** 2
+    worst["disc_vs_root_products"] = _worst(discriminant(_cubic(*r[:3])), prod)
+
+    # general sample (coincidences allowed) for the remaining identities
+    r, c = r[3:], _cubic(*r[3:])
+    sumsq = ((r[0] - r[1]) ** 2 + (r[1] - r[2]) ** 2 + (r[2] - r[0]) ** 2)
+    worst["sumsq_vs_coeffs"] = _worst(delta1(c), sumsq)
+    gap_sq = derivative_quadratic(_cubic(*d[3:6]))[3]
+    worst["sumsq_vs_crit_gap"] = _worst(delta1(c), 4.5 * gap_sq)
+
+    a1, a2, a3 = c.a1.v, c.a2.v, c.a3.v
+    reg = CubicJet(c.a1, Jet2(a2 - 6.0 * e * e, 0.0, 0.0), Jet2(a3 - 2.0 * e * e * a1, 0.0, 0.0))
+    db24 = 4.0 * a1 ** 2 - 12.0 * a2
+    expansion = (discriminant(c) + 0.5 * e ** 2 * db24 ** 2 + 36.0 * e ** 4 * db24
+                 + 864.0 * e ** 6)
+    worst["reg_disc_expansion"] = _worst(discriminant(reg), expansion)
+    shift = (4.0 * reg.a1.v ** 2 - 12.0 * reg.a2.v) - db24
+    worst["reg_crit_disc_shift"] = _worst(shift, 72.0 * e * e)
+    return [worst[name] for name in ALGEBRAIC_TOLERANCES]
 
 
 def run_algebraic_suite(samples: int, seed: int) -> list[IdentityResult]:
     """Run the five closed-form identities on `samples` random cubics."""
-    rng = np.random.default_rng(seed)
-    worst = {name: 0.0 for name in ALGEBRAIC_TOLERANCES}
-
-    for _ in range(samples):
-        # well-separated sample: discriminant vs product of squared gaps
-        r = _sample_roots(rng, min_gap=1e-3)
-        c = _cubic_from_roots(*r)
-        solved = solve_cubic_real(c).r
-        prod = ((solved[0] - solved[1]) * (solved[1] - solved[2]) * (solved[2] - solved[0])) ** 2
-        disc = discriminant(c)
-        worst["disc_vs_root_products"] = max(worst["disc_vs_root_products"], _rel(disc, prod))
-
-        # general sample (coincidences allowed) for the remaining identities
-        r = _sample_roots(rng)
-        c = _cubic_from_roots(*r)
-        sumsq = ((r[0] - r[1]) ** 2 + (r[1] - r[2]) ** 2 + (r[2] - r[0]) ** 2)
-        d1 = delta1(c)
-        worst["sumsq_vs_coeffs"] = max(worst["sumsq_vs_coeffs"], _rel(d1, sumsq))
-
-        _, _, _, gap_sq = derivative_quadratic(c)
-        lhs = delta1(c)
-        rhs = 4.5 * gap_sq
-        worst["sumsq_vs_crit_gap"] = max(worst["sumsq_vs_crit_gap"], _rel(lhs, rhs))
-
-        e = float(np.exp(rng.uniform(math.log(0.3), math.log(3.0))))
-        reg = _regularize_floats(c, e)
-        disc_reg = discriminant(reg)
-        disc_plain = discriminant(c)
-        db24 = 4.0 * c.a1.v.real ** 2 - 12.0 * c.a2.v.real
-        expansion = (disc_plain + 0.5 * e ** 2 * db24 ** 2 + 36.0 * e ** 4 * db24
-                     + 864.0 * e ** 6)
-        worst["reg_disc_expansion"] = max(worst["reg_disc_expansion"], _rel(disc_reg, expansion))
-
-        db24_reg = 4.0 * reg.a1.v.real ** 2 - 12.0 * reg.a2.v.real
-        shift = db24_reg - db24
-        worst["reg_crit_disc_shift"] = max(worst["reg_crit_disc_shift"], _rel(shift, 72.0 * e * e))
-
-    return [IdentityResult(name, worst[name], ALGEBRAIC_TOLERANCES[name], samples)
-            for name in ALGEBRAIC_TOLERANCES]
+    blocks = map(_residuals, _draws(np.random.default_rng(seed), samples))
+    worst = np.max([[0.0] * len(ALGEBRAIC_TOLERANCES), *blocks], axis=0)
+    return [IdentityResult(name, float(w), tol, samples)
+            for (name, tol), w in zip(ALGEBRAIC_TOLERANCES.items(), worst)]

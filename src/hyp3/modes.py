@@ -55,11 +55,8 @@ def solve_ivp(*args, **kwargs):
     return solve_ivp(*args, **kwargs)
 
 
-def _ode_coefficients(op: Operator3, xi: np.ndarray):
-    """Complex coefficients g_j(t) of v''' = -(g2 v'' + g1 v' + g0 v), at one
-    time or at each time of an array: g_j collects a_{j,alpha} (i xi)^alpha
-    over all alpha. A domain error or a non-finite value names the point it
-    happened at; on an array, the first such time."""
+def _ode_terms(op: Operator3, xi: np.ndarray) -> list[list]:
+    """The terms (w, a_{j,alpha}), w = (i xi)^alpha, of each g_j, in op.coeffs order."""
     terms: list[list] = [[], [], []]
     for (j, alpha), fn in op.coeffs.items():
         w = complex(1.0)
@@ -67,6 +64,15 @@ def _ode_coefficients(op: Operator3, xi: np.ndarray):
             w *= (1j * float(x)) ** a
         if w != 0:
             terms[j].append((w, fn))
+    return terms
+
+
+def _ode_coefficients(op: Operator3, xi: np.ndarray):
+    """Complex coefficients g_j(t) of v''' = -(g2 v'' + g1 v' + g0 v), at one
+    time or at each time of an array: g_j collects a_{j,alpha} (i xi)^alpha
+    over all alpha. A domain error or a non-finite value names the point it
+    happened at; on an array, the first such time."""
+    terms = _ode_terms(op, xi)
     compiled = [[(w, fn._at) for w, fn in tj] for tj in terms]
 
     def coeffs_at(t):
@@ -138,13 +144,25 @@ def solve_mode(op: Operator3, xi: np.ndarray, init=(1.0, 0.0, 0.0),
     if y0.shape != (3,):
         raise ValueError("init must have shape (3,)")
     coeff = _ode_coefficients(op, xi)
+    p0, p1, p2 = ([(w, fn._at) for w, fn in tj] for tj in _ode_terms(op, xi))
 
     def rhs(t, y):
-        g0, g1, g2 = coeff(t)
-        dy = np.empty_like(y)
-        dy[:2] = y[1:]
-        dy[2] = -(g0 * y[0] + g1 * y[1] + g2 * y[2])
-        return dy
+        # each g_j summed as coeff sums it at a point, with no test on the way:
+        # where a term raises or a g_j is not finite, coeff raises the error at t
+        g0 = g1 = g2 = 0j
+        try:  # free unless it catches
+            for w, at in p0:
+                g0 = g0 + w * at(t)
+            for w, at in p1:
+                g1 = g1 + w * at(t)
+            for w, at in p2:
+                g2 = g2 + w * at(t)
+        except ExprDomainError:
+            g0 = cmath.nan
+        if not cmath.isfinite(g0 + g1 + g2):
+            g0, g1, g2 = coeff(t)
+        y0, y1, y2 = y.tolist()
+        return np.array((y1, y2, -(g0 * y0 + g1 * y1 + g2 * y2)))
 
     with np.errstate(over="ignore", invalid="ignore"):
         sol = solve_ivp(rhs, (0.0, t_eval[-1]), y0, method="DOP853",
@@ -484,11 +502,12 @@ def _magnus_steps(g, t: np.ndarray, mag: float) -> int:
     g = np.broadcast_arrays(*g)
     speed = max(mag, *(float(np.max(np.abs(gj))) ** (1.0 / (3 - j)) for j, gj in enumerate(g)))
     devs = [float(np.max(np.abs(gj - gj.mean()))) for gj in g]
-    try:
-        rate = max((float(np.max(np.abs(np.diff(gj)))) / (h * d) for gj, d in zip(g, devs)
-                    if d > 0), default=0.0)
+    jumps = [float(np.max(np.abs(np.diff(gj)))) for gj in g]
+    try:  # x / d / h where h * d underflows: h * rate <= 2, as a jump is at most 2 d
+        rate = max((x / (h * d) if h * d else x / d / h for x, d in zip(jumps, devs) if d > 0),
+                   default=0.0)
         steps = math.ceil(h * max(3.0 * speed, 8.0 * rate))
-    except (ZeroDivisionError, OverflowError):  # h * d underflows, or the count is inf
+    except (ZeroDivisionError, OverflowError):  # h underflows, or the count is inf
         steps = math.inf
     if not steps * (len(t) - 1) < 2 ** 62:  # every step of the grid has an int64 index
         raise MagnusStepError(steps, mag)

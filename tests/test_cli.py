@@ -8,12 +8,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hyp3 import cli, identities, quadrature
+from hyp3 import cli, identities, modes, quadrature
 from hyp3.cli import main
 from hyp3.expr import MAX_DEPTH
+from hyp3.opfile import load_operator
 
 
 def _strict_loads(text):
@@ -374,9 +376,8 @@ def test_modes_names_the_point_of_a_coefficient_domain_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("horizon, coeffs, steps", [
-    ("1e-300", "a[1,(2)] = -1\na[0,(2)] = t", "inf"),  # h * deviation underflows
     ("1.0", "a[1,(2)] = -1e100*(1+t)", "2.15e+50"),  # np.arange cannot index the steps
-], ids=["underflowing_rate", "unindexable_steps"])
+], ids=["unindexable_steps"])
 def test_modes_names_a_magnus_step_count_past_the_index_range(tmp_path, capsys, horizon, coeffs,
                                                               steps):
     p = tmp_path / "steps.op"
@@ -386,6 +387,24 @@ def test_modes_names_a_magnus_step_count_past_the_index_range(tmp_path, capsys, 
     out, err = capsys.readouterr()
     assert out == "" and err == (f"hyp3: numerical failure: Magnus step count {steps} per output "
                                  f"interval past the step index range, at |xi|=32\n")
+
+
+def test_modes_counts_magnus_steps_where_step_times_deviation_underflows(tmp_path, capsys):
+    # on T = 1e-300 the step h times the coefficient's deviation d underflows,
+    # while a jump of the coefficient over d is at most 2: at most 16 steps
+    p = tmp_path / "steps.op"
+    p.write_text("order = 3\ndimension = 1\nT = 1e-300\na[1,(2)] = -1\na[0,(2)] = t\n")
+    assert main(["modes", "--config", str(p), "--xi-min", "32", "--xi-max", "1024",
+                 "--xi-steps", "6", "--grid", "64", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    rows = json.loads((tmp_path / "modes.json").read_text())["operators"]["steps"]["rows"]
+    assert [r["xi"] for r in rows] == [32.0, 64.0, 128.0, 256.0, 512.0, 1024.0]
+    assert all(r["amplification"] == 1.0 and not r["blowup"] for r in rows)
+    op = load_operator(p)
+    t = np.linspace(0.0, op.horizon, 64)
+    for mag in (32.0, 1024.0):
+        g = modes._ode_coefficients(op, np.array([mag]))(t)
+        assert 1 <= modes._magnus_steps(g, t, mag) <= 16
 
 
 def test_check_names_the_point_of_an_exp_overflow(tmp_path, capsys):

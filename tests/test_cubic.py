@@ -5,6 +5,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hyp3.cubic import (
     SIMPLE_ROOT_REL_GAP,
@@ -445,3 +446,41 @@ def test_quad_root_jets_near_multiple_roots_against_mpmath(kind, rel):
             (s, bound), (d, d_bound) = _quad_oracle(jets, sign)
             for got, got_d in ((point_s[j], point_d[j]), (grid_s[j][k], grid_d[j][k])):
                 assert abs(got - s) <= bound and abs(got_d - d) <= d_bound
+
+
+# ---------------------------------------------------------------------------
+# the grid solve against the point solve, bit for bit
+
+#: roots s * (c, c + g1, c + g1 + g2): scales from 1e-160 (coefficients down
+#: to 1e-320, the band below about 1e-205 where 2pm underflows) to 1e33
+#: (coefficients up to 1e100), with gaps that vanish, are near-double or
+#: near-triple, or are of the span's order
+_GAP = st.one_of(st.just(0.0), st.floats(1e-16, 1e-6), st.floats(1e-6, 2.0))
+_ROOTS = st.tuples(st.floats(-160.0, 33.0).map(lambda k: 10.0 ** k),
+                   st.floats(-2.0, 2.0), _GAP, _GAP)
+
+
+def _cubic_of(s, c, g1, g2):
+    r1 = s * c
+    r2 = r1 + s * g1
+    return _vieta_cubic(r1, r2, r2 + s * g2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_ROOTS, min_size=1, max_size=50))
+@example([(1e-125, -1.0, 1.0, 1.0), (1e-110, 0.5, 1e-9, 0.0), (1.0, 0.25, 0.0, 0.0),
+          (1e33, -2.0, 2.0, 2.0)])
+def test_grid_cubic_solve_keeps_every_bit_of_the_point_solve(roots):
+    # a cubic past the hyperbolicity band raises at a point as on a grid of it alone
+    point, kept = [], []
+    for c in map(_cubic_of, *zip(*roots)):
+        try:
+            point.append([r.hex() for r in solve_cubic_real(c).r])
+            kept.append(c)
+        except HyperbolicityViolation:
+            with pytest.raises(HyperbolicityViolation):
+                solve_cubic_real(_on_grid(c, 1))
+    if kept:
+        grid = solve_cubic_real(CubicJet(*(Jet2(np.array([getattr(c, a).v for c in kept]), 0.0, 0.0)
+                                           for a in ("a1", "a2", "a3")))).r
+        assert [[float(r).hex() for r in col] for col in grid.T] == point

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from hyp3.battery import BATTERY, battery_member
+from hyp3.cli import main
 from hyp3.expr import parse_timefn as P
 from hyp3 import modes
 from hyp3.errors import ExprDomainError
@@ -22,6 +23,7 @@ from hyp3.modes import (
     solve_mode,
 )
 from hyp3.operators import Operator3
+from hyp3.opfile import parse_operator_text
 
 
 def _op(name, coeffs, horizon=1.0):
@@ -381,6 +383,45 @@ def test_non_finite_mode_coefficient_is_a_located_domain_error(text, message):
     for call in calls:
         with pytest.raises(ExprDomainError, match=message + r".* xi=\[32\.\]$"):
             call()
+
+
+_STAGE_BASE = "order = 3\ndimension = 1\nT = 0.25\na[1,(2)] = -(1 + t)\na[0,(1)] = 1\n"
+
+
+@pytest.fixture(scope="module")
+def stage_time():
+    """A time at which DOP853 evaluates the right-hand side of the _STAGE_BASE
+    mode at |xi| = 1,024 on the 64-point grid, halfway through its evaluations."""
+    times = []
+    solve = modes.solve_ivp
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modes, "solve_ivp", lambda f, *args, **kwargs: solve(
+            lambda t, y: times.append(t) or f(t, y), *args, **kwargs))
+        modes.solve_mode(parse_operator_text(_STAGE_BASE), np.array([1024.0]), grid_points=64)
+    return repr(float(times[len(times) // 2]))
+
+
+@pytest.mark.parametrize("term,message", [
+    # zero times a term that raises, or is not finite, at that one time alone:
+    # up to it the trajectory is the _STAGE_BASE mode's own
+    ("0*(1/(t - {tau}))", "division by zero"),
+    ("0*exp(1e-27/((t - {tau})^2 + 1e-30))", "exp of 1000.0 overflows"),
+    ("0*(1e200/((t - {tau})^2 + 1e-200))", "non-finite coefficient value"),
+])
+def test_mode_right_hand_side_names_the_time_of_a_coefficient_error(tmp_path, capsys, stage_time,
+                                                                     term, message):
+    text = _STAGE_BASE + f"a[0,(0)] = {term.format(tau=stage_time)}\n"
+    where = f", at t={float(stage_time):.6g}, xi=[1024.]"
+    with pytest.raises(ExprDomainError) as exc:
+        solve_mode(parse_operator_text(text), np.array([1024.0]), grid_points=64)
+    assert str(exc.value) == message + where
+    # the growth rows never meet that time; the solve for the mode table does
+    p = tmp_path / "stage.op"
+    p.write_text(text)
+    assert main(["modes", "--config", str(p), "--xi-min", "32", "--xi-max", "1024",
+                 "--xi-steps", "6", "--grid", "64", "--format", "tables",
+                 "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"hyp3: config error: {message}{where}\n"
 
 
 @pytest.mark.parametrize("name,nfev", [("strict_sin", 24770), ("oleinik_ok", 6650)])
