@@ -124,8 +124,7 @@ class QuadratureError(_Pickled):
 
 class MagnusStepError(_Pickled):
     """A growth row needs more Magnus steps than a step index holds, or a
-    count past the double range (a step so short that the rate of change
-    overflows, or a root scale that overflows)."""
+    count past the double range (a root scale that overflows)."""
 
     def __init__(self, steps: float, mag: float):
         self.steps = steps

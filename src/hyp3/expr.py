@@ -455,7 +455,12 @@ def _compile(node: Node):
     if isinstance(node, TimeVar):
         return float
     if isinstance(node, BinOp):
-        f, g = _compile(node.lhs), _compile(node.rhs)
+        g = _compile(node.rhs)
+        if isinstance(node.lhs, Num) and node.op != "/":  # a constant operand, with no call
+            v = node.lhs.value
+            return {"+": lambda t: v + g(t), "-": lambda t: v - g(t),
+                    "*": lambda t: v * g(t)}[node.op]
+        f = _compile(node.lhs)
         return {"+": lambda t: f(t) + g(t), "-": lambda t: f(t) - g(t),
                 "*": lambda t: f(t) * g(t), "/": lambda t: _sdiv([f(t)], [g(t)])[0]}[node.op]
     if isinstance(node, Pow):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditions import _primary_terms, check_ladder
-from .cubic import _SS2, _root_derivatives, _simple_root_gap
+from .cubic import _NORMAL_MIN, _SS2, _root_derivatives, _simple_root_gap
 from .cubic import solve_cubic_real  # noqa: F401  (a binding perfbench/tests checks)
 from .errors import (ExprDomainError, MagnusStepError, OperatorSpecError, _check_points,
                      _nonfinite, locate)
@@ -55,8 +55,11 @@ def solve_ivp(*args, **kwargs):
     return solve_ivp(*args, **kwargs)
 
 
-def _ode_terms(op: Operator3, xi: np.ndarray) -> list[list]:
-    """The terms (w, a_{j,alpha}), w = (i xi)^alpha, of each g_j, in op.coeffs order."""
+def _ode_coefficients(op: Operator3, xi: np.ndarray):
+    """Complex coefficients g_j(t) of v''' = -(g2 v'' + g1 v' + g0 v), at one
+    time or at each time of an array: g_j collects a_{j,alpha} (i xi)^alpha
+    over all alpha. A domain error or a non-finite value names the point it
+    happened at; on an array, the first such time."""
     terms: list[list] = [[], [], []]
     for (j, alpha), fn in op.coeffs.items():
         w = complex(1.0)
@@ -64,28 +67,20 @@ def _ode_terms(op: Operator3, xi: np.ndarray) -> list[list]:
             w *= (1j * float(x)) ** a
         if w != 0:
             terms[j].append((w, fn))
-    return terms
-
-
-def _ode_coefficients(op: Operator3, xi: np.ndarray):
-    """Complex coefficients g_j(t) of v''' = -(g2 v'' + g1 v' + g0 v), at one
-    time or at each time of an array: g_j collects a_{j,alpha} (i xi)^alpha
-    over all alpha. A domain error or a non-finite value names the point it
-    happened at; on an array, the first such time."""
-    terms = _ode_terms(op, xi)
-    compiled = [[(w, fn._at) for w, fn in tj] for tj in terms]
+    c0, c1, c2 = ([(w, fn._at) for w, fn in tj] for tj in terms)
 
     def coeffs_at(t):
         try:
             if not isinstance(t, np.ndarray):  # the sums below, by the compiled closures
-                g = []
-                for tj in compiled:
-                    s = complex(0.0)
-                    for w, at in tj:
-                        s = s + w * at(t)
-                    g.append(s)
-                if all(map(cmath.isfinite, g)):
-                    return g  # else the test below raises
+                g0 = g1 = g2 = complex(0.0)
+                for w, at in c0:
+                    g0 = g0 + w * at(t)
+                for w, at in c1:
+                    g1 = g1 + w * at(t)
+                for w, at in c2:
+                    g2 = g2 + w * at(t)
+                if cmath.isfinite(g0 + g1 + g2):
+                    return g0, g1, g2  # else the test below raises
             g = [sum((w * fn.value(t) for w, fn in terms[j]), complex(0.0))
                  for j in range(3)]
             _check_points(_nonfinite(g), ExprDomainError, "non-finite coefficient value")
@@ -144,23 +139,9 @@ def solve_mode(op: Operator3, xi: np.ndarray, init=(1.0, 0.0, 0.0),
     if y0.shape != (3,):
         raise ValueError("init must have shape (3,)")
     coeff = _ode_coefficients(op, xi)
-    p0, p1, p2 = ([(w, fn._at) for w, fn in tj] for tj in _ode_terms(op, xi))
 
     def rhs(t, y):
-        # each g_j summed as coeff sums it at a point, with no test on the way:
-        # where a term raises or a g_j is not finite, coeff raises the error at t
-        g0 = g1 = g2 = 0j
-        try:  # free unless it catches
-            for w, at in p0:
-                g0 = g0 + w * at(t)
-            for w, at in p1:
-                g1 = g1 + w * at(t)
-            for w, at in p2:
-                g2 = g2 + w * at(t)
-        except ExprDomainError:
-            g0 = cmath.nan
-        if not cmath.isfinite(g0 + g1 + g2):
-            g0, g1, g2 = coeff(t)
+        g0, g1, g2 = coeff(t)
         y0, y1, y2 = y.tolist()
         return np.array((y1, y2, -(g0 * y0 + g1 * y1 + g2 * y2)))
 
@@ -171,7 +152,7 @@ def solve_mode(op: Operator3, xi: np.ndarray, init=(1.0, 0.0, 0.0),
     blowup = (not sol.success) or n < grid_points or not np.all(np.isfinite(sol.y))
     t = sol.t[:n] if n else np.array([0.0])
     v, v1, v2 = sol.y[:, :n] if n else y0[:, None]
-    g = np.array([coeff(float(tk)) for tk in t])
+    g = np.array([coeff(tk) for tk in t.tolist()])
     v3 = -(g[:, 0] * v + g[:, 1] * v1 + g[:, 2] * v2)
     return ModeSolution(np.asarray(xi, dtype=float), t, v, v1, v2, v3, int(sol.nfev), blowup)
 
@@ -503,11 +484,13 @@ def _magnus_steps(g, t: np.ndarray, mag: float) -> int:
     speed = max(mag, *(float(np.max(np.abs(gj))) ** (1.0 / (3 - j)) for j, gj in enumerate(g)))
     devs = [float(np.max(np.abs(gj - gj.mean()))) for gj in g]
     jumps = [float(np.max(np.abs(np.diff(gj)))) for gj in g]
-    try:  # x / d / h where h * d underflows: h * rate <= 2, as a jump is at most 2 d
-        rate = max((x / (h * d) if h * d else x / d / h for x, d in zip(jumps, devs) if d > 0),
-                   default=0.0)
-        steps = math.ceil(h * max(3.0 * speed, 8.0 * rate))
-    except (ZeroDivisionError, OverflowError):  # h underflows, or the count is inf
+    # h * rate, at most 2 as a jump is at most 2 d: jump / d where h or h * d is
+    # subnormal, as jump / (h * d) may overflow there
+    h_rate = max((h * (x / (h * d)) if min(h, h * d) >= _NORMAL_MIN else x / d
+                  for x, d in zip(jumps, devs) if d > 0), default=0.0)
+    try:
+        steps = math.ceil(max(h * (3.0 * speed), 8.0 * h_rate))
+    except OverflowError:  # the count is inf
         steps = math.inf
     if not steps * (len(t) - 1) < 2 ** 62:  # every step of the grid has an int64 index
         raise MagnusStepError(steps, mag)

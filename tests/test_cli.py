@@ -389,11 +389,16 @@ def test_modes_names_a_magnus_step_count_past_the_index_range(tmp_path, capsys, 
                                  f"interval past the step index range, at |xi|=32\n")
 
 
-def test_modes_counts_magnus_steps_where_step_times_deviation_underflows(tmp_path, capsys):
-    # on T = 1e-300 the step h times the coefficient's deviation d underflows,
-    # while a jump of the coefficient over d is at most 2: at most 16 steps
+@pytest.mark.parametrize("horizon, a0", [
+    ("1e-300", "t"),  # h * d underflows to 0
+    ("1e-309", "1e295*t"),  # h and h * d are subnormal, and jump / (h * d) overflows
+], ids=["zero", "subnormal"])
+def test_modes_counts_magnus_steps_where_step_times_deviation_underflows(tmp_path, capsys,
+                                                                         horizon, a0):
+    # the step h times the coefficient's deviation d underflows, while a
+    # jump of the coefficient over d is at most 2: at most 16 steps
     p = tmp_path / "steps.op"
-    p.write_text("order = 3\ndimension = 1\nT = 1e-300\na[1,(2)] = -1\na[0,(2)] = t\n")
+    p.write_text(f"order = 3\ndimension = 1\nT = {horizon}\na[1,(2)] = -1\na[0,(2)] = {a0}\n")
     assert main(["modes", "--config", str(p), "--xi-min", "32", "--xi-max", "1024",
                  "--xi-steps", "6", "--grid", "64", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
