@@ -341,6 +341,36 @@ def test_solve_mode_blowup_truncates_every_column():
     assert np.all(np.isfinite(sol.v))
 
 
+@pytest.mark.parametrize("xi,t_end,points,nfev", [
+    # the file T = 1, a[1,(2)] = 1: e^{|xi| t} overflows before T; scipy's
+    # DOP853 gives the same figures
+    (700.0, 0.9841269841269841, 63, 25223),
+    (1024.0, 0.6666666666666666, 43, 25139),
+    (4096.0, 0.15873015873015872, 11, 24959),
+])
+def test_solve_mode_overflow_raises_and_warns_nothing(xi, t_end, points, nfev):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_mode(ILL_POSED, np.array([xi]), init=(0.0, 1.0, 0.0), grid_points=64)
+    assert sol.blowup
+    assert (float(sol.t[-1]), len(sol.t), sol.nfev) == (t_end, points, nfev)
+
+
+@pytest.mark.parametrize("init,points,nfev,blowup", [
+    # |v| = 1.84e308 past the largest double, though each part is finite: a
+    # constant solution, kept on the whole grid
+    ((1.3e308 * (1 + 1j), 0.0, 0.0), 64, 95, False),
+    # v' as large: every first step is rejected, and only t = 0 is reached
+    ((0.0, 1.3e308 * (1 + 1j), 0.0), 1, 5474, True),
+])
+def test_solve_mode_of_a_state_past_the_largest_double(init, points, nfev, blowup):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_mode(ILL_POSED, np.array([32.0]), init=init, grid_points=64)
+    assert (len(sol.t), sol.nfev, sol.blowup) == (points, nfev, blowup)
+    assert sol.v[0] == init[0] and sol.v1[0] == init[1]
+
+
 def test_growth_row_of_a_blown_up_solve():
     # the exact path, then the Magnus path
     for op, kappa_tol in ((ILL_POSED, 1e-6), (ILL_POSED_SIN, 1e-3)):
@@ -426,7 +456,7 @@ def test_mode_right_hand_side_names_the_time_of_a_coefficient_error(tmp_path, ca
 
 @pytest.mark.parametrize("name,nfev", [("strict_sin", 24770), ("oleinik_ok", 6650)])
 def test_mode_right_hand_side_is_pythons_own_arithmetic(python_value, name, nfev):
-    # DOP853 with each g_j summed from Python's own evaluation of the
+    # hyp3's DOP853 with each g_j summed from Python's own evaluation of the
     # coefficients, in the order of op.coeffs: the same count and bitwise the
     # same trajectory as solve_mode at |xi| = 256 on the default grid
     op = battery_member(name).op
@@ -440,14 +470,45 @@ def test_mode_right_hand_side_is_pythons_own_arithmetic(python_value, name, nfev
 
     def rhs(t, y):
         g0, g1, g2 = (sum((w * f(t) for w, f in tj), complex(0.0)) for tj in terms)
-        return np.array([y[1], y[2], -(g0 * y[0] + g1 * y[1] + g2 * y[2])])
+        return y[1], y[2], -(g0 * y[0] + g1 * y[1] + g2 * y[2])
 
-    ref = solve_ivp(rhs, (0.0, op.horizon), np.array([1.0, 0.0, 0.0], dtype=complex),
-                    method="DOP853", rtol=modes.MODE_RTOL, atol=modes.MODE_ATOL,
-                    t_eval=np.linspace(0.0, op.horizon, 1024))
+    ref = modes.solve_ivp(rhs, (1.0, 0.0, 0.0), np.linspace(0.0, op.horizon, 1024))
     assert sol.nfev == ref.nfev == nfev
     for got, want in zip((sol.t, sol.v, sol.v1, sol.v2), (ref.t, *ref.y)):
         assert np.array_equal(got, want)
+
+
+def _scipy_mode(op, xi, grid_points):
+    """The mode solved by scipy's DOP853 at the mode tolerances, as
+    solve_mode's blow-up flag reads it: (t, y, nfev, blowup)."""
+    coeff = modes._ode_coefficients(op, xi)
+
+    def rhs(t, y):
+        g0, g1, g2 = coeff(t)
+        return np.array([y[1], y[2], -(g0 * y[0] + g1 * y[1] + g2 * y[2])])
+
+    t_eval = np.linspace(0.0, op.horizon, grid_points)
+    ref = solve_ivp(rhs, (0.0, op.horizon), np.array([1.0, 0.0, 0.0], dtype=complex),
+                    method="DOP853", rtol=modes.MODE_RTOL, atol=modes.MODE_ATOL, t_eval=t_eval)
+    n = len(ref.t)
+    blowup = not ref.success or n < grid_points or not np.all(np.isfinite(ref.y))
+    return ref.t, ref.y, ref.nfev, blowup
+
+
+@pytest.mark.parametrize("xi", [32.0, 512.0])
+@pytest.mark.parametrize("name", [name for name, m in BATTERY.items()
+                                  if isinstance(m.op, Operator3)])
+def test_mode_kernel_matches_scipys_dop853(name, xi):
+    # the same steps, so the same count and output times; the stage sums
+    # round apart, so the trajectories agree to a tolerance
+    op = battery_member(name).op
+    sol = solve_mode(op, np.array([xi]))
+    t, y, nfev, blowup = _scipy_mode(op, np.array([xi]), 1024)
+    assert sol.nfev == nfev
+    assert np.array_equal(sol.t, t)
+    assert sol.blowup == blowup
+    for got, want in zip((sol.v, sol.v1, sol.v2), y):
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("name", [name for name, m in BATTERY.items()
