@@ -693,9 +693,9 @@ def second_order_report(op2: Operator2, ladder: Sequence[float] | None = None,
 
 def _count_extrema(values: np.ndarray) -> int:
     floor = 1e-9 * (float(np.max(np.abs(values))) + 1.0)
-    diffs = np.diff(values)
-    signs = [1 if d > 0 else -1 for d in diffs if abs(d) >= floor]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    d = np.diff(values)
+    rising = d[np.abs(d) >= floor] > 0  # floor > 0: a flat step or a NaN is no step
+    return int(np.count_nonzero(rising[1:] != rising[:-1]))
 
 
 def oscillation_count(op: Operator3, xi: np.ndarray, target: str = "gap",

@@ -12,7 +12,6 @@ through a route independent of the implicit root derivatives.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -57,74 +56,30 @@ class Trajectory(NamedTuple):
     success: bool       # False where the step fell below its floor
 
 
-@functools.cache
-def _dop853():
-    """scipy's DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10),
-    imported at the first mode solve (only ``hyp3 identities`` and the mode
-    tables solve one, and the import takes a quarter second): the solver
-    class, whose constructor takes the initial step, and its tableau, each
-    row as its nonzero (stage, coefficient) pairs, coefficients as complex
-    numbers, as numpy's products with a complex state take them. The last
-    stage row is the solution's weights B, at c = 1."""
-    from scipy.integrate import DOP853 as m
-
-    def rows(a):
-        return [[(k, complex(x)) for k, x in enumerate(r) if x] for r in a.tolist()]
-    return (m, rows(np.vstack([m.A[1:], m.B])), [*m.C[1:].tolist(), 1.0],
-            *rows(np.array([m.E5[:-1], m.E3[:-1]])), rows(m.A_EXTRA), m.C_EXTRA.tolist(),
-            rows(m.D))
-
-
-def _sums(row, stages):
-    """sum of c * stages[k] over the (k, c) of a row, per component."""
-    s0 = s1 = s2 = 0j
-    for k, c in row:
-        k0, k1, k2 = stages[k]
-        s0 += c * k0
-        s1 += c * k1
-        s2 += c * k2
-    return s0, s1, s2
-
-
 def solve_ivp(fun, y0, t_eval: np.ndarray) -> Trajectory:
     """DOP853 on three complex numbers from t_eval[0] to t_eval[-1], as
     scipy's ``solve_ivp(method="DOP853")`` at MODE_RTOL and MODE_ATOL: its
     tableau, initial step, step controller (safety 0.9, factors 0.2 to 10,
     exponent -1/8, a floor of ten spacings of the doubles at t) and dense
-    output at each time of t_eval, step ends included, with the stage sums
-    as scalar loops. ``fun(t, y)`` takes and returns 3-tuples. A non-finite
-    state raises nothing: its steps are rejected down to the floor."""
-    dop853, a_rows, c_rows, e5_row, e3_row, x_rows, c_x, d_rows = _dop853()
+    output at each time of t_eval, step ends included, with the stages as
+    straight-line code (``hyp3._dop853``, imported at the first solve).
+    ``fun(t, y)`` takes and returns 3-tuples. A non-finite state raises
+    nothing: its steps are rejected down to the floor."""
+    from ._dop853 import _first_step, attempt, dense
     ts = t_eval.tolist()
     t, t_end, i, out = ts[0], ts[-1], 0, []
-    with np.errstate(all="ignore"):  # fun at t and at the probe of the initial step
-        start = dop853(lambda t, y: np.array(fun(t, tuple(y.tolist()))), t,
-                       np.array(y0, dtype=complex), t_end, rtol=MODE_RTOL, atol=MODE_ATOL)
-    y, f = tuple(start.y.tolist()), tuple(start.f.tolist())
-    h_abs, nfev, success = float(start.h_abs), start.nfev, True
+    y0 = np.array(y0, dtype=complex)
+    h_abs, f, nfev = _first_step(fun, t, y0, t_end)
+    y, f, success = tuple(y0.tolist()), tuple(f.tolist()), True
     while t < t_end:
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         h_abs, rejected = max(h_abs, min_step), False
-        y0, y1, y2 = y
         while success := h_abs >= min_step:  # a NaN step fails too: scipy loops for ever
             t_new = min(t + h_abs, t_end)
             h = t_new - t
             h_abs = abs(h)
-            stages = [f]
-            for row, c in zip(a_rows, c_rows):  # the last state is the solution's
-                d0, d1, d2 = _sums(row, stages)
-                y_new = (y0 + d0 * h, y1 + d1 * h, y2 + d2 * h)
-                stages.append(fun(t + c * h, y_new))
+            error, y_new, stages = attempt(fun, t, h, y, f)
             nfev += 12
-            err5 = err3 = 0.0
-            for yj, nj, e5, e3 in zip(y, y_new, _sums(e5_row, stages), _sums(e3_row, stages)):
-                a, b = math.hypot(yj.real, yj.imag), math.hypot(nj.real, nj.imag)
-                s = MODE_ATOL + (a if a >= b or a != a else b) * MODE_RTOL  # NaN wins
-                r5, i5, r3, i3 = e5.real / s, e5.imag / s, e3.real / s, e3.imag / s
-                err5 += r5 * r5 + i5 * i5  # no ** or abs, which raise on overflow
-                err3 += r3 * r3 + i3 * i3
-            norm = math.sqrt((err5 + 0.01 * err3) * 3)
-            error = 0.0 if err5 == err3 == 0 else h_abs * err5 / norm if norm else math.nan
             if error < 1:
                 factor = 10.0 if error == 0 else min(10.0, 0.9 * error ** -0.125)
                 h_abs *= min(1.0, factor) if rejected else factor
@@ -134,16 +89,9 @@ def solve_ivp(fun, y0, t_eval: np.ndarray) -> Trajectory:
         if not success:
             break
         if i < len(ts) and ts[i] <= t_new:  # the interpolant of the step
-            for row, c in zip(x_rows, c_x):
-                d0, d1, d2 = _sums(row, stages)
-                stages.append(fun(t + c * h, (y0 + d0 * h, y1 + d1 * h, y2 + d2 * h)))
+            poly = dense(fun, t, h, y, y_new, stages)
             nfev += 3
-            # per component: y_old and the seven rows of scipy's interpolant,
-            # taken in turn times x and 1 - x from the last
-            poly = [(yj, dy, h * f0 - dy, 2.0 * dy - h * (f1 + f0), *(h * p for p in ps))
-                    for yj, dy, f0, f1, *ps in zip(y, (b - a for a, b in zip(y, y_new)), f,
-                                                   stages[12], *(_sums(r, stages) for r in d_rows))]
-            while i < len(ts) and ts[i] <= t_new:
+            while i < len(ts) and ts[i] <= t_new:  # the rows times x and 1 - x in turn
                 x = (ts[i] - t) / h
                 u = 1.0 - x
                 out.append([(((((((p6 * x + p5) * u + p4) * x + p3) * u + p2) * x + p1) * u + p0)

@@ -66,8 +66,9 @@ def energy_ladders():
         sol0 = solve_mode(op, np.array([ENERGY_LADDER[0]]), grid_points=2048)
         eta, _ = calibrate_eta(op, sol0)
         rows = []
-        for mag in ENERGY_LADDER:
-            sol = solve_mode(op, np.array([mag]), grid_points=2048)
+        sols = [sol0] + [solve_mode(op, np.array([mag]), grid_points=2048)
+                         for mag in ENERGY_LADDER[1:]]  # the first rung is sol0
+        for mag, sol in zip(ENERGY_LADDER, sols):
             tr = energy_trace(op, sol, eta)
             rows.append({"xi": mag, "c_emp": tr.growth_constant(),
                          "gmax": float(np.max(tr.dlogE()))})

@@ -601,13 +601,19 @@ def test_check_document_is_byte_deterministic(tmp_path, capsys):
     assert (a / "conditions.json").read_bytes() == (b / "conditions.json").read_bytes()
 
 
-def test_importing_the_cli_leaves_scipy_integrate_unloaded():
-    # only identities and the mode tables solve a mode, so only they load scipy.integrate
-    code = "import sys, hyp3.cli; print('scipy.integrate' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=60, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+def test_importing_the_cli_leaves_scipy_integrate_unloaded(tmp_path):
+    # no scipy at all, even where a mode is solved; the DOP853 kernel loads at
+    # the first solve (only identities and the mode tables solve one)
+    code = ("import sys, hyp3.cli; loaded = lambda m: m in sys.modules; "
+            "print(loaded('scipy.integrate'), loaded('hyp3._dop853')); "
+            "hyp3.cli.main(sys.argv[1:]); "
+            "print(loaded('hyp3._dop853'), [m for m in sys.modules if m.startswith('scipy')])")
+    args = ["identities", "--samples", "200", "--out", str(tmp_path)]
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout.splitlines()[0] == "False False"
+    assert proc.stdout.splitlines()[-1] == "True []"
 
 
 def test_version_runs():

@@ -13,6 +13,7 @@ import pytest
 from hyp3 import errors, operators, quadrature
 from hyp3.battery import BATTERY, battery_member, battery_names
 from hyp3.conditions import (
+    _count_extrema,
     _grid_sup,
     _integrand_values,
     _primary_terms,
@@ -650,6 +651,27 @@ def test_oscillation_count_sin_gap_stable_across_frequencies():
     for branch in per_xi[0]:
         vals = {c[branch] for c in per_xi}
         assert len(vals) == 1, f"{branch}: {[c[branch] for c in per_xi]}"
+
+
+def _count_extrema_loop(values):
+    # the per-difference loop _count_extrema replaced, as the oracle
+    floor = 1e-9 * (float(np.max(np.abs(values))) + 1.0)
+    signs = [1 if d > 0 else -1 for d in np.diff(values) if abs(d) >= floor]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def test_count_extrema_on_arrays_counts_as_the_loop():
+    rng = np.random.default_rng(11)
+    special = np.array([np.nan, np.inf, -np.inf, 0.0, 1e-12, 1e300])
+    for trial in range(400):
+        n = int(rng.integers(1, 60))
+        values = np.round(rng.normal(size=n), int(rng.integers(0, 4)))  # ties
+        values = np.repeat(values, rng.integers(1, 4, size=n))  # plateaus
+        if trial % 2:
+            at = rng.integers(0, len(values), size=int(rng.integers(1, 4)))
+            values[at] = rng.choice(special, size=len(at))
+        with np.errstate(invalid="ignore"):  # inf - inf in np.diff, on both paths
+            assert _count_extrema(values) == _count_extrema_loop(values), values
 
 
 def test_oscillation_count_unknown_target():

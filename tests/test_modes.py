@@ -6,12 +6,12 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 from hyp3.battery import BATTERY, battery_member
 from hyp3.cli import main
 from hyp3.expr import parse_timefn as P
-from hyp3 import modes
+from hyp3 import _dop853, modes
 from hyp3.errors import ExprDomainError
 from hyp3.modes import (
     _amplification,
@@ -509,6 +509,61 @@ def test_mode_kernel_matches_scipys_dop853(name, xi):
     assert sol.blowup == blowup
     for got, want in zip((sol.v, sol.v1, sol.v2), y):
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def test_dop853_tableau_is_scipys_bit_for_bit():
+    # each row's nonzero entries in stage order, and no zero entry; nonzero
+    # finite floats that compare equal have equal bits
+    def rows(a):
+        return [[(k, x) for k, x in enumerate(r) if x] for r in np.atleast_2d(a).tolist()]
+    assert [list(r.items()) for r in _dop853.A] == rows(np.vstack([DOP853.A[1:], DOP853.B]))
+    assert [list(_dop853.E5.items()), list(_dop853.E3.items())] == rows([DOP853.E5, DOP853.E3])
+    assert [list(r.items()) for r in _dop853.A_EXTRA] == rows(DOP853.A_EXTRA)
+    assert [list(r.items()) for r in _dop853.D] == rows(DOP853.D)
+    assert list(_dop853.C) == [*DOP853.C[1:].tolist(), 1.0]
+    assert list(_dop853.C_EXTRA) == DOP853.C_EXTRA.tolist()
+    assert 0.0 not in _dop853.C + _dop853.C_EXTRA
+
+
+NAN_STEP = _op("nan_step", {(0, (0,)): "1e300", (1, (0,)): "-1e300"})
+
+
+def _assert_first_step_is_scipys(op, xi, init):
+    coeff = modes._ode_coefficients(op, np.array([xi]))
+
+    def rhs(t, y):
+        g0, g1, g2 = coeff(t)
+        return y[1], y[2], -(g0 * y[0] + g1 * y[1] + g2 * y[2])
+    y0 = np.array(init, dtype=complex)
+    with np.errstate(all="ignore"):
+        ref = DOP853(lambda t, y: np.array(rhs(t, tuple(y.tolist()))), 0.0, y0, op.horizon,
+                     rtol=modes.MODE_RTOL, atol=modes.MODE_ATOL)
+    h_abs, f0, nfev = _dop853._first_step(rhs, 0.0, y0, float(op.horizon))
+    assert np.float64(h_abs).tobytes() == np.float64(ref.h_abs).tobytes()
+    assert f0.tobytes() == ref.f.tobytes()
+    assert nfev == ref.nfev == 2
+
+
+@pytest.mark.parametrize("xi", [32.0, 512.0])
+@pytest.mark.parametrize("name", [name for name, m in BATTERY.items()
+                                  if isinstance(m.op, Operator3)])
+def test_first_step_is_scipys_select_initial_step(name, xi):
+    _assert_first_step_is_scipys(battery_member(name).op, xi, (1.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("op,init", [
+    (ILL_POSED, (1.3e308 * (1 + 1j), 0.0, 0.0)),
+    (ILL_POSED, (0.0, 1.3e308 * (1 + 1j), 0.0)),
+    (NAN_STEP, (1e10, 1e10, 0.0)),  # f0 holds a NaN, so the step is NaN
+], ids=["v_past_the_largest_double", "v1_past_the_largest_double", "nan_step"])
+def test_first_step_of_an_extreme_init_is_scipys(op, init):
+    _assert_first_step_is_scipys(op, 32.0, init)
+
+
+def test_a_nan_first_step_is_a_blowup_at_the_first_time():
+    # scipy's step loop runs for ever on it
+    sol = solve_mode(NAN_STEP, np.array([32.0]), init=(1e10, 1e10, 0.0), grid_points=64)
+    assert (len(sol.t), sol.nfev, sol.blowup) == (1, 2, True)
 
 
 @pytest.mark.parametrize("name", [name for name, m in BATTERY.items()
