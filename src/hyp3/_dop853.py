@@ -75,17 +75,15 @@ D = (
 
 
 def _first_step(fun, t0, y0: np.ndarray, t_bound):
-    """scipy's ``select_initial_step`` at the mode tolerances, by the same numpy
-    operations: the step, f0 = fun(t0, y0) as an array and the calls of fun."""
+    """scipy's ``select_initial_step`` at the mode tolerances for t_bound > t0, by
+    the same numpy operations: the step, f0 = fun(t0, y0) as an array and 2 calls."""
     with np.errstate(all="ignore"):
         f0 = np.asarray(fun(t0, tuple(y0.tolist())), dtype=complex)
         interval_length = abs(t_bound - t0)
-        if interval_length == 0.0:
-            return 0.0, f0, 1
         scale = MODE_ATOL + np.abs(y0) * MODE_RTOL
         d0, d1 = (np.linalg.norm(x / scale) / x.size ** 0.5 for x in (y0, f0))  # RMS
         h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval_length)
-        h = h0 * (np.sign(t_bound - t0) if t_bound != t0 else 1)
+        h = h0 * np.sign(t_bound - t0)
         f1 = np.asarray(fun(t0 + h, tuple((y0 + h * f0).tolist())), dtype=complex)
         d2 = np.linalg.norm((f1 - f0) / scale) / f1.size ** 0.5 / h0
         h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15

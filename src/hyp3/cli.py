@@ -270,6 +270,8 @@ def cmd_identities(args) -> int:
     t0 = time.perf_counter()
     if args.samples < 0:
         raise OperatorSpecError("--samples must be >= 0")
+    if args.seed < 0:
+        raise OperatorSpecError("--seed must be >= 0")
     results = run_algebraic_suite(args.samples, args.seed) if args.samples > 0 else []
     doc = {
         "algebraic": [{
@@ -321,8 +323,8 @@ def cmd_battery(args) -> int:
 
 
 def _finite(text: str) -> float:
-    if not math.isfinite(x := float(text)):
-        raise argparse.ArgumentTypeError(f"must be finite, not {text}")
+    if not 0.0 <= (x := float(text)) < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, not {text}")
     return x
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-import pickle
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -294,17 +293,17 @@ def _band(ratio_rows: list[float]) -> dict:
     return {"lo": lo, "hi": hi, "stable": stable, "ratios": ratio_rows}
 
 
-_worker_op = None  # a pool worker's operator, unpickled once for its ladder
+_worker_op = None  # a pool worker's operator, forked with it for its ladder
 
 
-def _start_worker(payload: bytes) -> None:
+def _start_worker(op: Operator3) -> None:
     """Pool initializer: exit once the parent is gone (killed, say), rather
     than wait for a next cell for ever (EOF on the parent's sentinel pipe);
-    then unpickle the operator, so that this worker's cells share its kept jets."""
+    then keep the operator the worker forked with, whose jets its cells share."""
     global _worker_op
     fd = multiprocessing.parent_process().sentinel
     threading.Thread(target=lambda: (os.read(fd, 1), os._exit(1)), daemon=True).start()
-    _worker_op = pickle.loads(payload)
+    _worker_op = op
 
 
 def _cell(xi: np.ndarray) -> ConditionCell:
@@ -319,9 +318,9 @@ def _ladder_cells(op: Operator3, xis: list[np.ndarray]) -> list[ConditionCell]:
     workers = min(len(xis), cpus or 1)
     if op.is_constant() or workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
         return [condition_integrals(op, xi) for xi in xis]
-    payload = pickle.dumps(op)  # here: a pool waits for ever on a call it fails to pickle
+    # forked, a worker gets ``initargs`` as the parent's own objects: nothing is pickled
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_start_worker, initargs=(payload,))
+                               initializer=_start_worker, initargs=(op,))
     try:
         return [f.result() for f in [pool.submit(_cell, xi) for xi in xis]]
     finally:

@@ -39,8 +39,8 @@ __all__ = ["Jet2", "TimeFn", "parse_timefn"]
 _FUNCS = ("sin", "cos", "exp", "log")
 
 #: the most nodes on a path down a syntax tree, and the most levels of parentheses:
-#: trees are printed, evaluated and pickled (for ladder workers) by recursion, and
-#: pickling one about 330 deep overflows Python's default recursion limit
+#: trees are printed, evaluated and pickled by recursion, and pickling one
+#: about 330 deep overflows Python's default recursion limit
 MAX_DEPTH = 300
 
 

@@ -23,7 +23,7 @@ from .cubic import _NORMAL_MIN, _SS2, _root_derivatives, _simple_root_gap
 from .cubic import solve_cubic_real  # noqa: F401  (a binding perfbench/tests checks)
 from .errors import (ExprDomainError, MagnusStepError, OperatorSpecError, _check_points,
                      _nonfinite, locate)
-from .operators import Operator3, Symbols, symbol_grid
+from .operators import Operator3, Symbols, _weight_overflow, symbol_grid
 
 __all__ = [
     "ModeSolution",
@@ -109,8 +109,13 @@ def _ode_coefficients(op: Operator3, xi: np.ndarray):
     terms: list[list] = [[], [], []]
     for (j, alpha), fn in op.coeffs.items():
         w = complex(1.0)
-        for x, a in zip(xi, alpha):
-            w *= (1j * float(x)) ** a
+        try:
+            for x, a in zip(xi, alpha):
+                w *= (1j * float(x)) ** a
+        except OverflowError:
+            w = complex(math.inf)
+        if not cmath.isfinite(w):
+            raise _weight_overflow(xi)
         if w != 0:
             terms[j].append((w, fn))
     c0, c1, c2 = ([(w, fn._at) for w, fn in tj] for tj in terms)
@@ -163,9 +168,13 @@ class ModeSolution:
 
 
 def _mode_grid(op: Operator3, xi: np.ndarray, grid_points: int):
-    """The uniform output grid of a mode over [0, horizon]."""
-    if not np.linalg.norm(xi) > 0:
-        raise ValueError("mode frequency must be nonzero")
+    """The uniform output grid of a mode over [0, horizon], at a frequency
+    whose |xi|^2 the doubles hold, neither 0 nor inf."""
+    with np.errstate(over="ignore"):
+        mag = np.linalg.norm(xi)
+    if not 0.0 < mag < math.inf:
+        raise OperatorSpecError(f"mode frequency |xi|^2 must be positive and finite in "
+                                f"doubles, not at xi={xi}")
     if grid_points < 64:
         raise OperatorSpecError("grid_points must be >= 64")
     return np.linspace(0.0, float(op.horizon), grid_points)
@@ -593,8 +602,8 @@ def _amplification(op: Operator3, xi: np.ndarray,
     Phi is exact for constant coefficients and built from Magnus steps
     otherwise. A non-finite Phi is a blow-up: the amplification is infinite,
     the half amplification 1, and the reach the grid time before it."""
-    mag = float(np.linalg.norm(xi))
     t = _mode_grid(op, xi, grid_points)
+    mag = float(np.linalg.norm(xi))
     coeff = _ode_coefficients(op, xi)
     with np.errstate(over="ignore", invalid="ignore"):
         # the grid goes first, so that a domain error names its first time

@@ -87,9 +87,8 @@ class TauPoly:
 def regularized_cubic(c: CubicJet, e2: float) -> CubicJet:
     """Coefficient jets of the shifted cubic L - e2 * d_tau^2 L."""
     a1, a2, a3, s = c.a1, c.a2, c.a3, 2.0 * e2
-    d3 = None if a3.d3 is None or a1.d3 is None else a3.d3 - s * a1.d3
-    return CubicJet(a1, Jet2(a2.v + -6.0 * e2, a2.d1, a2.d2, a2.d3),
-                    Jet2(a3.v - s * a1.v, a3.d1 - s * a1.d1, a3.d2 - s * a1.d2, d3))
+    return CubicJet(a1, Jet2(a2.v + -6.0 * e2, a2.d1, a2.d2, a2.d3), Jet2(
+        a3.v - s * a1.v, a3.d1 - s * a1.d1, a3.d2 - s * a1.d2, a3.d3 - s * a1.d3))
 
 
 def _corrected(c: CubicJet, m: TauPoly, n: TauPoly) -> tuple[TauPoly, TauPoly]:
@@ -104,10 +103,14 @@ def _corrected(c: CubicJet, m: TauPoly, n: TauPoly) -> tuple[TauPoly, TauPoly]:
     mc = TauPoly((Jet2(m0.v - 0.5 * a2.d1, m0.d1 - 0.5 * a2.d2, m0.d2 - 0.5 * a2.d3),
                   Jet2(m1.v - a1.d1, m1.d1 - a1.d2, m1.d2 - a1.d3), m2))
     nc = TauPoly((Jet2(n0.v - 0.5 * m1.d1 + sixth * a1.d2,
-                       n0.d1 - 0.5 * m1.d2 + sixth * (_NAN if a1.d3 is None else a1.d3),
+                       n0.d1 - 0.5 * m1.d2 + sixth * a1.d3,
                        n0.d2 - 0.5 * m1.d3 + sixth * _NAN),
                   Jet2(n1.v - m2.d1, n1.d1 - m2.d2, n1.d2 - m2.d3)))
     return mc, nc
+
+
+def _weight_overflow(xi) -> OperatorSpecError:
+    return OperatorSpecError(f"frequency weight xi^alpha overflows the double range, at xi={xi}")
 
 
 def _unit_regularized(c: CubicJet):
@@ -189,8 +192,9 @@ class _Table:
         from the zero jet of ``t`` (zero arrays on a grid, so that a sum of
         constant coefficients still has one entry per time) and adds its terms
         in table order, leaving out a term whose weight xi^alpha is zero. A
-        :meth:`_keeping_jets` copy evaluates a term at a time (-0.0 apart from
-        0.0, as sin(-0.0) is -0.0) once it succeeds, and then serves its jet."""
+        weight past the double range is an input error. A :meth:`_keeping_jets`
+        copy evaluates a term at a time (-0.0 apart from 0.0, as sin(-0.0) is
+        -0.0) once it succeeds, and then serves its jet."""
         grid = isinstance(t, np.ndarray)
         z = np.zeros_like(t) if grid else 0.0
         acc = [Jet2(z, z, z, z)] * len(self._VIEWS[view])
@@ -200,8 +204,13 @@ class _Table:
             (view, t, math.copysign(1.0, t)), [None] * len(walk))
         for n, (slot, fn, powers, order) in enumerate(walk):
             w = 1.0
-            for i, a in powers:
-                w *= xs[i] ** a
+            try:
+                for i, a in powers:
+                    w *= xs[i] ** a
+            except OverflowError:
+                w = math.inf
+            if not math.isfinite(w):
+                raise _weight_overflow(xi)
             if w != 0.0:
                 if (jet := kept[n]) is None:
                     jet = kept[n] = fn.jet2(t, order)

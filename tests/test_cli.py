@@ -343,7 +343,7 @@ def test_check_rejects_an_expression_nested_too_deep(tmp_path, name):
 
 
 def test_check_runs_an_expression_at_the_depth_bound(tmp_path):
-    # a time-dependent operator: its ladder cells pickle it for the workers
+    # a time-dependent operator: its ladder cells run in the workers
     p = tmp_path / "bound.op"
     p.write_text("order = 3\ndimension = 1\nT = 1.0\n"
                  "a[1,(2)] = -1\na[0,(0)] = " + "+".join(["0.001*t"] * (MAX_DEPTH - 1)) + "\n")
@@ -410,6 +410,23 @@ def test_modes_counts_magnus_steps_where_step_times_deviation_underflows(tmp_pat
     for mag in (32.0, 1024.0):
         g = modes._ode_coefficients(op, np.array([mag]))(t)
         assert 1 <= modes._magnus_steps(g, t, mag) <= 16
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["check", "--battery", "sin_gap", "--xi-min", "1e290", "--xi-max", "1e300",
+      "--xi-steps", "5"],
+     "frequency weight xi^alpha overflows the double range, at xi=[1.e+290]"),
+    (["modes", "--battery", "strict_sin", "--xi-min", "1e290", "--xi-max", "1e300",
+      "--xi-steps", "6", "--grid", "64"],
+     "mode frequency |xi|^2 must be positive and finite in doubles, not at xi=[1.e+290]"),
+    (["modes", "--battery", "strict_sin", "--xi-min", "1e-300", "--xi-max", "1e-290",
+      "--xi-steps", "6", "--grid", "64"],
+     "mode frequency |xi|^2 must be positive and finite in doubles, not at xi=[1.e-300]"),
+], ids=["check-xi2-overflows", "modes-xi2-overflows", "modes-xi2-underflows"])
+def test_a_frequency_past_the_double_range_is_a_config_error(capsys, argv, err):
+    # xi^2 past the double range: one named line before any numpy warning
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"hyp3: config error: {err}\n")
 
 
 def test_check_names_the_point_of_an_exp_overflow(tmp_path, capsys):
@@ -512,6 +529,10 @@ MODE_TABLES = ["modes", "--battery", "strict_const", "--xi-min", "32", "--xi-max
     ["check", "--battery", "strict_const", "--format", "tables"],
     MODE_TABLES,
     ["battery", "--format", "both"],
+    # numpy's default_rng takes no negative seed
+    ["identities", "--seed", "-1"],
+    # a negative energy weight exponent: exp(-eta cumK) overflows
+    ["modes", "--battery", "strict_const", "--eta", "-1"],
 ])
 def test_usage_errors_exit_2_with_one_line(capsys, argv):
     assert main(argv) == 2

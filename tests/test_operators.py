@@ -5,6 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from hyp3 import modes
 from hyp3.battery import BATTERY, battery_names
 from hyp3.conditions import pointwise_levi
 from hyp3.cubic import CubicJet, delta1, derivative_quadratic, discriminant, solve_cubic_real
@@ -395,3 +396,17 @@ def test_a_kept_copy_keeps_no_jet_that_raises():
             _symbols_at(kept, 0.25, xi)
         assert str(exc.value) == str(plain.value) == (
             "log of non-positive value -0.25, at t=0.25, xi=[64.]")
+
+
+@pytest.mark.parametrize("xi", [
+    (1e290, 0.0),    # 1e290^2 raises OverflowError
+    (1e150, 1e150),  # each power of xi^(2, 1) holds, their product is inf
+    (1e150, -1e150),
+])
+def test_a_frequency_weight_past_the_double_range_is_an_input_error(xi):
+    op = _op("mixed", {(1, (2, 0)): "-1", (0, (2, 1)): "1", (0, (1, 1)): "sin(t)"}, dim=2)
+    for call in (lambda: symbol_grid(op, [0.0, 0.5], np.array(xi)),
+                 lambda: op.principal(0.5, np.array(xi)),
+                 lambda: modes._ode_coefficients(op, np.array(xi))):
+        with pytest.raises(OperatorSpecError, match="frequency weight xi\\^alpha overflows"):
+            call()
