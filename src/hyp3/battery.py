@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from .conditions import PRIMARY_KEYS
 from .errors import OperatorSpecError
 from .expr import parse_timefn
 from .operators import Operator2, Operator3
@@ -43,8 +44,7 @@ class BatteryMember:
 
 
 def _all_log():
-    return {k: "logarithmic" for k in
-            ("sep_drift", "vel_drift", "m_drift", "n_drift", "m_levi", "n_levi")}
+    return dict.fromkeys(PRIMARY_KEYS, "logarithmic")
 
 
 def _log_except(**overrides):

@@ -25,7 +25,6 @@ import cmath
 import math
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import accumulate
 from typing import Union
 
@@ -521,8 +520,8 @@ def _depth(node: Node) -> int:
 class TimeFn:
     """A parsed coefficient expression of ``t``.
 
-    Immutable fields; evaluation is pure (a t-free jet is kept once computed), so
-    instances are safe to share across concurrent workers.
+    Immutable fields and pure evaluation, so instances are safe to share
+    across concurrent workers.
     """
 
     ast: Node
@@ -540,33 +539,21 @@ class TimeFn:
     def __str__(self) -> str:
         return self.to_string()
 
-    _at = cached_property(lambda self: _compile(self.ast))
-    _jets = cached_property(lambda self: {})
-
-    def __getstate__(self):
-        """The fields without the cached closure, which does not pickle, and jets."""
-        return {k: v for k, v in self.__dict__.items() if k not in ("_at", "_jets")}
-
     def jet2(self, t: float, order: int = 2) -> Jet2:
-        """The jet at one time, or on a grid. A t-free expression's jet is the
-        same plain numbers at every time and on every grid: it is kept per order."""
-        if self.is_constant and order in self._jets:
-            return self._jets[order]
+        """The jet at one time, or on a grid (plain numbers where the
+        expression does not depend on ``t``)."""
         c = _series(self.ast, t, max(order, 2))
         # the value, once per jet: a product or a sum has no test of its own
         if isinstance(c[0], np.ndarray) or not cmath.isfinite(c[0]):
             _check_points(_nonfinite(c[:1]), lambda: ExprDomainError(f"{_clip(self)} overflows"))
-        jet = Jet2(c[0], c[1], 2.0 * c[2], 6.0 * c[3] if len(c) > 3 else None)
-        if self.is_constant:
-            self._jets[order] = jet
-        return jet
+        return Jet2(c[0], c[1], 2.0 * c[2], 6.0 * c[3] if len(c) > 3 else None)
 
     def value(self, t: float):
         """The value at one time, or at each time of an array (a plain
         number where the expression does not depend on ``t``)."""
         if isinstance(t, np.ndarray):
             return _series(self.ast, t, 0)[0]
-        return self._at(t)
+        return _compile(self.ast)(t)
 
 
 def parse_timefn(text: str) -> TimeFn:

@@ -23,6 +23,7 @@ from .cubic import _NORMAL_MIN, _SS2, _root_derivatives, _simple_root_gap
 from .cubic import solve_cubic_real  # noqa: F401  (a binding perfbench/tests checks)
 from .errors import (ExprDomainError, MagnusStepError, OperatorSpecError, _check_points,
                      _nonfinite, locate)
+from .expr import _compile
 from .operators import Operator3, Symbols, _weight_overflow, symbol_grid
 
 __all__ = [
@@ -118,11 +119,13 @@ def _ode_coefficients(op: Operator3, xi: np.ndarray):
             raise _weight_overflow(xi)
         if w != 0:
             terms[j].append((w, fn))
-    c0, c1, c2 = ([(w, fn._at) for w, fn in tj] for tj in terms)
+    c0, c1, c2 = ([(w, _compile(fn.ast)) for w, fn in tj] for tj in terms)
 
     def coeffs_at(t):
         try:
-            if not isinstance(t, np.ndarray):  # the sums below, by the compiled closures
+            if isinstance(t, np.ndarray):
+                g = [sum((w * fn.value(t) for w, fn in tj), complex(0.0)) for tj in terms]
+            else:  # the sums by the compiled closures
                 g0 = g1 = g2 = complex(0.0)
                 for w, at in c0:
                     g0 = g0 + w * at(t)
@@ -132,8 +135,7 @@ def _ode_coefficients(op: Operator3, xi: np.ndarray):
                     g2 = g2 + w * at(t)
                 if cmath.isfinite(g0 + g1 + g2):
                     return g0, g1, g2  # else the test below raises
-            g = [sum((w * fn.value(t) for w, fn in terms[j]), complex(0.0))
-                 for j in range(3)]
+                g = [g0, g1, g2]
             _check_points(_nonfinite(g), ExprDomainError, "non-finite coefficient value")
         except ExprDomainError as exc:
             locate(exc, t, xi, coeffs_at)
@@ -426,6 +428,8 @@ def energy_trace(op: Operator3, sol: ModeSolution, eta: float) -> EnergyTrace:
 
     All denominators are bounded below by the regularized gaps or by +1
     terms. ``k`` may underflow for very large eta; ``logE`` is exact."""
+    if not 0.0 <= eta < math.inf:
+        raise OperatorSpecError(f"eta must be finite and >= 0, not {eta}")
     return _energy_from_weights(sol, *_energy_weights(op, sol), eta)
 
 

@@ -691,3 +691,42 @@ def test_battery_gate_compares_forbidden_zone_verdict():
     doc, mismatches = _conditions_doc_one(member.op, member, args)
     assert doc["constant_coeff"]["im_verdict"] == "bounded"
     assert mismatches == ["triple_pure: forbidden zone: expected unbounded-trend, got bounded"]
+
+
+def _gate(capsys, cmd, argv, member):
+    """Exit code and mismatches of ``cmd`` on ``member`` alone, its options
+    parsed from ``argv``."""
+    rc = cmd(cli.build_parser().parse_args(argv), [(member.op, member)])
+    return rc, _strict_loads(capsys.readouterr().out)["operators"][member.name]["mismatches"]
+
+
+def test_battery_gate_compares_case_and_kappa(capsys):
+    import dataclasses
+
+    from hyp3.battery import BATTERY
+
+    member = dataclasses.replace(BATTERY["triple_pure"], expected_case="II")
+    assert _gate(capsys, cli.cmd_check, ["check", "--xi-min", "64", "--xi-max", "2048",
+                                         "--xi-steps", "6"], member) \
+        == (1, ["triple_pure: case: expected II, got III"])
+    member = dataclasses.replace(BATTERY["triple_plus_dx"], expected_kappa=0.5)
+    assert _gate(capsys, cli.cmd_modes, ["modes", "--grid", "256", "--xi-min", "64",
+                                         "--xi-max", "16384"], member) \
+        == (1, ["triple_plus_dx: kappa: expected 0.5000+-0.05, got 0.3417"])
+
+
+def test_modes_eta_override_sets_the_energy_of_the_mode_table(tmp_path, capsys):
+    from hyp3.battery import BATTERY
+
+    out = tmp_path / "out"
+    assert main(["modes", "--battery", "strict_sin", "--xi-min", "32", "--xi-max", "1024",
+                 "--xi-steps", "6", "--grid", "256", "--eta", "4", "--format", "tables",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert _strict_loads((out / "modes.json").read_text())["config"]["eta"] == 4.0
+    header, *rows = (out / "mode_strict_sin.tsv").read_text().splitlines()
+    assert header.split("\t")[3:] == ["E", "K", "H", "k"]
+    op = BATTERY["strict_sin"].op
+    tr = modes.energy_trace(op, modes.solve_mode(op, [1024.0], grid_points=256), 4.0)
+    want = [[repr(float(x)) for x in cells] for cells in zip(tr.E, tr.K, tr.H, tr.k)]
+    assert [row.split("\t")[3:] for row in rows] == want

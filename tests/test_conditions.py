@@ -13,6 +13,7 @@ import pytest
 from hyp3 import errors, operators, quadrature
 from hyp3.battery import BATTERY, battery_member, battery_names
 from hyp3.conditions import (
+    _band,
     _count_extrema,
     _grid_sup,
     _integrand_values,
@@ -514,6 +515,24 @@ def test_nan_grid_ratio_is_inconclusive():
     assert math.isnan(sup)
     assert _sup_verdict([sup] * 5, [sup] * 5) == "inconclusive"
     assert _sup_verdict([1.0] * 5, [1.0] * 4 + [math.nan]) == "inconclusive"
+
+
+_NO_FINITE_RATIO = [math.inf, math.nan]
+
+
+@pytest.mark.parametrize("func, args, want", [
+    # a denominator that vanishes under a live numerator
+    (_grid_sup, ([(np.array([0.0, 1.0]), np.array([1.0, 0.0]), 1.0, 1.0)],), math.inf),
+    (_sup_verdict, ([1.0] * 5, [1.0] * 4 + [math.inf]), "unbounded-trend"),
+    # each fine sup within 1.5x its base, but three rises to 4x the lowest, ending highest
+    (_sup_verdict, ([1.0, 1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 2.0, 3.0, 4.5]), "unbounded-trend"),
+    (_sup_verdict, ([1.0, 1.0, 2.0, 3.0, 3.0], [1.0, 1.0, 2.0, 4.5, 3.0]), "bounded"),
+    (_band, (_NO_FINITE_RATIO,),
+     {"lo": math.inf, "hi": math.inf, "stable": False, "ratios": _NO_FINITE_RATIO}),
+], ids=["vanishing-denominator", "infinite-sup", "rising-fine-ladder", "falling-last",
+        "no-finite-ratio"])
+def test_pointwise_verdict_branches(func, args, want):
+    assert func(*args) == want
 
 
 def test_pointwise_levi_evaluates_each_grid_point_once(monkeypatch):

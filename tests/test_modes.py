@@ -12,7 +12,7 @@ from hyp3.battery import BATTERY, battery_member
 from hyp3.cli import main
 from hyp3.expr import parse_timefn as P
 from hyp3 import _dop853, modes
-from hyp3.errors import ExprDomainError
+from hyp3.errors import ExprDomainError, OperatorSpecError
 from hyp3.modes import (
     _amplification,
     calibrate_eta,
@@ -574,3 +574,12 @@ def test_mode_coefficients_at_points_match_the_array_branch(name):
     t = np.linspace(0.0, op.horizon, 257)
     points = np.array([coeff(tk) for tk in t.tolist()]).T
     np.testing.assert_allclose(points, np.broadcast_arrays(*coeff(t)), rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("eta", [-1000.0, math.inf, math.nan])
+def test_energy_trace_rejects_an_eta_that_is_negative_or_not_finite(eta):
+    sol = solve_mode(STRICT_SIN, np.array([1024.0]), grid_points=64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OperatorSpecError, match=rf"^eta must be finite and >= 0, not {eta}$"):
+            energy_trace(STRICT_SIN, sol, eta)
