@@ -93,14 +93,16 @@ def _ladder_from_args(args) -> list[float]:
 
 def _direction_from_args(args, dim: int) -> np.ndarray:
     if args.direction is None:
-        return np.eye(dim)[0]
+        return np.eye(1, dim)[0]
     try:
         vec = np.array([float(s) for s in args.direction.split(",")], dtype=float)
     except ValueError:
         raise OperatorSpecError(f"bad --direction {args.direction!r}")
-    if vec.shape != (dim,) or not 0 < np.linalg.norm(vec) < math.inf:
+    # scaled by an exact power of two, so that the norm neither under- nor overflows
+    vec = np.ldexp(vec, -math.frexp(np.max(np.abs(vec)))[1])
+    if vec.shape != (dim,) or not 0 < (norm := np.linalg.norm(vec)) < math.inf:
         raise OperatorSpecError(f"--direction needs {dim} finite components and nonzero length")
-    return vec / np.linalg.norm(vec)
+    return vec / norm
 
 
 def _resolve_operators(args) -> list[tuple[Operator3 | Operator2, object]]:
@@ -119,9 +121,7 @@ def _resolve_operators(args) -> list[tuple[Operator3 | Operator2, object]]:
 # check
 
 
-def _conditions_doc_one(op, member, args) -> tuple[dict, list[str]]:
-    ladder = _ladder_from_args(args)
-    direction = _direction_from_args(args, op.dim)
+def _conditions_doc_one(op, member, ladder, direction) -> tuple[dict, list[str]]:
     if isinstance(op, Operator2):
         rep = second_order_report(op, ladder, direction)
         doc = {"order": 2, **rep}
@@ -167,11 +167,9 @@ def _conditions_doc_one(op, member, args) -> tuple[dict, list[str]]:
     return doc, mismatches
 
 
-def _write_condition_tables(op, args) -> None:
+def _write_condition_tables(op, ladder, direction, args) -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    ladder = _ladder_from_args(args)
-    direction = _direction_from_args(args, op.dim)
     nt = max(64, args.grid // 8)
     ts = np.linspace(0.0, op.horizon, nt)
     lines = ["xi\tcondition\tt\tvalue"]
@@ -187,17 +185,18 @@ def cmd_check(args, targets=None) -> int:
     """Condition reports for ``targets`` ((operator, member) pairs), or for
     the target the arguments name."""
     t0 = time.perf_counter()
-    check_condition_ladder(_ladder_from_args(args))
+    check_condition_ladder(ladder := _ladder_from_args(args))
     if targets is None:
         targets = _resolve_operators(args)
     docs = {}
     mismatches: list[str] = []
     for op, member in targets:
-        doc, mm = _conditions_doc_one(op, member, args)
+        direction = _direction_from_args(args, op.dim)
+        doc, mm = _conditions_doc_one(op, member, ladder, direction)
         docs[op.name] = doc
         mismatches += mm
         if args.format != "doc" and isinstance(op, Operator3):
-            _write_condition_tables(op, args)
+            _write_condition_tables(op, ladder, direction, args)
     _emit("hyp3.conditions/1", {"operators": docs, "pass": not mismatches}, args)
     print(f"check: {len(targets)} operator(s), {time.perf_counter() - t0:.1f}s", file=sys.stderr)
     return EXIT_OK if not mismatches else EXIT_MISMATCH
@@ -211,7 +210,7 @@ def cmd_modes(args, targets=None) -> int:
     """Growth experiments for ``targets`` ((operator, member) pairs), or for
     the third-order operators of the target the arguments name."""
     t0 = time.perf_counter()
-    check_ladder(_ladder_from_args(args), "growth experiment")
+    check_ladder(ladder := _ladder_from_args(args), "growth experiment")
     if targets is None:
         targets = [(op, m) for op, m in _resolve_operators(args) if isinstance(op, Operator3)]
         if not targets:
@@ -219,7 +218,6 @@ def cmd_modes(args, targets=None) -> int:
     docs = {}
     mismatches: list[str] = []
     for op, member in targets:
-        ladder = _ladder_from_args(args)
         direction = _direction_from_args(args, op.dim)
         fit = growth_experiment(op, ladder, direction, grid_points=args.grid)
         mm: list[str] = []
@@ -234,13 +232,13 @@ def cmd_modes(args, targets=None) -> int:
         mismatches += mm
         docs[op.name] = {**dataclasses.asdict(fit), "mismatches": mm}
         if args.format != "doc":
-            _write_mode_tables(op, args, fit)
+            _write_mode_tables(op, fit, ladder[-1] * direction, args)
     _emit("hyp3.modes/1", {"operators": docs, "pass": not mismatches}, args)
     print(f"modes: {len(docs)} operator(s), {time.perf_counter() - t0:.1f}s", file=sys.stderr)
     return EXIT_OK if not mismatches else EXIT_MISMATCH
 
 
-def _write_mode_tables(op, args, fit) -> None:
+def _write_mode_tables(op, fit, xi, args) -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["xi\tamplification\tlog_amp\thalf_log_amp\tblowup\treach_time"]
@@ -249,7 +247,6 @@ def _write_mode_tables(op, args, fit) -> None:
                      f"\t{r['half_log_amp']!r}\t{int(r['blowup'])}\t{r['reach_time']!r}")
     (out / f"growth_{op.name}.tsv").write_text("\n".join(lines) + "\n")
 
-    xi = _ladder_from_args(args)[-1] * _direction_from_args(args, op.dim)
     sol = solve_mode(op, xi, grid_points=args.grid)
     if args.eta is not None:
         tr = energy_trace(op, sol, args.eta)

@@ -79,7 +79,7 @@ ALTERNATE_PRIMARY = {k: ("n_levi" if k.startswith(("sqrt_n", "n_levi")) else
                      for k in ALTERNATE_KEYS}
 
 
-def default_ladder(lo: float = 2.0 ** 6, hi: float = 2.0 ** 14, steps: int = 9) -> list[float]:
+def default_ladder(lo: float, hi: float, steps: int) -> list[float]:
     if steps < 2:
         return [float(lo)]
     ratio = (hi / lo) ** (1.0 / (steps - 1))
@@ -327,12 +327,10 @@ def _ladder_cells(op: Operator3, xis: list[np.ndarray]) -> list[ConditionCell]:
         pool.shutdown(cancel_futures=True)
 
 
-def condition_report(op: Operator3, ladder: Sequence[float] | None = None,
-                     direction: np.ndarray | None = None) -> ConditionReport:
-    ladder = list(ladder) if ladder is not None else default_ladder()
+def condition_report(op: Operator3, ladder: Sequence[float],
+                     direction: np.ndarray) -> ConditionReport:
     check_condition_ladder(ladder)
-    d = direction if direction is not None else np.eye(op.dim)[0]
-    cells = _ladder_cells(op, [mag * d for mag in ladder])
+    cells = _ladder_cells(op, [mag * direction for mag in ladder])
     fits = {key: log_fit([(c.xi_mag, c.values[key]) for c in cells]) for key in PRIMARY_KEYS}
     verdicts = {key: fits[key].verdict for key in PRIMARY_KEYS}
     bands = {}
@@ -470,19 +468,16 @@ def _sup_branches(case: str, g: Symbols, one_dim: bool):
                              for x in g.crit]
 
 
-def pointwise_levi(op: Operator3, ladder: Sequence[float] | None = None,
-                   direction: np.ndarray | None = None) -> CaseReport:
+def pointwise_levi(op: Operator3, ladder: Sequence[float], direction: np.ndarray) -> CaseReport:
     """Build the validation grid at each ladder |xi| in order, which is the
     hyperbolicity scan (a failing time raises its own located error). Then, on
     every other grid of a ladder of over five points, classify the degeneracy
     case and take the pointwise bounds that apply as grid suprema there and on
     a grid ``FINE_GRID_FACTOR`` times finer (growing under refinement: unbounded trend)."""
-    ladder = list(ladder) if ladder is not None else default_ladder()
-    d = direction if direction is not None else np.eye(op.dim)[0]
     ts_base = np.linspace(0.0, op.horizon, VALIDATION_T_SAMPLES)
     ts_fine = np.linspace(0.0, op.horizon, VALIDATION_T_SAMPLES * FINE_GRID_FACTOR)
     step = 2 if len(ladder) > 5 else 1
-    base = [symbol_grid(op, ts_base, mag * d) for mag in ladder][::step]
+    base = [symbol_grid(op, ts_base, mag * direction) for mag in ladder][::step]
     ladder = ladder[::step]
 
     # -- case classification: grid max of the two discriminants, relative to
@@ -539,7 +534,7 @@ def pointwise_levi(op: Operator3, ladder: Sequence[float] | None = None,
 
     sup_base = grid_sups(base)
     del base  # each fine grid is built, used and dropped in turn
-    sup_fine = grid_sups(symbol_grid(op, ts_fine, mag * d) for mag in ladder)
+    sup_fine = grid_sups(symbol_grid(op, ts_fine, mag * direction) for mag in ladder)
     for name, b in sup_base.items():
         report.checks[name] = {
             "sup_base": b, "sup_fine": sup_fine[name],
@@ -567,8 +562,7 @@ def _roots_full_cubic(c2: complex, c1: complex, c0: complex) -> np.ndarray:
     return np.roots([1.0, c2, c1, c0])
 
 
-def constant_coeff_check(op: Operator3, ladder: Sequence[float] | None = None,
-                         direction: np.ndarray | None = None) -> dict:
+def constant_coeff_check(op: Operator3, ladder: Sequence[float], direction: np.ndarray) -> dict:
     """Decomposition coefficients and forbidden-zone test for operators with
     constant coefficients (rejected otherwise).
 
@@ -577,13 +571,11 @@ def constant_coeff_check(op: Operator3, ladder: Sequence[float] | None = None,
     """
     if not op.is_constant():
         raise OperatorSpecError("constant-coefficient check needs constant coefficients")
-    ladder = list(ladder) if ladder is not None else default_ladder()
-    d = direction if direction is not None else np.eye(op.dim)[0]
     t0 = 0.0
 
     rows = []
     for mag in ladder:
-        g = symbol_grid(op, [t0], mag * d)
+        g = symbol_grid(op, [t0], mag * direction)
         c, m, n, tau, (s1, s2) = g.c, g.m, g.n, g.tau, g.crit
         tiny = 1e-12 * c.coeff_scale()
         ell = [_guarded_ratio(abs(m.value_at(tau[j])), abs((tau[j] - tau[k]) * (tau[j] - tau[l])),
@@ -595,7 +587,7 @@ def constant_coeff_check(op: Operator3, ladder: Sequence[float] | None = None,
         try:
             roots = _roots_full_cubic(*(complex(x[0]) for x in full))
         except HyperbolicityViolation as exc:
-            locate(exc, t0, mag * d, None)
+            locate(exc, t0, mag * direction, None)
             raise
         rows.append({
             "xi": mag,
@@ -670,18 +662,16 @@ def second_order_check(op2: Operator2, xi: np.ndarray):
     return float(res.values[0]), float(res.values[1])
 
 
-def second_order_report(op2: Operator2, ladder: Sequence[float] | None = None,
-                        direction: np.ndarray | None = None) -> dict:
-    ladder = list(ladder) if ladder is not None else default_ladder()
+def second_order_report(op2: Operator2, ladder: Sequence[float], direction: np.ndarray) -> dict:
     check_condition_ladder(ladder)
-    d = direction if direction is not None else np.eye(op2.dim)[0]
     ts = np.linspace(0.0, op2.horizon, VALIDATION_T_SAMPLES)
     with np.errstate(over="ignore", invalid="ignore"):  # _second_order_parts names an overflow
         for mag in ladder:  # the hyperbolicity scan, before any cell
-            _second_order_parts(op2, ts, mag * d)
+            _second_order_parts(op2, ts, mag * direction)
     keys = ("disc_drift", "lower_weighted")
     kept = op2._keeping_jets()  # the cells share their jets
-    rows = [{"xi": mag, **dict(zip(keys, second_order_check(kept, mag * d)))} for mag in ladder]
+    rows = [{"xi": mag, **dict(zip(keys, second_order_check(kept, mag * direction)))}
+            for mag in ladder]
     fits = {k: log_fit([(r["xi"], r[k]) for r in rows]) for k in keys}
     return {"rows": rows, "fits": fits, "verdicts": {k: f.verdict for k, f in fits.items()}}
 

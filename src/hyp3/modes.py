@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Sequence
 
 import numpy as np
 
@@ -50,32 +50,26 @@ MODE_ATOL = 1e-12
 # Mode integration
 
 
-class Trajectory(NamedTuple):
-    t: np.ndarray       # the times of t_eval reached
-    y: np.ndarray       # (3, len(t)) states at those times
-    nfev: int           # calls of the right-hand side
-    success: bool       # False where the step fell below its floor
-
-
-def solve_ivp(fun, y0, t_eval: np.ndarray) -> Trajectory:
+def solve_ivp(fun, y0, t_eval: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """DOP853 on three complex numbers from t_eval[0] to t_eval[-1], as
     scipy's ``solve_ivp(method="DOP853")`` at MODE_RTOL and MODE_ATOL: its
     tableau, initial step, step controller (safety 0.9, factors 0.2 to 10,
     exponent -1/8, a floor of ten spacings of the doubles at t) and dense
     output at each time of t_eval, step ends included, with the stages as
     straight-line code (``hyp3._dop853``, imported at the first solve).
-    ``fun(t, y)`` takes and returns 3-tuples. A non-finite state raises
-    nothing: its steps are rejected down to the floor."""
+    ``fun(t, y)`` takes and returns 3-tuples; returns the times of t_eval
+    reached, the (3, len(t)) states there and nfev. A non-finite state raises
+    nothing: its steps are rejected down to the floor, which ends the solve."""
     from ._dop853 import _first_step, attempt, dense
     ts = t_eval.tolist()
     t, t_end, i, out = ts[0], ts[-1], 0, []
     y0 = np.array(y0, dtype=complex)
     h_abs, f, nfev = _first_step(fun, t, y0, t_end)
-    y, f, success = tuple(y0.tolist()), tuple(f.tolist()), True
+    y, f = tuple(y0.tolist()), tuple(f.tolist())
     while t < t_end:
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         h_abs, rejected = max(h_abs, min_step), False
-        while success := h_abs >= min_step:  # a NaN step fails too: scipy loops for ever
+        while h_abs >= min_step:  # a NaN step fails too: scipy loops for ever
             t_new = min(t + h_abs, t_end)
             h = t_new - t
             h_abs = abs(h)
@@ -87,7 +81,7 @@ def solve_ivp(fun, y0, t_eval: np.ndarray) -> Trajectory:
                 break
             h_abs *= max(0.2, 0.9 * error ** -0.125)
             rejected = True
-        if not success:
+        else:  # the step fell below its floor
             break
         if i < len(ts) and ts[i] <= t_new:  # the interpolant of the step
             poly = dense(fun, t, h, y, y_new, stages)
@@ -99,7 +93,7 @@ def solve_ivp(fun, y0, t_eval: np.ndarray) -> Trajectory:
                              * x + yj) for yj, p0, p1, p2, p3, p4, p5, p6 in poly])
                 i += 1
         t, y, f = t_new, y_new, stages[12]
-    return Trajectory(t_eval[:i], np.array(out, dtype=complex).reshape(i, 3).T, nfev, success)
+    return t_eval[:i], np.array(out, dtype=complex).reshape(i, 3).T, nfev
 
 
 def _ode_coefficients(op: Operator3, xi: np.ndarray):
@@ -202,14 +196,13 @@ def solve_mode(op: Operator3, xi: np.ndarray, init=(1.0, 0.0, 0.0),
         y0, y1, y2 = y
         return y1, y2, -(g0 * y0 + g1 * y1 + g2 * y2)
 
-    sol = solve_ivp(rhs, y0, t_eval)
-    n = len(sol.t)
-    blowup = not sol.success or n < grid_points or not np.all(np.isfinite(sol.y))
-    t, (v, v1, v2) = (sol.t, sol.y) if n else (t_eval[:1], y0[:, None])
+    t, y, nfev = solve_ivp(rhs, y0, t_eval)
+    blowup = len(t) < grid_points or not np.all(np.isfinite(y))
+    t, (v, v1, v2) = (t, y) if len(t) else (t_eval[:1], y0[:, None])
     g0, g1, g2 = coeff(t)
     with np.errstate(over="ignore", invalid="ignore"):
         v3 = -(g0 * v + g1 * v1 + g2 * v2)
-    return ModeSolution(np.asarray(xi, dtype=float), t, v, v1, v2, v3, sol.nfev, blowup)
+    return ModeSolution(np.asarray(xi, dtype=float), t, v, v1, v2, v3, nfev, blowup)
 
 
 # --------------------------------------------------------------------------
@@ -627,7 +620,7 @@ def _amplification(op: Operator3, xi: np.ndarray,
     return float(np.max(w)), float(np.max(w[:, : (len(t) + 1) // 2])), False, float(t[-1])
 
 
-def growth_experiment(op: Operator3, ladder, direction: np.ndarray | None = None,
+def growth_experiment(op: Operator3, ladder: Sequence[float], direction: np.ndarray,
                       grid_points: int = 1024) -> GrowthFit:
     """Amplification ladder and model fit.
 
@@ -638,12 +631,10 @@ def growth_experiment(op: Operator3, ladder, direction: np.ndarray | None = None
     normalization) cancels. The exp_power verdict needs that rate to be
     substantial and growing over the last three doublings; otherwise the
     polynomial model (degree = slope of log amp against log |xi|) wins."""
-    ladder = list(ladder)
     check_ladder(ladder, "growth experiment")
-    d = direction if direction is not None else np.eye(op.dim)[0]
     rows = []
     for mag in ladder:
-        amp, amp_half, blowup, reach = _amplification(op, mag * d, grid_points)
+        amp, amp_half, blowup, reach = _amplification(op, mag * direction, grid_points)
         rows.append({"xi": float(mag), "amplification": amp,
                      "log_amp": math.log(amp) if math.isfinite(amp) and amp > 0 else math.inf,
                      "half_log_amp": math.log(max(amp_half, 1e-300)),

@@ -48,13 +48,13 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="session")
 def condition_reports():
-    return {name: condition_report(BATTERY[name].op, LADDER)
+    return {name: condition_report(BATTERY[name].op, LADDER, np.array([1.0]))
             for name in battery_names(order=3)}
 
 
 @pytest.fixture(scope="session")
 def growth_fits():
-    return {name: growth_experiment(BATTERY[name].op, LADDER, grid_points=1024)
+    return {name: growth_experiment(BATTERY[name].op, LADDER, np.array([1.0]), grid_points=1024)
             for name in GROWTH_MEMBERS}
 
 
@@ -169,7 +169,7 @@ def test_criterion_05_condition_verdicts_and_battery_gate(condition_reports, tmp
             else:
                 ok &= verd[key] == v
     # the violating oleinik member also fails the weighted pointwise bound
-    case = pointwise_levi(BATTERY["oleinik_bad"].op, ladder=LADDER[::2])
+    case = pointwise_levi(BATTERY["oleinik_bad"].op, ladder=LADDER[::2], direction=np.array([1.0]))
     ok &= case.checks["m_bound_n1"]["verdict"] == "unbounded-trend"
 
     rc = main(["battery", "--out", str(tmp_path)])
@@ -212,7 +212,7 @@ def test_criterion_08_constant_coefficient_cross_validation(growth_fits):
     details = []
     for name in GROWTH_MEMBERS:
         member = BATTERY[name]
-        cc = constant_coeff_check(member.op, LADDER)
+        cc = constant_coeff_check(member.op, LADDER, np.array([1.0]))
         poly = growth_fits[name].model == "polynomial"
         bounded = cc["decomposition_verdict"] == "bounded"
         ok &= poly == bounded
@@ -232,12 +232,12 @@ def test_criterion_09_second_order_conditions():
     ia, ib = second_order_check(wave, np.array([256.0]))
     ok = ia == 0.0 and ib == 0.0
 
-    rep_ok = second_order_report(battery_member("oleinik2_ok").op, LADDER)
+    rep_ok = second_order_report(battery_member("oleinik2_ok").op, LADDER, np.array([1.0]))
     ok &= rep_ok["verdicts"]["lower_weighted"] == "logarithmic"
     ratios = rep_ok["fits"]["lower_weighted"].ratios
     ok &= max(ratios) <= 1.2 * min(ratios)
 
-    rep_bad = second_order_report(battery_member("oleinik2_bad").op, LADDER)
+    rep_bad = second_order_report(battery_member("oleinik2_bad").op, LADDER, np.array([1.0]))
     ok &= rep_bad["verdicts"]["lower_weighted"] == "violated"
     _report(9, "second-order conditions", ok,
             f"compatible ratio band {min(ratios):.3f}..{max(ratios):.3f}")

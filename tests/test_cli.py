@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +140,31 @@ def test_check_two_dimensional_operator_with_direction(tmp_path, capsys):
     assert doc["operators"]["iso2"]["verdicts"]["m_levi"] == "logarithmic"
     rc, _ = _run(capsys, "check", "--config", str(p), "--direction", "1")
     assert rc == 2  # wrong component count
+
+
+@pytest.mark.parametrize("direction,message", [
+    ("a", "bad --direction 'a'"),
+    ("0", "--direction needs 1 finite components and nonzero length"),
+    ("nan", "--direction needs 1 finite components and nonzero length"),
+    ("1,1", "--direction needs 1 finite components and nonzero length"),
+])
+def test_a_bad_direction_is_a_config_error_that_names_it(capsys, direction, message):
+    assert main(["check", "--battery", "sin_gap", "--direction", direction]) == 2
+    assert capsys.readouterr().err == f"hyp3: config error: {message}\n"
+
+
+def test_a_direction_of_any_finite_length_is_its_unit_vector(capsys):
+    # the length of a direction neither under- nor overflows on the way to its unit vector
+    argv = ["check", "--battery", "sin_gap", "--xi-steps", "5", "--direction"]
+    rc, ref = _run(capsys, *argv, "1")
+    assert rc == 0
+    for direction in ("1e-200", "1e200"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, doc = _run(capsys, *argv, direction)
+        assert rc == 0, direction
+        assert doc["config"]["direction"] == direction
+        assert doc["operators"] == ref["operators"], direction
 
 
 def test_check_usage_error_without_target(capsys):
@@ -668,7 +694,7 @@ def test_each_subcommand_takes_and_records_only_its_own_options(monkeypatch, cap
             == OPTIONS[name], name
 
     # a document's config block is its subcommand's options, less --out
-    monkeypatch.setattr(cli, "_conditions_doc_one", lambda op, member, args: ({}, []))
+    monkeypatch.setattr(cli, "_conditions_doc_one", lambda op, member, ladder, direction: ({}, []))
     monkeypatch.setattr(cli, "growth_experiment", lambda op, ladder, direction, grid_points:
                         GrowthFit([], "polynomial", 1.0, 1.0, 0.0, math.nan))
     for argv in (["check", "--battery", "strict_const"], ["modes", "--battery", "strict_const"],
@@ -680,15 +706,15 @@ def test_each_subcommand_takes_and_records_only_its_own_options(monkeypatch, cap
 
 
 def test_battery_gate_compares_forbidden_zone_verdict():
-    import argparse
     import dataclasses
 
     from hyp3.battery import BATTERY
     from hyp3.cli import _conditions_doc_one
+    from hyp3.conditions import default_ladder
 
     member = dataclasses.replace(BATTERY["triple_pure"], expected_im="unbounded-trend")
-    args = argparse.Namespace(xi_min=64.0, xi_max=2048.0, xi_steps=6, direction=None)
-    doc, mismatches = _conditions_doc_one(member.op, member, args)
+    doc, mismatches = _conditions_doc_one(member.op, member, default_ladder(64.0, 2048.0, 6),
+                                          np.array([1.0]))
     assert doc["constant_coeff"]["im_verdict"] == "bounded"
     assert mismatches == ["triple_pure: forbidden zone: expected unbounded-trend, got bounded"]
 

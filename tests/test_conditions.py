@@ -19,6 +19,7 @@ from hyp3.conditions import (
     _integrand_values,
     _primary_terms,
     _sup_verdict,
+    check_ladder,
     condition_integrals,
     condition_report,
     constant_coeff_check,
@@ -224,7 +225,7 @@ def test_parallel_ladder_cells_equal_in_process_cells(monkeypatch, member, affin
         monkeypatch.delattr(os, "sched_getaffinity")
     op = BATTERY[member].op
     cells = [condition_integrals(op, np.array([m])) for m in FIVE]
-    ladder = condition_report(op, FIVE).ladder
+    ladder = condition_report(op, FIVE, np.array([1.0])).ladder
     assert ladder == cells
     assert [_cell_bits(c) for c in ladder] == [_cell_bits(c) for c in cells]
 
@@ -241,15 +242,16 @@ def test_in_process_ladder_cells_keep_every_bit(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     op = BATTERY["strict_sin"].op
     cells = [condition_integrals(op, np.array([m])) for m in FIVE]
-    assert [_cell_bits(c) for c in condition_report(op, FIVE).ladder] == [
+    assert [_cell_bits(c) for c in condition_report(op, FIVE, np.array([1.0])).ladder] == [
         _cell_bits(c) for c in cells]
 
 
 def test_second_order_report_rows_keep_every_bit():
     op2 = BATTERY["oleinik2_ok"].op
-    rows = second_order_report(op2)["rows"]
+    rows = second_order_report(op2, default_ladder(2.0 ** 6, 2.0 ** 14, 9), np.array([1.0]))["rows"]
     assert [(r["xi"], r["disc_drift"].hex(), r["lower_weighted"].hex()) for r in rows] == [
-        (m, *(x.hex() for x in second_order_check(op2, np.array([m])))) for m in default_ladder()]
+        (m, *(x.hex() for x in second_order_check(op2, np.array([m]))))
+        for m in default_ladder(2.0 ** 6, 2.0 ** 14, 9)]
 
 
 def test_a_second_order_report_evaluates_each_jet_once_per_time(monkeypatch):
@@ -263,7 +265,8 @@ def test_a_second_order_report_evaluates_each_jet_once_per_time(monkeypatch):
     monkeypatch.setattr(TimeFn, "jet2", counted)
     counts = []
     for _ in range(2):
-        second_order_report(BATTERY["oleinik2_ok"].op)
+        second_order_report(BATTERY["oleinik2_ok"].op, default_ladder(2.0 ** 6, 2.0 ** 14, 9),
+                            np.array([1.0]))
         counts.append((len(calls), len(set(calls))))
         calls.clear()
     assert counts[0] == counts[1] and counts[0][0] == counts[0][1] > 0
@@ -284,12 +287,13 @@ def test_a_failing_worker_raises_the_first_failing_cells_error(monkeypatch):
     op = BATTERY["sin_gap"].op
     want = _first_failure(op)
     with pytest.raises(QuadratureError) as exc:
-        condition_report(op, FIVE)
+        condition_report(op, FIVE, np.array([1.0]))
     assert str(exc.value) == str(want) and exc.value.panels == want.panels
 
 
 KILLED_PARENT = """
 import os, time
+import numpy as np
 from hyp3 import conditions
 from hyp3.battery import BATTERY
 
@@ -298,7 +302,8 @@ def cell(op, xi):
     time.sleep(60)
 
 conditions.condition_integrals = cell
-conditions.condition_report(BATTERY["sin_gap"].op, conditions.default_ladder(64.0, 1024.0, 5))
+conditions.condition_report(BATTERY["sin_gap"].op, conditions.default_ladder(64.0, 1024.0, 5),
+                            np.array([1.0]))
 """
 
 
@@ -351,7 +356,7 @@ def bits(cell):
 op = BATTERY["sin_gap"].op
 op = dataclasses.replace(op, coeffs=Coefficients(op.coeffs))
 ladder = conditions.default_ladder(64.0, 1024.0, 5)
-pooled = conditions.condition_report(op, ladder).ladder
+pooled = conditions.condition_report(op, ladder, np.array([1.0])).ladder
 cells = [conditions.condition_integrals(op, np.array([m])) for m in ladder]
 print(len(pooled), "cells,", "equal bit for bit:", list(map(bits, pooled)) == list(map(bits, cells)))
 print(len(multiprocessing.active_children()), "workers left")
@@ -432,7 +437,8 @@ def test_log_fit_insufficient_ladder():
 
 
 def test_equivalent_forms_zero_for_strict_constant():
-    rep = condition_report(STRICT, ladder=[2.0 ** k for k in range(6, 12)])
+    rep = condition_report(STRICT, ladder=[2.0 ** k for k in range(6, 12)],
+                           direction=np.array([1.0]))
     for cell in rep.ladder:
         assert all(v == 0.0 for v in cell.alternates.values())
     assert all(b["stable"] for b in rep.bands.values())
@@ -456,7 +462,7 @@ def test_triple_dx_crit_form_same_power_as_primary():
 
 def test_r33_denominator_family_bands_on_battery_member():
     rep = condition_report(battery_member("strict_sin").op,
-                           ladder=[2.0 ** k for k in range(6, 12)])
+                           ladder=[2.0 ** k for k in range(6, 12)], direction=np.array([1.0]))
     assert all(b["stable"] for b in rep.bands.values())
 
 
@@ -466,27 +472,28 @@ def test_r33_denominator_family_bands_on_battery_member():
 
 def test_pointwise_triple_root_compat():
     ladder = [2.0 ** k for k in range(6, 15, 2)]
-    rep = pointwise_levi(_op("t3", {}), ladder=ladder)
+    rep = pointwise_levi(_op("t3", {}), ladder=ladder, direction=np.array([1.0]))
     assert rep.case == "III" and not rep.ambiguous
     assert all(c["verdict"] == "satisfied" for c in rep.checks.values())
 
-    rep = pointwise_levi(TRIPLE_DX, ladder=ladder)
+    rep = pointwise_levi(TRIPLE_DX, ladder=ladder, direction=np.array([1.0]))
     assert rep.case == "III"
     assert rep.checks["triple_root_compat/n_at_root"]["verdict"] == "violated"
     assert rep.checks["triple_root_compat/m_at_root"]["verdict"] == "satisfied"
 
-    rep = pointwise_levi(_op("dxx", {(0, (2,)): "-1"}), ladder=ladder)
+    rep = pointwise_levi(_op("dxx", {(0, (2,)): "-1"}), ladder=ladder, direction=np.array([1.0]))
     assert rep.checks["triple_root_compat/m_at_root"]["verdict"] == "violated"
 
 
 def test_pointwise_case_one_oleinik_pair():
     ladder = [2.0 ** k for k in range(6, 15, 2)]
-    ok = pointwise_levi(OLEINIK, ladder=ladder)
+    ok = pointwise_levi(OLEINIK, ladder=ladder, direction=np.array([1.0]))
     assert ok.case == "I"
     assert ok.checks["m_bound_n1"]["verdict"] == "bounded"
     assert ok.checks["m_disc_bound"]["verdict"] == "bounded"
 
-    bad = pointwise_levi(_op("olk_bad", {(1, (2,)): "-t^2", (0, (2,)): "1"}), ladder=ladder)
+    bad = pointwise_levi(_op("olk_bad", {(1, (2,)): "-t^2", (0, (2,)): "1"}), ladder=ladder,
+                         direction=np.array([1.0]))
     assert bad.case == "I"
     assert bad.checks["m_bound_n1"]["verdict"] == "unbounded-trend"
 
@@ -496,7 +503,7 @@ def test_pointwise_case_two_double_root():
     # persistent double root at 0, simple root (1+t) xi; no order-2 term:
     # the corrected symbol is xi * tau, which vanishes on the double root
     ok = _op("dbl_ok", {(2, (1,)): "-(1 + t)"})
-    rep = pointwise_levi(ok, ladder=ladder)
+    rep = pointwise_levi(ok, ladder=ladder, direction=np.array([1.0]))
     assert rep.case == "II" and not rep.ambiguous
     assert rep.checks["m_vanishes_on_double"]["verdict"] == "satisfied"
     assert rep.checks["quotient_disc_bound"]["verdict"] == "bounded"
@@ -504,7 +511,7 @@ def test_pointwise_case_two_double_root():
 
     # an order-2 term xi^2 leaves the corrected symbol alive on the double root
     bad = _op("dbl_bad", {(2, (1,)): "-(1 + t)", (0, (2,)): "1"})
-    rep = pointwise_levi(bad, ladder=ladder)
+    rep = pointwise_levi(bad, ladder=ladder, direction=np.array([1.0]))
     assert rep.case == "II"
     assert rep.checks["m_vanishes_on_double"]["verdict"] == "violated"
 
@@ -544,8 +551,8 @@ def test_pointwise_levi_evaluates_each_grid_point_once(monkeypatch):
     calls = []
     monkeypatch.setattr(Operator3, "principal",
                         lambda op, t, xi: calls.append(t) or principal(op, t, xi))
-    ladder = default_ladder()[::2]
-    rep = pointwise_levi(battery_member("sin_gap").op, ladder=ladder)
+    ladder = default_ladder(2.0 ** 6, 2.0 ** 14, 9)[::2]
+    rep = pointwise_levi(battery_member("sin_gap").op, ladder=ladder, direction=np.array([1.0]))
     assert rep.case == "I"
     # one array call per base grid (256 times) and per fine grid (1024 times)
     # of each |xi|: 10 calls over 6,400 points
@@ -571,7 +578,8 @@ def test_grid_terms_match_integrand(name):
 
 def test_constant_coeff_decomposition_wellposed():
     op = _op("ccwp", {(1, (2,)): "-1", (0, (2,)): "1"})
-    rep = constant_coeff_check(op, ladder=[2.0 ** k for k in range(6, 15)])
+    rep = constant_coeff_check(op, ladder=[2.0 ** k for k in range(6, 15)],
+                               direction=np.array([1.0]))
     assert rep["decomposition_verdict"] == "bounded"
     assert rep["im_verdict"] == "bounded"
     # ell = (-1, 1/2, 1/2) at every frequency
@@ -581,7 +589,8 @@ def test_constant_coeff_decomposition_wellposed():
 
 
 def test_constant_coeff_zero_gap_nonzero_numerator_is_unbounded():
-    rep = constant_coeff_check(TRIPLE_DX, ladder=[2.0 ** k for k in range(6, 15)])
+    rep = constant_coeff_check(TRIPLE_DX, ladder=[2.0 ** k for k in range(6, 15)],
+                               direction=np.array([1.0]))
     assert rep["decomposition_verdict"] == "unbounded"
     assert math.isinf(rep["rows"][0]["m_max"])
     assert rep["im_verdict"] == "unbounded-trend"
@@ -589,14 +598,15 @@ def test_constant_coeff_zero_gap_nonzero_numerator_is_unbounded():
 
 
 def test_constant_coeff_trivial_operator():
-    rep = constant_coeff_check(_op("t3", {}), ladder=[2.0 ** k for k in range(6, 15)])
+    rep = constant_coeff_check(_op("t3", {}), ladder=[2.0 ** k for k in range(6, 15)],
+                               direction=np.array([1.0]))
     assert rep["decomposition_verdict"] == "bounded"
     assert all(r["im_sup"] == 0.0 for r in rep["rows"])
 
 
 def test_constant_coeff_rejects_time_dependence():
     with pytest.raises(OperatorSpecError):
-        constant_coeff_check(OLEINIK)
+        constant_coeff_check(OLEINIK, default_ladder(2.0 ** 6, 2.0 ** 14, 9), np.array([1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +626,7 @@ def test_second_order_oleinik_closed_form():
     # asinh antiderivative of the weighted lower-order integrand
     closed = 0.5 * math.asinh(2.0 * xi)
     assert abs(ib - closed) <= 1e-6 * closed
-    rep = second_order_report(op2)
+    rep = second_order_report(op2, default_ladder(2.0 ** 6, 2.0 ** 14, 9), np.array([1.0]))
     assert rep["verdicts"] == {"disc_drift": "logarithmic", "lower_weighted": "logarithmic"}
 
 
@@ -637,7 +647,7 @@ def test_second_order_degenerate_violating():
     ia, ib = second_order_check(op2, np.array([xi]))
     assert ia == 0.0
     assert abs(ib - xi) <= 1e-9 * xi  # T |c1| |xi| with T = 1
-    rep = second_order_report(op2)
+    rep = second_order_report(op2, default_ladder(2.0 ** 6, 2.0 ** 14, 9), np.array([1.0]))
     assert rep["verdicts"]["lower_weighted"] == "violated"
 
 
@@ -725,3 +735,15 @@ def test_conditions_two_space_dimensions():
             <= 1e-9 * max(1.0, abs(ref.values[key]))
     rep = pointwise_levi(op, ladder=[2.0 ** k for k in range(6, 13, 2)], direction=d)
     assert rep.case == "I"
+
+
+@pytest.mark.parametrize("ladder,what,message", [
+    ([64, 128, 128, 512, 1024], "log_fit", "log_fit needs a strictly increasing ladder"),
+    ([64, 128, 256, 512], "log_fit", "log_fit needs at least 5 ladder points"),
+    ([64, 128, 256, 512, 768, 1024], "growth experiment",
+     "growth experiment needs the ladder to span at least 5 doublings"),
+])
+def test_ladder_rule_errors_name_the_rule(ladder, what, message):
+    with pytest.raises(OperatorSpecError) as exc:
+        check_ladder(ladder, what)
+    assert str(exc.value) == message

@@ -410,3 +410,18 @@ def test_jets_with_log_and_division_match_sympy(text):
                                              (grid.v, grid.d1, grid.d2), _sympy_jet(text, t)):
             for got in (got_point, np.broadcast_to(got_grid, ts.shape)[k]):
                 assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (t, got, want)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("t $ 1", "unrecognized character '$' at offset 2"),
+    ("t^2.5", "exponent must be an integer, got '2.5' at offset 2"),
+    ("(" * 301 + "t" + ")" * 301, "expression nested deeper than 300 levels"),
+    ("t ", None),  # trailing blanks end the input
+])
+def test_expression_input_errors_name_their_cause(text, message):
+    if message is None:
+        assert parse_timefn(text) == parse_timefn("t")
+        return
+    with pytest.raises(ExprError) as exc:
+        parse_timefn(text)
+    assert str(exc.value) == message

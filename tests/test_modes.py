@@ -131,7 +131,8 @@ def test_eta_calibration_and_growth_constant():
 
 def test_growth_doubling_horizon_doubles_log_amplification():
     ladder = [2.0 ** k for k in range(6, 12)]
-    fit1, fit2 = (growth_experiment(_op("dx", {(0, (1,)): "1"}, horizon), ladder, grid_points=256)
+    fit1, fit2 = (growth_experiment(_op("dx", {(0, (1,)): "1"}, horizon), ladder, np.array([1.0]),
+                                     grid_points=256)
                   for horizon in (1.0, 2.0))
     assert fit1.model == fit2.model == "exp_power"
     r1 = fit1.rows[-1]["log_amp"] - fit1.rows[-1]["half_log_amp"]
@@ -141,7 +142,7 @@ def test_growth_doubling_horizon_doubles_log_amplification():
 
 def test_growth_requires_wide_ladder():
     with pytest.raises(ValueError):
-        growth_experiment(WAVE, [64.0, 128.0, 256.0])
+        growth_experiment(WAVE, [64.0, 128.0, 256.0], np.array([1.0]))
 
 
 # --------------------------------------------------------------------------
@@ -374,7 +375,8 @@ def test_solve_mode_of_a_state_past_the_largest_double(init, points, nfev, blowu
 def test_growth_row_of_a_blown_up_solve():
     # the exact path, then the Magnus path
     for op, kappa_tol in ((ILL_POSED, 1e-6), (ILL_POSED_SIN, 1e-3)):
-        fit = growth_experiment(op, [2.0 ** k for k in range(5, 11)], grid_points=64)
+        fit = growth_experiment(op, [2.0 ** k for k in range(5, 11)], np.array([1.0]),
+                                grid_points=64)
         *finite, last = fit.rows
         assert not any(r["blowup"] for r in finite)
         assert last["blowup"] and last["amplification"] == math.inf
@@ -472,9 +474,9 @@ def test_mode_right_hand_side_is_pythons_own_arithmetic(python_value, name, nfev
         g0, g1, g2 = (sum((w * f(t) for w, f in tj), complex(0.0)) for tj in terms)
         return y[1], y[2], -(g0 * y[0] + g1 * y[1] + g2 * y[2])
 
-    ref = modes.solve_ivp(rhs, (1.0, 0.0, 0.0), np.linspace(0.0, op.horizon, 1024))
-    assert sol.nfev == ref.nfev == nfev
-    for got, want in zip((sol.t, sol.v, sol.v1, sol.v2), (ref.t, *ref.y)):
+    t, y, ref_nfev = modes.solve_ivp(rhs, (1.0, 0.0, 0.0), np.linspace(0.0, op.horizon, 1024))
+    assert sol.nfev == ref_nfev == nfev
+    for got, want in zip((sol.t, sol.v, sol.v1, sol.v2), (t, *y)):
         assert np.array_equal(got, want)
 
 

@@ -410,3 +410,14 @@ def test_a_frequency_weight_past_the_double_range_is_an_input_error(xi):
                  lambda: modes._ode_coefficients(op, np.array(xi))):
         with pytest.raises(OperatorSpecError, match="frequency weight xi\\^alpha overflows"):
             call()
+
+
+@pytest.mark.parametrize("dim,coeffs,message", [
+    (0, {}, "dimension must be >= 1"),
+    (1, {(0,): P("1")}, "bad coefficient key (0,)"),
+    (1, {(0, (1,)): "1"}, "coefficient (0, (1,)) is not a TimeFn"),
+])
+def test_operator_input_errors_name_their_cause(dim, coeffs, message):
+    with pytest.raises(OperatorSpecError) as exc:
+        Operator3("x", dim, 1.0, coeffs)
+    assert str(exc.value) == message

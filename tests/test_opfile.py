@@ -95,3 +95,13 @@ def test_unsupported_format_version():
 def test_horizon_must_be_finite_and_positive(order, horizon):
     with pytest.raises(OperatorSpecError, match="horizon"):
         parse_operator_text(f"order = {order}\ndimension = 1\nT = {horizon}\n")
+
+
+@pytest.mark.parametrize("line,message", [
+    ("a[1,(2)]", "<string>:4: expected 'key = value'"),
+    ("T = 2.0", "<string>:4: duplicate header key 'T'"),
+])
+def test_operator_file_line_errors_name_their_line(line, message):
+    with pytest.raises(OperatorSpecError) as exc:
+        parse_operator_text(f"order = 3\ndimension = 1\nT = 1.0\n{line}\n")
+    assert str(exc.value) == message

@@ -1,0 +1,45 @@
+"""Static checks of the package source."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "hyp3"
+
+
+def _unused_imports(text: str) -> list[str]:
+    """Names a module imports and never reads, less those its ``__all__``
+    lists and those of import lines marked ``# noqa: F401``."""
+    tree = ast.parse(text)
+    lines = text.splitlines()
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported |= set(ast.literal_eval(node.value))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used and name not in exported:
+                unused.append(f"line {node.lineno}: {name}")
+    return unused
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_a_module_reads_every_name_it_imports(path):
+    assert _unused_imports(path.read_text()) == []
+
+
+def test_an_unused_import_is_found():
+    text = ("import math\nimport os  # noqa: F401\nfrom typing import (Any,\n    Sequence)\n"
+            "__all__ = ['Any']\nx = math.pi\n")
+    assert _unused_imports(text) == ["line 3: Sequence"]
