@@ -377,6 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    while "--direction" in argv[:-1]:  # a value such as -1,0 reads as an option on its own
+        k = argv.index("--direction")
+        argv[k:k + 2] = [f"--direction={argv[k + 1]}"]
     try:
         args = build_parser().parse_args(argv)
         if vars(args).get("format", "doc") != "doc" and not args.out:

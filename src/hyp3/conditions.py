@@ -311,8 +311,8 @@ def _cell(xi: np.ndarray) -> ConditionCell:
 
 
 def _ladder_cells(op: Operator3, xis: list[np.ndarray]) -> list[ConditionCell]:
-    """The cells at ``xis`` in order, a time-dependent operator's integrated in
-    forked workers (one per usable CPU); the first failing cell's error is raised."""
+    """The cells at ``xis`` in order, a time-dependent operator's integrated in forked workers
+    (one per usable CPU), the last and dearest first; the first failing cell's error is raised."""
     op = op._keeping_jets()  # in process or in each worker, the cells share their jets
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(len(xis), cpus or 1)
@@ -322,7 +322,7 @@ def _ladder_cells(op: Operator3, xis: list[np.ndarray]) -> list[ConditionCell]:
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                initializer=_start_worker, initargs=(op,))
     try:
-        return [f.result() for f in [pool.submit(_cell, xi) for xi in xis]]
+        return [f.result() for f in [pool.submit(_cell, xi) for xi in xis[::-1]][::-1]]
     finally:
         pool.shutdown(cancel_futures=True)
 

@@ -22,6 +22,7 @@ to ``0 - term``, so the node set stays exactly the published one.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -445,48 +446,51 @@ def _series(node: Node, t, order: int):
         return _eval_series(node, t, order)
 
 
-def _compile(node: Node):
-    """A closure giving the value of ``node`` at one time, so that a point
-    evaluation walks no tree; a subtree's value is complex where it holds ``i``."""
-    if isinstance(node, (Num, Imag)):
-        v = 1j if isinstance(node, Imag) else node.value
-        return lambda t: v
-    if isinstance(node, TimeVar):
-        return float
+def _bind(value, names: dict) -> str:
+    """A new name for ``value`` among ``names``, the globals of emitted code:
+    constants are bound by name, as a complex repr such as ``(-0-0j)`` is no literal."""
+    names[name := f"c{len(names)}"] = value
+    return name
+
+
+def _emit(node: Node, lines: list[str], names: dict) -> str:
+    """Append to ``lines`` the statements giving ``node`` at the float ``t``, one per node
+    and each domain error raised at statement level; return the name holding its value."""
+    if isinstance(node, (Num, Imag, TimeVar)):
+        return "t" if isinstance(node, TimeVar) else _bind(getattr(node, "value", 1j), names)
     if isinstance(node, BinOp):
-        g = _compile(node.rhs)
-        if isinstance(node.lhs, Num) and node.op != "/":  # a constant operand, with no call
-            v = node.lhs.value
-            return {"+": lambda t: v + g(t), "-": lambda t: v - g(t),
-                    "*": lambda t: v * g(t)}[node.op]
-        f = _compile(node.lhs)
-        return {"+": lambda t: f(t) + g(t), "-": lambda t: f(t) - g(t),
-                "*": lambda t: f(t) * g(t), "/": lambda t: _sdiv([f(t)], [g(t)])[0]}[node.op]
+        a, b = _emit(node.lhs, lines, names), _emit(node.rhs, lines, names)
+        if node.op == "/":
+            lines.append(f"if {b} == 0: raise ExprDomainError('division by zero')")
+        lines.append(f"x{len(lines)} = {a} {node.op} {b}")
+        return f"x{len(lines) - 1}"
     if isinstance(node, Pow):
-        f, n = _compile(node.base), node.exponent
+        a, n = _emit(node.base, lines, names), _bind(node.exponent, names)
+        if node.exponent < 0:
+            lines.append(f"if {a} == 0: raise ExprDomainError('zero raised to a negative power')")
+        value, message = f"{a} ** {n}", f"f'{{{a}!r}}^{{_clip({n})}} overflows'"
+    else:
+        a, lib = _emit(node.arg, lines, names), cmath if Imag in map(type, _walk(node)) else math
+        value, message = f"{_bind(getattr(lib, node.func), names)}({a})", {
+            "exp": f"f'exp of {{{a}!r}} overflows'",
+            "log": "'log of zero'" if lib is cmath else f"f'log of non-positive value {{{a}!r}}'",
+        }.get(node.func, f"f'{node.func} of infinite value {{{a}!r}}'")
+    error = "ValueError" if isinstance(node, Call) and node.func != "exp" else "OverflowError"
+    lines += [f"try: x{len(lines)} = {value}",
+              f"except {error}: raise ExprDomainError({message}) from None"]
+    return f"x{len(lines) - 2}"
 
-        def power(t):
-            a = f(t)
-            if n < 0 and a == 0:
-                raise ExprDomainError("zero raised to a negative power")
-            try:
-                return a ** n
-            except OverflowError:
-                raise ExprDomainError(f"{a!r}^{_clip(n)} overflows") from None
-        return power
-    f, func = _compile(node.arg), node.func
-    if func in ("exp", "log"):
-        g = _exp if func == "exp" else _log
-        return lambda t: g(f(t))
-    g = getattr(cmath if any(isinstance(n, Imag) for n in _walk(node.arg)) else math, func)
 
-    def trig(t):
-        x = f(t)
-        try:
-            return g(x)
-        except ValueError:
-            raise ExprDomainError(f"{func} of infinite value {x!r}") from None
-    return trig
+def _define(signature: str, lines: list[str], names: dict):
+    """The function ``def signature: lines``, with ``names`` as its globals."""
+    glob = {"ExprDomainError": ExprDomainError, "_clip": _clip, **names}
+    exec(_code(f"def {signature}:\n" + "".join(f"    {line}\n" for line in lines)), glob)
+    return glob[signature.split("(")[0]]
+
+
+@functools.lru_cache(maxsize=1024)  # one compile per text: an operator's is the same at every |xi|
+def _code(source: str):
+    return compile(source, "<hyp3 emitted>", "exec")
 
 
 # --------------------------------------------------------------------------
@@ -553,7 +557,8 @@ class TimeFn:
         number where the expression does not depend on ``t``)."""
         if isinstance(t, np.ndarray):
             return _series(self.ast, t, 0)[0]
-        return _compile(self.ast)(t)
+        x = _emit(self.ast, lines := ["t = float(t)"], names := {})
+        return _define("value(t)", [*lines, f"return {x}"], names)(t)
 
 
 def parse_timefn(text: str) -> TimeFn:

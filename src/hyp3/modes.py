@@ -23,7 +23,7 @@ from .cubic import _NORMAL_MIN, _SS2, _root_derivatives, _simple_root_gap
 from .cubic import solve_cubic_real  # noqa: F401  (a binding perfbench/tests checks)
 from .errors import (ExprDomainError, MagnusStepError, OperatorSpecError, _check_points,
                      _nonfinite, locate)
-from .expr import _compile
+from .expr import _bind, _define, _emit
 from .operators import Operator3, Symbols, _weight_overflow, symbol_grid
 
 __all__ = [
@@ -97,10 +97,9 @@ def solve_ivp(fun, y0, t_eval: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]
 
 
 def _ode_coefficients(op: Operator3, xi: np.ndarray):
-    """Complex coefficients g_j(t) of v''' = -(g2 v'' + g1 v' + g0 v), at one
-    time or at each time of an array: g_j collects a_{j,alpha} (i xi)^alpha
-    over all alpha. A domain error or a non-finite value names the point it
-    happened at; on an array, the first such time."""
+    """Complex coefficients g_j(t) of v''' = -(g2 v'' + g1 v' + g0 v), g_j collecting
+    a_{j,alpha} (i xi)^alpha, at one time or at each time of an array, and rhs(t, y), straight-line
+    code; a domain error or a non-finite value names its point (on an array, the first)."""
     terms: list[list] = [[], [], []]
     for (j, alpha), fn in op.coeffs.items():
         w = complex(1.0)
@@ -113,33 +112,31 @@ def _ode_coefficients(op: Operator3, xi: np.ndarray):
             raise _weight_overflow(xi)
         if w != 0:
             terms[j].append((w, fn))
-    c0, c1, c2 = ([(w, _compile(fn.ast)) for w, fn in tj] for tj in terms)
+    names, body = {"xi": xi, "locate": locate, "isfinite": cmath.isfinite}, []
+    for j, tj in enumerate(terms):
+        body.append(f"g{j} = {_bind(complex(0.0), names)}")
+        for w, fn in tj:
+            x = _emit(fn.ast, body, names)
+            body.append(f"g{j} = g{j} + {_bind(w, names)} * {x}")
+    body.append("if not isfinite(g0 + g1 + g2) and not (isfinite(g0) and isfinite(g1) and "
+                "isfinite(g2)): raise ExprDomainError('non-finite coefficient value')")
 
     def coeffs_at(t):
         try:
-            if isinstance(t, np.ndarray):
-                g = [sum((w * fn.value(t) for w, fn in tj), complex(0.0)) for tj in terms]
-            else:  # the sums by the compiled closures
-                g0 = g1 = g2 = complex(0.0)
-                for w, at in c0:
-                    g0 = g0 + w * at(t)
-                for w, at in c1:
-                    g1 = g1 + w * at(t)
-                for w, at in c2:
-                    g2 = g2 + w * at(t)
-                if cmath.isfinite(g0 + g1 + g2):
-                    return g0, g1, g2  # else the test below raises
-                g = [g0, g1, g2]
+            g = [sum((w * fn.value(t) for w, fn in tj), complex(0.0)) for tj in terms]
             _check_points(_nonfinite(g), ExprDomainError, "non-finite coefficient value")
         except ExprDomainError as exc:
             locate(exc, t, xi, coeffs_at)
             raise
         return g
-
+    lines = ["t = float(t)", "try:", *(f"    {s}" for s in body),
+             "except ExprDomainError as exc: locate(exc, t, xi, None); raise"]
     if all(fn.is_constant for tj in terms for _, fn in tj):  # (i xi)^alpha may drop t
-        g = coeffs_at(0.0)
-        return lambda _t: g
-    return coeffs_at
+        names.update(zip(("g0", "g1", "g2"), g := coeffs_at(0.0)))
+        lines = []
+    rhs = _define("rhs(t, y)", [*lines, "y0, y1, y2 = y",
+                                "return y1, y2, -(g0 * y0 + g1 * y1 + g2 * y2)"], names)
+    return (coeffs_at if lines else lambda _t: g), rhs
 
 
 @dataclass
@@ -189,13 +186,7 @@ def solve_mode(op: Operator3, xi: np.ndarray, init=(1.0, 0.0, 0.0),
     y0 = np.array(init, dtype=complex)
     if y0.shape != (3,):
         raise ValueError("init must have shape (3,)")
-    coeff = _ode_coefficients(op, xi)
-
-    def rhs(t, y):
-        g0, g1, g2 = coeff(t)
-        y0, y1, y2 = y
-        return y1, y2, -(g0 * y0 + g1 * y1 + g2 * y2)
-
+    coeff, rhs = _ode_coefficients(op, xi)
     t, y, nfev = solve_ivp(rhs, y0, t_eval)
     blowup = len(t) < grid_points or not np.all(np.isfinite(y))
     t, (v, v1, v2) = (t, y) if len(t) else (t_eval[:1], y0[:, None])
@@ -601,7 +592,7 @@ def _amplification(op: Operator3, xi: np.ndarray,
     the half amplification 1, and the reach the grid time before it."""
     t = _mode_grid(op, xi, grid_points)
     mag = float(np.linalg.norm(xi))
-    coeff = _ode_coefficients(op, xi)
+    coeff, _ = _ode_coefficients(op, xi)
     with np.errstate(over="ignore", invalid="ignore"):
         # the grid goes first, so that a domain error names its first time
         g = coeff(t)

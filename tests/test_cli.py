@@ -167,6 +167,22 @@ def test_a_direction_of_any_finite_length_is_its_unit_vector(capsys):
         assert doc["operators"] == ref["operators"], direction
 
 
+@pytest.mark.parametrize("text,direction", [
+    ("order = 3\ndimension = 2\nT = 1.0\nname = iso2\na[1,(2,0)] = -1\na[1,(0,2)] = -1\n", "-1,0"),
+    ("order = 3\ndimension = 1\nT = 1.0\nname = wave\na[1,(2)] = -1\n", "-1e-3"),
+])
+def test_a_direction_that_starts_with_a_minus_is_the_options_value(tmp_path, capsys, text,
+                                                                   direction):
+    # argparse takes "-1,0" or "-1e-3" on its own for an option; joined to
+    # --direction, it is the direction of the = form
+    p = tmp_path / "op.op"
+    p.write_text(text)
+    argv = ["check", "--config", str(p), "--xi-min", "64", "--xi-max", "1024", "--xi-steps", "5"]
+    rc, doc = _run(capsys, *argv, "--direction", direction)
+    assert rc == 0 and doc["config"]["direction"] == direction
+    assert doc == _run(capsys, *argv, f"--direction={direction}")[1]
+
+
 def test_check_usage_error_without_target(capsys):
     rc, _ = _run(capsys, "check")
     assert rc == 2
@@ -434,7 +450,7 @@ def test_modes_counts_magnus_steps_where_step_times_deviation_underflows(tmp_pat
     op = load_operator(p)
     t = np.linspace(0.0, op.horizon, 64)
     for mag in (32.0, 1024.0):
-        g = modes._ode_coefficients(op, np.array([mag]))(t)
+        g = modes._ode_coefficients(op, np.array([mag]))[0](t)
         assert 1 <= modes._magnus_steps(g, t, mag) <= 16
 
 

@@ -1,3 +1,4 @@
+import cmath
 import copy
 import math
 import pickle
@@ -12,8 +13,9 @@ from sympy.parsing.sympy_parser import parse_expr
 
 from hyp3 import expr
 from hyp3.battery import BATTERY
-from hyp3.errors import ExprDomainError, ExprError, ExprSyntaxError, UnknownIdentifierError
-from hyp3.expr import MAX_DEPTH, BinOp, Call, Imag, Num, Pow, TimeFn, TimeVar, _depth, parse_timefn
+from hyp3.errors import ExprDomainError, ExprError, ExprSyntaxError, UnknownIdentifierError, _clip
+from hyp3.expr import (MAX_DEPTH, BinOp, Call, Imag, Num, Pow, TimeFn, TimeVar, _depth, _exp, _log,
+                       _sdiv, _walk, parse_timefn)
 
 
 def test_parse_polynomial():
@@ -130,7 +132,8 @@ def test_power_overflow_of_a_value_is_a_domain_error():
             fn.jet2(np.linspace(0.0, 1.0, 3))
 
 
-@pytest.mark.parametrize("text,t,message", [
+#: domain errors at one point, with their texts
+POINT_ERRORS = [
     ("1/(t - 1)", 1.0, "division by zero"),
     ("log(t - 2)", 1.0, "log of non-positive value -1.0"),
     ("log(i*(t - 1))", 1.0, "log of zero"),
@@ -139,7 +142,10 @@ def test_power_overflow_of_a_value_is_a_domain_error():
     ("t^2", 1e200, "1e+200^2 overflows"),
     ("sin(exp(700*t)*exp(700*t))", 1.0, "sin of infinite value inf"),
     ("cos(i + exp(700*t)*exp(700*t))", 1.0, "cos of infinite value (inf+1j)"),
-])
+]
+
+
+@pytest.mark.parametrize("text,t,message", POINT_ERRORS)
 def test_domain_errors_agree_at_a_point_and_on_a_grid(text, t, message):
     fn = parse_timefn(text)
     for call in (fn.value, fn.jet2):
@@ -295,6 +301,80 @@ def test_point_value_of_random_real_asts_is_pythons_own(python_value, ast, t):
             fn.value(t)
     else:
         assert _bits(fn.value(t)) == _bits(expected)
+
+
+def _compile(node):
+    """The value of ``node`` at one time as a tree of closures, a subtree's value
+    complex where it holds ``i``: the point evaluator that the emitted code
+    replaced, kept as its oracle."""
+    if isinstance(node, (Num, Imag)):
+        v = 1j if isinstance(node, Imag) else node.value
+        return lambda t: v
+    if isinstance(node, TimeVar):
+        return float
+    if isinstance(node, BinOp):
+        g = _compile(node.rhs)
+        if isinstance(node.lhs, Num) and node.op != "/":  # a constant operand, with no call
+            v = node.lhs.value
+            return {"+": lambda t: v + g(t), "-": lambda t: v - g(t),
+                    "*": lambda t: v * g(t)}[node.op]
+        f = _compile(node.lhs)
+        return {"+": lambda t: f(t) + g(t), "-": lambda t: f(t) - g(t),
+                "*": lambda t: f(t) * g(t), "/": lambda t: _sdiv([f(t)], [g(t)])[0]}[node.op]
+    if isinstance(node, Pow):
+        f, n = _compile(node.base), node.exponent
+
+        def power(t):
+            a = f(t)
+            if n < 0 and a == 0:
+                raise ExprDomainError("zero raised to a negative power")
+            try:
+                return a ** n
+            except OverflowError:
+                raise ExprDomainError(f"{a!r}^{_clip(n)} overflows") from None
+        return power
+    f, func = _compile(node.arg), node.func
+    if func in ("exp", "log"):
+        g = _exp if func == "exp" else _log
+        return lambda t: g(f(t))
+    g = getattr(cmath if any(isinstance(n, Imag) for n in _walk(node.arg)) else math, func)
+
+    def trig(t):
+        x = f(t)
+        try:
+            return g(x)
+        except ValueError:
+            raise ExprDomainError(f"{func} of infinite value {x!r}") from None
+    return trig
+
+
+def _outcome(at, t):
+    """A point evaluation's type and the float.hex of both parts of its value,
+    or its error's type and text."""
+    try:
+        x = at(t)
+    except (ArithmeticError, ExprError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return type(x).__name__, complex(x).real.hex(), complex(x).imag.hex()
+
+
+def _point_error_examples(test):
+    """An example of each row of the point-error table, and one whose two
+    operands both fail at t = 1, where the left one's error is raised."""
+    for text, t, _ in [*POINT_ERRORS, ("log(t - 2) + 1/(t - 1)", 1.0, None)]:
+        test = example(parse_timefn(text).ast, t)(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ast(), st.floats(min_value=-3.0, max_value=3.0))
+@_point_error_examples
+def test_point_value_is_the_closure_oracles_to_the_bit(ast, t):
+    # the emitted statements do the closures' float operations in their
+    # order, and raise their errors with their texts, at t and at -0.0
+    fn, oracle = TimeFn.from_ast(ast), _compile(ast)
+    for tk in (t, -0.0):
+        assert _outcome(fn.value, tk) == _outcome(oracle, tk), (fn.to_string(), tk)
 
 
 def test_jet_vs_central_differences_1000_random_asts():

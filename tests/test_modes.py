@@ -24,6 +24,7 @@ from hyp3.modes import (
 )
 from hyp3.operators import Operator3
 from hyp3.opfile import parse_operator_text
+from test_expr import _compile as closure_of
 
 
 def _op(name, coeffs, horizon=1.0):
@@ -483,7 +484,7 @@ def test_mode_right_hand_side_is_pythons_own_arithmetic(python_value, name, nfev
 def _scipy_mode(op, xi, grid_points):
     """The mode solved by scipy's DOP853 at the mode tolerances, as
     solve_mode's blow-up flag reads it: (t, y, nfev, blowup)."""
-    coeff = modes._ode_coefficients(op, xi)
+    coeff, _ = modes._ode_coefficients(op, xi)
 
     def rhs(t, y):
         g0, g1, g2 = coeff(t)
@@ -531,11 +532,7 @@ NAN_STEP = _op("nan_step", {(0, (0,)): "1e300", (1, (0,)): "-1e300"})
 
 
 def _assert_first_step_is_scipys(op, xi, init):
-    coeff = modes._ode_coefficients(op, np.array([xi]))
-
-    def rhs(t, y):
-        g0, g1, g2 = coeff(t)
-        return y[1], y[2], -(g0 * y[0] + g1 * y[1] + g2 * y[2])
+    _, rhs = modes._ode_coefficients(op, np.array([xi]))
     y0 = np.array(init, dtype=complex)
     with np.errstate(all="ignore"):
         ref = DOP853(lambda t, y: np.array(rhs(t, tuple(y.tolist()))), 0.0, y0, op.horizon,
@@ -572,10 +569,45 @@ def test_a_nan_first_step_is_a_blowup_at_the_first_time():
                                   if isinstance(m.op, Operator3) and not m.op.is_constant()])
 def test_mode_coefficients_at_points_match_the_array_branch(name):
     op = battery_member(name).op
-    coeff = modes._ode_coefficients(op, np.array([256.0]))
+    coeff, _ = modes._ode_coefficients(op, np.array([256.0]))
     t = np.linspace(0.0, op.horizon, 257)
     points = np.array([coeff(tk) for tk in t.tolist()]).T
     np.testing.assert_allclose(points, np.broadcast_arrays(*coeff(t)), rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("name", [name for name, m in BATTERY.items()
+                                  if isinstance(m.op, Operator3) and not m.op.is_constant()])
+def test_generated_right_hand_side_is_the_closure_oracles_to_the_bit(name):
+    # the coefficients and the right-hand side at one time against the
+    # closures' sums in the order of op.coeffs, as the mode equation was
+    # evaluated before it was generated as straight-line code
+    op = battery_member(name).op
+    coeff, rhs = modes._ode_coefficients(op, np.array([256.0]))
+    terms = [[], [], []]
+    for (j, alpha), fn in op.coeffs.items():
+        w = complex(1.0)
+        w *= (1j * 256.0) ** alpha[0]
+        if w != 0:
+            terms[j].append((w, closure_of(fn.ast)))
+
+    def oracle(t, y):
+        g0 = g1 = g2 = complex(0.0)
+        for w, at in terms[0]:
+            g0 = g0 + w * at(t)
+        for w, at in terms[1]:
+            g1 = g1 + w * at(t)
+        for w, at in terms[2]:
+            g2 = g2 + w * at(t)
+        y0, y1, y2 = y
+        return (g0, g1, g2), (y1, y2, -(g0 * y0 + g1 * y1 + g2 * y2))
+
+    def bits(values):
+        return [(type(x), x.real.hex(), x.imag.hex()) for x in values]
+    rng = np.random.default_rng(5)
+    for t in np.linspace(0.0, op.horizon, 257):  # numpy floats, as DOP853's first step passes
+        y = tuple((rng.standard_normal(3) + 1j * rng.standard_normal(3)).tolist())
+        g, f = oracle(t, y)
+        assert bits(coeff(t)) == bits(g) and bits(rhs(t, y)) == bits(f), t
 
 
 @pytest.mark.parametrize("eta", [-1000.0, math.inf, math.nan])

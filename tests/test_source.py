@@ -1,6 +1,7 @@
 """Static checks of the package source."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +44,32 @@ def test_an_unused_import_is_found():
     text = ("import math\nimport os  # noqa: F401\nfrom typing import (Any,\n    Sequence)\n"
             "__all__ = ['Any']\nx = math.pi\n")
     assert _unused_imports(text) == ["line 3: Sequence"]
+
+
+def _foreign_imports(text: str) -> list[str]:
+    """Modules a module imports from outside the standard library, numpy and
+    hyp3 itself: the package depends on numpy alone (``pyproject.toml``), and
+    scipy is a dev extra, for the test oracles and perfbench."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:  # a relative import is hyp3's
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.split(".")[0] not in sys.stdlib_module_names | {"numpy", "hyp3"}]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_a_module_imports_only_the_standard_library_numpy_and_hyp3(path):
+    assert _foreign_imports(path.read_text()) == []
+
+
+def test_an_import_from_outside_the_dependencies_is_found():
+    text = ("from __future__ import annotations\nimport math, scipy\nimport numpy as np\n"
+            "from . import expr\nfrom hyp3.errors import ExprError\n"
+            "def f():\n    from scipy.integrate import DOP853\n")
+    assert _foreign_imports(text) == ["line 2: scipy", "line 7: scipy.integrate"]
