@@ -88,6 +88,10 @@ def _ladder_from_args(args) -> list[float]:
         raise OperatorSpecError("--xi-min and --xi-max must be finite and positive")
     if args.xi_steps > 1 and args.xi_min >= args.xi_max:
         raise OperatorSpecError("the ladder must strictly increase: --xi-min below --xi-max")
+    if args.xi_steps > 1024:  # before the ladder, or any time grid, is built
+        raise OperatorSpecError("--xi-steps must be at most 1024")
+    if args.grid > 2 ** 20:
+        raise OperatorSpecError("--grid must be at most 2^20")
     return default_ladder(args.xi_min, args.xi_max, args.xi_steps)
 
 

@@ -28,11 +28,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .cubic import (_SS2, _SS3, HYPERBOLICITY_TOL, cubic_from_floats, delta1, delta1_dt,
-                    discriminant, discriminant_dt, solve_cubic_real)
-from .errors import HyperbolicityViolation, OperatorSpecError, _check_points, locate
+from .cubic import (_SS2, _SS3, HYPERBOLICITY_TOL, _critical_jets, _critical_points, _delta1,
+                    _real_roots, _root_dt, _simple_root_gap, cubic_from_floats, delta1,
+                    delta1_dt, discriminant, discriminant_dt, solve_cubic_real)
+from .errors import (ExprDomainError, HyperbolicityViolation, NearMultipleRoot,
+                     OperatorSpecError, _check_points, locate)
 from .operators import (VALIDATION_T_SAMPLES, Operator2, Operator3, Symbols, TauPoly,
-                        _symbols_at, symbol_grid)
+                        _corrections, _regularized, symbol_grid)
 from .quadrature import adaptive_gauss
 
 __all__ = [
@@ -69,7 +71,7 @@ ALTERNATE_KEYS = (
     "m_levi_roots",   # order-2 Levi over plain roots with +1 regularized gaps
     "dm_span",        # tau-derivative of corrected order-2 symbol over root span
     "dm_crit",        # same over the critical-point gap
-    "n_levi_crit",    # order-1 Levi at principal critical points
+    "n_levi_crit",    # order-1 Levi at principal critical points: sqrt_n[crit/crit_gap_p1]
 ) + tuple(f"sqrt_n[{s}/{d}]" for s in _SQRT_N_SOURCES for d in _SQRT_N_DENOMS)
 
 #: which primary each alternate is banded against
@@ -104,7 +106,7 @@ def check_ladder(xs: Sequence[float], what: str) -> None:
 
 
 def _check_cell_xi(mag: float) -> None:
-    if mag < 2.0:
+    if not mag >= 2.0:  # NaN too
         raise OperatorSpecError("condition integrals need |xi| >= 2")
 
 
@@ -120,19 +122,23 @@ def check_condition_ladder(ladder: Sequence[float]) -> None:
 
 
 def _primary_terms(s: Symbols):
-    """The six primary integrands (in ``PRIMARY_KEYS`` order), at one time
-    or pointwise on a grid, from the auxiliary roots with their first two
-    time derivatives and the auxiliary critical points ``mu`` with their
-    first; also returns |corrected order-1 symbol| at the two ``mu``, which
-    the energy envelope reuses. A corrected symbol and its total time
-    derivative along a root are written out by Horner's rule, as
-    ``TauPoly.at`` rounds them: with its ``k * c.v`` terms (``1 * z`` is not
-    ``z`` for a complex z with an infinite part), less its leading
-    ``0.0 * tau +``, which at a finite tau can change only the sign of a zero,
-    and every use takes abs."""
-    lam, ld1, ld2, mu, mu_d1 = s.lam, s.lam_d1, s.lam_d2, s.mu, s.mu_d1
-    (m0, m1, m2), (n0, n1) = s.mc.coeffs, s.nc.coeffs
-    m0v, m1v, m2v, m0d, m1d, m2d = m0.v, m1.v, m2.v, m0.d1, m1.d1, m2.d1
+    """:func:`_terms` of the symbols ``s``, at one time or on a grid."""
+    return _terms(s.lam, s.lam_d1, s.lam_d2, s.mu, s.mu_d1,
+                  *((c.v, c.d1) for c in s.mc.coeffs + s.nc.coeffs))
+
+
+def _terms(lam, ld1, ld2, mu, mu_d1, m0, m1, m2, n0, n1):
+    """The six primary integrands (in ``PRIMARY_KEYS`` order), at one time or
+    pointwise on a grid, from the auxiliary roots with two time derivatives, the
+    auxiliary critical points ``mu`` with one, and the corrected symbols'
+    coefficients, each (value, time derivative, ...); also |corrected order-1
+    symbol| at the two ``mu``, which the energy envelope reuses. A corrected
+    symbol and its total time derivative along a root are written out by
+    Horner's rule, as ``TauPoly.at`` rounds them: with its ``k * c.v`` terms
+    (``1 * z`` is not ``z`` for a complex z with an infinite part), less its
+    leading ``0.0 * tau +``, which at a finite tau can change only the sign of
+    a zero, and every use takes abs."""
+    m0v, m1v, m2v, m0d, m1d, m2d = m0[0], m1[0], m2[0], m0[1], m1[1], m2[1]
     sep = vel = 0.0
     for j, k in _SS2:
         sep += abs(ld1[j] - ld1[k]) / abs(lam[j] - lam[k])
@@ -146,7 +152,7 @@ def _primary_terms(s: Symbols):
         m_drift += abs(mdot) / (abs(mv) + 1.0)
         m_levi += abs(mv) / (abs(x - lam[k]) * abs(x - lam[l]))
 
-    n0v, n1v, n0d, n1d = n0.v, n1.v, n0.d1, n1.d1
+    n0v, n1v, n0d, n1d = n0[0], n1[0], n0[1], n1[1]
     mu_gap = mu[1] - mu[0]
     sqrt = np.sqrt if isinstance(mu_gap, np.ndarray) else math.sqrt  # both round exactly
     n_drift = n_levi = 0.0
@@ -160,53 +166,74 @@ def _primary_terms(s: Symbols):
     return [sep, vel, m_drift, n_drift, m_levi, n_levi], n_abs
 
 
-def _integrand_values(op: Operator3, t: float, xi: np.ndarray) -> np.ndarray:
-    """Every condition integrand, primary then alternate, at one time. Each
-    symbol value is evaluated once, and each sum is written out left to right;
-    the corrected symbols by Horner's rule, as in :func:`_primary_terms`."""
-    s = _symbols_at(op, t, xi)
-    out, n_auxcrit = _primary_terms(s)
-    c, tau, lam, mu = s.c, s.tau, s.lam, s.mu
-    (m0, m1, m2), (n0, n1) = s.mc.coeffs, s.nc.coeffs
-    m0v, m1v, m2v, n0v, n1v = m0.v, m1.v, m2.v, n0.v, n1.v
-    s1, s2 = s.crit
-    span_p1 = tau[2] - tau[0] + 1.0
-    crit_gap_p1 = s2 - s1 + 1.0
-    denoms = (crit_gap_p1, mu[1] - mu[0], math.sqrt(max(delta1(c), 0.0)) + 1.0,
-              math.sqrt(max(delta1(s.reg), 0.0)), span_p1, lam[2] - lam[0])
+def _condition_node(op: Operator3, xi: np.ndarray):
+    """The integrand of the cell at ``xi``, its weights xi^alpha taken once: ``node(t)``
+    is every condition integrand, primary then alternate, from the coefficient jets
+    summed into plain numbers, by the cores, guards and located errors of
+    :func:`~hyp3.operators._symbols_at`; each sum is written out left to right."""
+    terms = op._weights(xi, "principal", "lower")
 
-    m_tau = [(m2v * x + m1v) * x + m0v for x in tau]
-    m_levi_roots = 0.0
-    for j, k, l in _SS3:
-        m_levi_roots += abs(m_tau[j]) / (
-            (abs(tau[j] - tau[k]) + 1.0) * (abs(tau[j] - tau[l]) + 1.0))
-    dm = [abs(2 * m2v * x + 1 * m1v) for x in (tau[0], tau[2], s1, s2)]
-    dm_span = (dm[0] + dm[1]) / span_p1
-    dm_crit = (dm[2] + dm[3]) / crit_gap_p1
+    def node(t: float) -> list[float]:
+        try:
+            a1, a2, a3, m0, m1, m2, n0, n1, _ = op._add(terms, 9, t)  # a1..a3 real: no .real
+            # the plain cubic first: a non-hyperbolic time reports its discriminant
+            tau = _real_roots(a1[0], a2[0], a3[0])
+            r2, r3 = _regularized(a1, a2, a3, 1.0)  # the unit-regularized cubic
+            lam = _real_roots(a1[0], r2[0], r3[0])
+            gap, thr = _simple_root_gap(lam)
+            _check_points(gap <= thr, NearMultipleRoot, gap, thr)
+            ld1, ld2 = _root_dt(a1[0], r2[0], a1[1], r2[1], r3[1], a1[2], r2[2], r3[2], lam)
+            mu, mu_d1 = _critical_jets(a1[0], r2[0], r3[0], a1[1], r2[1])
+            s1, s2, _, _ = _critical_points(a1[0], a2[0], a3[0])
+        except (HyperbolicityViolation, NearMultipleRoot, ExprDomainError) as exc:
+            locate(exc, t, xi, None)
+            raise
+        mc0, mc1, nc0, nc1 = _corrections(a1, a2, m0, m1, m2, n0, n1)
+        out, n_auxcrit = _terms(lam, ld1, ld2, mu, mu_d1, mc0, mc1, m2, nc0, nc1)
+        m0v, m1v, m2v, n0v, n1v = mc0[0], mc1[0], m2[0], nc0[0], nc1[0]
+        span_p1 = tau[2] - tau[0] + 1.0
+        crit_gap_p1 = s2 - s1 + 1.0
+        denoms = (crit_gap_p1, mu[1] - mu[0], math.sqrt(max(_delta1(a1[0], a2[0]), 0.0)) + 1.0,
+                  math.sqrt(max(_delta1(a1[0], r2[0]), 0.0)), span_p1, lam[2] - lam[0])
+        m_tau = [(m2v * x + m1v) * x + m0v for x in tau]
+        m_levi_roots = 0.0
+        for j, k, l in _SS3:
+            m_levi_roots += abs(m_tau[j]) / (
+                (abs(tau[j] - tau[k]) + 1.0) * (abs(tau[j] - tau[l]) + 1.0))
+        dm = [abs(2 * m2v * x + 1 * m1v) for x in (tau[0], tau[2], s1, s2)]
+        # the |order-1 symbol| sources of the sqrt_n family, in _SQRT_N_SOURCES order
+        sqrt = math.sqrt
+        n_crit = (abs(n1v * s1 + n0v), abs(n1v * s2 + n0v))
+        roots = [abs(n1v * x + n0v) for x in tau]
+        aux = [abs(n1v * x + n0v) for x in lam]
+        sqrt_n = [sqrt(u / d) + sqrt(v / d) for u, v in (n_crit, n_auxcrit) for d in denoms]
+        sqrt_n += [sqrt(u / d) + sqrt(v / d) + sqrt(w / d) for u, v, w in (roots, aux)
+                   for d in denoms]
+        out += [m_levi_roots, (dm[0] + dm[1]) / span_p1, (dm[2] + dm[3]) / crit_gap_p1, sqrt_n[0]]
+        return out + sqrt_n
+    return node
 
-    # the |order-1 symbol| sources of the sqrt_n family, in _SQRT_N_SOURCES order
-    sqrt = math.sqrt
-    n_crit = (abs(n1v * s1 + n0v), abs(n1v * s2 + n0v))
-    roots = [abs(n1v * x + n0v) for x in tau]
-    aux = [abs(n1v * x + n0v) for x in lam]
-    sqrt_n = [sqrt(u / d) + sqrt(v / d) for u, v in (n_crit, n_auxcrit) for d in denoms]
-    sqrt_n += [sqrt(u / d) + sqrt(v / d) + sqrt(w / d) for u, v, w in (roots, aux) for d in denoms]
-    out += [m_levi_roots, dm_span, dm_crit, sqrt_n[0]]  # n_levi_crit is sqrt_n[crit/crit_gap_p1]
-    return np.array(out + sqrt_n)
+
+def _integrand_values(op: Operator3, t: float, xi: np.ndarray) -> list[float]:
+    """Every condition integrand, primary then alternate, at one time."""
+    return _condition_node(op, xi)(t)
 
 
-def _cell_integrals(op: Operator3 | Operator2, xi: np.ndarray, integrand):
-    """``integrand`` integrated over [0, horizon] at ``xi``, which must have
+def _cell_integrals(op: Operator3 | Operator2, xi: np.ndarray, node):
+    """|xi| and ``node(op, xi)`` integrated over [0, horizon], at an ``xi`` of
     |xi| >= 2. With every coefficient of ``op`` t-free, the first node's row
     serves every node; still one call per node, so node counts hold."""
-    _check_cell_xi(float(np.linalg.norm(xi)))
+    with np.errstate(over="ignore"):  # an infinite |xi| leaves the weights to name it
+        mag = float(np.linalg.norm(xi))
+    _check_cell_xi(mag)
+    integrand = node(op, xi)
     rows = []
 
     def first_row(t: float) -> np.ndarray:
-        if not rows:
-            rows.append(integrand(t))
+        if not rows:  # an array: a panel stacks 16 of them faster than 16 lists
+            rows.append(np.array(integrand(t)))
         return rows[0]
-    return adaptive_gauss(first_row if op.is_constant() else integrand, 0.0, op.horizon)
+    return mag, adaptive_gauss(first_row if op.is_constant() else integrand, 0.0, op.horizon)
 
 
 @dataclass(frozen=True)
@@ -228,8 +255,7 @@ def condition_integrals(op: Operator3, xi: np.ndarray) -> ConditionCell:
     All integrands share one symbol evaluation per quadrature node; the
     auxiliary-root denominators are bounded below uniformly, so the
     integrands are bounded (if steep near degeneracy times)."""
-    res = _cell_integrals(op, xi, lambda t: _integrand_values(op, t, xi))
-    mag = float(np.linalg.norm(xi))
+    mag, res = _cell_integrals(op, xi, _condition_node)
     vals = dict(zip(PRIMARY_KEYS, (float(x) for x in res.values[:len(PRIMARY_KEYS)])))
     alts = dict(zip(ALTERNATE_KEYS, (float(x) for x in res.values[len(PRIMARY_KEYS):])))
     return ConditionCell(mag, tuple(float(x) for x in np.atleast_1d(xi) / mag),
@@ -623,14 +649,11 @@ def constant_coeff_check(op: Operator3, ladder: Sequence[float], direction: np.n
 # Second-order operators
 
 
-def _second_order_parts(op2: Operator2, t, xi: np.ndarray):
-    """``op2.symbol_parts`` and the principal discriminant a^2 - 4b, at one
-    time or on a time grid. A time where the discriminant falls below
-    ``-HYPERBOLICITY_TOL * (1 + a^2 + 4|b|)``, or past the double range, raises its
-    own located error: the band scales with the squared roots, as the discriminant
-    does, so no |xi| is large enough to pass a non-hyperbolic symbol."""
-    parts = op2.symbol_parts(t, xi)
-    a, b = parts[0].v.real, parts[1].v.real
+def _second_order_disc(a, b, t, xi: np.ndarray, at_point):
+    """The principal discriminant a^2 - 4b at ``t``, one time or a time grid. Where it
+    is below ``-HYPERBOLICITY_TOL * (1 + a^2 + 4|b|)``, or past the double range, it
+    raises, located by :func:`~hyp3.errors.locate` (calling ``at_point`` on a grid):
+    the band scales with the squared roots, as the discriminant does."""
     try:
         disc = a ** 2 - 4.0 * b
     except OverflowError:  # at a point: on a grid, a^2 is inf there
@@ -641,33 +664,43 @@ def _second_order_parts(op2: Operator2, t, xi: np.ndarray):
     try:
         _check_points(~ok if grid else not ok, HyperbolicityViolation, disc)
     except HyperbolicityViolation as exc:
-        locate(exc, t, xi, lambda tk: _second_order_parts(op2, tk, xi))
+        locate(exc, t, xi, at_point)
         raise
-    return parts, disc
+    return disc
+
+
+def _second_order_node(op2: Operator2, xi: np.ndarray):
+    """The integrand of the second-order cell at ``xi``: ``node(t)`` is the
+    principal-discriminant drift and the weighted lower-order combination over
+    sqrt(disc + 1), as :func:`_condition_node` forms its integrand."""
+    parts = op2._weights(xi, "parts")
+
+    def node(t: float) -> list[float]:
+        a, b, c0, cc, _ = op2._add(parts, 5, t)  # every jet real: no .real
+        # negative within the tolerance band: weakly hyperbolic
+        disc = max(_second_order_disc(a[0], b[0], t, xi, None), 0.0)
+        disc_dt = 2.0 * a[0] * a[1] - 4.0 * b[1]
+        ia = abs(disc_dt) / (disc + 1.0)
+        num = -0.5 * c0[0] * a[0] + cc[0] - 0.5 * a[1]
+        ib = abs(num) / math.sqrt(disc + 1.0)
+        return [ia, ib]
+    return node
 
 
 def second_order_check(op2: Operator2, xi: np.ndarray):
     """The two second-order integrals: principal-discriminant drift and the
     weighted lower-order combination over sqrt(disc + 1)."""
-    def integrand(t: float) -> np.ndarray:
-        (a, b, c0, cc, _), disc = _second_order_parts(op2, t, xi)
-        disc = max(disc, 0.0)  # negative within the tolerance band: weakly hyperbolic
-        disc_dt = 2.0 * a.v.real * a.d1.real - 4.0 * b.d1.real
-        ia = abs(disc_dt) / (disc + 1.0)
-        num = -0.5 * c0.v.real * a.v.real + cc.v.real - 0.5 * a.d1.real
-        ib = abs(num) / math.sqrt(disc + 1.0)
-        return np.array([ia, ib])
-
-    res = _cell_integrals(op2, xi, integrand)
+    _, res = _cell_integrals(op2, xi, _second_order_node)
     return float(res.values[0]), float(res.values[1])
 
 
 def second_order_report(op2: Operator2, ladder: Sequence[float], direction: np.ndarray) -> dict:
     check_condition_ladder(ladder)
     ts = np.linspace(0.0, op2.horizon, VALIDATION_T_SAMPLES)
-    with np.errstate(over="ignore", invalid="ignore"):  # _second_order_parts names an overflow
-        for mag in ladder:  # the hyperbolicity scan, before any cell
-            _second_order_parts(op2, ts, mag * direction)
+    with np.errstate(over="ignore", invalid="ignore"):  # _second_order_disc names an overflow
+        for xi in (mag * direction for mag in ladder):  # the hyperbolicity scan, before any cell
+            a, b, *_ = op2.symbol_parts(ts, xi)  # the first failing time raises its own error
+            _second_order_disc(a.v.real, b.v.real, ts, xi, _second_order_node(op2, xi))
     keys = ("disc_drift", "lower_weighted")
     kept = op2._keeping_jets()  # the cells share their jets
     rows = [{"xi": mag, **dict(zip(keys, second_order_check(kept, mag * direction)))}

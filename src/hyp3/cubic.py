@@ -79,9 +79,10 @@ def discriminant(c: CubicJet) -> float:
     """Product of squared pairwise root differences, from the coefficients;
     NaN at a point where a power leaves the double range, as on a grid it is
     not finite there."""
-    a1 = c.a1.v.real
-    a2 = c.a2.v.real
-    a3 = c.a3.v.real
+    return _discriminant(c.a1.v.real, c.a2.v.real, c.a3.v.real)
+
+
+def _discriminant(a1, a2, a3):
     try:
         return (
             a1 * a1 * a2 * a2
@@ -106,8 +107,10 @@ def discriminant_dt(c: CubicJet) -> float:
 
 def delta1(c: CubicJet) -> float:
     """Sum of the three squared pairwise root differences: 2*(a1^2 - 3*a2)."""
-    a1 = c.a1.v.real
-    a2 = c.a2.v.real
+    return _delta1(c.a1.v.real, c.a2.v.real)
+
+
+def _delta1(a1, a2):
     return 2.0 * (a1 * a1 - 3.0 * a2)
 
 
@@ -115,7 +118,7 @@ def delta1_dt(c: CubicJet) -> float:
     return 4.0 * c.a1.v.real * c.a1.d1.real - 6.0 * c.a2.d1.real
 
 
-def _check_band(c: CubicJet, disc, degree: int, *where) -> None:
+def _check_band(a1, a2, a3, disc, degree: int, *where) -> None:
     """Raise :class:`HyperbolicityViolation` where ``disc`` (degree ``degree`` in the roots)
     is below ``-HYPERBOLICITY_TOL * root_scale**degree``, root_scale = 1 + max(|a1|, |a2|^(1/2),
     |a3|^(1/3)): the size of the roots, so the band scales with |xi| as ``disc`` does. Also
@@ -125,8 +128,7 @@ def _check_band(c: CubicJet, disc, degree: int, *where) -> None:
     if ((0.0 <= disc) & (disc < math.inf)).all() if grid else 0.0 <= disc < math.inf:
         return
     big, sqrt = (np.maximum, np.sqrt) if grid else (max, math.sqrt)  # a grid rounds like its points
-    scale = 1.0 + big(big(abs(c.a1.v.real), sqrt(abs(c.a2.v.real))),
-                      _libm(lambda x: x ** (1.0 / 3.0), abs(c.a3.v.real)))
+    scale = 1.0 + big(big(abs(a1), sqrt(abs(a2))), _libm(lambda x: x ** (1.0 / 3.0), abs(a3)))
     with np.errstate(over="ignore"):
         try:
             band = HYPERBOLICITY_TOL * scale ** degree
@@ -168,11 +170,14 @@ def solve_cubic_real(c: CubicJet) -> SortedRoots:
     a1 = c.a1.v.real
     if isinstance(a1, np.ndarray):
         return _solve_cubic_grid(c)
-    a2 = c.a2.v.real
-    a3 = c.a3.v.real
+    return SortedRoots(tuple(_real_roots(a1, c.a2.v.real, c.a3.v.real)))
+
+
+def _real_roots(a1: float, a2: float, a3: float) -> list[float]:
+    """:func:`solve_cubic_real` at one time, on the real coefficients."""
     scale = 1.0 + max(abs(a1), abs(a2), abs(a3))
-    if not 0.0 <= (disc := discriminant(c)) < math.inf:
-        _check_band(c, disc, 6)
+    if not 0.0 <= (disc := _discriminant(a1, a2, a3)) < math.inf:
+        _check_band(a1, a2, a3, disc, 6)
 
     # depressed form y^3 + p y + q, roots shifted by -a1/3
     shift = a1 / 3.0
@@ -208,7 +213,7 @@ def solve_cubic_real(c: CubicJet) -> SortedRoots:
                 r = r_new
         polished.append(r)
     polished.sort()
-    return SortedRoots(tuple(polished))
+    return polished
 
 
 def _solve_cubic_grid(c: CubicJet) -> SortedRoots:
@@ -216,7 +221,7 @@ def _solve_cubic_grid(c: CubicJet) -> SortedRoots:
     a1, a2, a3 = c.a1.v.real, c.a2.v.real, c.a3.v.real
     scale = c.coeff_scale()
     with np.errstate(over="ignore", invalid="ignore"):  # _check_band names an overflow
-        _check_band(c, discriminant(c), 6)
+        _check_band(a1, a2, a3, discriminant(c), 6)
 
     shift = a1 / 3.0
     p = a2 - a1 * a1 / 3.0
@@ -252,12 +257,14 @@ def derivative_quadratic(c: CubicJet):
     Returns ``(s1, s2, disc_b2_4ac, gap_sq)`` with s1 <= s2,
     ``disc_b2_4ac = 4a1^2 - 12a2`` and ``gap_sq = (s2-s1)^2 = disc/9``.
     """
-    a1 = c.a1.v.real
-    a2 = c.a2.v.real
+    return _critical_points(c.a1.v.real, c.a2.v.real, c.a3.v.real)
+
+
+def _critical_points(a1, a2, a3):
     disc = 4.0 * a1 * a1 - 12.0 * a2
     grid = isinstance(disc, np.ndarray)
     if grid or not 0.0 <= disc < math.inf:
-        _check_band(c, disc, 2, "derivative quadratic")
+        _check_band(a1, a2, a3, disc, 2, "derivative quadratic")
     disc_c = np.maximum(disc, 0.0) if grid else max(disc, 0.0)
     half_gap = (np.sqrt(disc_c) if grid else math.sqrt(disc_c)) / 6.0
     center = -a1 / 3.0
@@ -270,8 +277,12 @@ def quad_root_jets(c: CubicJet):
     Implicit differentiation of 3r^2 + 2a1 r + a2 = 0; requires the two
     roots to be separated (they are, for regularized cubics).
     """
-    s1, s2, disc, _ = derivative_quadratic(c)
-    two_a1, two_b1, b2 = 2.0 * c.a1.v.real, 2.0 * c.a1.d1.real, c.a2.d1.real
+    return _critical_jets(c.a1.v.real, c.a2.v.real, c.a3.v.real, c.a1.d1.real, c.a2.d1.real)
+
+
+def _critical_jets(a1, a2, a3, b1, b2):
+    s1, s2, disc, _ = _critical_points(a1, a2, a3)
+    two_a1, two_b1 = 2.0 * a1, 2.0 * b1
     out = []
     for s in (s1, s2):
         denom = 6.0 * s + two_a1
@@ -299,9 +310,11 @@ def _root_derivatives(c: CubicJet, roots):
     d2 = psi / L_r^3 with psi = 2 L_tr L_t L_r - L_rr L_t^2 - L_tt L_r^2, every
     coefficient derivative drawn from the stored jets (L_t and L_tt at the
     frozen root variable). Works pointwise on arrays."""
-    a1, a2 = c.a1.v.real, c.a2.v.real
-    b1, b2, b3 = c.a1.d1.real, c.a2.d1.real, c.a3.d1.real
-    e1, e2, e3 = c.a1.d2.real, c.a2.d2.real, c.a3.d2.real
+    return _root_dt(c.a1.v.real, c.a2.v.real, c.a1.d1.real, c.a2.d1.real, c.a3.d1.real,
+                    c.a1.d2.real, c.a2.d2.real, c.a3.d2.real, roots)
+
+
+def _root_dt(a1, a2, b1, b2, b3, e1, e2, e3, roots):
     two_a1, two_b1 = 2.0 * a1, 2.0 * b1
     d1, d2 = [], []
     for r in roots:

@@ -86,41 +86,35 @@ class TauPoly:
 
 def regularized_cubic(c: CubicJet, e2: float) -> CubicJet:
     """Coefficient jets of the shifted cubic L - e2 * d_tau^2 L."""
-    a1, a2, a3, s = c.a1, c.a2, c.a3, 2.0 * e2
-    return CubicJet(a1, Jet2(a2.v + -6.0 * e2, a2.d1, a2.d2, a2.d3), Jet2(
-        a3.v - s * a1.v, a3.d1 - s * a1.d1, a3.d2 - s * a1.d2, a3.d3 - s * a1.d3))
+    jets = [(j.v, j.d1, j.d2, j.d3) for j in (c.a1, c.a2, c.a3)]
+    return CubicJet(c.a1, *(Jet2(*j) for j in _regularized(*jets, e2)))
 
 
-def _corrected(c: CubicJet, m: TauPoly, n: TauPoly) -> tuple[TauPoly, TauPoly]:
+def _regularized(a1, a2, a3, e2: float):
+    """The jets (v, d1, d2, d3) of the a2 and a3 of L - e2 * d_tau^2 L, from those of L."""
+    s = 2.0 * e2
+    return ((a2[0] + -6.0 * e2, a2[1], a2[2], a2[3]),
+            (a3[0] - s * a1[0], a3[1] - s * a1[1], a3[2] - s * a1[2], a3[3] - s * a1[3]))
+
+
+def _corrections(a1, a2, m0, m1, m2, n0, n1):
     """The order-2 symbol minus half the mixed (t, tau) derivative of the
     principal symbol, and the order-1 symbol corrected by the order-2 and
-    principal drifts. Each jet is shifted to the jet of its time derivative;
-    the second derivative of a1 would need a fourth-order jet and is never
-    consumed, so the d2 of the corrected order-1 constant is NaN."""
-    a1, a2 = c.a1, c.a2
-    (m0, m1, m2), (n0, n1) = m.coeffs, n.coeffs
+    principal drifts, as the jets (v, d1, d2) of m0, m1, n0 and n1 (m2 stays)
+    from the coefficient jets (v, d1, d2, d3). Each jet is shifted to the jet
+    of its time derivative; the second derivative of a1 would need a
+    fourth-order jet and is never consumed, so the d2 of the corrected
+    order-1 constant is NaN."""
     sixth = 1.0 / 6.0
-    mc = TauPoly((Jet2(m0.v - 0.5 * a2.d1, m0.d1 - 0.5 * a2.d2, m0.d2 - 0.5 * a2.d3),
-                  Jet2(m1.v - a1.d1, m1.d1 - a1.d2, m1.d2 - a1.d3), m2))
-    nc = TauPoly((Jet2(n0.v - 0.5 * m1.d1 + sixth * a1.d2,
-                       n0.d1 - 0.5 * m1.d2 + sixth * a1.d3,
-                       n0.d2 - 0.5 * m1.d3 + sixth * _NAN),
-                  Jet2(n1.v - m2.d1, n1.d1 - m2.d2, n1.d2 - m2.d3)))
-    return mc, nc
+    return ((m0[0] - 0.5 * a2[1], m0[1] - 0.5 * a2[2], m0[2] - 0.5 * a2[3]),
+            (m1[0] - a1[1], m1[1] - a1[2], m1[2] - a1[3]),
+            (n0[0] - 0.5 * m1[1] + sixth * a1[2], n0[1] - 0.5 * m1[2] + sixth * a1[3],
+             n0[2] - 0.5 * m1[3] + sixth * _NAN),
+            (n1[0] - m2[1], n1[1] - m2[2], n1[2] - m2[3]))
 
 
 def _weight_overflow(xi) -> OperatorSpecError:
     return OperatorSpecError(f"frequency weight xi^alpha overflows the double range, at xi={xi}")
-
-
-def _unit_regularized(c: CubicJet):
-    """The unit-regularized cubic L - d_tau^2 L (eps |xi| = 1), its roots
-    with their first two time derivatives, and its critical points with
-    their first: ``(reg, lam, lam_d1, lam_d2, mu, mu_d1)``. Pairwise gaps
-    are bounded below uniformly in (t, xi)."""
-    reg = regularized_cubic(c, 1.0)
-    lam = solve_cubic_real(reg)
-    return (reg, lam.r) + root_jets(reg, lam) + quad_root_jets(reg)
 
 
 # --------------------------------------------------------------------------
@@ -148,10 +142,10 @@ class _Table:
             raise OperatorSpecError("dimension must be >= 1")
         if not 0 < self.horizon < math.inf:
             raise OperatorSpecError("time horizon must be finite and positive")
-        # each view's terms in table order: (slot, coefficient, the nonzero
-        # (axis, power) pairs of alpha, jet order)
+        # each view's terms in table order: (slot, place in the table, coefficient,
+        # the nonzero (axis, power) pairs of alpha, jet order)
         walks = {name: [] for name in self._VIEWS}
-        for key, fn in self.coeffs.items():
+        for place, (key, fn) in enumerate(self.coeffs.items()):
             try:
                 j, alpha = key
             except (TypeError, ValueError):
@@ -168,7 +162,8 @@ class _Table:
             powers = tuple((i, a) for i, a in enumerate(alpha) if a)
             for name, slots in self._VIEWS.items():
                 if (j, k) in slots:
-                    walks[name].append((slots.index((j, k)), fn, powers, self._JET_ORDER[j + k]))
+                    walks[name].append((slots.index((j, k)), place, fn, powers,
+                                        self._JET_ORDER[j + k]))
         object.__setattr__(self, "_walks", {name: tuple(w) for name, w in walks.items()})
         for (j, alpha), fn in self.coeffs.items():
             if j + sum(alpha) >= self._REAL_FROM and fn.has_imag:
@@ -180,47 +175,57 @@ class _Table:
         return all(fn.is_constant for fn in self.coeffs.values())
 
     def _keeping_jets(self) -> "_Table":
-        """A copy that keeps each jet :meth:`_sums` evaluates at one time, for
+        """A copy that keeps each jet :meth:`_add` evaluates at one time, for
         as long as the copy lives: one ladder, whose cells meet the same times."""
         kept = copy.copy(self)
         object.__setattr__(kept, "_kept", {})
         return kept
 
-    def _sums(self, view: str, t, xi: np.ndarray) -> list[Jet2]:
-        """For each slot (j, |alpha|) of ``view``, the jet of the sum of
-        a_{j,alpha}(t) xi^alpha, at one time or on a time grid: each sum starts
-        from the zero jet of ``t`` (zero arrays on a grid, so that a sum of
-        constant coefficients still has one entry per time) and adds its terms
-        in table order, leaving out a term whose weight xi^alpha is zero. A
-        weight past the double range is an input error. A :meth:`_keeping_jets`
-        copy evaluates a term at a time (-0.0 apart from 0.0, as sin(-0.0) is
-        -0.0) once it succeeds, and then serves its jet."""
-        grid = isinstance(t, np.ndarray)
-        z = np.zeros_like(t) if grid else 0.0
-        acc = [Jet2(z, z, z, z)] * len(self._VIEWS[view])
+    def _weights(self, xi: np.ndarray, *views: str) -> list[tuple]:
+        """The terms of ``views`` at ``xi`` in table order, each view's slots after the last one's,
+        as (slot, place in the table, coefficient, jet order, xi^alpha or None where alpha = 0),
+        less those of weight zero; a weight past the double range is an input error."""
         xs = np.asarray(xi, dtype=float).tolist()
-        walk = self._walks[view]
-        kept = [None] * len(walk) if grid or self._kept is None else self._kept.setdefault(
-            (view, t, math.copysign(1.0, t)), [None] * len(walk))
-        for n, (slot, fn, powers, order) in enumerate(walk):
-            w = 1.0
-            try:
-                for i, a in powers:
-                    w *= xs[i] ** a
-            except OverflowError:
-                w = math.inf
-            if not math.isfinite(w):
-                raise _weight_overflow(xi)
-            if w != 0.0:
-                if (jet := kept[n]) is None:
-                    jet = kept[n] = fn.jet2(t, order)
-                v, d1, d2, d3 = jet.v, jet.d1, jet.d2, jet.d3
-                if powers:
-                    v, d1, d2, d3 = w * v, w * d1, w * d2, None if d3 is None else w * d3
-                s = acc[slot]
-                acc[slot] = Jet2(s.v + v, s.d1 + d1, s.d2 + d2,
-                                 None if s.d3 is None or d3 is None else s.d3 + d3)
+        terms, first = [], 0
+        for view in views:
+            for slot, place, fn, powers, order in self._walks[view]:
+                w = 1.0
+                try:
+                    for i, a in powers:
+                        w *= xs[i] ** a
+                except OverflowError:
+                    w = math.inf
+                if not math.isfinite(w):
+                    raise _weight_overflow(xi)
+                if w != 0.0:
+                    terms.append((first + slot, place, fn, order, w if powers else None))
+            first += len(self._VIEWS[view])
+        return terms
+
+    def _add(self, terms: list[tuple], slots: int, t) -> list[tuple]:
+        """For each slot, the jet (v, d1, d2, d3) of the sum of its ``terms`` (of :meth:`_weights`)
+        at one time or on a time grid, from the zero jet of ``t`` (zero arrays on a grid) in table
+        order. A :meth:`_keeping_jets` copy evaluates a term at a time (-0.0 apart from 0.0, as
+        sin(-0.0) is -0.0) once it succeeds, and then serves its jet."""
+        grid, kept = isinstance(t, np.ndarray), self._kept
+        jets = [None] * len(self.coeffs) if grid or kept is None else kept.setdefault(
+            (t, math.copysign(1.0, t)), [None] * len(self.coeffs))
+        z = np.zeros_like(t) if grid else 0.0
+        acc = [(z, z, z, z)] * slots
+        for slot, place, fn, order, w in terms:
+            if (jet := jets[place]) is None:
+                jet = jets[place] = fn.jet2(t, order)
+            v, d1, d2, d3 = jet.v, jet.d1, jet.d2, jet.d3
+            if w is not None:
+                v, d1, d2, d3 = w * v, w * d1, w * d2, None if d3 is None else w * d3
+            s = acc[slot]
+            acc[slot] = (s[0] + v, s[1] + d1, s[2] + d2,
+                         None if s[3] is None or d3 is None else s[3] + d3)
         return acc
+
+    def _sums(self, view: str, t, xi: np.ndarray) -> list[Jet2]:
+        """Each slot (j, |alpha|) of ``view``: the jet of the sum of a_{j,alpha}(t) xi^alpha."""
+        return [Jet2(*s) for s in self._add(self._weights(xi, view), len(self._VIEWS[view]), t)]
 
 
 class Operator3(_Table):
@@ -264,7 +269,6 @@ class Symbols:
     p: Jet2              # zeroth-order coefficient
     mc: TauPoly          # corrected order-2 symbol
     nc: TauPoly          # corrected order-1 symbol
-    reg: CubicJet        # unit-regularized cubic
     tau: tuple           # sorted roots of c
     crit: tuple          # critical points s1 <= s2 of c
     crit_gap_sq: float   # (s2 - s1)^2, from the derivative discriminant
@@ -283,18 +287,23 @@ def _symbols_at(op: Operator3, t, xi: np.ndarray) -> Symbols:
     try:
         c = op.principal(t, xi)
         m, n, p = op.lower_polys(t, xi)
-        mc, nc = _corrected(c, m, n)
+        jets = [(j.v, j.d1, j.d2, j.d3) for j in (c.a1, c.a2, *m.coeffs, *n.coeffs)]
+        mc0, mc1, nc0, nc1 = (Jet2(*j) for j in _corrections(*jets))
         # the plain cubic first: a non-hyperbolic time reports its discriminant
         tau = solve_cubic_real(c).r
-        reg, lam, lam_d1, lam_d2, mu, mu_d1 = _unit_regularized(c)
+        # the unit-regularized cubic L - d_tau^2 L (eps |xi| = 1), whose roots
+        # and critical points have gaps bounded below uniformly in (t, xi)
+        reg = regularized_cubic(c, 1.0)
+        lam = solve_cubic_real(reg)
+        (lam_d1, lam_d2), (mu, mu_d1) = root_jets(reg, lam), quad_root_jets(reg)
         s1, s2, _, gap_sq = derivative_quadratic(c)
     except (HyperbolicityViolation, NearMultipleRoot, ExprDomainError) as exc:
         # a grid runs each step at every time before the next step, so the
         # failed step need not be the one that fails first in time
         locate(exc, t, xi, lambda tk: _symbols_at(op, tk, xi))
         raise
-    return Symbols(t, c, m, n, p, mc, nc, reg, tau, (s1, s2), gap_sq,
-                   lam, lam_d1, lam_d2, mu, mu_d1)
+    return Symbols(t, c, m, n, p, TauPoly((mc0, mc1, m.coeffs[2])), TauPoly((nc0, nc1)), tau,
+                   (s1, s2), gap_sq, lam.r, lam_d1, lam_d2, mu, mu_d1)
 
 
 def symbol_grid(op: Operator3, ts, xi: np.ndarray) -> Symbols:

@@ -575,6 +575,12 @@ MODE_TABLES = ["modes", "--battery", "strict_const", "--xi-min", "32", "--xi-max
     ["identities", "--seed", "-1"],
     # a negative energy weight exponent: exp(-eta cumK) overflows
     ["modes", "--battery", "strict_const", "--eta", "-1"],
+    # a ladder or a time grid too long to build: refused before either is
+    ["check", "--battery", "sin_gap", "--xi-steps", "100000000"],
+    ["check", "--battery", "sin_gap", "--xi-steps", "1000000000000"],
+    ["modes", "--battery", "strict_sin", "--grid", "1000000000000000"],
+    ["check", "--battery", "strict_const", "--grid", "1048577", "--format", "tables",
+     "--out", "unused"],
 ])
 def test_usage_errors_exit_2_with_one_line(capsys, argv):
     assert main(argv) == 2

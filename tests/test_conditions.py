@@ -1,6 +1,8 @@
+import hashlib
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import time
@@ -9,8 +11,10 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from test_integrand_bits import PLANE3
 
-from hyp3 import errors, operators, quadrature
+from hyp3 import conditions, errors, operators, quadrature
 from hyp3.battery import BATTERY, battery_member, battery_names
 from hyp3.conditions import (
     _band,
@@ -30,10 +34,12 @@ from hyp3.conditions import (
     second_order_check,
     second_order_report,
 )
-from hyp3.errors import HyperbolicityViolation, OperatorSpecError, QuadratureError
+from hyp3.cubic import _SS2, _SS3, delta1
+from hyp3.errors import (ExprDomainError, HyperbolicityViolation, NearMultipleRoot,
+                         OperatorSpecError, QuadratureError)
 from hyp3.expr import TimeFn
 from hyp3.expr import parse_timefn as P
-from hyp3.operators import Operator2, Operator3, symbol_grid
+from hyp3.operators import Operator2, Operator3, regularized_cubic, symbol_grid
 
 
 def _op(name, coeffs, horizon=1.0):
@@ -62,13 +68,13 @@ def test_constant_cell_evaluates_its_integrand_once(monkeypatch, member, xi):
     from hyp3.quadrature import adaptive_gauss
     op, xi = battery_member(member).op, np.array([xi])
     per_node = adaptive_gauss(lambda t: _integrand_values(op, t, xi), 0.0, op.horizon)
-    calls = []
+    calls, node_of = [], conditions._condition_node
 
     def counted(*args):
-        calls.append(args[1])
-        return _integrand_values(*args)
+        node = node_of(*args)
+        return lambda t: calls.append(t) or node(t)
 
-    monkeypatch.setattr(conditions, "_integrand_values", counted)
+    monkeypatch.setattr(conditions, "_condition_node", counted)
     cell = condition_integrals(op, xi)
     first_node = 0.5 * op.horizon / 8 * (1.0 + np.polynomial.legendre.leggauss(16)[0][0])
     assert calls == [pytest.approx(first_node, rel=1e-12)]
@@ -137,11 +143,24 @@ def test_condition_integrals_requires_moderate_frequency():
         condition_integrals(STRICT, np.array([1.0]))
 
 
-@pytest.mark.parametrize("name,xi", [("strict_sin", 0.5), ("wave2", 0.5), ("oleinik2_ok", 1.0)])
+@pytest.mark.parametrize("name,xi", [("strict_sin", 0.5), ("wave2", 0.5), ("oleinik2_ok", 1.0),
+                                     ("sin_gap", math.nan), ("oleinik2_ok", math.nan)])
 def test_a_cell_of_either_order_needs_xi_of_at_least_2(name, xi):
     op = battery_member(name).op
     cell = second_order_check if isinstance(op, Operator2) else condition_integrals
     with pytest.raises(OperatorSpecError, match=r"^condition integrals need \|xi\| >= 2$"):
+        cell(op, np.array([xi]))
+
+
+@pytest.mark.parametrize("name", ["sin_gap", "oleinik2_ok"])
+@pytest.mark.parametrize("xi", [1e200, math.inf])
+def test_a_cell_past_the_double_range_names_its_weight(name, xi):
+    # |xi| is taken once, with no overflow warning: an inf norm passes the
+    # |xi| >= 2 test, and the weight xi^alpha that leaves the range is named
+    op = battery_member(name).op
+    cell = second_order_check if isinstance(op, Operator2) else condition_integrals
+    with pytest.raises(OperatorSpecError, match=r"^frequency weight xi\^alpha overflows the "
+                                                r"double range, at xi=\["):
         cell(op, np.array([xi]))
 
 
@@ -570,6 +589,171 @@ def test_grid_terms_match_integrand(name):
     for i, t in enumerate(ts):
         point = _integrand_values(op, float(t), xi)[:6]
         assert [float(v[i]) for v in terms] == [float(v) for v in point], (name, t)
+
+
+def _oracle_primary_terms(s):
+    """The six primary integrands from the symbols ``s``, as the structured path
+    computed them before the flat condition node: the oracle's first half."""
+    lam, ld1, ld2, mu, mu_d1 = s.lam, s.lam_d1, s.lam_d2, s.mu, s.mu_d1
+    (m0, m1, m2), (n0, n1) = s.mc.coeffs, s.nc.coeffs
+    m0v, m1v, m2v, m0d, m1d, m2d = m0.v, m1.v, m2.v, m0.d1, m1.d1, m2.d1
+    sep = vel = 0.0
+    for j, k in _SS2:
+        sep += abs(ld1[j] - ld1[k]) / abs(lam[j] - lam[k])
+        vel += abs(ld2[j] - ld2[k]) / (abs(ld1[j] - ld1[k]) + 1.0)
+    m_drift = m_levi = 0.0
+    for j, k, l in _SS3:
+        x = lam[j]
+        mv = (m2v * x + m1v) * x + m0v
+        mdot = (m2d * x + m1d) * x + m0d + (2 * m2v * x + 1 * m1v) * ld1[j]
+        m_drift += abs(mdot) / (abs(mv) + 1.0)
+        m_levi += abs(mv) / (abs(x - lam[k]) * abs(x - lam[l]))
+    n0v, n1v, n0d, n1d = n0.v, n1.v, n0.d1, n1.d1
+    mu_gap = mu[1] - mu[0]
+    n_drift = n_levi = 0.0
+    n_abs = []
+    for j in (0, 1):
+        x = mu[j]
+        nv = abs(n1v * x + n0v)
+        n_drift += abs(n1d * x + n0d + 1 * n1v * mu_d1[j]) / (nv + 1.0)
+        n_levi += math.sqrt(nv / mu_gap)
+        n_abs.append(nv)
+    return [sep, vel, m_drift, n_drift, m_levi, n_levi], n_abs
+
+
+def _oracle_integrand(op, t, xi):
+    """Every condition integrand at one time from the structured symbols of
+    ``_symbols_at``, as computed before the flat condition node (its
+    ``Symbols.reg`` rebuilt by ``regularized_cubic``): the oracle the node
+    must match bit for bit."""
+    s = operators._symbols_at(op, t, xi)
+    out, n_auxcrit = _oracle_primary_terms(s)
+    c, tau, lam, mu = s.c, s.tau, s.lam, s.mu
+    (m0, m1, m2), (n0, n1) = s.mc.coeffs, s.nc.coeffs
+    m0v, m1v, m2v, n0v, n1v = m0.v, m1.v, m2.v, n0.v, n1.v
+    s1, s2 = s.crit
+    span_p1 = tau[2] - tau[0] + 1.0
+    crit_gap_p1 = s2 - s1 + 1.0
+    denoms = (crit_gap_p1, mu[1] - mu[0], math.sqrt(max(delta1(c), 0.0)) + 1.0,
+              math.sqrt(max(delta1(regularized_cubic(c, 1.0)), 0.0)), span_p1, lam[2] - lam[0])
+    m_tau = [(m2v * x + m1v) * x + m0v for x in tau]
+    m_levi_roots = 0.0
+    for j, k, l in _SS3:
+        m_levi_roots += abs(m_tau[j]) / (
+            (abs(tau[j] - tau[k]) + 1.0) * (abs(tau[j] - tau[l]) + 1.0))
+    dm = [abs(2 * m2v * x + 1 * m1v) for x in (tau[0], tau[2], s1, s2)]
+    n_crit = (abs(n1v * s1 + n0v), abs(n1v * s2 + n0v))
+    roots = [abs(n1v * x + n0v) for x in tau]
+    aux = [abs(n1v * x + n0v) for x in lam]
+    sqrt = math.sqrt
+    sqrt_n = [sqrt(u / d) + sqrt(v / d) for u, v in (n_crit, n_auxcrit) for d in denoms]
+    sqrt_n += [sqrt(u / d) + sqrt(v / d) + sqrt(w / d) for u, v, w in (roots, aux) for d in denoms]
+    out += [m_levi_roots, (dm[0] + dm[1]) / span_p1, (dm[2] + dm[3]) / crit_gap_p1, sqrt_n[0]]
+    return out + sqrt_n
+
+
+def _outcome(f, *args):
+    """``f(*args)`` as its row of ``float.hex``, or as its error's type and text."""
+    try:
+        return [float(v).hex() for v in f(*args)]
+    except Exception as exc:  # noqa: BLE001  (any error must be the oracle's own)
+        return type(exc).__name__, str(exc)
+
+
+#: operators whose nodes fail: a narrow bump that leaves hyperbolicity near
+#: t = 0.5014, a pole at t = 0.5, a log that is defined from t = 0.3 on, a
+#: principal triple root with a tiny order-2 term (weakly hyperbolic: every
+#: discriminant is 0, inside the tolerance band), and a double root
+#: (r - 2 xi)^2 (r + 4 xi), whose regularized root gap of about 2.83 falls
+#: below the simple-root threshold 1e-6 (1 + 4|xi|) from |xi| of about 7e5 on
+FAILING = {
+    "bump": _op("bump", {(1, (2,)): "-1",
+                         (0, (3,)): "0.3*(1 + 0.5*exp(0 - 1e6*(t - 0.5014)^2))"}),
+    "pole": _op("pole", {(1, (2,)): "-1", (0, (1,)): "1/(t - 0.5)"}),
+    "log": _op("log", {(1, (2,)): "-1", (0, (0,)): "log(t - 0.3)"}),
+    "weak_triple": _op("weak_triple", {(0, (2,)): "-1e-24"}),
+    "double": _op("double", {(1, (2,)): "-12", (0, (3,)): "16"}),
+}
+
+#: (operator, direction) of each oracle case
+ORACLE_CASES = {**{name: (BATTERY[name].op, (1.0,)) for name in battery_names(order=3)},
+                "plane3 (1, 0)": (PLANE3, (1.0, 0.0)), "plane3 (0.6, 0.8)": (PLANE3, (0.6, 0.8)),
+                **{name: (op, (1.0,)) for name, op in FAILING.items()}}
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from(sorted(ORACLE_CASES)), u=st.floats(0.0, 1.0),
+       mag=st.floats(2.0, 1e6))
+@example(case="sin_gap", u=0.0, mag=2.0)
+@example(case="sin_gap", u=1e-300, mag=1024.0)
+@example(case="oleinik_ok", u=1.0, mag=1e6)
+@example(case="plane3 (1, 0)", u=0.0, mag=64.0)
+@example(case="plane3 (0.6, 0.8)", u=1e-300, mag=16384.0)
+@example(case="bump", u=0.5014, mag=1024.0)
+@example(case="pole", u=0.5, mag=64.0)
+@example(case="log", u=0.3, mag=64.0)
+@example(case="weak_triple", u=1e-300, mag=1e6)
+@example(case="double", u=1.0, mag=1e6)
+def test_the_condition_node_is_the_structured_integrand(case, u, mag):
+    """The flat node equals the structured integrand bit for bit, or raises
+    its error with its text and location, at any time of [0, T] (``u`` of
+    the horizon) and any |xi| from 2 to 1e6."""
+    op, d = ORACLE_CASES[case]
+    t, xi = u * op.horizon, mag * np.array(d)
+    assert _outcome(_integrand_values, op, t, xi) == _outcome(_oracle_integrand, op, t, xi)
+    kept = op._keeping_jets()  # a node with kept jets, met again
+    for _ in range(2):
+        assert _outcome(conditions._condition_node(kept, xi), t) == \
+            _outcome(_oracle_integrand, op, t, xi)
+
+
+@pytest.mark.parametrize("case,t,error,text", [
+    ("bump", 0.5014, HyperbolicityViolation,
+     r"discriminant -\S+ below the hyperbolicity tolerance, at t=0\.5014, xi=\[1024\.\]"),
+    ("pole", 0.5, ExprDomainError, r"division by zero, at t=0\.5, xi=\[1024\.\]"),
+    ("log", 0.25, ExprDomainError,
+     r"log of non-positive value -0\.0\d+, at t=0\.25, xi=\[1024\.\]"),
+    ("double", 0.5, NearMultipleRoot,
+     r"root gap 2\.828\d+ below simple-root threshold 4, at t=0\.5, xi=\[1000000\.\]"),
+])
+def test_a_failing_node_raises_a_located_error(case, t, error, text):
+    with pytest.raises(error) as exc:
+        _integrand_values(FAILING[case], t, np.array([1e6 if case == "double" else 1024.0]))
+    assert re.fullmatch(text, str(exc.value)), str(exc.value)
+
+
+def test_a_weakly_hyperbolic_triple_root_node_keeps_its_row():
+    row = _integrand_values(FAILING["weak_triple"], 0.5, np.array([1024.0]))
+    assert [float(v).hex() for v in row] == _outcome(_oracle_integrand, FAILING["weak_triple"],
+                                                     0.5, np.array([1024.0]))
+    assert all(math.isfinite(v) for v in row)
+
+
+#: the cells of PLANE3 (see tests/test_integrand_bits.py) at both ends of the
+#: ladder along two directions: the sha256 of the space-joined panel count,
+#: ``float.hex`` of the relative change and of every integral, as recorded
+#: before the flat condition node
+PLANE3_CELLS = {
+    "d=(1.0, 0.0) xi=64.0":
+        "aacb04ec4cd420b4fe9c61dcc122cc17e93665aa508d74ee8336c9bd4c8631bb",  # 40 panels
+    "d=(1.0, 0.0) xi=16384.0":
+        "ac4ca22787ebaff37d34ea8c5d366523249b0d05b12c1a648095ed0e6fe4df27",  # 66 panels
+    "d=(0.6, 0.8) xi=64.0":
+        "e0c1e457febd8b66cb560332b2ae5a0513fc38a2a5f082cf91d0029936b2455d",  # 29 panels
+    "d=(0.6, 0.8) xi=16384.0":
+        "f1423f90805c291312280f755249d8db01c56e61d5f38bee84e212b06532b58e",  # 57 panels
+}
+
+
+def test_plane_cells_keep_their_panels_and_bits():
+    got = {}
+    for d in ((1.0, 0.0), (0.6, 0.8)):
+        for xi in (64.0, 16384.0):
+            cell = condition_integrals(PLANE3, xi * np.array(d))
+            row = [str(cell.panels), cell.rel_change.hex()] + [float(v).hex() for v in (
+                *cell.values.values(), *cell.alternates.values())]
+            got[f"d={d!r} xi={xi!r}"] = hashlib.sha256(" ".join(row).encode()).hexdigest()
+    assert got == PLANE3_CELLS
 
 
 # ---------------------------------------------------------------------------
