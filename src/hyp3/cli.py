@@ -90,8 +90,8 @@ def _ladder_from_args(args) -> list[float]:
         raise OperatorSpecError("the ladder must strictly increase: --xi-min below --xi-max")
     if args.xi_steps > 1024:  # before the ladder, or any time grid, is built
         raise OperatorSpecError("--xi-steps must be at most 1024")
-    if args.grid > 2 ** 20:
-        raise OperatorSpecError("--grid must be at most 2^20")
+    if not 64 <= args.grid <= 2 ** 20:
+        raise OperatorSpecError("--grid must be from 64 to 2^20")
     return default_ladder(args.xi_min, args.xi_max, args.xi_steps)
 
 

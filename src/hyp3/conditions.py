@@ -28,13 +28,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .cubic import (_SS2, _SS3, HYPERBOLICITY_TOL, _critical_jets, _critical_points, _delta1,
-                    _real_roots, _root_dt, _simple_root_gap, cubic_from_floats, delta1,
-                    delta1_dt, discriminant, discriminant_dt, solve_cubic_real)
-from .errors import (ExprDomainError, HyperbolicityViolation, NearMultipleRoot,
-                     OperatorSpecError, _check_points, locate)
-from .operators import (VALIDATION_T_SAMPLES, Operator2, Operator3, Symbols, TauPoly,
-                        _corrections, _regularized, symbol_grid)
+from .cubic import (_SS2, _SS3, HYPERBOLICITY_TOL, _coeff_scale, _delta1, _discriminant,
+                    cubic_from_floats, solve_cubic_real)
+from .errors import HyperbolicityViolation, OperatorSpecError, _check_points, locate
+from .operators import VALIDATION_T_SAMPLES, Operator2, Operator3, Symbols, _symbols, symbol_grid
 from .quadrature import adaptive_gauss
 
 __all__ = [
@@ -122,9 +119,13 @@ def check_condition_ladder(ladder: Sequence[float]) -> None:
 
 
 def _primary_terms(s: Symbols):
-    """:func:`_terms` of the symbols ``s``, at one time or on a grid."""
-    return _terms(s.lam, s.lam_d1, s.lam_d2, s.mu, s.mu_d1,
-                  *((c.v, c.d1) for c in s.mc.coeffs + s.nc.coeffs))
+    """:func:`_terms` of the symbols ``s`` on a grid."""
+    return _terms(s.lam, s.lam_d1, s.lam_d2, s.mu, s.mu_d1, s.mc0, s.mc1, s.m2, s.nc0, s.nc1)
+
+
+def _corrected(s: Symbols):
+    """The values of the corrected order-2 and order-1 symbols' coefficients, ascending."""
+    return (s.mc0[0], s.mc1[0], s.m2[0]), (s.nc0[0], s.nc1[0])
 
 
 def _terms(lam, ld1, ld2, mu, mu_d1, m0, m1, m2, n0, n1):
@@ -134,10 +135,10 @@ def _terms(lam, ld1, ld2, mu, mu_d1, m0, m1, m2, n0, n1):
     coefficients, each (value, time derivative, ...); also |corrected order-1
     symbol| at the two ``mu``, which the energy envelope reuses. A corrected
     symbol and its total time derivative along a root are written out by
-    Horner's rule, as ``TauPoly.at`` rounds them: with its ``k * c.v`` terms
-    (``1 * z`` is not ``z`` for a complex z with an infinite part), less its
-    leading ``0.0 * tau +``, which at a finite tau can change only the sign of
-    a zero, and every use takes abs."""
+    Horner's rule, as :func:`_horner` rounds them, with the ``k * c`` terms of
+    the tau-derivative (``1 * z`` is not ``z`` for a complex z with an infinite
+    part), less the leading ``0.0 * tau +``, which at a finite tau can change
+    only the sign of a zero, and every use takes abs."""
     m0v, m1v, m2v, m0d, m1d, m2d = m0[0], m1[0], m2[0], m0[1], m1[1], m2[1]
     sep = vel = 0.0
     for j, k in _SS2:
@@ -168,33 +169,20 @@ def _terms(lam, ld1, ld2, mu, mu_d1, m0, m1, m2, n0, n1):
 
 def _condition_node(op: Operator3, xi: np.ndarray):
     """The integrand of the cell at ``xi``, its weights xi^alpha taken once: ``node(t)``
-    is every condition integrand, primary then alternate, from the coefficient jets
-    summed into plain numbers, by the cores, guards and located errors of
-    :func:`~hyp3.operators._symbols_at`; each sum is written out left to right."""
+    is every condition integrand, primary then alternate, from the plain-number
+    symbols of :func:`~hyp3.operators._symbols` at ``t``, which raise its located
+    errors; each sum is written out left to right."""
     terms = op._weights(xi, "principal", "lower")
 
     def node(t: float) -> list[float]:
-        try:
-            a1, a2, a3, m0, m1, m2, n0, n1, _ = op._add(terms, 9, t)  # a1..a3 real: no .real
-            # the plain cubic first: a non-hyperbolic time reports its discriminant
-            tau = _real_roots(a1[0], a2[0], a3[0])
-            r2, r3 = _regularized(a1, a2, a3, 1.0)  # the unit-regularized cubic
-            lam = _real_roots(a1[0], r2[0], r3[0])
-            gap, thr = _simple_root_gap(lam)
-            _check_points(gap <= thr, NearMultipleRoot, gap, thr)
-            ld1, ld2 = _root_dt(a1[0], r2[0], a1[1], r2[1], r3[1], a1[2], r2[2], r3[2], lam)
-            mu, mu_d1 = _critical_jets(a1[0], r2[0], r3[0], a1[1], r2[1])
-            s1, s2, _, _ = _critical_points(a1[0], a2[0], a3[0])
-        except (HyperbolicityViolation, NearMultipleRoot, ExprDomainError) as exc:
-            locate(exc, t, xi, None)
-            raise
-        mc0, mc1, nc0, nc1 = _corrections(a1, a2, m0, m1, m2, n0, n1)
+        (a1, a2, _, _, _, m2, _, _, _, r2, mc0, mc1, nc0, nc1, tau, (s1, s2), _,
+         lam, ld1, ld2, mu, mu_d1) = _symbols(op, terms, t, xi)
         out, n_auxcrit = _terms(lam, ld1, ld2, mu, mu_d1, mc0, mc1, m2, nc0, nc1)
         m0v, m1v, m2v, n0v, n1v = mc0[0], mc1[0], m2[0], nc0[0], nc1[0]
         span_p1 = tau[2] - tau[0] + 1.0
         crit_gap_p1 = s2 - s1 + 1.0
         denoms = (crit_gap_p1, mu[1] - mu[0], math.sqrt(max(_delta1(a1[0], a2[0]), 0.0)) + 1.0,
-                  math.sqrt(max(_delta1(a1[0], r2[0]), 0.0)), span_p1, lam[2] - lam[0])
+                  math.sqrt(max(_delta1(a1[0], r2), 0.0)), span_p1, lam[2] - lam[0])
         m_tau = [(m2v * x + m1v) * x + m0v for x in tau]
         m_levi_roots = 0.0
         for j, k, l in _SS3:
@@ -212,11 +200,6 @@ def _condition_node(op: Operator3, xi: np.ndarray):
         out += [m_levi_roots, (dm[0] + dm[1]) / span_p1, (dm[2] + dm[3]) / crit_gap_p1, sqrt_n[0]]
         return out + sqrt_n
     return node
-
-
-def _integrand_values(op: Operator3, t: float, xi: np.ndarray) -> list[float]:
-    """Every condition integrand, primary then alternate, at one time."""
-    return _condition_node(op, xi)(t)
 
 
 def _cell_integrals(op: Operator3 | Operator2, xi: np.ndarray, node):
@@ -387,15 +370,23 @@ class CaseReport:
     checks: dict[str, dict] = field(default_factory=dict)
 
 
-def _poly_scale(poly: TauPoly, tau: float) -> float:
-    """Magnitude of the terms forming the polynomial at tau: the natural
-    scale for deciding whether its value is zero. Vanishing tests at
-    (near-)multiple roots pass the root span as ``tau``, since such roots
-    carry an intrinsic sqrt(eps)-level location error amplified by the span."""
+def _horner(coeffs, tau):
+    """The polynomial with ascending ``coeffs`` at ``tau``, by Horner's rule from 0.0."""
+    v = 0.0
+    for c in reversed(coeffs):
+        v = v * tau + c
+    return v
+
+
+def _poly_scale(coeffs, tau: float) -> float:
+    """Magnitude of the terms forming the polynomial with ascending ``coeffs``
+    at tau: the natural scale for deciding whether its value is zero. Vanishing
+    tests at (near-)multiple roots pass the root span as ``tau``, since such
+    roots carry an intrinsic sqrt(eps)-level location error amplified by the span."""
     acc = 1.0
     w = 1.0 + abs(tau)
-    for k, c in enumerate(poly.coeffs):
-        acc += abs(c.v) * w ** k
+    for k, c in enumerate(coeffs):
+        acc += abs(c) * w ** k
     return acc
 
 
@@ -457,39 +448,43 @@ def _relative(x, scale, power: int):
     return np.where(np.isinf(whole), abs(x) / half / half, abs(x) / whole)
 
 
-def _sup_branches(case: str, g: Symbols, one_dim: bool):
+def _sup_branches(case: str, g: Symbols, t: np.ndarray, one_dim: bool):
     """Yield (name, branches) for each grid-supremum check that applies to
-    degeneracy case I or II on the symbol grid ``g``; a branch is a tuple
-    (num, den, num scale, den scale) of arrays over the grid."""
-    c, mc, nc, tau, t = g.c, g.mc, g.nc, g.tau, g.t
-    s = c.coeff_scale()
+    degeneracy case I or II on the symbol grid ``g`` at the times ``t``; a
+    branch is a tuple (num, den, num scale, den scale) of arrays over the grid."""
+    (a1, b1, *_), (a2, b2, *_), (a3, b3, *_) = g.a1, g.a2, g.a3  # values, time derivatives
+    (mc, nc), tau = _corrected(g), g.tau
+    s = _coeff_scale(a1, a2, a3)
     if case == "II":
         dbl, simple = _double_root(tau)
-        q, _rem = mc.divide_linear(dbl)
-        root_d1 = np.sqrt(np.maximum(delta1(c), 0.0))
-        rhs = root_d1 + _guarded_ratio(abs(delta1_dt(c)), 2.0 * root_d1, 0.0)
-        yield "quotient_disc_bound", [(abs(q[0] + q[1] * r), rhs, _poly_scale(mc, r), s)
+        q0 = mc[1] + dbl * mc[2]  # the quotient of the division by (tau - dbl) is q0 + m2 tau
+        root_d1 = np.sqrt(np.maximum(_delta1(a1, a2), 0.0))
+        rhs = root_d1 + _guarded_ratio(abs(4.0 * a1 * b1 - 6.0 * b2), 2.0 * root_d1, 0.0)
+        yield "quotient_disc_bound", [(abs(q0 + mc[2] * r), rhs, _poly_scale(mc, r), s)
                                       for r in (dbl, simple)]
         return
 
-    root_disc = np.sqrt(np.maximum(discriminant(c), 0.0))
-    rhs_m = root_disc + _guarded_ratio(abs(discriminant_dt(c)), 2.0 * root_disc, 0.0)
-    yield "m_disc_bound", [(abs(tau[k] - tau[l]) * abs(mc.value_at(tau[j])), rhs_m,
+    root_disc = np.sqrt(np.maximum(_discriminant(a1, a2, a3), 0.0))
+    disc_dt = ((2.0 * a1 * a2 * a2 - 12.0 * a1 * a1 * a3 + 18.0 * a2 * a3) * b1
+               + (2.0 * a1 * a1 * a2 - 12.0 * a2 * a2 + 18.0 * a1 * a3) * b2
+               + (-4.0 * a1 ** 3 + 18.0 * a1 * a2 - 54.0 * a3) * b3)
+    rhs_m = root_disc + _guarded_ratio(abs(disc_dt), 2.0 * root_disc, 0.0)
+    yield "m_disc_bound", [(abs(tau[k] - tau[l]) * abs(_horner(mc, tau[j])), rhs_m,
                             (1.0 + abs(tau[k] - tau[l])) * _poly_scale(mc, tau[j]), s ** 2)
                            for j, k, l in _SS3]
     gap_sq = g.crit_gap_sq
     gap = np.sqrt(np.maximum(gap_sq, 0.0))
-    dgap_sq = (8.0 / 9.0) * c.a1.v.real * c.a1.d1.real - (4.0 / 3.0) * c.a2.d1.real
+    dgap_sq = (8.0 / 9.0) * a1 * b1 - (4.0 / 3.0) * b2
     rhs_n = gap + _guarded_ratio(dgap_sq ** 2, gap_sq ** 1.5, 0.0)
-    yield "n_disc_bound", [(abs(nc.value_at(x)), rhs_n, _poly_scale(nc, x), 1.0 + gap)
+    yield "n_disc_bound", [(abs(_horner(nc, x)), rhs_n, _poly_scale(nc, x), 1.0 + gap)
                            for x in g.crit]
     if one_dim:
         yield "m_bound_n1", [
-            (abs(t) * abs(mc.value_at(tau[j])), abs(tau[j] - tau[k]) * abs(tau[j] - tau[l]),
+            (abs(t) * abs(_horner(mc, tau[j])), abs(tau[j] - tau[k]) * abs(tau[j] - tau[l]),
              (1.0 + abs(t)) * _poly_scale(mc, tau[j]),
              (1.0 + abs(tau[j] - tau[k])) * (1.0 + abs(tau[j] - tau[l])))
             for j, k, l in _SS3]
-        yield "n_bound_n1", [(t * t * abs(nc.value_at(x)), gap,
+        yield "n_bound_n1", [(t * t * abs(_horner(nc, x)), gap,
                               (1.0 + t * t) * _poly_scale(nc, x), 1.0 + gap)
                              for x in g.crit]
 
@@ -508,8 +503,11 @@ def pointwise_levi(op: Operator3, ladder: Sequence[float], direction: np.ndarray
 
     # -- case classification: grid max of the two discriminants, relative to
     # their natural polynomial scales
-    disc_rel = max(float(np.max(_relative(discriminant(g.c), g.c.coeff_scale(), 4))) for g in base)
-    d1_rel = max(float(np.max(_relative(delta1(g.c), g.c.coeff_scale(), 2))) for g in base)
+    scales = [_coeff_scale(g.a1[0], g.a2[0], g.a3[0]) for g in base]
+    disc_rel = max(float(np.max(_relative(_discriminant(g.a1[0], g.a2[0], g.a3[0]), s, 4)))
+                   for g, s in zip(base, scales))
+    d1_rel = max(float(np.max(_relative(_delta1(g.a1[0], g.a2[0]), s, 2)))
+                 for g, s in zip(base, scales))
     dead_lo, dead_hi = 1e-10, 1e-7
     ambiguous = dead_lo <= disc_rel < dead_hi or dead_lo <= d1_rel < dead_hi
     disc_zero = disc_rel < dead_hi
@@ -519,12 +517,11 @@ def pointwise_levi(op: Operator3, ladder: Sequence[float], direction: np.ndarray
 
     if case == "III":  # a single clustered triple root everywhere
         parts = []
-        for g in base:
-            r1 = -g.c.a1.v.real / 3.0
-            s = g.c.coeff_scale()
-            m_val, _, m_dtau = g.mc.at(r1)
+        for g, s in zip(base, scales):
+            r1, (mc, nc) = -g.a1[0] / 3.0, _corrected(g)
+            m_dtau = (0.0 * r1 + 2 * mc[2]) * r1 + 1 * mc[1]
             parts.append([float(np.max(abs(x) / s))
-                          for x in (m_val, m_dtau, g.nc.value_at(r1))])
+                          for x in (_horner(mc, r1), m_dtau, _horner(nc, r1))])
         for i, nm in enumerate(("m_at_root", "dm_at_root", "n_at_root")):
             vals = [row[i] for row in parts]
             report.checks[f"triple_root_compat/{nm}"] = {
@@ -539,9 +536,11 @@ def pointwise_levi(op: Operator3, ladder: Sequence[float], direction: np.ndarray
         vanish, rems = [], []
         for g in base:
             dbl, _ = _double_root(g.tau)
-            scale = _poly_scale(g.mc, g.tau[2] - g.tau[0])
-            vanish.append(float(np.max(abs(g.mc.value_at(dbl)) / scale)))
-            rems.append(float(np.max(abs(g.mc.divide_linear(dbl)[1]) / scale)))
+            mc, _ = _corrected(g)
+            scale = _poly_scale(mc, g.tau[2] - g.tau[0])
+            vanish.append(float(np.max(abs(_horner(mc, dbl)) / scale)))
+            # the remainder of the division by (tau - dbl), by synthetic division
+            rems.append(float(np.max(abs(mc[0] + dbl * (mc[1] + dbl * mc[2])) / scale)))
         report.checks["m_vanishes_on_double"] = {
             "max_rel": vanish,
             "verdict": "satisfied" if max(vanish) < 1e-6 else "violated",
@@ -551,16 +550,16 @@ def pointwise_levi(op: Operator3, ladder: Sequence[float], direction: np.ndarray
             "verdict": "bounded" if max(rems) < 1e-6 else "reported",
         }
 
-    def grid_sups(grids) -> dict[str, list[float]]:
+    def grid_sups(grids, ts) -> dict[str, list[float]]:
         sups: dict[str, list[float]] = {}
         for g in grids:
-            for name, branches in _sup_branches(case, g, op.dim == 1):
+            for name, branches in _sup_branches(case, g, ts, op.dim == 1):
                 sups.setdefault(name, []).append(_grid_sup(branches))
         return sups
 
-    sup_base = grid_sups(base)
+    sup_base = grid_sups(base, ts_base)
     del base  # each fine grid is built, used and dropped in turn
-    sup_fine = grid_sups(symbol_grid(op, ts_fine, mag * direction) for mag in ladder)
+    sup_fine = grid_sups((symbol_grid(op, ts_fine, mag * direction) for mag in ladder), ts_fine)
     for name, b in sup_base.items():
         report.checks[name] = {
             "sup_base": b, "sup_fine": sup_fine[name],
@@ -602,14 +601,14 @@ def constant_coeff_check(op: Operator3, ladder: Sequence[float], direction: np.n
     rows = []
     for mag in ladder:
         g = symbol_grid(op, [t0], mag * direction)
-        c, m, n, tau, (s1, s2) = g.c, g.m, g.n, g.tau, g.crit
-        tiny = 1e-12 * c.coeff_scale()
-        ell = [_guarded_ratio(abs(m.value_at(tau[j])), abs((tau[j] - tau[k]) * (tau[j] - tau[l])),
-                              tiny) for j, k, l in _SS3]
-        msplit = [_guarded_ratio(abs(n.value_at(sa)), abs(sa - sb), tiny)
+        a1, a2, a3, m0, m1, m2, n0, n1, p = (x[0] for x in g[:9])
+        tau, (s1, s2) = g.tau, g.crit
+        tiny = 1e-12 * _coeff_scale(a1, a2, a3)
+        ell = [_guarded_ratio(abs(_horner((m0, m1, m2), tau[j])),
+                              abs((tau[j] - tau[k]) * (tau[j] - tau[l])), tiny) for j, k, l in _SS3]
+        msplit = [_guarded_ratio(abs(_horner((n0, n1), sa)), abs(sa - sb), tiny)
                   for sa, sb in ((s1, s2), (s2, s1))]
-        full = (c.a1.v + m.coeffs[2].v, c.a2.v + m.coeffs[1].v + n.coeffs[1].v,
-                c.a3.v + m.coeffs[0].v + n.coeffs[0].v + g.p.v)
+        full = (a1 + m2, a2 + m1 + n1, a3 + m0 + n0 + p)
         try:
             roots = _roots_full_cubic(*(complex(x[0]) for x in full))
         except HyperbolicityViolation as exc:
@@ -699,8 +698,9 @@ def second_order_report(op2: Operator2, ladder: Sequence[float], direction: np.n
     ts = np.linspace(0.0, op2.horizon, VALIDATION_T_SAMPLES)
     with np.errstate(over="ignore", invalid="ignore"):  # _second_order_disc names an overflow
         for xi in (mag * direction for mag in ladder):  # the hyperbolicity scan, before any cell
-            a, b, *_ = op2.symbol_parts(ts, xi)  # the first failing time raises its own error
-            _second_order_disc(a.v.real, b.v.real, ts, xi, _second_order_node(op2, xi))
+            a, b, *_ = op2._add(op2._weights(xi, "parts"), 5, ts)  # every jet real: no .real
+            # the first failing time raises its own error
+            _second_order_disc(a[0], b[0], ts, xi, _second_order_node(op2, xi))
     keys = ("disc_drift", "lower_weighted")
     kept = op2._keeping_jets()  # the cells share their jets
     rows = [{"xi": mag, **dict(zip(keys, second_order_check(kept, mag * direction)))}
@@ -731,10 +731,11 @@ def oscillation_count(op: Operator3, xi: np.ndarray, target: str = "gap",
     if target not in ("gap", "m_at_aux", "n_at_auxcrit"):
         raise ValueError(f"unknown oscillation target {target!r}")
     g = symbol_grid(op, np.linspace(0.0, op.horizon, nt), xi)
+    mc, nc = _corrected(g)
     if target == "gap":
         traces = {f"gap[{j}{k}]": abs(g.lam[j] - g.lam[k]) for j, k in _SS2}
     elif target == "m_at_aux":
-        traces = {f"m_at_aux[{j}]": abs(g.mc.value_at(g.lam[j])) for j in range(3)}
+        traces = {f"m_at_aux[{j}]": abs(_horner(mc, g.lam[j])) for j in range(3)}
     else:
-        traces = {f"n_at_auxcrit[{j}]": abs(g.nc.value_at(g.mu[j])) for j in (0, 1)}
+        traces = {f"n_at_auxcrit[{j}]": abs(_horner(nc, g.mu[j])) for j in (0, 1)}
     return {name: _count_extrema(vals) for name, vals in traces.items()}

@@ -1,9 +1,9 @@
 """Real-root cubic and quadratic algebra.
 
-Monic cubics in the root variable whose coefficients carry time jets:
-sorted real roots via the trigonometric three-real-root branch, the two
-discriminants, the derivative quadratic, and root time-derivatives by
-implicit differentiation.
+Cores on the real coefficients of a monic cubic in the root variable, at one
+time or pointwise on a time grid: sorted real roots via the trigonometric
+three-real-root branch, the two discriminants, the derivative quadratic, and
+root time-derivatives by implicit differentiation.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ __all__ = [
     "solve_cubic_real",
     "discriminant",
     "delta1",
-    "derivative_quadratic",
-    "root_jets",
 ]
 
 #: tolerance band for weak hyperbolicity (relative to root_scale^degree, see _check_band)
@@ -41,25 +39,17 @@ _SS3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 @dataclass(slots=True)
 class CubicJet:
-    """Monic real cubic r^3 + a1 r^2 + a2 r + a3 with time-jet coefficients.
-
-    The jets may hold arrays (one entry per grid point, see
-    :func:`hyp3.operators.symbol_grid`); every method then works pointwise.
-    """
+    """Monic real cubic r^3 + a1 r^2 + a2 r + a3 with time-jet coefficients
+    (arrays of them on a time grid), for :func:`solve_cubic_real`,
+    :func:`discriminant` and :func:`delta1`."""
 
     a1: Jet2
     a2: Jet2
     a3: Jet2
 
-    def coeff_scale(self) -> float:
-        return 1.0 + np.maximum(np.maximum(abs(self.a1.v), abs(self.a2.v)), abs(self.a3.v))
 
-    def value(self, r: float) -> float:
-        return ((r + self.a1.v.real) * r + self.a2.v.real) * r + self.a3.v.real
-
-    def dtau(self, r: float) -> float:
-        return (3.0 * r + 2.0 * self.a1.v.real) * r + self.a2.v.real
-
+def _coeff_scale(a1, a2, a3):
+    return 1.0 + np.maximum(np.maximum(abs(a1), abs(a2)), abs(a3))
 
 
 def cubic_from_floats(a1: float, a2: float, a3: float) -> CubicJet:
@@ -95,16 +85,6 @@ def _discriminant(a1, a2, a3):
         return math.nan
 
 
-def discriminant_dt(c: CubicJet) -> float:
-    """Time derivative of :func:`discriminant` via the coefficient jets."""
-    a1, a2, a3 = c.a1.v.real, c.a2.v.real, c.a3.v.real
-    d1, d2, d3 = c.a1.d1.real, c.a2.d1.real, c.a3.d1.real
-    g1 = 2.0 * a1 * a2 * a2 - 12.0 * a1 * a1 * a3 + 18.0 * a2 * a3
-    g2 = 2.0 * a1 * a1 * a2 - 12.0 * a2 * a2 + 18.0 * a1 * a3
-    g3 = -4.0 * a1 ** 3 + 18.0 * a1 * a2 - 54.0 * a3
-    return g1 * d1 + g2 * d2 + g3 * d3
-
-
 def delta1(c: CubicJet) -> float:
     """Sum of the three squared pairwise root differences: 2*(a1^2 - 3*a2)."""
     return _delta1(c.a1.v.real, c.a2.v.real)
@@ -112,10 +92,6 @@ def delta1(c: CubicJet) -> float:
 
 def _delta1(a1, a2):
     return 2.0 * (a1 * a1 - 3.0 * a2)
-
-
-def delta1_dt(c: CubicJet) -> float:
-    return 4.0 * c.a1.v.real * c.a1.d1.real - 6.0 * c.a2.d1.real
 
 
 def _check_band(a1, a2, a3, disc, degree: int, *where) -> None:
@@ -167,10 +143,10 @@ def solve_cubic_real(c: CubicJet) -> SortedRoots:
     Raises :class:`HyperbolicityViolation` when the discriminant falls below
     the tolerance band of :func:`_check_band`, ``-HYPERBOLICITY_TOL * root_scale^6``.
     """
-    a1 = c.a1.v.real
+    a1, a2, a3 = c.a1.v.real, c.a2.v.real, c.a3.v.real
     if isinstance(a1, np.ndarray):
-        return _solve_cubic_grid(c)
-    return SortedRoots(tuple(_real_roots(a1, c.a2.v.real, c.a3.v.real)))
+        return SortedRoots(_solve_cubic_grid(a1, a2, a3))
+    return SortedRoots(tuple(_real_roots(a1, a2, a3)))
 
 
 def _real_roots(a1: float, a2: float, a3: float) -> list[float]:
@@ -200,8 +176,8 @@ def _real_roots(a1: float, a2: float, a3: float) -> list[float]:
                  m2 * math.cos((phi - 4.0 * math.pi) / 3.0) - shift]
         roots.sort()
 
-    # one guarded Newton polish per root, away from multiple roots; c.dtau and
-    # c.value written out on the local coefficients, operation for operation
+    # one guarded Newton polish per root, away from multiple roots: the grid's
+    # derivative and value, operation for operation
     two_a1, thr = 2.0 * a1, 1e-3 * scale
     polished = []
     for r in roots:
@@ -216,12 +192,11 @@ def _real_roots(a1: float, a2: float, a3: float) -> list[float]:
     return polished
 
 
-def _solve_cubic_grid(c: CubicJet) -> SortedRoots:
-    """:func:`solve_cubic_real` at every grid point, step for step."""
-    a1, a2, a3 = c.a1.v.real, c.a2.v.real, c.a3.v.real
-    scale = c.coeff_scale()
+def _solve_cubic_grid(a1, a2, a3) -> np.ndarray:
+    """:func:`_real_roots` at every point of a time grid, step for step: a (3, N) array."""
+    scale = _coeff_scale(a1, a2, a3)
     with np.errstate(over="ignore", invalid="ignore"):  # _check_band names an overflow
-        _check_band(a1, a2, a3, discriminant(c), 6)
+        _check_band(a1, a2, a3, _discriminant(a1, a2, a3), 6)
 
     shift = a1 / 3.0
     p = a2 - a1 * a1 / 3.0
@@ -242,25 +217,20 @@ def _solve_cubic_grid(c: CubicJet) -> SortedRoots:
                       for k in range(3)]
     roots.sort(axis=0)
 
-    dp = c.dtau(roots)
+    dp = (3.0 * roots + 2.0 * a1) * roots + a2
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        r_new = roots - c.value(roots) / dp
-        keep = (abs(dp) > 1e-3 * scale) & (abs(c.value(r_new)) <= abs(c.value(roots)))
+        v = ((roots + a1) * roots + a2) * roots + a3
+        r_new = roots - v / dp
+        keep = (abs(dp) > 1e-3 * scale) & (abs(((r_new + a1) * r_new + a2) * r_new + a3) <= abs(v))
     roots = np.where(keep, r_new, roots)
     roots.sort(axis=0)
-    return SortedRoots(roots)
-
-
-def derivative_quadratic(c: CubicJet):
-    """Roots and discriminant data of d/dr of the cubic: 3r^2 + 2a1 r + a2.
-
-    Returns ``(s1, s2, disc_b2_4ac, gap_sq)`` with s1 <= s2,
-    ``disc_b2_4ac = 4a1^2 - 12a2`` and ``gap_sq = (s2-s1)^2 = disc/9``.
-    """
-    return _critical_points(c.a1.v.real, c.a2.v.real, c.a3.v.real)
+    return roots
 
 
 def _critical_points(a1, a2, a3):
+    """Roots and discriminant data of d/dr of the cubic, 3r^2 + 2a1 r + a2:
+    ``(s1, s2, 4a1^2 - 12a2, (s2 - s1)^2)`` with s1 <= s2, the gap from the
+    discriminant (its ninth), at one time or pointwise on a time grid."""
     disc = 4.0 * a1 * a1 - 12.0 * a2
     grid = isinstance(disc, np.ndarray)
     if grid or not 0.0 <= disc < math.inf:
@@ -271,16 +241,11 @@ def _critical_points(a1, a2, a3):
     return center - half_gap, center + half_gap, disc, disc_c / 9.0
 
 
-def quad_root_jets(c: CubicJet):
-    """Derivative-quadratic roots with first time derivatives.
-
-    Implicit differentiation of 3r^2 + 2a1 r + a2 = 0; requires the two
-    roots to be separated (they are, for regularized cubics).
-    """
-    return _critical_jets(c.a1.v.real, c.a2.v.real, c.a3.v.real, c.a1.d1.real, c.a2.d1.real)
-
-
 def _critical_jets(a1, a2, a3, b1, b2):
+    """The derivative-quadratic roots ``(s1, s2)`` and their first time
+    derivatives, from the time derivatives ``b1``, ``b2`` of a1, a2, by implicit
+    differentiation of 3r^2 + 2a1 r + a2 = 0: only defined while the two roots
+    are separated (they are, for regularized cubics)."""
     s1, s2, disc, _ = _critical_points(a1, a2, a3)
     two_a1, two_b1 = 2.0 * a1, 2.0 * b1
     out = []
@@ -294,7 +259,7 @@ def _critical_jets(a1, a2, a3, b1, b2):
 
 def _simple_root_gap(r):
     """Smallest gap of the ascending roots ``r`` and the simple-root
-    threshold it must exceed for :func:`_root_derivatives` to be defined.
+    threshold it must exceed for :func:`_root_dt` to be defined.
     ``r`` holds three floats, or three arrays (pointwise results); finite floats
     take plain ``max``/``min``, which differ from numpy's only on NaN."""
     r0, r1, r2 = r
@@ -304,17 +269,12 @@ def _simple_root_gap(r):
     return np.minimum(r1 - r0, r2 - r1), SIMPLE_ROOT_REL_GAP * rstar
 
 
-def _root_derivatives(c: CubicJet, roots):
-    """First and second time derivatives ``(d1, d2)`` of the simple roots
-    ``roots`` of ``c`` by implicit differentiation: d1 = -L_t / L_r and
-    d2 = psi / L_r^3 with psi = 2 L_tr L_t L_r - L_rr L_t^2 - L_tt L_r^2, every
-    coefficient derivative drawn from the stored jets (L_t and L_tt at the
-    frozen root variable). Works pointwise on arrays."""
-    return _root_dt(c.a1.v.real, c.a2.v.real, c.a1.d1.real, c.a2.d1.real, c.a3.d1.real,
-                    c.a1.d2.real, c.a2.d2.real, c.a3.d2.real, roots)
-
-
 def _root_dt(a1, a2, b1, b2, b3, e1, e2, e3, roots):
+    """First and second time derivatives ``(d1, d2)`` of the simple roots
+    ``roots`` of the cubic by implicit differentiation, from the first (b) and
+    second (e) time derivatives of its coefficients: d1 = -L_t / L_r and
+    d2 = psi / L_r^3 with psi = 2 L_tr L_t L_r - L_rr L_t^2 - L_tt L_r^2 (L_t and
+    L_tt at the frozen root variable). Works pointwise on arrays."""
     two_a1, two_b1 = 2.0 * a1, 2.0 * b1
     d1, d2 = [], []
     for r in roots:
@@ -328,12 +288,3 @@ def _root_dt(a1, a2, b1, b2, b3, e1, e2, e3, roots):
         # and a grid must round exactly like its points
         d2.append(psi / (l_r * l_r * l_r))
     return tuple(d1), tuple(d2)
-
-
-def root_jets(c: CubicJet, roots: SortedRoots):
-    """First and second time derivatives ``(d1, d2)`` of the three roots
-    (:func:`_root_derivatives`); only defined while all pairwise gaps exceed
-    the simple-root threshold."""
-    gap, thr = _simple_root_gap(roots.r)
-    _check_points(gap <= thr, NearMultipleRoot, gap, thr)
-    return _root_derivatives(c, roots.r)

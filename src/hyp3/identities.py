@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubic import CubicJet, delta1, derivative_quadratic, discriminant, solve_cubic_real
-from .expr import Jet2
+from .cubic import _critical_points, _delta1, _discriminant, _solve_cubic_grid
 
 __all__ = ["IdentityResult", "run_algebraic_suite", "ALGEBRAIC_TOLERANCES"]
 
@@ -73,9 +72,9 @@ def _draws(rng: np.random.Generator, samples: int):
         done += k
 
 
-def _cubic(r1, r2, r3) -> CubicJet:
-    a = -(r1 + r2 + r3), r1 * r2 + r2 * r3 + r3 * r1, -(r1 * r2 * r3)
-    return CubicJet(*(Jet2(x, 0.0, 0.0) for x in a))
+def _cubic(r1, r2, r3) -> tuple:
+    """The coefficients (a1, a2, a3) of the monic cubic with the roots r1, r2, r3."""
+    return -(r1 + r2 + r3), r1 * r2 + r2 * r3 + r3 * r1, -(r1 * r2 * r3)
 
 
 def _worst(lhs, rhs) -> float:
@@ -94,24 +93,23 @@ def _residuals(d: np.ndarray) -> list[float]:
     worst = {}
 
     # well-separated sample: discriminant vs product of squared gaps
-    s = solve_cubic_real(_cubic(*d[:3])).r
+    s = _solve_cubic_grid(*_cubic(*d[:3]))
     prod = ((s[0] - s[1]) * (s[1] - s[2]) * (s[2] - s[0])).astype(object) ** 2
-    worst["disc_vs_root_products"] = _worst(discriminant(_cubic(*r[:3])), prod)
+    worst["disc_vs_root_products"] = _worst(_discriminant(*_cubic(*r[:3])), prod)
 
     # general sample (coincidences allowed) for the remaining identities
-    r, c = r[3:], _cubic(*r[3:])
+    r, (a1, a2, a3) = r[3:], _cubic(*r[3:])
     sumsq = ((r[0] - r[1]) ** 2 + (r[1] - r[2]) ** 2 + (r[2] - r[0]) ** 2)
-    worst["sumsq_vs_coeffs"] = _worst(delta1(c), sumsq)
-    gap_sq = derivative_quadratic(_cubic(*d[3:6]))[3]
-    worst["sumsq_vs_crit_gap"] = _worst(delta1(c), 4.5 * gap_sq)
+    worst["sumsq_vs_coeffs"] = _worst(_delta1(a1, a2), sumsq)
+    gap_sq = _critical_points(*_cubic(*d[3:6]))[3]
+    worst["sumsq_vs_crit_gap"] = _worst(_delta1(a1, a2), 4.5 * gap_sq)
 
-    a1, a2, a3 = c.a1.v, c.a2.v, c.a3.v
-    reg = CubicJet(c.a1, Jet2(a2 - 6.0 * e * e, 0.0, 0.0), Jet2(a3 - 2.0 * e * e * a1, 0.0, 0.0))
+    reg2, reg3 = a2 - 6.0 * e * e, a3 - 2.0 * e * e * a1
     db24 = 4.0 * a1 ** 2 - 12.0 * a2
-    expansion = (discriminant(c) + 0.5 * e ** 2 * db24 ** 2 + 36.0 * e ** 4 * db24
+    expansion = (_discriminant(a1, a2, a3) + 0.5 * e ** 2 * db24 ** 2 + 36.0 * e ** 4 * db24
                  + 864.0 * e ** 6)
-    worst["reg_disc_expansion"] = _worst(discriminant(reg), expansion)
-    shift = (4.0 * reg.a1.v ** 2 - 12.0 * reg.a2.v) - db24
+    worst["reg_disc_expansion"] = _worst(_discriminant(a1, reg2, reg3), expansion)
+    shift = (4.0 * a1 ** 2 - 12.0 * reg2) - db24
     worst["reg_crit_disc_shift"] = _worst(shift, 72.0 * e * e)
     return [worst[name] for name in ALGEBRAIC_TOLERANCES]
 

@@ -18,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .conditions import _primary_terms, check_ladder
-from .cubic import _NORMAL_MIN, _SS2, _root_derivatives, _simple_root_gap
+from .conditions import _corrected, _primary_terms, check_ladder
+from .cubic import _NORMAL_MIN, _SS2, _root_dt, _simple_root_gap
 from .cubic import solve_cubic_real  # noqa: F401  (a binding perfbench/tests checks)
 from .errors import (ExprDomainError, MagnusStepError, OperatorSpecError, _check_points,
                      _nonfinite, locate)
@@ -240,9 +240,10 @@ def _plain_factors(g: Symbols, sol: ModeSolution) -> FactorTraces:
     collide are masked out: their jets are not defined."""
     gap, thr = _simple_root_gap(g.tau)
     mask = ~(gap <= thr)
+    a1, a2, a3 = g.a1, g.a2, g.a3
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d1, d2 = (np.where(mask, np.array(d), np.nan)
-                  for d in _root_derivatives(g.c, g.tau))
+        d1, d2 = (np.where(mask, np.array(d), np.nan) for d in _root_dt(
+            a1[0], a2[0], a1[1], a2[1], a3[1], a1[2], a2[2], a3[2], g.tau))
     return _factor_traces(sol, g.tau, d1, d2, mask)
 
 
@@ -341,18 +342,18 @@ def identity_residuals(op: Operator3, sol: ModeSolution) -> dict[str, float]:
     for p in perms:
         avg += _compose_triple(ft0, sol, *p)
     avg /= 6.0
-    c, mc, nc = g.c, g.mc, g.nc
+    a1, a2, a3, (mc, nc) = g.a1, g.a2, g.a3, _corrected(g)
     derivs = (v, v1, v2, v3)
-    sym = (_apply_symbol((c.a3.v, c.a2.v, c.a1.v, 1.0), 3, derivs)
-           + 0.5 * _apply_symbol((c.a2.d1, 2.0 * c.a1.d1), 2, derivs)
-           + (1.0 / 6.0) * _apply_symbol((2.0 * c.a1.d2,), 1, derivs))
-    m_tilde = (_apply_symbol(mc.values(), 2, derivs)
-               + 0.5 * _apply_symbol((mc.coeffs[1].d1, 2.0 * mc.coeffs[2].d1), 1, derivs))
-    n_check = _apply_symbol(nc.values(), 1, derivs)
-    raw = (_apply_symbol((c.a3.v, c.a2.v, c.a1.v, 1.0), 3, derivs)
-           + _apply_symbol(g.m.values(), 2, derivs)
-           + _apply_symbol(g.n.values(), 1, derivs))
-    pv = g.p.v * v
+    sym = (_apply_symbol((a3[0], a2[0], a1[0], 1.0), 3, derivs)
+           + 0.5 * _apply_symbol((a2[1], 2.0 * a1[1]), 2, derivs)
+           + (1.0 / 6.0) * _apply_symbol((2.0 * a1[2],), 1, derivs))
+    m_tilde = (_apply_symbol(mc, 2, derivs)
+               + 0.5 * _apply_symbol((g.mc1[1], 2.0 * g.m2[1]), 1, derivs))
+    n_check = _apply_symbol(nc, 1, derivs)
+    raw = (_apply_symbol((a3[0], a2[0], a1[0], 1.0), 3, derivs)
+           + _apply_symbol((g.m0[0], g.m1[0], g.m2[0]), 2, derivs)
+           + _apply_symbol((g.n0[0], g.n1[0]), 1, derivs))
+    pv = g.p[0] * v
     out["factor_avg_vs_symbols"] = _rel_residual(avg - sym, sym, interior & ft0.mask)
 
     # the assembled full operator may vanish identically (zero forcing, zero

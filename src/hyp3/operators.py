@@ -12,20 +12,21 @@ from __future__ import annotations
 
 import copy
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cubic import CubicJet, derivative_quadratic, quad_root_jets, root_jets, solve_cubic_real
+from .cubic import (_critical_jets, _critical_points, _real_roots, _root_dt, _simple_root_gap,
+                    _solve_cubic_grid)
 from .errors import (ExprDomainError, HyperbolicityViolation, NearMultipleRoot,
-                     OperatorSpecError, _clip, locate)
-from .expr import Jet2, TimeFn
+                     OperatorSpecError, _check_points, _clip, locate)
+from .expr import TimeFn
 
 __all__ = [
     "Operator3",
     "Operator2",
-    "TauPoly",
     "Symbols",
     "symbol_grid",
     "measure_separation",
@@ -38,56 +39,7 @@ VALIDATION_T_SAMPLES = 256
 
 
 # --------------------------------------------------------------------------
-# Symbols as polynomials in the root variable with time-jet coefficients
-
-
-@dataclass(slots=True)
-class TauPoly:
-    """Polynomial in the root variable, coefficients ascending, each a time
-    jet. With array jets (a :func:`symbol_grid`) every method works
-    pointwise."""
-
-    coeffs: tuple[Jet2, ...]
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def values(self) -> tuple[complex, ...]:
-        return tuple(c.v for c in self.coeffs)
-
-    def at(self, tau: complex) -> tuple[complex, complex, complex]:
-        """Value, time derivative and tau-derivative at ``tau``."""
-        v = dt = dtau = 0.0
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            v = v * tau + c.v
-            dt = dt * tau + c.d1
-            if k >= 1:
-                dtau = dtau * tau + k * c.v
-        return v, dt, dtau
-
-    def value_at(self, tau: complex) -> complex:
-        v = 0.0
-        for c in reversed(self.coeffs):
-            v = v * tau + c.v
-        return v
-
-    def divide_linear(self, r: float) -> tuple[tuple[complex, ...], complex]:
-        """Synthetic division of the value polynomial by (tau - r):
-        returns (quotient coefficients ascending, remainder)."""
-        vals = self.values()
-        q: list[complex] = [0.0] * self.degree()
-        acc = vals[-1]
-        for k in range(self.degree() - 1, -1, -1):
-            q[k] = acc
-            acc = vals[k] + r * acc
-        return tuple(q), acc
-
-
-def regularized_cubic(c: CubicJet, e2: float) -> CubicJet:
-    """Coefficient jets of the shifted cubic L - e2 * d_tau^2 L."""
-    jets = [(j.v, j.d1, j.d2, j.d3) for j in (c.a1, c.a2, c.a3)]
-    return CubicJet(c.a1, *(Jet2(*j) for j in _regularized(*jets, e2)))
+# Symbol cores on plain jets
 
 
 def _regularized(a1, a2, a3, e2: float):
@@ -126,7 +78,7 @@ class _Table:
     """A monic operator as its coefficient table; immutable after construction,
     and every evaluation is pure, so (t, xi) grids may be processed concurrently.
 
-    Every symbol is a view of one walk over the table (:meth:`_sums`). A
+    Every symbol is a view of one walk over the table (:meth:`_add`). A
     subclass names the slots (j, |alpha|) each view reads (``_VIEWS``), the jet
     order of a term by its total order j + |alpha| (``_JET_ORDER``), and the
     least total order whose coefficients must be real (``_REAL_FROM``)."""
@@ -208,8 +160,10 @@ class _Table:
         order. A :meth:`_keeping_jets` copy evaluates a term at a time (-0.0 apart from 0.0, as
         sin(-0.0) is -0.0) once it succeeds, and then serves its jet."""
         grid, kept = isinstance(t, np.ndarray), self._kept
-        jets = [None] * len(self.coeffs) if grid or kept is None else kept.setdefault(
-            (t, math.copysign(1.0, t)), [None] * len(self.coeffs))
+        if grid or kept is None:
+            jets = [None] * len(self.coeffs)
+        elif (jets := kept.get(key := (t, math.copysign(1.0, t)))) is None:
+            jets = kept[key] = [None] * len(self.coeffs)
         z = np.zeros_like(t) if grid else 0.0
         acc = [(z, z, z, z)] * slots
         for slot, place, fn, order, w in terms:
@@ -223,10 +177,6 @@ class _Table:
                          None if s[3] is None or d3 is None else s[3] + d3)
         return acc
 
-    def _sums(self, view: str, t, xi: np.ndarray) -> list[Jet2]:
-        """Each slot (j, |alpha|) of ``view``: the jet of the sum of a_{j,alpha}(t) xi^alpha."""
-        return [Jet2(*s) for s in self._add(self._weights(xi, view), len(self._VIEWS[view]), t)]
-
 
 class Operator3(_Table):
     """Third-order operator with time-dependent coefficients: j <= 2 and
@@ -239,84 +189,59 @@ class Operator3(_Table):
     _REAL_FROM = 3
     _NOT_REAL = "principal-part coefficient a[{j},{alpha}] must be real-valued"
 
-    def principal(self, t, xi: np.ndarray) -> CubicJet:
-        """Coefficient jets (a1, a2, a3) of the monic principal cubic, at one
-        time or on a time grid; a_k multiplies the (3-k)-th power of the
-        root variable."""
-        return CubicJet(*self._sums("principal", t, xi))
-
-    def lower_polys(self, t, xi: np.ndarray) -> tuple[TauPoly, TauPoly, Jet2]:
-        """(order-2 symbol, order-1 symbol, zeroth coefficient jet), at one
-        time or on a time grid."""
-        m0, m1, m2, n0, n1, p = self._sums("lower", t, xi)
-        return TauPoly((m0, m1, m2)), TauPoly((n0, n1)), p
-
 
 # --------------------------------------------------------------------------
-# Symbols on a time grid
+# Symbols at one time or on a time grid
+
+#: Every symbol at one frequency, on a time grid (:func:`symbol_grid`): the jets
+#: (v, d1, d2, d3) of the principal cubic's a1..a3 (a_k multiplies the (3-k)-th
+#: power of the root variable), of the order-2 symbol's m0..m2 and the order-1
+#: symbol's n0, n1 (ascending in the root variable) and of the zeroth coefficient
+#: p; the value r2 of the a2 of the unit-regularized cubic L - d_tau^2 L; the
+#: corrected order-2 and order-1 coefficients (v, d1, d2) mc0, mc1 (the third is
+#: m2), nc0, nc1; and (k, N) arrays: the sorted roots tau, the critical points
+#: s1 <= s2 with (s2 - s1)^2, the regularized roots lam with two time
+#: derivatives, and the regularized critical points mu with one
+Symbols = namedtuple("Symbols", "a1 a2 a3 m0 m1 m2 n0 n1 p r2 mc0 mc1 nc0 nc1 "
+                                "tau crit crit_gap_sq lam lam_d1 lam_d2 mu mu_d1")
 
 
-@dataclass(slots=True)
-class Symbols:
-    """Every symbol the diagnostics read, at one frequency: at one time
-    (scalar fields) or on a time grid (:func:`symbol_grid`: array fields,
-    root fields of shape (k, N))."""
-
-    t: float
-    c: CubicJet          # principal cubic
-    m: TauPoly           # order-2 symbol
-    n: TauPoly           # order-1 symbol
-    p: Jet2              # zeroth-order coefficient
-    mc: TauPoly          # corrected order-2 symbol
-    nc: TauPoly          # corrected order-1 symbol
-    tau: tuple           # sorted roots of c
-    crit: tuple          # critical points s1 <= s2 of c
-    crit_gap_sq: float   # (s2 - s1)^2, from the derivative discriminant
-    lam: tuple           # sorted roots of reg and their first two time derivatives
-    lam_d1: tuple
-    lam_d2: tuple
-    mu: tuple            # critical points of reg and their first time derivatives
-    mu_d1: tuple
-
-
-def _symbols_at(op: Operator3, t, xi: np.ndarray) -> Symbols:
-    """The symbols at one time, or pointwise on a time-grid array: each
-    coefficient jet is evaluated once, and the principal, lower, corrected
-    and root data all derive from it. A numerical or domain failure names
-    the point it happened at; on a grid, the first failing time."""
+def _symbols(op: Operator3, terms: list[tuple], t, xi: np.ndarray) -> tuple:
+    """The fields of :data:`Symbols` at one time, or pointwise on a time array, from the
+    terms ``op._weights(xi, "principal", "lower")``: each coefficient jet is evaluated
+    once, and the corrected and root data all derive from the sums. A numerical or
+    domain failure names the point it happened at; on a grid, the first failing time."""
+    roots = _solve_cubic_grid if isinstance(t, np.ndarray) else _real_roots
     try:
-        c = op.principal(t, xi)
-        m, n, p = op.lower_polys(t, xi)
-        jets = [(j.v, j.d1, j.d2, j.d3) for j in (c.a1, c.a2, *m.coeffs, *n.coeffs)]
-        mc0, mc1, nc0, nc1 = (Jet2(*j) for j in _corrections(*jets))
+        a1, a2, a3, m0, m1, m2, n0, n1, p = op._add(terms, 9, t)  # a1..a3 real: no .real
         # the plain cubic first: a non-hyperbolic time reports its discriminant
-        tau = solve_cubic_real(c).r
-        # the unit-regularized cubic L - d_tau^2 L (eps |xi| = 1), whose roots
-        # and critical points have gaps bounded below uniformly in (t, xi)
-        reg = regularized_cubic(c, 1.0)
-        lam = solve_cubic_real(reg)
-        (lam_d1, lam_d2), (mu, mu_d1) = root_jets(reg, lam), quad_root_jets(reg)
-        s1, s2, _, gap_sq = derivative_quadratic(c)
+        tau = roots(a1[0], a2[0], a3[0])
+        r2, r3 = _regularized(a1, a2, a3, 1.0)  # the unit-regularized cubic
+        lam = roots(a1[0], r2[0], r3[0])
+        gap, thr = _simple_root_gap(lam)
+        _check_points(gap <= thr, NearMultipleRoot, gap, thr)
+        ld1, ld2 = _root_dt(a1[0], r2[0], a1[1], r2[1], r3[1], a1[2], r2[2], r3[2], lam)
+        mu, mu_d1 = _critical_jets(a1[0], r2[0], r3[0], a1[1], r2[1])
+        s1, s2, _, gap_sq = _critical_points(a1[0], a2[0], a3[0])
     except (HyperbolicityViolation, NearMultipleRoot, ExprDomainError) as exc:
         # a grid runs each step at every time before the next step, so the
         # failed step need not be the one that fails first in time
-        locate(exc, t, xi, lambda tk: _symbols_at(op, tk, xi))
+        locate(exc, t, xi, lambda tk: _symbols(op, terms, tk, xi))
         raise
-    return Symbols(t, c, m, n, p, TauPoly((mc0, mc1, m.coeffs[2])), TauPoly((nc0, nc1)), tau,
-                   (s1, s2), gap_sq, lam.r, lam_d1, lam_d2, mu, mu_d1)
+    mc0, mc1, nc0, nc1 = _corrections(a1, a2, m0, m1, m2, n0, n1)
+    return (a1, a2, a3, m0, m1, m2, n0, n1, p, r2[0], mc0, mc1, nc0, nc1, tau, (s1, s2), gap_sq,
+            lam, ld1, ld2, mu, mu_d1)
 
 
 def symbol_grid(op: Operator3, ts, xi: np.ndarray) -> Symbols:
     """The symbols at every time of ``ts`` at frequency ``xi``: one
-    :func:`_symbols_at` call on the time array, its root data stacked into
+    :func:`_symbols` call on the time array, its root data stacked into
     (k, N) arrays."""
     ts = np.asarray(ts, dtype=float)
     if ts.size == 0:
         raise ValueError("symbol_grid needs at least one time")
-    s = _symbols_at(op, ts, xi)
-    for name in ("tau", "crit", "lam", "lam_d1", "lam_d2", "mu", "mu_d1"):
-        setattr(s, name, np.array(getattr(s, name)))
-    return s
+    s = _symbols(op, op._weights(xi, "principal", "lower"), ts, xi)
+    return Symbols(*s[:14], *map(np.array, s[14:]))
 
 
 # --------------------------------------------------------------------------
@@ -331,11 +256,6 @@ class Operator2(_Table):
     _JET_ORDER = (2, 2, 2)
     _REAL_FROM = 0
     _NOT_REAL = "second-order model coefficients must be real"
-
-    def symbol_parts(self, t, xi: np.ndarray):
-        """Jets of (a, b, c0, c, d): principal tau-coefficient a(t, xi),
-        principal constant b(t, xi), and the lower-order groups."""
-        return tuple(self._sums("parts", t, xi))
 
 
 # --------------------------------------------------------------------------

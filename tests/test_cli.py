@@ -49,8 +49,8 @@ def test_identities_zero_samples_trivial(capsys):
 
 
 def test_identities_corrupted_formula_fails_and_names_it(capsys, monkeypatch):
-    exact = identities.discriminant
-    monkeypatch.setattr(identities, "discriminant", lambda c: exact(c) * (1.0 + 1e-5))
+    exact = identities._discriminant
+    monkeypatch.setattr(identities, "_discriminant", lambda *a: exact(*a) * (1.0 + 1e-5))
     rc, doc = _run(capsys, "identities", "--samples", "100")
     assert rc == 1
     assert doc["pass"] is False
@@ -581,6 +581,9 @@ MODE_TABLES = ["modes", "--battery", "strict_const", "--xi-min", "32", "--xi-max
     ["modes", "--battery", "strict_sin", "--grid", "1000000000000000"],
     ["check", "--battery", "strict_const", "--grid", "1048577", "--format", "tables",
      "--out", "unused"],
+    # a time grid below the 64 points that modes needs
+    ["check", "--battery", "strict_const", "--grid", "-5", "--format", "tables", "--out", "unused"],
+    ["check", "--battery", "strict_const", "--grid", "0", "--format", "tables", "--out", "unused"],
 ])
 def test_usage_errors_exit_2_with_one_line(capsys, argv):
     assert main(argv) == 2

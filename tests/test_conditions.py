@@ -8,11 +8,13 @@ import sys
 import time
 import warnings
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from test_integrand_bits import PLANE3
+from test_cubic import _derivative_quadratic, _quad_root_jets, _root_jets
+from test_integrand_bits import PLANE3, _integrand_values
 
 from hyp3 import conditions, errors, operators, quadrature
 from hyp3.battery import BATTERY, battery_member, battery_names
@@ -20,7 +22,6 @@ from hyp3.conditions import (
     _band,
     _count_extrema,
     _grid_sup,
-    _integrand_values,
     _primary_terms,
     _sup_verdict,
     check_ladder,
@@ -34,12 +35,12 @@ from hyp3.conditions import (
     second_order_check,
     second_order_report,
 )
-from hyp3.cubic import _SS2, _SS3, delta1
+from hyp3.cubic import _SS2, _SS3, CubicJet, delta1, solve_cubic_real
 from hyp3.errors import (ExprDomainError, HyperbolicityViolation, NearMultipleRoot,
-                         OperatorSpecError, QuadratureError)
-from hyp3.expr import TimeFn
+                         OperatorSpecError, QuadratureError, locate)
+from hyp3.expr import Jet2, TimeFn
 from hyp3.expr import parse_timefn as P
-from hyp3.operators import Operator2, Operator3, regularized_cubic, symbol_grid
+from hyp3.operators import Operator2, Operator3, _corrections, _regularized, symbol_grid
 
 
 def _op(name, coeffs, horizon=1.0):
@@ -563,13 +564,13 @@ def test_pointwise_verdict_branches(func, args, want):
 
 def test_pointwise_levi_evaluates_each_grid_point_once(monkeypatch):
     steps = []
-    step = operators._symbols_at
-    monkeypatch.setattr(operators, "_symbols_at",
-                        lambda op, t, xi: steps.append(t) or step(op, t, xi))
-    principal = Operator3.principal
+    step = operators._symbols
+    monkeypatch.setattr(operators, "_symbols",
+                        lambda op, terms, t, xi: steps.append(t) or step(op, terms, t, xi))
+    add = Operator3._add
     calls = []
-    monkeypatch.setattr(Operator3, "principal",
-                        lambda op, t, xi: calls.append(t) or principal(op, t, xi))
+    monkeypatch.setattr(Operator3, "_add",
+                        lambda op, terms, slots, t: calls.append(t) or add(op, terms, slots, t))
     ladder = default_ladder(2.0 ** 6, 2.0 ** 14, 9)[::2]
     rep = pointwise_levi(battery_member("sin_gap").op, ladder=ladder, direction=np.array([1.0]))
     assert rep.case == "I"
@@ -591,11 +592,37 @@ def test_grid_terms_match_integrand(name):
         assert [float(v[i]) for v in terms] == [float(v) for v in point], (name, t)
 
 
+def _oracle_symbols(op, t, xi):
+    """The symbols at one time by the structured route that came before the one
+    symbol layer (``operators._symbols_at``), cut down to what the oracle reads:
+    the principal view summed before the lower view takes its weights, each sum
+    wrapped in a ``Jet2``, the principal cubic and its unit regularization
+    L - d_tau^2 L as ``CubicJet``s, and the plain solve, the regularized solve
+    with its root jets behind the simple-root guard, its critical points with
+    their jets and the plain critical points, in that order."""
+    try:
+        c = CubicJet(*(Jet2(*j) for j in op._add(op._weights(xi, "principal"), 3, t)))
+        m0, m1, m2, n0, n1, _ = op._add(op._weights(xi, "lower"), 6, t)
+        jets = [(j.v, j.d1, j.d2, j.d3) for j in (c.a1, c.a2, c.a3)]
+        mc0, mc1, nc0, nc1 = _corrections(*jets[:2], m0, m1, m2, n0, n1)
+        tau = solve_cubic_real(c).r
+        reg = CubicJet(c.a1, *(Jet2(*j) for j in _regularized(*jets, 1.0)))
+        lam = solve_cubic_real(reg)
+        (lam_d1, lam_d2), (mu, mu_d1) = _root_jets(reg, lam), _quad_root_jets(reg)
+        s1, s2, _, _ = _derivative_quadratic(c)
+    except (HyperbolicityViolation, NearMultipleRoot, ExprDomainError) as exc:
+        locate(exc, t, xi, None)
+        raise
+    return SimpleNamespace(c=c, reg=reg, tau=tau, crit=(s1, s2), lam=lam.r, lam_d1=lam_d1,
+                           lam_d2=lam_d2, mu=mu, mu_d1=mu_d1,
+                           mc=[Jet2(*j) for j in (mc0, mc1, m2)], nc=[Jet2(*j) for j in (nc0, nc1)])
+
+
 def _oracle_primary_terms(s):
     """The six primary integrands from the symbols ``s``, as the structured path
     computed them before the flat condition node: the oracle's first half."""
     lam, ld1, ld2, mu, mu_d1 = s.lam, s.lam_d1, s.lam_d2, s.mu, s.mu_d1
-    (m0, m1, m2), (n0, n1) = s.mc.coeffs, s.nc.coeffs
+    (m0, m1, m2), (n0, n1) = s.mc, s.nc
     m0v, m1v, m2v, m0d, m1d, m2d = m0.v, m1.v, m2.v, m0.d1, m1.d1, m2.d1
     sep = vel = 0.0
     for j, k in _SS2:
@@ -623,19 +650,18 @@ def _oracle_primary_terms(s):
 
 def _oracle_integrand(op, t, xi):
     """Every condition integrand at one time from the structured symbols of
-    ``_symbols_at``, as computed before the flat condition node (its
-    ``Symbols.reg`` rebuilt by ``regularized_cubic``): the oracle the node
-    must match bit for bit."""
-    s = operators._symbols_at(op, t, xi)
+    :func:`_oracle_symbols`, as computed before the flat condition node: the
+    oracle the node must match bit for bit."""
+    s = _oracle_symbols(op, t, xi)
     out, n_auxcrit = _oracle_primary_terms(s)
     c, tau, lam, mu = s.c, s.tau, s.lam, s.mu
-    (m0, m1, m2), (n0, n1) = s.mc.coeffs, s.nc.coeffs
+    (m0, m1, m2), (n0, n1) = s.mc, s.nc
     m0v, m1v, m2v, n0v, n1v = m0.v, m1.v, m2.v, n0.v, n1.v
     s1, s2 = s.crit
     span_p1 = tau[2] - tau[0] + 1.0
     crit_gap_p1 = s2 - s1 + 1.0
     denoms = (crit_gap_p1, mu[1] - mu[0], math.sqrt(max(delta1(c), 0.0)) + 1.0,
-              math.sqrt(max(delta1(regularized_cubic(c, 1.0)), 0.0)), span_p1, lam[2] - lam[0])
+              math.sqrt(max(delta1(s.reg), 0.0)), span_p1, lam[2] - lam[0])
     m_tau = [(m2v * x + m1v) * x + m0v for x in tau]
     m_levi_roots = 0.0
     for j, k, l in _SS3:

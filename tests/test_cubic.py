@@ -10,21 +10,40 @@ from hypothesis import example, given, settings, strategies as st
 from hyp3.cubic import (
     SIMPLE_ROOT_REL_GAP,
     CubicJet,
+    _critical_jets,
+    _critical_points,
+    _root_dt,
     _simple_root_gap,
     cubic_from_floats,
     delta1,
-    derivative_quadratic,
     discriminant,
-    quad_root_jets,
-    root_jets,
     solve_cubic_real,
 )
-from hyp3.errors import HyperbolicityViolation, NearMultipleRoot
+from hyp3.errors import HyperbolicityViolation, NearMultipleRoot, _check_points
 from hyp3.expr import BinOp, Jet2, TimeFn, parse_timefn
 
 
 def _vieta_cubic(r1, r2, r3):
     return cubic_from_floats(-(r1 + r2 + r3), r1 * r2 + r2 * r3 + r3 * r1, -r1 * r2 * r3)
+
+
+def _derivative_quadratic(c):
+    """The critical points of ``c`` with the discriminant data, by the core."""
+    return _critical_points(c.a1.v, c.a2.v, c.a3.v)
+
+
+def _root_jets(c, roots):
+    """The first and second time derivatives of the roots of ``c``, by the
+    cores the symbol layer runs on its roots: the simple-root guard, then
+    implicit differentiation."""
+    gap, thr = _simple_root_gap(roots.r)
+    _check_points(gap <= thr, NearMultipleRoot, gap, thr)
+    return _root_dt(c.a1.v, c.a2.v, c.a1.d1, c.a2.d1, c.a3.d1, c.a1.d2, c.a2.d2, c.a3.d2, roots.r)
+
+
+def _quad_root_jets(c):
+    """The critical points of ``c`` and their first time derivatives, by the core."""
+    return _critical_jets(c.a1.v, c.a2.v, c.a3.v, c.a1.d1, c.a2.d1)
 
 
 def test_solve_distinct_roots():
@@ -55,7 +74,7 @@ def test_delta1_examples():
 
 
 def test_derivative_quadratic_example():
-    s1, s2, disc, gap_sq = derivative_quadratic(cubic_from_floats(-6, 11, -6))
+    s1, s2, disc, gap_sq = _derivative_quadratic(cubic_from_floats(-6, 11, -6))
     assert abs(s1 - (2 - 1 / math.sqrt(3))) < 1e-12
     assert abs(s2 - (2 + 1 / math.sqrt(3))) < 1e-12
     assert abs(disc - (4 * 36 - 12 * 11)) < 1e-12
@@ -63,7 +82,7 @@ def test_derivative_quadratic_example():
 
 
 def test_derivative_quadratic_triple():
-    s1, s2, _, gap_sq = derivative_quadratic(cubic_from_floats(0, 0, 0))
+    s1, s2, _, gap_sq = _derivative_quadratic(cubic_from_floats(0, 0, 0))
     assert s1 == s2 == 0.0 and gap_sq == 0.0
 
 
@@ -88,7 +107,7 @@ def test_delta1_equals_sum_of_squared_gaps_and_crit_gap_identity():
         c = _vieta_cubic(*r)
         sumsq = (r[0] - r[1]) ** 2 + (r[1] - r[2]) ** 2 + (r[2] - r[0]) ** 2
         assert abs(delta1(c) - sumsq) <= 1e-9 * max(1.0, sumsq)
-        _, _, _, gap_sq = derivative_quadratic(c)
+        _, _, _, gap_sq = _derivative_quadratic(c)
         assert abs(delta1(c) - 4.5 * gap_sq) <= 1e-9 * max(1.0, abs(delta1(c)))
 
 
@@ -112,7 +131,7 @@ def test_interlacing_of_derivative_roots():
     for _ in range(1000):
         r = sorted(rng.uniform(-5, 5) for _ in range(3))
         c = _vieta_cubic(*r)
-        s1, s2, _, _ = derivative_quadratic(c)
+        s1, s2, _, _ = _derivative_quadratic(c)
         eps = 1e-9 * (1 + max(map(abs, r)))
         assert r[0] - eps <= s1 <= r[1] + eps <= s2 <= r[2] + 2 * eps
         assert s1 <= r[1] + eps and r[1] - eps <= s2
@@ -140,14 +159,14 @@ def test_root_jets_linear_roots():
     # roots j*t have velocity j and zero curvature
     fns = _timefn_cubic(("t", "2*t", "3*t"))
     c = _cubic_at(fns, 1.0)
-    d1, d2 = root_jets(c, solve_cubic_real(c))
+    d1, d2 = _root_jets(c, solve_cubic_real(c))
     assert np.allclose(d1, (1.0, 2.0, 3.0), atol=1e-9)
     assert np.allclose(d2, (0.0, 0.0, 0.0), atol=1e-8)
 
 
 def test_root_jets_constant_cubic():
     c = cubic_from_floats(-6, 11, -6)
-    assert root_jets(c, solve_cubic_real(c)) == ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    assert _root_jets(c, solve_cubic_real(c)) == ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
 
 def test_root_jets_match_finite_differences_of_resolved_roots():
@@ -158,7 +177,7 @@ def test_root_jets_match_finite_differences_of_resolved_roots():
         t = rng.uniform(0.1, 1.5)
         c = _cubic_at(fns, t)
         roots = solve_cubic_real(c)
-        d1, d2 = root_jets(c, roots)
+        d1, d2 = _root_jets(c, roots)
         rp = solve_cubic_real(_cubic_at(fns, t + h)).r
         rm = solve_cubic_real(_cubic_at(fns, t - h)).r
         for j in range(3):
@@ -171,7 +190,7 @@ def test_root_jets_match_finite_differences_of_resolved_roots():
 def test_root_jets_reject_near_multiple_roots():
     c = cubic_from_floats(0, 0, 0)
     with pytest.raises(NearMultipleRoot):
-        root_jets(c, solve_cubic_real(c))
+        _root_jets(c, solve_cubic_real(c))
 
 
 NAN, INF = math.nan, math.inf
@@ -227,7 +246,7 @@ def test_the_hyperbolicity_band_scales_with_the_roots(xi):
     c = cubic_from_floats(0.0, xi ** 2, 0.0)
     for cubic in (c, _on_grid(c)):
         with pytest.raises(HyperbolicityViolation, match="derivative quadratic"):
-            derivative_quadratic(cubic)
+            _derivative_quadratic(cubic)
     # a double root's rounded discriminant stays inside the band
     c = _vieta_cubic(-2.0 * xi, xi, xi)
     for cubic in (c, _on_grid(c)):
@@ -390,10 +409,10 @@ def test_root_jets_near_multiple_roots_against_mpmath(kind, rel):
         c = _point(jets)
         if min(g + m for g, m in gaps) < thr - slack:
             with pytest.raises(NearMultipleRoot):
-                root_jets(c, solve_cubic_real(c))
+                _root_jets(c, solve_cubic_real(c))
             decided.append("raises")
         elif min(g - m for g, m in gaps) > thr + slack:
-            d1, d2 = root_jets(c, solve_cubic_real(c))
+            d1, d2 = _root_jets(c, solve_cubic_real(c))
             decided.append("passes")
             for j in range(3):
                 want = _jet_bounds(jets, roots, bounds, j)
@@ -403,7 +422,7 @@ def test_root_jets_near_multiple_roots_against_mpmath(kind, rel):
                     resolved.append((jets, j, want))
     if resolved:  # the grid branch, on the cubics whose jets were resolved
         g = _grid([jets for jets, _, _ in resolved])
-        d1, d2 = root_jets(g, solve_cubic_real(g))
+        d1, d2 = _root_jets(g, solve_cubic_real(g))
         for k, (_, j, ((w1, b1), (w2, b2))) in enumerate(resolved):
             assert abs(d1[j][k] - w1) <= b1 and abs(d2[j][k] - w2) <= b2
     # every near-double pair is resolved either way; near-triple clusters
@@ -439,9 +458,9 @@ def test_quad_root_jets_near_multiple_roots_against_mpmath(kind, rel):
     # two or three roots of the cubic close in, so every jet is resolved, at
     # a point and on the grid
     cubics = _near_multiple_cubics(kind, rel)
-    grid_s, grid_d = quad_root_jets(_grid(cubics))
+    grid_s, grid_d = _quad_root_jets(_grid(cubics))
     for k, jets in enumerate(cubics):
-        point_s, point_d = quad_root_jets(_point(jets))
+        point_s, point_d = _quad_root_jets(_point(jets))
         for j, sign in enumerate((-1, 1)):
             (s, bound), (d, d_bound) = _quad_oracle(jets, sign)
             for got, got_d in ((point_s[j], point_d[j]), (grid_s[j][k], grid_d[j][k])):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyp3 import identities
-from hyp3.cubic import cubic_from_floats, delta1, derivative_quadratic, discriminant
+from hyp3.cubic import _critical_points, cubic_from_floats, delta1, discriminant
 from hyp3.cubic import solve_cubic_real
 from hyp3.identities import ALGEBRAIC_TOLERANCES, run_algebraic_suite
 
@@ -44,7 +44,7 @@ def _scalar_suite(samples, seed):
         c = from_roots(*r)
         sumsq = ((r[0] - r[1]) ** 2 + (r[1] - r[2]) ** 2 + (r[2] - r[0]) ** 2)
         worst["sumsq_vs_coeffs"] = max(worst["sumsq_vs_coeffs"], _rel(delta1(c), sumsq))
-        gap_sq = derivative_quadratic(c)[3]
+        gap_sq = _critical_points(c.a1.v, c.a2.v, c.a3.v)[3]
         worst["sumsq_vs_crit_gap"] = max(worst["sumsq_vs_crit_gap"],
                                          _rel(delta1(c), 4.5 * gap_sq))
 

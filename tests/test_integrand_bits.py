@@ -22,7 +22,7 @@ import pytest
 
 from hyp3 import conditions
 from hyp3.battery import battery_member, battery_names
-from hyp3.conditions import _integrand_values, condition_integrals, second_order_check
+from hyp3.conditions import _condition_node, condition_integrals, second_order_check
 from hyp3.expr import parse_timefn
 from hyp3.operators import Operator2, Operator3
 from hyp3.quadrature import _GL_NODES, _GL_WEIGHTS, _panel
@@ -80,15 +80,16 @@ def _enc(x, t):
 
 
 def _views(op, t, xi) -> list:
-    """Every jet of the symbol views of ``op``: ``principal`` and
-    ``lower_polys`` in order, or ``symbol_parts``."""
-    if isinstance(op, Operator2):
-        jets = op.symbol_parts(t, xi)
-    else:
-        c = op.principal(t, xi)
-        m, n, p = op.lower_polys(t, xi)
-        jets = (c.a1, c.a2, c.a3, *m.coeffs, *n.coeffs, p)
-    return [[_enc(x, t) for x in (j.v, j.d1, j.d2, j.d3)] for j in jets]
+    """Every jet (v, d1, d2, d3) of the symbol views of ``op``, one sum of the
+    table walk: the principal then the lower slots, or the second-order parts."""
+    views = ("parts",) if isinstance(op, Operator2) else ("principal", "lower")
+    jets = op._add(op._weights(xi, *views), sum(len(op._VIEWS[v]) for v in views), t)
+    return [[_enc(x, t) for x in jet] for jet in jets]
+
+
+def _integrand_values(op, t: float, xi: np.ndarray) -> list[float]:
+    """Every condition integrand, primary then alternate, at one time: one node."""
+    return _condition_node(op, xi)(t)
 
 
 def _symbols() -> dict[str, list]:

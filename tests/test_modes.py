@@ -104,12 +104,13 @@ def test_energy_constant_strict_single_mode():
 
 
 def test_energy_weight_is_condition_integrand_sum_plus_log_xi():
-    from hyp3.conditions import _integrand_values
+    from hyp3.conditions import _condition_node
     xi = 256.0
     sol = solve_mode(STRICT_SIN, np.array([xi]), grid_points=64)
     tr = energy_trace(STRICT_SIN, sol, eta=1.0)
+    node = _condition_node(STRICT_SIN, sol.xi)
     for t, k in zip(sol.t, tr.K):
-        assert sum(_integrand_values(STRICT_SIN, float(t), sol.xi)[:6]) + math.log(xi) == k
+        assert sum(node(float(t))[:6]) + math.log(xi) == k
 
 
 def test_energy_zero_solution():

@@ -1,14 +1,13 @@
 import math
 import random
-from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from hyp3 import modes
 from hyp3.battery import BATTERY, battery_names
-from hyp3.conditions import pointwise_levi
-from hyp3.cubic import CubicJet, delta1, derivative_quadratic, discriminant, solve_cubic_real
+from hyp3.conditions import _horner, pointwise_levi
+from hyp3.cubic import CubicJet, _real_roots, discriminant, solve_cubic_real
 from hyp3.errors import (ExprDomainError, HyperbolicityViolation, NearMultipleRoot,
                          OperatorSpecError)
 from hyp3.expr import Jet2, TimeFn
@@ -16,10 +15,10 @@ from hyp3.expr import parse_timefn as P
 from hyp3.operators import (
     Operator2,
     Operator3,
-    TauPoly,
-    _symbols_at,
+    Symbols,
+    _regularized,
+    _symbols,
     measure_separation,
-    regularized_cubic,
     symbol_grid,
 )
 
@@ -28,81 +27,92 @@ def _op(name, coeffs, horizon=1.0, dim=1):
     return Operator3(name, dim, horizon, {k: P(v) for k, v in coeffs.items()})
 
 
+def _at(op, t, xi):
+    """The symbols at one time, by the core of the symbol layer."""
+    return Symbols(*_symbols(op, op._weights(xi, "principal", "lower"), t, xi))
+
+
+def _values(*jets):
+    """The values of ``jets``: a polynomial's coefficients, ascending."""
+    return tuple(j[0] for j in jets)
+
+
 WAVE = _op("wave", {(1, (2,)): "-1"})
 OLEINIK = _op("oleinik", {(1, (2,)): "-t^2", (0, (2,)): "t"})
 
 
 def test_principal_wave_operator():
-    c = WAVE.principal(0.3, np.array([5.0]))
-    assert (c.a1.v, c.a2.v, c.a3.v) == (0.0, -25.0, 0.0)
+    c = _at(WAVE, 0.3, np.array([5.0]))
+    assert (c.a1[0], c.a2[0], c.a3[0]) == (0.0, -25.0, 0.0)
 
 
 def test_principal_time_dependent_jets():
     op = _op("t2", {(1, (2,)): "-t^2"})
-    c = op.principal(0.5, np.array([8.0]))
-    assert c.a2.v == -0.25 * 64
-    assert c.a2.d1 == -64.0
-    assert c.a2.d2 == -128.0
+    a2 = _at(op, 0.5, np.array([8.0])).a2
+    assert a2[0] == -0.25 * 64
+    assert a2[1] == -64.0
+    assert a2[2] == -128.0
 
 
 def test_principal_at_zero_frequency_reduces_to_temporal_terms():
-    c = OLEINIK.principal(0.7, np.array([0.0]))
-    assert (c.a1.v, c.a2.v, c.a3.v) == (0.0, 0.0, 0.0)
+    c = _at(OLEINIK, 0.7, np.array([0.0]))
+    assert (c.a1[0], c.a2[0], c.a3[0]) == (0.0, 0.0, 0.0)
 
 
 def test_lower_symbols_constant_coefficients_have_zero_drift():
     op = _op("c", {(0, (2,)): "3", (1, (1,)): "2", (0, (1,)): "1"})
-    m, n, p = op.lower_polys(0.4, np.array([2.0]))
-    assert all(c.d1 == 0 and c.d2 == 0 for c in m.coeffs)
-    assert all(c.d1 == 0 for c in n.coeffs)
-    _, d_t, _ = m.at(1.7)
+    s = _at(op, 0.4, np.array([2.0]))
+    assert all(c[1] == 0 and c[2] == 0 for c in (s.m0, s.m1, s.m2))
+    assert all(c[1] == 0 for c in (s.n0, s.n1))
+    d_t = _horner((s.m0[1], s.m1[1], s.m2[1]), 1.7)  # the time derivative of m at 1.7
     assert d_t == 0
 
 
 def test_lower_symbols_values():
     # order-2 part c*t*dx^2 stores the real monomial c*t*xi^2
     op = _op("m", {(0, (2,)): "2*t"})
-    m, n, p = op.lower_polys(0.5, np.array([3.0]))
-    assert m.value_at(11.0) == 1.0 * 9.0  # tau-independent
-    assert n.value_at(11.0) == 0.0
+    s = _at(op, 0.5, np.array([3.0]))
+    assert _horner(_values(s.m0, s.m1, s.m2), 11.0) == 1.0 * 9.0  # tau-independent
+    assert _horner(_values(s.n0, s.n1), 11.0) == 0.0
     # order-1 part d_t gives exactly the root variable
     op2 = _op("n", {(1, (0,)): "1"})
-    _, n2, _ = op2.lower_polys(0.5, np.array([3.0]))
-    assert n2.value_at(7.25) == 7.25
+    s2 = _at(op2, 0.5, np.array([3.0]))
+    assert _horner(_values(s2.n0, s2.n1), 7.25) == 7.25
 
 
 def test_checked_m_examples():
     # L = tau (tau^2 - t^2 xi^2), M = c t xi^2: corrected symbol (c+1) t xi^2
     for c_coef in (1.0, 2.5):
         op = _op("olk", {(1, (2,)): "-t^2", (0, (2,)): f"{c_coef}*t"})
-        mc = symbol_grid(op, [0.5], np.array([4.0])).mc
-        assert mc.coeffs[1].v == 0 and mc.coeffs[2].v == 0
-        assert abs(mc.coeffs[0].v - (c_coef + 1.0) * 0.5 * 16.0) < 1e-12
+        g = symbol_grid(op, [0.5], np.array([4.0]))
+        mc = _values(g.mc0, g.mc1, g.m2)
+        assert mc[1] == 0 and mc[2] == 0
+        assert abs(mc[0] - (c_coef + 1.0) * 0.5 * 16.0) < 1e-12
     # constant principal part: no correction
     op = _op("const", {(1, (2,)): "-1", (0, (2,)): "1"})
-    mc = symbol_grid(op, [0.3], np.array([4.0])).mc
-    assert mc.value_at(2.0) == 16.0
+    g = symbol_grid(op, [0.3], np.array([4.0]))
+    assert _horner(_values(g.mc0, g.mc1, g.m2), 2.0) == 16.0
     # order-2 symbol chosen as half the principal drift cancels exactly
     op = _op("cancel", {(1, (2,)): "-t^2", (0, (2,)): "-t"})
-    mc = symbol_grid(op, [0.7], np.array([4.0])).mc
-    assert abs(mc.value_at(3.0)) < 1e-12
+    g = symbol_grid(op, [0.7], np.array([4.0]))
+    assert abs(_horner(_values(g.mc0, g.mc1, g.m2), 3.0)) < 1e-12
 
 
 def test_checked_n_examples():
     # L = (tau - t^2 xi)^3, M = N = 0: corrected order-1 symbol is -xi
     op = _op("trip", {(2, (1,)): "-3*t^2", (1, (2,)): "3*t^4", (0, (3,)): "-t^6"})
-    nc = symbol_grid(op, [0.8], np.array([2.0])).nc
-    assert abs(nc.coeffs[0].v - (-2.0)) < 1e-12
-    assert abs(nc.coeffs[1].v) < 1e-12
+    g = symbol_grid(op, [0.8], np.array([2.0]))
+    assert abs(g.nc0[0] - (-2.0)) < 1e-12
+    assert abs(g.nc1[0]) < 1e-12
     # M = m(t) tau^2, N = 0, constant L: corrected symbol is -m'(t) tau
     op = _op("mt2", {(2, (0,)): "sin(t)"})
-    nc = symbol_grid(op, [0.3], np.array([5.0])).nc
-    assert abs(nc.coeffs[1].v + math.cos(0.3)) < 1e-12
-    assert nc.coeffs[0].v == 0.0
+    g = symbol_grid(op, [0.3], np.array([5.0]))
+    assert abs(g.nc1[0] + math.cos(0.3)) < 1e-12
+    assert g.nc0[0] == 0.0
     # constant coefficients: no correction at all
     op = _op("cn", {(0, (1,)): "4"})
-    nc = symbol_grid(op, [0.3], np.array([5.0])).nc
-    assert nc.value_at(1.23) == 20.0
+    g = symbol_grid(op, [0.3], np.array([5.0]))
+    assert _horner(_values(g.nc0, g.nc1), 1.23) == 20.0
 
 
 def test_regularize_triple_root():
@@ -112,10 +122,10 @@ def test_regularize_triple_root():
 
 
 def test_regularize_eps_zero_is_identity():
-    c = WAVE.principal(0.2, np.array([10.0]))
-    reg = regularized_cubic(c, 0.0)
-    assert (reg.a1.v, reg.a2.v, reg.a3.v) == (c.a1.v, c.a2.v, c.a3.v)
-    assert np.allclose(solve_cubic_real(reg).r, (-10.0, 0.0, 10.0), atol=1e-9)
+    c = _at(WAVE, 0.2, np.array([10.0]))
+    r2, r3 = _regularized(c.a1, c.a2, c.a3, 0.0)
+    assert (c.a1[0], r2[0], r3[0]) == (c.a1[0], c.a2[0], c.a3[0])
+    assert np.allclose(_real_roots(c.a1[0], r2[0], r3[0]), (-10.0, 0.0, 10.0), atol=1e-9)
 
 
 def test_regularize_strict_operator_shifts_within_unit():
@@ -134,7 +144,8 @@ def test_regularized_discriminant_expansion_and_crit_shift():
         from hyp3.cubic import cubic_from_floats
         c = cubic_from_floats(a1, a2, a3)
         e = math.exp(rng.uniform(math.log(0.3), math.log(3.0)))
-        reg = regularized_cubic(c, e * e)
+        reg = CubicJet(c.a1, *(Jet2(*j) for j in _regularized(
+            *((j.v, j.d1, j.d2, j.d3) for j in (c.a1, c.a2, c.a3)), e * e)))
         db24 = 4 * a1 * a1 - 12 * a2
         lhs = discriminant(reg)
         rhs = (discriminant(c) + 0.5 * e ** 2 * db24 ** 2
@@ -189,23 +200,28 @@ def test_lagrange_reconstruction_of_order2_symbol():
     xi = np.array([32.0])
     for t in (0.1, 0.7, 1.3):
         g = symbol_grid(op, [t], xi)
-        mc, r = g.mc, g.lam[:, 0]
+        mc, r = _values(g.mc0, g.mc1, g.m2), g.lam[:, 0]
         ell = []
         for j, h, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            ell.append(mc.value_at(r[j]) / ((r[j] - r[h]) * (r[j] - r[l])))
+            ell.append(_horner(mc, r[j]) / ((r[j] - r[h]) * (r[j] - r[l])))
         for _ in range(100):
             tau = rng.uniform(-3 * 32.0, 3 * 32.0)
             rec = sum(e * (tau - r[h]) * (tau - r[l])
                       for e, (j, h, l) in zip(ell, ((0, 1, 2), (1, 2, 0), (2, 0, 1))))
-            ref = mc.value_at(tau)
+            ref = _horner(mc, tau)
             assert abs(rec - ref) <= 1e-8 * max(1.0, abs(ref))
 
 
 def test_symbol_jets_linear_in_coefficients():
     base = {(0, (2,)): "sin(t)+2", (1, (1,)): "t", (2, (0,)): "cos(t)"}
     scaled = {k: f"2.5*({v})" for k, v in base.items()}
-    m1 = _op("a", base).lower_polys(0.6, np.array([3.0]))[0].at(1.1)
-    m2 = _op("b", scaled).lower_polys(0.6, np.array([3.0]))[0].at(1.1)
+    def at(op, tau):
+        s = _at(op, 0.6, np.array([3.0]))
+        m = (s.m0, s.m1, s.m2)
+        return (_horner(_values(*m), tau), _horner(tuple(c[1] for c in m), tau),
+                _horner(tuple(k * c[0] for k, c in enumerate(m))[1:], tau))
+    m1 = at(_op("a", base), 1.1)
+    m2 = at(_op("b", scaled), 1.1)
     for a, b in zip(m1, m2):  # value, d_t, d_tau
         assert abs(b - 2.5 * a) < 1e-12 * max(1, abs(b))
 
@@ -255,15 +271,10 @@ def test_hyperbolicity_scan_names_the_offending_point():
 
 
 def _rows(field):
-    """The per-time rows of one :class:`Symbols` field."""
-    if isinstance(field, CubicJet):
-        return [r for j in (field.a1, field.a2, field.a3) for r in _rows(j)]
-    if isinstance(field, TauPoly):
-        return [r for j in field.coeffs for r in _rows(j)]
-    if isinstance(field, Jet2):
-        return [field.v, field.d1, field.d2] + ([] if field.d3 is None else [field.d3])
-    if np.ndim(field) == 2 or isinstance(field, tuple):
-        return list(field)
+    """The per-time rows of one :data:`Symbols` field: a jet's entries (less a
+    d3 of None), a root field's roots, or the field itself."""
+    if isinstance(field, (tuple, list)) or np.ndim(field) == 2:
+        return [x for x in field if x is not None]
     return [field]
 
 
@@ -279,16 +290,14 @@ def test_symbol_grid_equals_its_points(op, mag):
     ts = np.linspace(0.0, op.horizon, 64)
     grid = symbol_grid(op, ts, xi)
     for i, t in enumerate(ts):
-        point = _symbols_at(op, float(t), xi)
-        for f in fields(point):
-            if f.name == "t":
-                continue
-            grid_rows, point_rows = _rows(getattr(grid, f.name)), _rows(getattr(point, f.name))
-            assert len(grid_rows) == len(point_rows), f.name
+        point = _at(op, float(t), xi)
+        for name in Symbols._fields:
+            grid_rows, point_rows = _rows(getattr(grid, name)), _rows(getattr(point, name))
+            assert len(grid_rows) == len(point_rows), name
             for k, (g, p) in enumerate(zip(grid_rows, point_rows)):
-                assert np.shape(g) == ts.shape, (f.name, k)
+                assert np.shape(g) == ts.shape, (name, k)
                 # bitwise: equal values, or NaN on both sides
-                assert g[i] == p or (g[i] != g[i] and p != p), (f.name, k, t)
+                assert g[i] == p or (g[i] != g[i] and p != p), (name, k, t)
 
 
 @pytest.mark.parametrize("mag", [64.0, 4096.0])
@@ -303,26 +312,24 @@ def test_complex_lower_order_grid_matches_its_points(term, mag):
     ts = np.linspace(0.0, op.horizon, 64)
     grid = symbol_grid(op, ts, xi)
     for i, t in enumerate(ts):
-        point = _symbols_at(op, float(t), xi)
-        for f in fields(point):
-            if f.name == "t":
-                continue
-            for k, (g, p) in enumerate(zip(_rows(getattr(grid, f.name)),
-                                           _rows(getattr(point, f.name)))):
-                assert np.shape(g) == ts.shape, (f.name, k)
+        point = _at(op, float(t), xi)
+        for name in Symbols._fields:
+            for k, (g, p) in enumerate(zip(_rows(getattr(grid, name)),
+                                           _rows(getattr(point, name)))):
+                assert np.shape(g) == ts.shape, (name, k)
                 g_i, p_i = complex(g[i]), complex(p)
                 for x, y in ((g_i.real, p_i.real), (g_i.imag, p_i.imag)):
                     # NaN on both sides: a jet entry that is never consumed
                     assert x == pytest.approx(y, rel=1e-13, abs=1e-16 * mag ** 2, nan_ok=True), \
-                        (f.name, k, t)
+                        (name, k, t)
 
 
 def test_constant_coefficient_grid_has_full_length_rows():
     g = symbol_grid(_op("cc", {(1, (2,)): "-1", (0, (0,)): "2"}), np.linspace(0.0, 1.0, 5),
                     np.array([8.0]))
-    for f in fields(g):
-        for row in _rows(getattr(g, f.name)):
-            assert np.shape(row) == (5,), f.name
+    for name, field in zip(Symbols._fields, g):
+        for row in _rows(field):
+            assert np.shape(row) == (5,), name
     assert g.tau.shape == g.lam_d2.shape == (3, 5) and g.mu.shape == (2, 5)
 
 
@@ -346,7 +353,7 @@ def test_symbol_grid_names_the_first_failing_point(coeffs, ts):
         symbol_grid(op, ts, xi)
     for t in ts:
         try:
-            _symbols_at(op, float(t), xi)
+            _at(op, float(t), xi)
         except errors as exc:
             assert type(grid_exc.value) is type(exc)
             assert str(grid_exc.value) == str(exc)
@@ -358,11 +365,15 @@ def test_symbol_grid_names_the_first_failing_point(coeffs, ts):
 
 
 
+def _lower(op, t, xi):
+    """The lower-order symbol jets (v, d1, d2, d3) at ``t``, by the table walk."""
+    return op._add(op._weights(xi, "lower"), 6, t)
+
+
 def _lower_bits(op, t, xi):
     """The lower-order symbol jets at ``t``, each part as ``float.hex`` text."""
-    m, n, p = op.lower_polys(t, xi)
     return [tuple(None if x is None else (complex(x).real.hex(), complex(x).imag.hex())
-                  for x in (j.v, j.d1, j.d2, j.d3)) for j in m.coeffs + n.coeffs + (p,)]
+                  for x in j) for j in _lower(op, t, xi)]
 
 
 def test_a_kept_copy_evaluates_each_term_once_per_time(monkeypatch):
@@ -381,7 +392,7 @@ def test_a_kept_copy_evaluates_each_term_once_per_time(monkeypatch):
     assert [_lower_bits(kept, t, xi) for t in times] == want
     assert calls == [("sin(t)", 2, "0x0.0p+0"), ("sin(t)", 2, "-0x0.0p+0"),
                      ("sin(t)", 2, "0x1.8000000000000p-1")]
-    op.lower_polys(0.75, xi)  # the operator it was copied from keeps nothing
+    _lower(op, 0.75, xi)  # the operator it was copied from keeps nothing
     assert len(calls) == 4
 
 
@@ -389,11 +400,11 @@ def test_a_kept_copy_keeps_no_jet_that_raises():
     op = _op("fails", {(1, (2,)): "-1", (0, (0,)): "log(t - 0.5)"})
     xi = np.array([64.0])
     with pytest.raises(ExprDomainError) as plain:
-        _symbols_at(op, 0.25, xi)
+        _at(op, 0.25, xi)
     kept = op._keeping_jets()
     for _ in range(2):
         with pytest.raises(ExprDomainError) as exc:
-            _symbols_at(kept, 0.25, xi)
+            _at(kept, 0.25, xi)
         assert str(exc.value) == str(plain.value) == (
             "log of non-positive value -0.25, at t=0.25, xi=[64.]")
 
@@ -406,10 +417,20 @@ def test_a_kept_copy_keeps_no_jet_that_raises():
 def test_a_frequency_weight_past_the_double_range_is_an_input_error(xi):
     op = _op("mixed", {(1, (2, 0)): "-1", (0, (2, 1)): "1", (0, (1, 1)): "sin(t)"}, dim=2)
     for call in (lambda: symbol_grid(op, [0.0, 0.5], np.array(xi)),
-                 lambda: op.principal(0.5, np.array(xi)),
+                 lambda: _at(op, 0.5, np.array(xi)),
                  lambda: modes._ode_coefficients(op, np.array(xi))):
         with pytest.raises(OperatorSpecError, match="frequency weight xi\\^alpha overflows"):
             call()
+
+
+def test_the_layer_takes_every_weight_before_any_jet():
+    # the principal term fails its domain at every time, and the lower term's
+    # weight xi_1^2 overflows: the weights of both views come first
+    op = _op("both", {(2, (1, 0)): "log(t - 2)", (0, (0, 2)): "1"}, dim=2)
+    with pytest.raises(OperatorSpecError, match="frequency weight xi\\^alpha overflows"):
+        symbol_grid(op, [0.0, 0.5], np.array([1.0, 1e200]))
+    with pytest.raises(ExprDomainError, match=r"^log of non-positive value -2\.0, at t=0, "):
+        symbol_grid(op, [0.0, 0.5], np.array([1.0, 1e100]))
 
 
 @pytest.mark.parametrize("dim,coeffs,message", [

@@ -46,6 +46,35 @@ def test_an_unused_import_is_found():
     assert _unused_imports(text) == ["line 3: Sequence"]
 
 
+def _undefined_exports(text: str) -> list[str]:
+    """Names a module's ``__all__`` lists that no top-level statement of the
+    module binds: a def, a class, an assignment or an import."""
+    bound, exported = set(), []
+    for node in ast.parse(text).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                exported = ast.literal_eval(node.value)
+    return [name for name in exported if name not in bound]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_a_module_defines_every_name_it_exports(path):
+    assert _undefined_exports(path.read_text()) == []
+
+
+def test_a_stale_export_is_found():
+    text = ("import math\nfrom .x import y as z\nA, B = 1, 2\nC: int = 3\ndef f():\n    D = 4\n"
+            "class K:\n    E = 5\n"
+            "__all__ = ['math', 'z', 'A', 'B', 'C', 'D', 'E', 'f', 'K', 'TauPoly']\n")
+    assert _undefined_exports(text) == ["D", "E", "TauPoly"]
+
+
 def _foreign_imports(text: str) -> list[str]:
     """Modules a module imports from outside the standard library, numpy and
     hyp3 itself: the package depends on numpy alone (``pyproject.toml``), and
